@@ -133,7 +133,11 @@ class ContextManager:
         candidates = self.recv_candidates(conn_id)
         last = self._last_stream.get(conn_id)
         if last is not None and fastpath.enabled("tls.affinity"):
-            candidates.sort(key=lambda item: item[0] != last)
+            # Affinity context first, the rest in stream-id order.
+            for index, candidate in enumerate(candidates):
+                if candidate[0] == last:
+                    candidates.insert(0, candidates.pop(index))
+                    break
         for stream_id, state in candidates:
             self.trial_decryptions += 1
             try:

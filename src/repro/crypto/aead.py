@@ -5,12 +5,12 @@ This is the single cipher suite the TLS stack uses
 ``CryptoError`` — TCPLS counts those as forgery attempts when doing
 trial decryption across per-stream contexts (paper section 2.3).
 
-Fast path (``fastpath`` feature ``crypto.batch``): for multi-block
-records the Poly1305 one-time key and the payload keystream come out of
-a *single* vectorized ``chacha20_keystream`` call (blocks 0..n), and the
-tag is computed by the batched Poly1305.  The scalar construction below
-is the reference; both produce bit-identical output and the scalar path
-engages automatically when numpy is missing or the record is small.
+Fast path (``fastpath`` feature ``crypto.batch``): the Poly1305 one-time
+key and the payload keystream come out of a *single* lane-packed pass
+(blocks 0..n as Python big ints, ``chacha20.chacha20_keystream_lanes``),
+and the tag of a long record is computed by the batched Poly1305.  The
+scalar construction below is the reference; both produce bit-identical
+output.
 
 ``seal_with_keystream`` / ``open_with_keystream`` additionally let the
 record layer supply keystream bytes it precomputed for several future
@@ -22,27 +22,22 @@ from __future__ import annotations
 import struct
 
 from repro import fastpath
-from repro.crypto.chacha20 import chacha20_encrypt
+from repro.crypto.chacha20 import chacha20_encrypt, chacha20_keystream_lanes, xor_bytes
 from repro.crypto.poly1305 import constant_time_equal, poly1305_key_gen, poly1305_mac
 from repro.crypto.poly1305_fast import MIN_BATCH_BYTES, poly1305_mac_fast
 from repro.utils.errors import CryptoError
 
-try:  # numpy is baked into the image, but the scalar path must survive
-    from repro.crypto.chacha20_fast import chacha20_keystream, xor_keystream
+try:  # numpy is baked into the image, but the fast path must survive
+    from repro.crypto.chacha20_fast import xor_keystream
 
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via fastpath flags
-    _HAVE_NUMPY = False
-
-#: Exposed so the record layer can gate its keystream lookahead cache.
-HAVE_NUMPY = _HAVE_NUMPY
+    HAVE_NUMPY = True
+except ImportError:  # pragma: no cover - exercised by the no-numpy subprocess test
+    xor_keystream = xor_bytes
+    HAVE_NUMPY = False
 
 TAG_LENGTH = 16
 KEY_LENGTH = 32
 NONCE_LENGTH = 12
-
-#: Payload size from which the one-call keystream path pays off.
-BATCH_MIN_PAYLOAD = 256
 
 
 def _pad16(data: bytes) -> bytes:
@@ -68,14 +63,6 @@ def _mac(otk: bytes, data: bytes) -> bytes:
     if len(data) >= MIN_BATCH_BYTES and fastpath.enabled("crypto.batch"):
         return poly1305_mac_fast(otk, data)
     return poly1305_mac(otk, data)
-
-
-def _use_batch(payload_length: int) -> bool:
-    return (
-        _HAVE_NUMPY
-        and payload_length >= BATCH_MIN_PAYLOAD
-        and fastpath.enabled("crypto.batch")
-    )
 
 
 def seal_with_keystream(keystream, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -116,18 +103,15 @@ class ChaCha20Poly1305:
             raise ValueError("ChaCha20-Poly1305 key must be 32 bytes")
         self._key = bytes(key)
 
-    def _keystream(self, nonce: bytes, payload_length: int) -> bytes:
-        """Blocks 0..n in one vectorized call: OTK + payload stream."""
-        n_blocks = 1 + (payload_length + 63) // 64
-        return chacha20_keystream(self._key, 0, nonce, n_blocks)
-
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Return ciphertext || 16-byte tag."""
         if len(nonce) != NONCE_LENGTH:
             raise ValueError("nonce must be 12 bytes")
-        if _use_batch(len(plaintext)):
+        if fastpath.flags["crypto.batch"]:
+            # Blocks 0..n in one pass: OTK + payload stream.
+            n_blocks = 1 + (len(plaintext) + 63) // 64
             return seal_with_keystream(
-                self._keystream(nonce, len(plaintext)), plaintext, aad
+                chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), plaintext, aad
             )
         otk = poly1305_key_gen(self._key, nonce)
         ciphertext = chacha20_encrypt(self._key, 1, nonce, plaintext)
@@ -140,11 +124,16 @@ class ChaCha20Poly1305:
             raise ValueError("nonce must be 12 bytes")
         if len(data) < TAG_LENGTH:
             raise CryptoError("ciphertext shorter than the AEAD tag")
+        if fastpath.flags["crypto.batch"]:
+            n_blocks = 1 + (len(data) - TAG_LENGTH + 63) // 64
+            return open_with_keystream(
+                chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), data, aad
+            )
         ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
         # The tag is always verified before any payload keystream is
         # generated, so a failed trial decryption costs only the MAC.
         otk = poly1305_key_gen(self._key, nonce)
-        expected = _mac(otk, _auth_input(aad, ciphertext))
+        expected = poly1305_mac(otk, _auth_input(aad, ciphertext))
         if not constant_time_equal(tag, expected):
             raise CryptoError("AEAD tag verification failed")
         return chacha20_encrypt(self._key, 1, nonce, ciphertext)

@@ -47,8 +47,8 @@ class TrafficKeys:
 
     def nonce_for(self, sequence_number: int) -> bytes:
         """Per-record nonce: IV XOR left-padded sequence number (RFC 8446 5.3)."""
-        seq = sequence_number.to_bytes(len(self.iv), "big")
-        return bytes(a ^ b for a, b in zip(self.iv, seq))
+        iv = self.iv
+        return (int.from_bytes(iv, "big") ^ sequence_number).to_bytes(len(iv), "big")
 
     def next_generation(self) -> "TrafficKeys":
         """Key update: traffic secret N+1 (RFC 8446 section 7.2)."""

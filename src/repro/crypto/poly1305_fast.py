@@ -30,9 +30,9 @@ of reductions; ``_GROUP_BLOCKS = 64`` sits near the optimum for the
 record sizes the TLS layer produces (up to 2^14 bytes).
 
 The scalar ``poly1305_mac`` stays the reference and the fallback for
-short messages, where precomputing powers would cost more than it
-saves.  ``tests/crypto`` cross-checks all implementations on randomized
-inputs; they must agree bit-for-bit on every input.
+messages under ``MIN_BATCH_BYTES``, where precomputing powers would cost
+more than it saves.  ``tests/crypto`` cross-checks all implementations on
+randomized inputs; they must agree bit-for-bit on every input.
 """
 
 from __future__ import annotations
@@ -59,8 +59,12 @@ _M26 = (1 << 26) - 1
 _GROUP_BLOCKS = 64
 _GROUP_BYTES = 16 * _GROUP_BLOCKS
 
-#: Below this size the scalar loop wins (power precompute dominates).
-MIN_BATCH_BYTES = 512
+#: Below this size the scalar loop wins: ``r`` is a fresh key per record,
+#: so every message pays the 63-multiply power table plus the numpy
+#: dispatch (~60 us) before its first group, and the scalar loop costs
+#: ~33 us/KiB.  Measured, they cross between two and three whole groups
+#: (EXPERIMENTS.md P1).
+MIN_BATCH_BYTES = 3 * _GROUP_BYTES
 
 
 def _powers_of_r(r: int) -> list:

@@ -17,7 +17,9 @@ the ChaCha20 keystream for the next several record sequence numbers in
 one vectorized call and hand slices of it to the AEAD layer.  The cache
 is pure lookahead — sealing/opening through it is bit-identical to the
 per-record scalar construction, the sequence numbers advance exactly as
-before, and any key change drops the cache.
+before, and any key change drops the cache.  Records too short to open
+a window go through ``ChaCha20Poly1305`` one at a time (one lane-packed
+keystream pass per record).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro import fastpath
 from repro.crypto import aead as _aead
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
 from repro.crypto.keyschedule import TrafficKeys
-from repro.utils.bytesio import ByteWriter
 from repro.utils.errors import CryptoError, InvalidValue, ProtocolViolation
 
 if _aead.HAVE_NUMPY:
@@ -54,15 +55,15 @@ ENCRYPTED_OVERHEAD = RECORD_HEADER_LEN + 1 + TAG_LENGTH
 #: amortizes the ~1000 vector ops of a ChaCha20 pass over more records;
 #: 32 full-size records is ~0.5 MiB of cached keystream.
 LOOKAHEAD_RECORDS = 32
-#: Inner plaintexts below this size skip the lookahead (the one-call
-#: batch inside ``ChaCha20Poly1305`` already covers them adequately).
+#: Inner plaintexts below this size do not open a lookahead window (a
+#: window is a bet on 32 more records of that size; the per-record pass
+#: inside ``ChaCha20Poly1305`` is cheap enough for them).  They still
+#: use a window that is already there.
 _LOOKAHEAD_MIN_INNER = 1024
 
 
 def record_header(content_type: int, length: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u8(content_type).put_u16(LEGACY_RECORD_VERSION).put_u16(length)
-    return writer.getvalue()
+    return struct.pack("!BHH", content_type, LEGACY_RECORD_VERSION, length)
 
 
 class CipherState:
@@ -99,11 +100,7 @@ class CipherState:
     def _lookahead(self, payload_length: int) -> Optional[memoryview]:
         """Keystream slice (OTK block + payload blocks) for the current
         sequence, or ``None`` when the lookahead should not engage."""
-        if (
-            payload_length < _LOOKAHEAD_MIN_INNER
-            or not _aead.HAVE_NUMPY
-            or not fastpath.flags["crypto.batch"]
-        ):
+        if not _aead.HAVE_NUMPY or not fastpath.flags["crypto.batch"]:
             return None
         needed = 64 * (1 + (payload_length + 63) // 64)
         seq = self.sequence
@@ -112,6 +109,8 @@ class CipherState:
             or needed > self._ks_record_bytes
             or not self._ks_base <= seq < self._ks_base + LOOKAHEAD_RECORDS
         ):
+            if payload_length < _LOOKAHEAD_MIN_INNER:
+                return None
             nonces = [
                 self.keys.nonce_for(s) for s in range(seq, seq + LOOKAHEAD_RECORDS)
             ]
@@ -169,8 +168,6 @@ class RecordEncoder:
 
     def encode(self, content_type: int, payload: bytes) -> bytes:
         """Produce one or more records carrying ``payload``."""
-        if not payload and content_type != ContentType.APPLICATION_DATA:
-            payload = b""
         out = []
         offset = 0
         while True:

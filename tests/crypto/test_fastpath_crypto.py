@@ -10,15 +10,25 @@ The CI perf-smoke job fails if any test here is *skipped*, so none of
 them may depend on optional machinery without a hard reason.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import fastpath
 from repro.crypto import aead as _aead
 from repro.crypto import poly1305_fast as _poly_fast
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
-from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
+from repro.crypto.chacha20 import (
+    chacha20_block,
+    chacha20_encrypt,
+    chacha20_keystream_lanes,
+    xor_bytes,
+)
 from repro.crypto.keyschedule import TrafficKeys
 from repro.crypto.poly1305 import constant_time_equal, poly1305_mac
 from repro.crypto.poly1305_fast import poly1305_mac_fast
@@ -28,12 +38,12 @@ from repro.utils.errors import CryptoError
 _RNG = random.Random(0x7C9)
 
 #: Sizes straddling every boundary in the batched code: the empty and
-#: sub-block cases, the 16-byte block edge, the 512-byte MIN_BATCH edge,
-#: the 1024-byte group edge (64 blocks x 16 bytes), and the TLS record
-#: ceiling.
+#: sub-block cases, the 16-byte block edge, the 1024-byte group edge
+#: (64 blocks x 16 bytes), the 3072-byte MIN_BATCH edge of the AEAD's
+#: MAC dispatch, and the TLS record ceiling.
 BOUNDARY_SIZES = (
     0, 1, 15, 16, 17, 31, 32, 511, 512, 513,
-    1023, 1024, 1025, 2047, 2048, 4096, 16384, 16400,
+    1023, 1024, 1025, 2047, 2048, 3071, 3072, 3073, 4096, 16384, 16400,
 )
 
 
@@ -127,6 +137,76 @@ def test_chacha20_keystream_multi_matches_block():
             ), (n_index, b_index)
 
 
+def _block_stream(key, counter, nonce, n_blocks):
+    """The RFC 8439 reference: one ``chacha20_block`` per block."""
+    return b"".join(
+        chacha20_block(key, counter + index, nonce) for index in range(n_blocks)
+    )
+
+
+def test_lane_keystream_matches_block_for_every_count():
+    key = _random_bytes(32)
+    nonce = _random_bytes(12)
+    assert chacha20_keystream_lanes(key, 0, nonce, 0) == b""
+    for n_blocks in range(1, 131):
+        assert chacha20_keystream_lanes(key, 0, nonce, n_blocks) == _block_stream(
+            key, 0, nonce, n_blocks
+        ), n_blocks
+
+
+def test_lane_keystream_counter_straddles_2_to_the_32():
+    key = _random_bytes(32)
+    nonce = _random_bytes(12)
+    for counter in (2**32 - 5, 2**32 - 1, 2**32, 2**32 + 3):
+        for n_blocks in (1, 2, 7, 9):
+            assert chacha20_keystream_lanes(
+                key, counter, nonce, n_blocks
+            ) == _block_stream(key, counter, nonce, n_blocks), (counter, n_blocks)
+
+
+def test_lane_keystream_matches_block_at_full_record_size():
+    # OTK block + the 257 payload blocks of a maximum-size TLS record.
+    key = _random_bytes(32)
+    nonce = _random_bytes(12)
+    assert chacha20_keystream_lanes(key, 0, nonce, 258) == _block_stream(key, 0, nonce, 258)
+
+
+def test_rfc8439_vectors_through_the_lane_path():
+    # 2.3.2: the block function, counter 1.
+    key = bytes(range(32))
+    assert chacha20_keystream_lanes(
+        key, 1, bytes.fromhex("000000090000004a00000000"), 1
+    ) == bytes.fromhex(
+        "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+        "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+    )
+    # 2.4.2: counter-mode encryption, and 2.8.2: the AEAD construction.
+    sunscreen = (
+        b"Ladies and Gentlemen of the class of '99: If I could offer you "
+        b"only one tip for the future, sunscreen would be it."
+    )
+    stream = chacha20_keystream_lanes(key, 1, bytes.fromhex("000000000000004a00000000"), 2)
+    assert xor_bytes(sunscreen, stream) == bytes.fromhex(
+        "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+        "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+        "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+        "5af90bbf74a35be6b40b8eedf2785e42874d"
+    )
+    with fastpath.overridden("crypto.batch", True):
+        aead = ChaCha20Poly1305(bytes(range(0x80, 0xA0)))
+        nonce = bytes.fromhex("070000004041424344454647")
+        aad = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
+        sealed = aead.encrypt(nonce, sunscreen, aad)
+        assert sealed == bytes.fromhex(
+            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+            "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+            "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+            "3ff4def08e4b7a9de576d26586cec64b6116"
+            "1ae10b594f09e26a7e902ecbd0600691"
+        )
+        assert aead.decrypt(nonce, sealed, aad) == sunscreen
+
+
 def test_chacha20_encrypt_batch_matches_scalar():
     for size in (0, 1, 63, 64, 65, 512, 4096):
         key = _random_bytes(32)
@@ -143,7 +223,7 @@ def test_chacha20_encrypt_batch_matches_scalar():
 # ----------------------------------------------------------------------
 
 def test_aead_seal_open_matches_scalar_baseline():
-    for size in (0, 1, 16, 511, 512, 1024, 4096, 16384):
+    for size in (0, 1, 16, 511, 512, 1024, 3000, 3040, 3072, 4096, 16384):
         key = _random_bytes(32)
         nonce = _random_bytes(12)
         aad = _random_bytes(_RNG.randrange(0, 48))
@@ -153,6 +233,37 @@ def test_aead_seal_open_matches_scalar_baseline():
         with fastpath.scalar_baseline():
             scalar = aead.encrypt(nonce, plaintext, aad)
         assert fast == scalar, size
+        assert aead.decrypt(nonce, fast, aad) == plaintext
+
+
+def test_aead_small_record_matches_scalar_for_every_length():
+    """Every payload length the lane-packed path serves below the bulk
+    lookahead, against the RFC reference construction."""
+    aead = ChaCha20Poly1305(_random_bytes(32))
+    for size in range(0, 1101):
+        nonce = _random_bytes(12)
+        aad = _random_bytes(_RNG.randrange(0, 32))
+        plaintext = _random_bytes(size)
+        fast = aead.encrypt(nonce, plaintext, aad)
+        with fastpath.scalar_baseline():
+            assert aead.encrypt(nonce, plaintext, aad) == fast, size
+            assert aead.decrypt(nonce, fast, aad) == plaintext
+        assert aead.decrypt(nonce, fast, aad) == plaintext, size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    nonce=st.binary(min_size=12, max_size=12),
+    plaintext=st.binary(max_size=1100),
+    aad=st.binary(max_size=64),
+)
+def test_aead_seal_open_matches_scalar_property(key, nonce, plaintext, aad):
+    aead = ChaCha20Poly1305(key)
+    fast = aead.encrypt(nonce, plaintext, aad)
+    assert aead.decrypt(nonce, fast, aad) == plaintext
+    with fastpath.scalar_baseline():
+        assert aead.encrypt(nonce, plaintext, aad) == fast
         assert aead.decrypt(nonce, fast, aad) == plaintext
 
 
@@ -233,6 +344,128 @@ def test_record_rekey_drops_lookahead_cache():
         scalar_state.rekey()
         sealed_scalar = scalar_state.seal(inner, aad)
     assert sealed_fast == sealed_scalar
+
+
+def test_short_record_inside_a_window_uses_the_window(monkeypatch):
+    """A short record whose sequence lies inside an already generated
+    lookahead window (tail of a bulk write, a control frame on the data
+    context) is served from it: no second keystream pass of any kind."""
+    if not _aead.HAVE_NUMPY:
+        pytest.skip("numpy unavailable: no lookahead window")
+    from repro.tls import record as _record
+
+    windows = []
+    generate = _record.chacha20_keystream_multi
+
+    def counting(key, nonces, counter, blocks_per_nonce):
+        windows.append(blocks_per_nonce)
+        return generate(key, nonces, counter, blocks_per_nonce)
+
+    monkeypatch.setattr(_record, "chacha20_keystream_multi", counting)
+
+    class _MustNotBeUsed:
+        def __getattr__(self, name):
+            raise AssertionError(f"per-record AEAD .{name} used inside a live window")
+
+    def records(state):
+        out = []
+        for size in (4096, 100, 1):
+            inner = b"\xcc" * size + bytes([ContentType.APPLICATION_DATA])
+            aad = record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
+            out.append((state.seal(inner, aad), aad, inner))
+            state.advance()
+        return out
+
+    keys = TrafficKeys.from_secret(b"\x35" * 32)
+    sender = CipherState(keys)
+    first_inner = b"\xcc" * 4096 + bytes([ContentType.APPLICATION_DATA])
+    first_aad = record_header(ContentType.APPLICATION_DATA, len(first_inner) + TAG_LENGTH)
+    sender.seal(first_inner, first_aad)  # opens the window at sequence 0
+    sender.aead = _MustNotBeUsed()
+    sealed = records(sender)
+    assert len(windows) == 1
+    with fastpath.scalar_baseline():
+        assert [record for record, _, _ in records(CipherState(keys))] == [
+            record for record, _, _ in sealed
+        ]
+    receiver = CipherState(keys)
+    for index, (record, aad, inner) in enumerate(sealed):
+        assert receiver.open(record, aad) == inner
+        if index == 0:
+            receiver.aead = _MustNotBeUsed()
+        receiver.advance()
+    assert len(windows) == 2  # one per direction, none for the short records
+
+
+# ----------------------------------------------------------------------
+# Trial decryption of short records (stateless: no keystream survives a
+# failed open -- EXPERIMENTS.md P1 has the ablation that removed the memo)
+# ----------------------------------------------------------------------
+
+def _short_record(state, size):
+    inner = bytes([size & 0xFF]) * size + bytes([ContentType.APPLICATION_DATA])
+    aad = record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
+    sealed = state.seal(inner, aad)
+    state.advance()
+    return sealed, aad, inner
+
+
+def test_failed_trial_then_owner_opens_at_the_same_sequence():
+    own = TrafficKeys.from_secret(b"\x41" * 32)
+    foreign = CipherState(TrafficKeys.from_secret(b"\x40" * 32))
+    sender, receiver = CipherState(own), CipherState(own)
+    # A stray record longer and one shorter than the record the context owns.
+    for stray_size, size in ((300, 200), (40, 400)):
+        stray, stray_aad, _ = _short_record(foreign, stray_size)
+        mine, aad, inner = _short_record(sender, size)
+        sequence = receiver.sequence
+        with pytest.raises(CryptoError):
+            receiver.open(stray, stray_aad)  # trial decryption
+        tampered = bytearray(mine)
+        tampered[-1] ^= 0x01
+        with pytest.raises(CryptoError):
+            receiver.open(bytes(tampered), aad)
+        assert receiver.sequence == sequence
+        assert receiver.open(mine, aad) == inner
+        receiver.advance()
+
+
+def test_fast_path_without_numpy():
+    """The small-record path must not need numpy: run the cross-check in
+    an interpreter where ``import numpy`` fails."""
+    script = """
+import sys
+sys.modules["numpy"] = None
+import random
+from repro import fastpath
+from repro.crypto import aead
+from repro.crypto.keyschedule import TrafficKeys
+from repro.tls.record import CipherState
+assert not aead.HAVE_NUMPY
+rng = random.Random(5)
+cipher = aead.ChaCha20Poly1305(rng.randbytes(32))
+for size in (0, 1, 63, 64, 65, 200, 1024, 5000, 16385):
+    nonce, aad, plaintext = rng.randbytes(12), rng.randbytes(13), rng.randbytes(size)
+    fast = cipher.encrypt(nonce, plaintext, aad)
+    assert cipher.decrypt(nonce, fast, aad) == plaintext
+    with fastpath.scalar_baseline():
+        assert cipher.encrypt(nonce, plaintext, aad) == fast, size
+keys = TrafficKeys.from_secret(b"k" * 32)
+sender, receiver = CipherState(keys), CipherState(keys)
+for size in (10, 3000, 10):
+    sealed = sender.seal(b"r" * size, b"hdr")
+    assert receiver.open(sealed, b"hdr") == b"r" * size
+    sender.advance()
+    receiver.advance()
+print("ok")
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
 
 
 # ----------------------------------------------------------------------
