@@ -642,11 +642,12 @@ class Fp001FastpathRegistry(Rule):
     id = "FP001"
     title = "fastpath flags must be declared and cross-checked"
     rationale = """\
-Every datapath fast path must be bit-identical to the scalar reference
-it replaces, and the only thing enforcing that is the cross-check test
-registered for its flag.  A flag name used at a gate site but absent
-from `repro.fastpath.FEATURES` raises `KeyError` at runtime on an
-untested path; a feature without a `CROSSCHECKS` entry (or whose
+Every flag-selected fast path (`crypto.batch`, `netsim.vectorq`) must
+be bit-identical to the twin it stands in for, and the only thing
+enforcing that is the cross-check test registered for its flag.  A
+flag name used at a gate site but absent from
+`repro.fastpath.FEATURES` raises `KeyError` at runtime on an untested
+path; a feature without a `CROSSCHECKS` entry (or whose
 registered test file no longer mentions the flag) is a fast path whose
 equivalence claim nobody verifies.
 

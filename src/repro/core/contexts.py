@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro import fastpath
 from repro.crypto.keyschedule import TrafficKeys
 from repro.tls.record import CipherState, RecordDecoder
 from repro.utils.errors import CryptoError
@@ -44,8 +43,7 @@ class ContextManager:
         self.trial_decryptions = 0
         # Per-connection affinity: the stream whose context authenticated
         # the most recent record.  Bulk transfers land on one stream, so
-        # trying it first collapses trial decryption to ~1 MAC per record
-        # (fastpath feature "tls.affinity").
+        # trying it first collapses trial decryption to ~1 MAC per record.
         self._last_stream: Dict[int, int] = {}
 
     # -- derivation ---------------------------------------------------------
@@ -124,15 +122,15 @@ class ContextManager:
         Returns (stream_id, inner_type, plaintext) or None when no
         context verifies — which the session counts as a forgery attempt.
 
-        With the "tls.affinity" fast path, the context that authenticated
-        the previous record on this connection is tried first — a pure
-        reordering of the candidate scan, so the accepted (stream,
-        plaintext) outcome is unchanged (exactly one context can verify a
-        given tag) and only the number of wasted MACs drops.
+        The context that authenticated the previous record on this
+        connection is tried first — a pure reordering of the candidate
+        scan, so the accepted (stream, plaintext) outcome is unchanged
+        (exactly one context can verify a given tag) and only the number
+        of wasted MACs drops.
         """
         candidates = self.recv_candidates(conn_id)
         last = self._last_stream.get(conn_id)
-        if last is not None and fastpath.enabled("tls.affinity"):
+        if last is not None:
             # Affinity context first, the rest in stream-id order.
             for index, candidate in enumerate(candidates):
                 if candidate[0] == last:

@@ -1,28 +1,27 @@
-"""Central kill-switches for the datapath fast paths.
+"""Kill-switches for the datapath fast paths that keep a twin.
 
-Every performance shortcut in the datapath (batched crypto, cached wire
-serialization, O(1) TCP accounting, lazy middlebox parsing) is guarded
-by a named flag here.  The rules:
+The datapath has one implementation of everything except the features
+listed here.  A fast path keeps a flag-selected twin only where
 
-- a fast path must be **bit-identical** to the scalar/reference path it
-  replaces — flags exist so the reference behaviour stays reachable for
-  cross-check tests and for the before/after legs of the perf
-  benchmarks, not because the paths may diverge;
-- the scalar path is the specification.  When a flag is off, the code
-  executes the same logic the pre-fast-path tree ran, so
-  ``scalar_baseline()`` reproduces the original datapath for honest
-  baseline measurements;
-- flags are read on the hot path, so lookups go through module-level
-  helpers kept deliberately tiny.
+- the twin is the readable specification of a non-obvious trick and the
+  tests hold the fast path to it, or
+- the twin is the only path that runs on a supported platform.
 
-Set ``REPRO_FASTPATH=0`` in the environment to start with every fast
-path disabled (the benchmark baseline leg does this per-process-free
-via ``scalar_baseline()`` instead).
+``crypto.batch`` meets both: its scalar twin *is* RFC 8439 and the only
+AEAD without numpy.  ``netsim.vectorq`` stays until the benchmark, which
+binds its entry points by name, allows its ablation.  A fast path that
+is merely faster (bit-identical, behind on no standing workload)
+replaces its twin outright and is pinned by oracles that share no code
+with it: frozen pcap/outcome digests, RFC vectors, invariants
+(EXPERIMENTS.md P2 records the ablations the rule was applied with).
+
+A flagged fast path must be **bit-identical** to its twin.  Flags are
+read on the hot path, so lookups go through module-level helpers kept
+deliberately tiny.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
@@ -32,22 +31,6 @@ FEATURES = (
     # the AEAD path (crypto/poly1305_fast.py, crypto/aead.py,
     # tls/record.py keystream cache).
     "crypto.batch",
-    # Trial-decryption context affinity: try the stream context that
-    # authenticated the previous record first (core/contexts.py).
-    "tls.affinity",
-    # Cached TcpSegment wire bytes, single-buffer serialization and the
-    # folded-big-int RFC 1071 checksum (tcp/segment.py).
-    "wire.cache",
-    # O(1) bytes-in-flight accounting and ordered-scoreboard ACK
-    # processing in TcpConnection (tcp/connection.py).
-    "tcp.ack",
-    # Lazy fixed-header peeks in middleboxes plus host address / route
-    # lookup caches (netsim/middlebox.py, netsim/node.py).
-    "netsim.fast",
-    # Hierarchical timer wheel replacing the engine's global event heap
-    # (netsim/timerwheel.py, netsim/engine.py): O(1) inserts and
-    # bucket-local ordering for many-session timer churn.
-    "netsim.wheel",
     # Vectorized link queue service: TCP send bursts travel as one batch
     # down Interface.send_batch -> Link.transmit_batch, where numpy
     # computes the chained service times for the whole burst
@@ -61,19 +44,13 @@ FEATURES = (
 #: the test that proves it bit-identical to the scalar reference.
 CROSSCHECKS: Dict[str, str] = {
     "crypto.batch": "tests/crypto/test_fastpath_crypto.py",
-    "tls.affinity": "tests/core/test_contexts.py",
-    "wire.cache": "tests/tcp/test_fastpath_wire.py",
-    "tcp.ack": "tests/tcp/test_fastpath_wire.py",
-    "netsim.fast": "tests/netsim/test_fastpath_netsim.py",
-    "netsim.wheel": "tests/netsim/test_timerwheel.py",
     "netsim.vectorq": "tests/netsim/test_vectorq.py",
 }
 
-_DEFAULT = os.environ.get("REPRO_FASTPATH", "1") != "0"
-_flags: Dict[str, bool] = {name: _DEFAULT for name in FEATURES}
+_flags: Dict[str, bool] = {name: True for name in FEATURES}
 
 #: The live flag mapping itself, for per-packet hot paths where even the
-#: ``enabled()`` call shows up in profiles: ``fastpath.flags["wire.cache"]``
+#: ``enabled()`` call shows up in profiles: ``fastpath.flags["crypto.batch"]``
 #: is one dict lookup instead of a function call.  Mutate only through
 #: ``set_enabled``/``scalar_baseline``/``overridden``.
 flags = _flags
@@ -97,11 +74,10 @@ def all_enabled() -> Dict[str, bool]:
 
 @contextmanager
 def scalar_baseline() -> Iterator[None]:
-    """Run the enclosed block on the pre-fast-path reference datapath.
+    """Run the enclosed block with every flagged fast path off.
 
-    Disables every fast path, restoring previous values on exit.  Used
-    by the perf benchmarks for the "before" leg and by the wire-fidelity
-    tests to prove both datapaths emit identical packets.
+    Restores the previous values on exit.  Used by the cross-check tests
+    and by the crypto legs of the perf benchmarks.
     """
     saved = dict(_flags)
     try:

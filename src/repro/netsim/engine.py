@@ -23,8 +23,6 @@ import heapq
 import time as _time
 from typing import Callable, Optional
 
-from repro import fastpath
-from repro.netsim.timerwheel import TimerWheel
 from repro.obs import keys
 from repro.utils.errors import ReentrancyError
 
@@ -56,9 +54,6 @@ class Event:
                 self._owner._live_events -= 1
                 self._owner = None
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """A single-threaded discrete-event loop with float-seconds time."""
@@ -70,17 +65,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Pending-event store, fixed for the simulator's lifetime: with
-        # netsim.wheel on it is a hierarchical ``TimerWheel``; otherwise
-        # a heap — the netsim.fast path stores (time, seq, event) tuples
-        # so ordering uses C-level tuple comparison, and the reference
-        # path stores the ``Event`` objects themselves and orders via
-        # ``Event.__lt__`` exactly as the pre-fast-path engine did.  All
-        # three produce the identical (time, seq) execution order.
-        self._tuple_queue = fastpath.flags["netsim.fast"]
-        self._wheel: Optional[TimerWheel] = (
-            TimerWheel() if fastpath.flags["netsim.wheel"] else None
-        )
+        # Pending events as a heap of (time, seq, event) tuples, so
+        # ordering is C-level tuple comparison and never reaches the
+        # ``Event`` (seq is unique).
         self._queue: list = []
         self._seq = 0
         self._events_processed = 0
@@ -112,7 +99,7 @@ class Simulator:
         comparing digests across *different* shake seeds.  Must be called
         before anything is scheduled.
         """
-        if self._seq or self._queue or (self._wheel is not None and self._wheel):
+        if self._seq or self._queue:
             raise ValueError("schedule shake must be enabled before scheduling")
         self._shake_key = seed & 0xFFFFFFFF
 
@@ -156,12 +143,7 @@ class Simulator:
             seq = ((seq ^ self._shake_key) * 0x9E3779B1) & 0xFFFFFFFF
         event = Event(self.now + delay, seq, callback, args)
         event._owner = self
-        if self._wheel is not None:
-            self._wheel.push(event.time, seq, event)
-        elif self._tuple_queue:
-            heapq.heappush(self._queue, (event.time, seq, event))
-        else:
-            heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, seq, event))
         self._seq += 1
         self._live_events += 1
         return event
@@ -194,64 +176,34 @@ class Simulator:
         processed = 0
         wall_start = _time.perf_counter()
         queue = self._queue
-        wheel = self._wheel
         heappop = heapq.heappop
-        tuple_queue = self._tuple_queue
         event_hook = self._event_hook
         try:
-            if wheel is not None:
-                while wheel:
-                    event = wheel.peek()
-                    if until is not None and event.time > until:
-                        break
-                    if event.cancelled:
-                        wheel.pop()
-                        continue
-                    # Check the cap BEFORE popping: the event that trips it
-                    # must stay queued so a follow-up run() resumes without
-                    # losing it.
-                    if processed >= max_events:
-                        raise RuntimeError(
-                            f"simulation exceeded {max_events} events; likely a loop"
-                        )
-                    wheel.pop()
-                    event._owner = None
-                    self._live_events -= 1
-                    self.now = event.time
-                    if event_hook is not None:
-                        event_hook(event.time, event.seq)
-                    event.callback(*event.args)
-                    processed += 1
-                    self._events_processed += 1
-                    if self._obs_events is not None:
-                        self._obs_events.inc()
-            else:
-                while queue:
-                    head = queue[0]
-                    event = head[2] if tuple_queue else head
-                    if until is not None and event.time > until:
-                        break
-                    if event.cancelled:
-                        heappop(queue)
-                        continue
-                    # Check the cap BEFORE popping: the event that trips it
-                    # must stay queued so a follow-up run() resumes without
-                    # losing it.
-                    if processed >= max_events:
-                        raise RuntimeError(
-                            f"simulation exceeded {max_events} events; likely a loop"
-                        )
+            while queue:
+                event = queue[0][2]
+                if until is not None and event.time > until:
+                    break
+                if event.cancelled:
                     heappop(queue)
-                    event._owner = None
-                    self._live_events -= 1
-                    self.now = event.time
-                    if event_hook is not None:
-                        event_hook(event.time, event.seq)
-                    event.callback(*event.args)
-                    processed += 1
-                    self._events_processed += 1
-                    if self._obs_events is not None:
-                        self._obs_events.inc()
+                    continue
+                # Check the cap BEFORE popping: the event that trips it
+                # must stay queued so a follow-up run() resumes without
+                # losing it.
+                if processed >= max_events:
+                    raise RuntimeError(
+                        f"simulation exceeded {max_events} events; likely a loop"
+                    )
+                heappop(queue)
+                event._owner = None
+                self._live_events -= 1
+                self.now = event.time
+                if event_hook is not None:
+                    event_hook(event.time, event.seq)
+                event.callback(*event.args)
+                processed += 1
+                self._events_processed += 1
+                if self._obs_events is not None:
+                    self._obs_events.inc()
         finally:
             self._running = False
             self.run_wall_seconds += _time.perf_counter() - wall_start

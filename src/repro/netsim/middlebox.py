@@ -7,12 +7,12 @@ block TCP Fast Open.  Because TLS record payloads are AEAD-protected,
 none of them can touch the TCPLS control channel — which is exactly the
 paper's argument for moving control data there.
 
-Fast path (``fastpath`` feature ``netsim.fast``): every box first peeks
-at the fixed TCP header (:class:`~repro.tcp.segment.TcpHeaderPeek`) and
-only the packets it actually rewrites pay for a full parse → mutate →
-reserialize round trip; NAT and the payload corruptor skip even that by
-patching the raw bytes in place and refreshing the checksum.  Both
-paths emit byte-identical packets (proved by the wire-fidelity tests).
+Every box first peeks at the fixed TCP header
+(:class:`~repro.tcp.segment.TcpHeaderPeek`) and only the packets it
+actually rewrites pay for a full parse → mutate → reserialize round
+trip; NAT and the payload corruptor skip even that by patching the raw
+bytes in place and refreshing the checksum.  A packet the peek cannot
+read (not TCP, truncated, lying data offset) passes through untouched.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import struct
 
 from typing import Callable, Iterable, Optional
 
-from repro import fastpath
 from repro.netsim.packet import Datagram, PROTO_TCP
 from repro.tcp.options import (
     KIND_FAST_OPEN,
@@ -44,12 +43,9 @@ def _parse_tcp(datagram: Datagram) -> Optional[TcpSegment]:
 
 
 def _peek_tcp(datagram: Datagram) -> Optional[TcpHeaderPeek]:
-    """Header peek when the "netsim.fast" path is on, else None.
-
-    Returning None sends the caller down the reference parse path, so a
-    packet the peek cannot read gets the same treatment either way.
-    """
-    if datagram.protocol != PROTO_TCP or not fastpath.flags["netsim.fast"]:
+    """Fixed-header peek, or None for anything a full parse would also
+    reject outright (not TCP, shorter than a header, bad data offset)."""
+    if datagram.protocol != PROTO_TCP:
         return None
     return TcpHeaderPeek.of(datagram.payload)
 
@@ -73,7 +69,7 @@ class OptionStripper:
 
     def __call__(self, datagram: Datagram):
         peek = _peek_tcp(datagram)
-        if peek is not None and not set(peek.option_kinds()) & self.kinds:
+        if peek is None or not set(peek.option_kinds()) & self.kinds:
             return datagram  # nothing to strip: forward the bytes untouched
         segment = _parse_tcp(datagram)
         if segment is None:
@@ -105,11 +101,12 @@ class RstInjector:
     def __call__(self, datagram: Datagram):
         if self.match is None:
             peek = _peek_tcp(datagram)
-            if peek is not None:
-                self.seen_bytes += peek.payload_length
-                if self.fired or self.seen_bytes < self.trigger_bytes:
-                    return datagram
-                self.seen_bytes -= peek.payload_length  # recounted below
+            if peek is None:
+                return datagram
+            self.seen_bytes += peek.payload_length
+            if self.fired or self.seen_bytes < self.trigger_bytes:
+                return datagram
+            self.seen_bytes -= peek.payload_length  # recounted below
         segment = _parse_tcp(datagram)
         if segment is None:
             return datagram
@@ -171,60 +168,38 @@ class Nat44:
         self.rebinds += 1
 
     def outbound(self, datagram: Datagram):
-        if datagram.version == 4:
-            peek = _peek_tcp(datagram)
-            if peek is not None:
-                # Raw rewrite: patch the source port bytes in place and
-                # refresh the checksum — no parse, no option re-encode.
-                key = (datagram.src, peek.src_port)
-                if key not in self._forward:
-                    self._forward[key] = self._next_port
-                    self._reverse[self._next_port] = key
-                    self._next_port += 1
-                public_port = self._forward[key]
-                self.translations += 1
-                buffer = bytearray(datagram.payload)
-                struct.pack_into("!H", buffer, 0, public_port)
-                patch_checksum(buffer, self.public_address, datagram.dst)
-                return datagram.copy(payload=bytes(buffer), src=self.public_address)
-        segment = _parse_tcp(datagram)
-        if segment is None or datagram.version != 4:
+        peek = _peek_tcp(datagram) if datagram.version == 4 else None
+        if peek is None:
             return datagram
-        key = (datagram.src, segment.src_port)
+        # Raw rewrite: patch the source port bytes in place and refresh
+        # the checksum — no parse, no option re-encode.
+        key = (datagram.src, peek.src_port)
         if key not in self._forward:
             self._forward[key] = self._next_port
             self._reverse[self._next_port] = key
             self._next_port += 1
         public_port = self._forward[key]
-        segment.src_port = public_port
         self.translations += 1
-        return _reserialize(datagram, segment, src=self.public_address)
+        buffer = bytearray(datagram.payload)
+        struct.pack_into("!H", buffer, 0, public_port)
+        patch_checksum(buffer, self.public_address, datagram.dst)
+        return datagram.copy(payload=bytes(buffer), src=self.public_address)
 
     def inbound(self, datagram: Datagram):
-        if datagram.version == 4 and datagram.dst == self.public_address:
-            peek = _peek_tcp(datagram)
-            if peek is not None:
-                mapping = self._reverse.get(peek.dst_port)
-                if mapping is None:
-                    return None  # unsolicited inbound: NATs drop these
-                private_addr, private_port = mapping
-                self.translations += 1
-                buffer = bytearray(datagram.payload)
-                struct.pack_into("!H", buffer, 2, private_port)
-                patch_checksum(buffer, datagram.src, private_addr)
-                return datagram.copy(payload=bytes(buffer), dst=private_addr)
-        segment = _parse_tcp(datagram)
-        if segment is None or datagram.version != 4:
+        if datagram.version != 4 or datagram.dst != self.public_address:
             return datagram
-        if datagram.dst != self.public_address:
+        peek = _peek_tcp(datagram)
+        if peek is None:
             return datagram
-        mapping = self._reverse.get(segment.dst_port)
+        mapping = self._reverse.get(peek.dst_port)
         if mapping is None:
             return None  # unsolicited inbound: NATs drop these
         private_addr, private_port = mapping
-        segment.dst_port = private_port
         self.translations += 1
-        return _reserialize(datagram, segment, dst=private_addr)
+        buffer = bytearray(datagram.payload)
+        struct.pack_into("!H", buffer, 2, private_port)
+        patch_checksum(buffer, datagram.src, private_addr)
+        return datagram.copy(payload=bytes(buffer), dst=private_addr)
 
 
 class TransparentProxyMangler:
@@ -244,10 +219,10 @@ class TransparentProxyMangler:
 
     def __call__(self, datagram: Datagram):
         peek = _peek_tcp(datagram)
-        if peek is not None and not peek.is_syn:
+        if peek is None or not peek.is_syn:
             return datagram  # only SYNs are mangled; everything else passes
         segment = _parse_tcp(datagram)
-        if segment is None or not segment.is_syn:
+        if segment is None:
             return datagram
         new_options: list[TcpOption] = []
         for option in segment.options:
@@ -273,20 +248,10 @@ class TfoBlocker:
         self.blocked = 0
 
     def __call__(self, datagram: Datagram):
+        # Never rewrites, so the peek answers everything.
         peek = _peek_tcp(datagram)
-        if peek is not None:
-            # Never rewrites, so the peek answers everything.
-            if peek.is_syn and not peek.is_ack:
-                if KIND_FAST_OPEN in peek.option_kinds() or peek.payload_length:
-                    self.blocked += 1
-                    return None
-            return datagram
-        segment = _parse_tcp(datagram)
-        if segment is None:
-            return datagram
-        if segment.is_syn and not segment.is_ack:
-            has_tfo = any(option.kind == KIND_FAST_OPEN for option in segment.options)
-            if has_tfo or segment.payload:
+        if peek is not None and peek.is_syn and not peek.is_ack:
+            if KIND_FAST_OPEN in peek.option_kinds() or peek.payload_length:
                 self.blocked += 1
                 return None
         return datagram
@@ -317,16 +282,6 @@ class PayloadCorruptor:
             self.corrupted += 1
             patch_checksum(buffer, datagram.src, datagram.dst)
             return datagram.copy(payload=bytes(buffer))
-        segment = _parse_tcp(datagram)
-        if segment is not None and segment.payload:
-            self._count += 1
-            if self._count % self.every:
-                return datagram
-            tampered = bytearray(segment.payload)
-            tampered[len(tampered) // 2] ^= 0xFF
-            segment.payload = bytes(tampered)
-            self.corrupted += 1
-            return _reserialize(datagram, segment)
         if datagram.protocol == 17 and len(datagram.payload) > 9:
             # UDP: flip a byte inside the payload past the 8-byte header.
             self._count += 1

@@ -6,11 +6,10 @@ local deliveries to registered protocol handlers (the TCP and UDP stacks
 register themselves).  Hosts can be dual-stack — the Figure 4 experiment
 uses a host with one IPv4-only and one IPv6-only interface.
 
-Fast path (``fastpath`` feature ``netsim.fast``): per-node caches for
-``owns_address`` (a set of owned addresses) and ``lookup_route`` (a
-destination-keyed memo of the longest-prefix match).  Both are dropped
-whenever an interface address or the routing table changes, so they are
-pure memoization of the reference scans.
+Two per-node caches sit on the per-packet path: ``owns_address`` reads a
+set of owned addresses and ``lookup_route`` a destination-keyed memo of
+the longest-prefix match.  Both are dropped whenever an interface
+address or the routing table changes, so they are pure memoization.
 """
 
 from __future__ import annotations
@@ -18,8 +17,10 @@ from __future__ import annotations
 import ipaddress
 from typing import Callable, Dict, Optional
 
-from repro import fastpath
 from repro.netsim.packet import Datagram, IPAddress
+
+#: Entries a node's route memo may hold before it is emptied.
+_ROUTE_CACHE_MAX = 4096
 
 
 class Interface:
@@ -101,7 +102,7 @@ class Node:
         self._routes: list = []
         self.packets_forwarded = 0
         self.packets_delivered = 0
-        # Lazy lookup caches ("netsim.fast"); see invalidate_lookup_caches.
+        # Lazy lookup caches; see invalidate_lookup_caches.
         self._owned_cache: Optional[frozenset] = None
         self._route_cache: Dict[tuple, Optional[Interface]] = {}
 
@@ -143,18 +144,16 @@ class Node:
                     yield address
 
     def owns_address(self, address: IPAddress) -> bool:
-        if fastpath.flags["netsim.fast"]:
-            # Keyed by (concrete class, integer value): hashing an
-            # ``ipaddress`` object builds a hex string every time, while
-            # a (type, int) tuple hashes in a few nanoseconds.  The class
-            # in the key keeps v4 and v6 addresses with equal integer
-            # values distinct.
-            if self._owned_cache is None:
-                self._owned_cache = frozenset(
-                    (owned.__class__, int(owned)) for owned in self.addresses()
-                )
-            return (address.__class__, address._ip) in self._owned_cache
-        return any(address == owned for owned in self.addresses())
+        # Keyed by (concrete class, integer value): hashing an
+        # ``ipaddress`` object builds a hex string every time, while a
+        # (type, int) tuple hashes in a few nanoseconds.  The class in
+        # the key keeps v4 and v6 addresses with equal integer values
+        # distinct.
+        if self._owned_cache is None:
+            self._owned_cache = frozenset(
+                (owned.__class__, int(owned)) for owned in self.addresses()
+            )
+        return (address.__class__, address._ip) in self._owned_cache
 
     def interface_for_address(self, address: IPAddress) -> Optional[Interface]:
         for interface in self.interfaces.values():
@@ -181,22 +180,26 @@ class Node:
         out.send(datagram.copy(hop_limit=datagram.hop_limit - 1))
 
     def lookup_route(self, destination: IPAddress) -> Optional[Interface]:
-        if fastpath.flags["netsim.fast"]:
-            key = (destination.__class__, destination._ip)
-            try:
-                return self._route_cache[key]
-            except KeyError:
-                pass
-            result = self._lookup_route_scan(destination)
-            self._route_cache[key] = result
-            return result
-        return self._lookup_route_scan(destination)
+        """Longest-prefix match (None when unroutable), memoized.
 
-    def _lookup_route_scan(self, destination: IPAddress) -> Optional[Interface]:
+        Destinations are read off the wire, so the memo — which also
+        remembers unroutable ones — is emptied at ``_ROUTE_CACHE_MAX``
+        entries: a spoofed-address spray cannot grow it without bound.
+        """
+        key = (destination.__class__, destination._ip)
+        try:
+            return self._route_cache[key]
+        except KeyError:
+            pass
+        result = None
         for network, interface in self._routes:
             if network.version == destination.version and destination in network:
-                return interface
-        return None
+                result = interface
+                break
+        if len(self._route_cache) >= _ROUTE_CACHE_MAX:
+            self._route_cache.clear()
+        self._route_cache[key] = result
+        return result
 
     def send_ip(self, datagram: Datagram) -> bool:
         """Originate a datagram from this node. Returns False if unroutable."""

@@ -13,8 +13,6 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro import fastpath
-
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 PROTO_TCP = 6
@@ -63,36 +61,25 @@ class Datagram:
         """Clone with modifications; used by middleboxes that rewrite
         and by every router hop (``hop_limit`` decrement).
 
-        Fast path (``netsim.fast``): skips the dataclass ``__init__``
-        and fills the instance dict directly; ``__post_init__`` still
-        runs whenever a field other than ``hop_limit`` changed, so the
-        family check and the derived size fields stay exactly as a
-        fresh construction would set them.
+        Skips the dataclass ``__init__`` and fills the instance dict
+        directly; ``__post_init__`` still runs whenever a field other
+        than ``hop_limit`` changed, so the family check and the derived
+        size fields stay exactly as a fresh construction would set them.
         """
-        if fastpath.flags["netsim.fast"]:
-            clone = object.__new__(Datagram)
-            state = dict(self.__dict__)
-            if overrides:
-                state.update(overrides)
-            if "packet_id" not in overrides:
-                state["packet_id"] = _allocate_packet_id()
-            clone.__dict__ = state
-            if overrides and not overrides.keys() <= {"hop_limit", "packet_id"}:
-                # Addresses or payload changed: revalidate the family
-                # pairing and recompute the derived size fields.  A
-                # hop-limit-only clone (the router forwarding path)
-                # inherits them unchanged.
-                clone.__post_init__()
-            return clone
-        fields = {
-            "src": self.src,
-            "dst": self.dst,
-            "protocol": self.protocol,
-            "payload": self.payload,
-            "hop_limit": self.hop_limit,
-        }
-        fields.update(overrides)
-        return Datagram(**fields)
+        clone = object.__new__(Datagram)
+        state = dict(self.__dict__)
+        if overrides:
+            state.update(overrides)
+        if "packet_id" not in overrides:
+            state["packet_id"] = _allocate_packet_id()
+        clone.__dict__ = state
+        if overrides and not overrides.keys() <= {"hop_limit", "packet_id"}:
+            # Addresses or payload changed: revalidate the family
+            # pairing and recompute the derived size fields.  A
+            # hop-limit-only clone (the router forwarding path)
+            # inherits them unchanged.
+            clone.__post_init__()
+        return clone
 
     def summary(self) -> str:
         proto = {PROTO_TCP: "TCP", PROTO_UDP: "UDP"}.get(

@@ -124,9 +124,9 @@ class TcpConnection:
         self._send_queue = bytearray()
         # Scoreboard of transmitted-but-unacked segments.  Insertion
         # order is sequence order (entries are keyed by first-transmit
-        # seq and never re-keyed), which the "tcp.ack" fast path relies
-        # on; ``_inflight_bytes`` mirrors the summed lengths so
-        # ``bytes_in_flight()`` is O(1).
+        # seq and never re-keyed), which ACK processing and loss
+        # recovery rely on; ``_inflight_bytes`` mirrors the summed
+        # lengths so ``bytes_in_flight()`` is O(1).
         self._inflight: Dict[int, _Inflight] = {}
         self._inflight_bytes = 0
         self._fin_pending = False
@@ -311,9 +311,7 @@ class TcpConnection:
         return len(self._send_queue)
 
     def bytes_in_flight(self) -> int:
-        if fastpath.flags["tcp.ack"]:
-            return self._inflight_bytes
-        return sum(entry.length() for entry in self._inflight.values())
+        return self._inflight_bytes
 
     def delivery_rate(self) -> float:
         """Average delivery rate in bits/s since ESTABLISHED (0 before)."""
@@ -557,39 +555,24 @@ class TcpConnection:
     def _handle_new_ack(self, ack: int) -> None:
         acked_bytes = 0
         rtt_sample: Optional[float] = None
-        if fastpath.flags["tcp.ack"]:
-            # The scoreboard is in sequence order and entry ends strictly
-            # increase, so an ACK always covers a prefix: scan until the
-            # first entry past it instead of sorting per ACK.
-            acked_seqs: List[int] = []
-            for seq, entry in self._inflight.items():
-                end = seqnum.seq_add(seq, entry.length())
-                if not seqnum.seq_le(end, ack):
-                    break
-                acked_bytes += entry.length()
-                # Karn sample only from the segment whose arrival produced
-                # this ACK (end == ack) — see the reference loop below.
-                if not entry.retransmitted and not entry.sacked and end == ack:
-                    rtt_sample = self.sim.now - entry.send_time
-                acked_seqs.append(seq)
-            for seq in acked_seqs:
-                self._inflight_bytes -= self._inflight.pop(seq).length()
-        else:
-            for seq in sorted(
-                self._inflight, key=lambda s: seqnum.seq_sub(s, self.snd_una)
-            ):
-                entry = self._inflight[seq]
-                end = seqnum.seq_add(seq, entry.length())
-                if seqnum.seq_le(end, ack):
-                    acked_bytes += entry.length()
-                    # Karn sample only from the segment whose arrival produced
-                    # this ACK (end == ack): earlier segments may have been
-                    # sitting in the receiver's reassembly buffer for many
-                    # RTTs waiting for a hole to fill.
-                    if not entry.retransmitted and not entry.sacked and end == ack:
-                        rtt_sample = self.sim.now - entry.send_time
-                    self._inflight_bytes -= entry.length()
-                    del self._inflight[seq]
+        # The scoreboard is in sequence order and entry ends strictly
+        # increase, so an ACK always covers a prefix: scan until the
+        # first entry past it instead of sorting per ACK.
+        acked_seqs: List[int] = []
+        for seq, entry in self._inflight.items():
+            end = seqnum.seq_add(seq, entry.length())
+            if not seqnum.seq_le(end, ack):
+                break
+            acked_bytes += entry.length()
+            # Karn sample only from the segment whose arrival produced
+            # this ACK (end == ack): earlier segments may have been
+            # sitting in the receiver's reassembly buffer for many RTTs
+            # waiting for a hole to fill.
+            if not entry.retransmitted and not entry.sacked and end == ack:
+                rtt_sample = self.sim.now - entry.send_time
+            acked_seqs.append(seq)
+        for seq in acked_seqs:
+            self._inflight_bytes -= self._inflight.pop(seq).length()
         self.snd_una = ack
         self._retries = 0
         self._dup_acks = 0
@@ -682,17 +665,9 @@ class TcpConnection:
         budget_bytes = self.cc.window() - self._pipe_estimate()
         highest = self._highest_sacked
         sent = 0
-        # Insertion order is sequence order, so iterating the scoreboard
-        # directly visits entries exactly as the sorted reference would.
-        ordered = (
-            list(self._inflight.values())
-            if fastpath.flags["tcp.ack"]
-            else sorted(
-                self._inflight.values(),
-                key=lambda e: seqnum.seq_sub(e.seq, self.snd_una),
-            )
-        )
-        for entry in ordered:
+        # Insertion order is sequence order (nothing below adds or
+        # removes scoreboard entries, so it is safe to iterate live).
+        for entry in self._inflight.values():
             if sent >= cap or budget_bytes <= 0:
                 break
             if entry.sacked or entry.retransmitted:
@@ -1001,26 +976,12 @@ class TcpConnection:
             window_field = min(
                 self._advertised_window() >> self.rcv_ws_shift, 0xFFFF
             )
-        if fastpath.flags["wire.cache"]:
-            # Send-path construction: fill the instance dict directly
-            # instead of running nine __setattr__ calls through the
-            # dataclass __init__.  Values match the reference constructor
-            # below exactly (urgent defaults to 0, no cached wire bytes).
-            segment = object.__new__(TcpSegment)
-            segment.__dict__.update(
-                src_port=self.local_port,
-                dst_port=self.remote_port,
-                seq=seq,
-                ack=self.rcv_nxt,
-                flags=flags,
-                window=window_field,
-                options=options,
-                payload=payload,
-                urgent=0,
-                _wire=None,
-            )
-            return segment
-        return TcpSegment(
+        # Send-path construction: fill the instance dict directly
+        # instead of running nine __setattr__ calls through the
+        # dataclass __init__, with the values the constructor would set
+        # (urgent defaults to 0, no cached wire bytes).
+        segment = object.__new__(TcpSegment)
+        segment.__dict__.update(
             src_port=self.local_port,
             dst_port=self.remote_port,
             seq=seq,
@@ -1029,7 +990,10 @@ class TcpConnection:
             window=window_field,
             options=options,
             payload=payload,
+            urgent=0,
+            _wire=None,
         )
+        return segment
 
     def _advertised_window(self) -> int:
         used = len(self._pending_delivery) + sum(
@@ -1110,25 +1074,10 @@ class TcpConnection:
         return pipe
 
     def _retransmit_earliest(self) -> None:
-        if fastpath.flags["tcp.ack"]:
-            # First unsacked entry in insertion (== sequence) order.
-            entry = next(
-                (e for e in self._inflight.values() if not e.sacked), None
-            )
-            if entry is None:
-                return
-        else:
-            candidates = sorted(
-                (
-                    entry
-                    for entry in self._inflight.values()
-                    if not entry.sacked
-                ),
-                key=lambda entry: seqnum.seq_sub(entry.seq, self.snd_una),
-            )
-            if not candidates:
-                return
-            entry = candidates[0]
+        # First unsacked entry in insertion (== sequence) order.
+        entry = next((e for e in self._inflight.values() if not e.sacked), None)
+        if entry is None:
+            return
         entry.retransmitted = True
         entry.send_time = self.sim.now
         self.stats["retransmissions"] += 1

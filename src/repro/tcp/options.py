@@ -11,8 +11,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro import fastpath
-from repro.utils.bytesio import ByteReader, ByteWriter, NeedMoreData
+from repro.utils.bytesio import NeedMoreData
 from repro.utils.errors import InvalidValue, ProtocolViolation, decode_guard
 
 KIND_EOL = 0
@@ -166,12 +165,8 @@ class RawOption(TcpOption):
 def encode_options(options: List[TcpOption]) -> bytes:
     """Serialize options with NOP-free padding to a 4-byte boundary.
 
-    Runs once per transmitted segment, so the ``wire.cache`` fast path
-    assembles a parts list and joins it once; the ``ByteWriter``
-    reference below is the specification and emits identical bytes.
+    Runs once per transmitted segment: a parts list joined once.
     """
-    if not fastpath.flags["wire.cache"]:
-        return _encode_options_reference(options)
     parts: List[bytes] = []
     length = 0
     for option in options:
@@ -191,40 +186,18 @@ def encode_options(options: List[TcpOption]) -> bytes:
     return b"".join(parts)
 
 
-def _encode_options_reference(options: List[TcpOption]) -> bytes:
-    """Original writer-based encoder (the scalar-baseline path)."""
-    writer = ByteWriter()
-    for option in options:
-        if isinstance(option, NoOperation):
-            writer.put_u8(KIND_NOP)
-            continue
-        body = option.body()
-        writer.put_u8(option.kind).put_u8(2 + len(body)).put_bytes(body)
-    encoded = writer.getvalue()
-    if len(encoded) > MAX_OPTION_SPACE:
-        raise ProtocolViolation(
-            f"TCP options exceed the 40-byte header budget ({len(encoded)}B)"
-        )
-    padding = (-len(encoded)) % 4
-    return encoded + b"\x00" * padding
-
-
 def decode_options(data: bytes) -> List[TcpOption]:
     """Parse an option block back into option objects.
 
-    Fast path (``wire.cache``): index-based scan, no ``ByteReader``
-    allocation — this runs once per received segment.  Truncated
-    buffers raise ``NeedMoreData`` exactly like the reader-based
-    reference parser.
+    Index-based scan (this runs once per received segment); truncated
+    buffers raise ``NeedMoreData`` like every ``ByteReader`` parser.
 
-    Fail-closed rules (both paths): a kind/length option whose length
-    byte is 0 or 1 is rejected (a zero-length option would loop the
-    scan forever), and a length that runs past the end of the option
-    block is rejected instead of silently misparsing the tail.
+    Fail-closed rules: a kind/length option whose length byte is 0 or 1
+    is rejected (a zero-length option would loop the scan forever), and
+    a length that runs past the end of the option block is rejected
+    instead of silently misparsing the tail.
     """
     with decode_guard("TCP option block"):
-        if not fastpath.flags["wire.cache"]:
-            return _decode_options_reference(data)
         options: List[TcpOption] = []
         offset, end = 0, len(data)
         while offset < end:
@@ -249,25 +222,6 @@ def decode_options(data: bytes) -> List[TcpOption]:
             offset += length - 2
             options.append(_decode_one(kind, body))
         return options
-
-
-def _decode_options_reference(data: bytes) -> List[TcpOption]:
-    """Original reader-based decoder (the scalar-baseline path)."""
-    reader = ByteReader(data)
-    options: List[TcpOption] = []
-    while not reader.is_empty():
-        kind = reader.get_u8()
-        if kind == KIND_EOL:
-            break
-        if kind == KIND_NOP:
-            options.append(NoOperation())
-            continue
-        length = reader.get_u8()
-        if length < 2:
-            raise InvalidValue(f"TCP option kind {kind} with length {length}")
-        body = reader.get_bytes(length - 2)
-        options.append(_decode_one(kind, body))
-    return options
 
 
 def _decode_one(kind: int, body: bytes) -> TcpOption:

@@ -5,13 +5,14 @@ Segments serialize to genuine header bytes so that middleboxes in
 hardware middlebox would — the mechanism behind the paper's middlebox
 interference and SYN-echo detection experiments (sections 2.1 and 4.5).
 
-Fast path (``fastpath`` feature ``wire.cache``):
+Serialization is built for the per-packet hot path:
 
 - :func:`internet_checksum` folds the whole buffer through one big-int
   conversion instead of a Python loop over 16-bit words (``2^16 ≡ 1
   (mod 0xFFFF)``, so the byte string's big-endian value is congruent to
-  its ones-complement word sum).  The original loop survives as
-  :func:`internet_checksum_reference`; both agree on every input.
+  its ones-complement word sum).  The RFC 1071 word loop stays as
+  :func:`internet_checksum_reference`, the readable specification the
+  tests hold the folded form to on every input.
 - :meth:`TcpSegment.to_bytes` serializes into a single buffer with the
   checksum patched in place, and caches the wire bytes on the segment.
   Any header/payload attribute assignment invalidates the cache;
@@ -30,7 +31,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro import fastpath
 from repro.netsim.packet import IPAddress, PROTO_TCP
 from repro.tcp.options import TcpOption, decode_options, encode_options
 from repro.utils.errors import (
@@ -63,11 +63,11 @@ class Flags:
 
 
 def internet_checksum_reference(data: bytes) -> int:
-    """RFC 1071 ones-complement checksum, the original word-loop form.
+    """RFC 1071 ones-complement checksum in its word-loop form.
 
-    Kept as the executable specification for :func:`internet_checksum`;
-    the randomized cross-check tests assert the two agree on every input
-    (including the ``sum ≡ 0 (mod 0xFFFF)`` folding edge case).
+    The executable specification for :func:`internet_checksum`; the
+    randomized tests assert the two agree on every input (including the
+    ``sum ≡ 0 (mod 0xFFFF)`` folding edge case).
     """
     data = bytes(data)
     if len(data) % 2:
@@ -91,17 +91,12 @@ def _fold(total: int) -> int:
 def internet_checksum(data) -> int:
     """RFC 1071 ones-complement checksum over 16-bit big-endian words.
 
-    Fast path: one ``int.from_bytes`` then a single ``% 0xFFFF`` — since
+    One ``int.from_bytes`` then a single ``% 0xFFFF`` — since
     ``2^16 ≡ 1 (mod 0xFFFF)``, the big-endian integer value of the
     buffer is congruent to its 16-bit word sum.  Accepts any bytes-like
     object (odd lengths are handled by shifting, never by copying).
     """
-    if not fastpath.flags["wire.cache"]:
-        return internet_checksum_reference(data)
-    total = int.from_bytes(data, "big")
-    if len(data) % 2:
-        total <<= 8
-    return _fold(total)
+    return internet_checksum_parts(data)
 
 
 def internet_checksum_parts(*parts) -> int:
@@ -124,17 +119,20 @@ def internet_checksum_parts(*parts) -> int:
 #: (address class, src int, dst int) -> packed src||dst prefix.  The
 #: packed form of an address pair never changes, so memoizing it saves
 #: two ``packed`` conversions per checksum; keys hash as plain ints.
+#: The addresses come off the wire, so the memo is emptied once it
+#: holds ``_PSEUDO_PREFIX_MAX`` pairs: a spoofed-source spray cannot
+#: grow it without bound.
 _PSEUDO_PREFIX: dict = {}
+_PSEUDO_PREFIX_MAX = 4096
 
 
 def _pseudo_header(src: IPAddress, dst: IPAddress, tcp_length: int) -> bytes:
-    if fastpath.flags["wire.cache"]:
-        key = (src.__class__, src._ip, dst._ip)
-        prefix = _PSEUDO_PREFIX.get(key)
-        if prefix is None:
-            prefix = _PSEUDO_PREFIX[key] = src.packed + dst.packed
-    else:
-        prefix = src.packed + dst.packed
+    key = (src.__class__, src._ip, dst._ip)
+    prefix = _PSEUDO_PREFIX.get(key)
+    if prefix is None:
+        if len(_PSEUDO_PREFIX) >= _PSEUDO_PREFIX_MAX:
+            _PSEUDO_PREFIX.clear()
+        prefix = _PSEUDO_PREFIX[key] = src.packed + dst.packed
     if src.version == 4:
         return prefix + struct.pack("!BBH", 0, PROTO_TCP, tcp_length)
     return prefix + struct.pack("!IBBBB", tcp_length, 0, 0, 0, PROTO_TCP)
@@ -285,36 +283,15 @@ class TcpSegment:
     # -- wire format -----------------------------------------------------
 
     def to_bytes(self, src: IPAddress, dst: IPAddress) -> bytes:
-        if fastpath.flags["wire.cache"]:
-            cached: Optional[Tuple[IPAddress, IPAddress, bytes]]
-            cached = getattr(self, "_wire", None)
-            if cached is not None and cached[0] == src and cached[1] == dst:
-                return cached[2]
-            wire = self._serialize_fast(src, dst)
-            object.__setattr__(self, "_wire", (src, dst, wire))
-            return wire
-        # Reference path: the original splice-based serializer.
-        options_block = encode_options(self.options)
-        data_offset_words = 5 + len(options_block) // 4
-        header = struct.pack(
-            "!HHIIBBHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            data_offset_words << 4,
-            self.flags,
-            self.window & 0xFFFF,
-            0,  # checksum placeholder
-            self.urgent,
-        )
-        segment = header + options_block + self.payload
-        checksum = internet_checksum_reference(
-            _pseudo_header(src, dst, len(segment)) + segment
-        )
-        return segment[:16] + struct.pack("!H", checksum) + segment[18:]
+        cached: Optional[Tuple[IPAddress, IPAddress, bytes]]
+        cached = getattr(self, "_wire", None)
+        if cached is not None and cached[0] == src and cached[1] == dst:
+            return cached[2]
+        wire = self._serialize(src, dst)
+        object.__setattr__(self, "_wire", (src, dst, wire))
+        return wire
 
-    def _serialize_fast(self, src: IPAddress, dst: IPAddress) -> bytes:
+    def _serialize(self, src: IPAddress, dst: IPAddress) -> bytes:
         """Single-buffer serialization with the checksum patched in place."""
         options_block = encode_options(self.options)
         header_length = 20 + len(options_block)
@@ -368,48 +345,24 @@ class TcpSegment:
                 raise InvalidValue(f"bad TCP data offset {data_offset}")
             checksum_ok = False
             if src is not None and dst is not None:
-                use_fast = fastpath.flags["wire.cache"]
-                if verify_checksum or use_fast:
-                    if use_fast:
-                        checksum_ok = (
-                            internet_checksum_parts(
-                                _pseudo_header(src, dst, len(data)), data
-                            )
-                            == 0
-                        )
-                    else:
-                        checksum_ok = (
-                            internet_checksum(
-                                _pseudo_header(src, dst, len(data)) + bytes(data)
-                            )
-                            == 0
-                        )
-                    if verify_checksum and not checksum_ok:
-                        raise ProtocolViolation("TCP checksum verification failed")
-            options = decode_options(data[20:data_offset])
-            if fastpath.flags["wire.cache"]:
-                # Receive-path construction bypasses the dataclass __init__
-                # (nine __setattr__ calls per segment) and fills the instance
-                # dict in one go.  Field values are exactly what the
-                # reference constructor below would set.  The wire cache is
-                # seeded with the original bytes only when the checksum
-                # verified, so a reserialize can never launder a corrupted
-                # checksum through the cache.
-                segment = object.__new__(cls)
-                segment.__dict__.update(
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    seq=seq,
-                    ack=ack,
-                    flags=flags,
-                    window=window,
-                    options=options,
-                    payload=data[data_offset:],
-                    urgent=urgent,
-                    _wire=(src, dst, bytes(data)) if checksum_ok else None,
+                checksum_ok = (
+                    internet_checksum_parts(
+                        _pseudo_header(src, dst, len(data)), data
+                    )
+                    == 0
                 )
-                return segment
-            return cls(
+                if verify_checksum and not checksum_ok:
+                    raise ProtocolViolation("TCP checksum verification failed")
+            options = decode_options(data[20:data_offset])
+            # Receive-path construction bypasses the dataclass __init__
+            # (nine __setattr__ calls per segment) and fills the instance
+            # dict in one go, with exactly the field values the
+            # constructor would set.  The wire cache is seeded with the
+            # original bytes only when the checksum verified, so a
+            # reserialize can never launder a corrupted checksum through
+            # the cache.
+            segment = object.__new__(cls)
+            segment.__dict__.update(
                 src_port=src_port,
                 dst_port=dst_port,
                 seq=seq,
@@ -419,7 +372,9 @@ class TcpSegment:
                 options=options,
                 payload=data[data_offset:],
                 urgent=urgent,
+                _wire=(src, dst, bytes(data)) if checksum_ok else None,
             )
+            return segment
 
     def summary(self) -> str:
         return (

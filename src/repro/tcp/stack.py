@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional, Tuple
 
-from repro import fastpath
 from repro.netsim.node import Host, Interface
 from repro.netsim.packet import Datagram, IPAddress, PROTO_TCP, parse_address
 from repro.tcp.connection import TcpConnection
@@ -88,14 +87,11 @@ class TcpStack:
         self.default_congestion = congestion
         self.fastopen = FastOpenManager()
         self._rng = random.Random(seed)
+        # Demux map keyed on integer address values (see ``_demux_key``)
+        # instead of ``ipaddress`` objects: hashing an IPv4Address builds
+        # a hex string per call in CPython, and this is looked up once
+        # per received segment.
         self._connections: Dict[Tuple, TcpConnection] = {}
-        # Parallel demux map keyed on integer address values instead of
-        # ``ipaddress`` objects: hashing an IPv4Address builds a hex
-        # string per call in CPython, so the per-segment lookup in
-        # ``_on_datagram`` keys on ``(cls, int, port, int, port)`` when
-        # the netsim.fast flag is on.  Always maintained; only consulted
-        # behind the flag.  The address class keeps v4/v6 keys distinct.
-        self._connections_fast: Dict[Tuple, TcpConnection] = {}
         self._listeners: Dict[int, Listener] = {}
         self._next_ephemeral = _EPHEMERAL_BASE
         self.segments_dropped_checksum = 0
@@ -180,15 +176,13 @@ class TcpStack:
         return self._rng.randrange(1 << 32)
 
     def register(self, conn: TcpConnection) -> None:
-        key = conn.four_tuple
+        key = _demux_key(conn)
         if key in self._connections:
-            raise ValueError(f"connection {key} already exists")
+            raise ValueError(f"connection {conn.four_tuple} already exists")
         self._connections[key] = conn
-        self._connections_fast[_fast_key(conn)] = conn
 
     def forget(self, conn: TcpConnection) -> None:
-        self._connections.pop(conn.four_tuple, None)
-        self._connections_fast.pop(_fast_key(conn), None)
+        self._connections.pop(_demux_key(conn), None)
 
     def send_raw(self, conn: TcpConnection, raw_segment: bytes) -> None:
         datagram = Datagram(
@@ -251,15 +245,11 @@ class TcpStack:
         except ProtocolViolation:
             self.segments_dropped_checksum += 1
             return
-        if fastpath.flags["netsim.fast"]:
-            dst = datagram.dst
-            conn = self._connections_fast.get(
-                (dst.__class__, dst._ip, segment.dst_port,
-                 datagram.src._ip, segment.src_port)
-            )
-        else:
-            key = (datagram.dst, segment.dst_port, datagram.src, segment.src_port)
-            conn = self._connections.get(key)
+        dst = datagram.dst
+        conn = self._connections.get(
+            (dst.__class__, dst._ip, segment.dst_port,
+             datagram.src._ip, segment.src_port)
+        )
         if conn is not None:
             conn.on_segment(segment)
             return
@@ -303,8 +293,9 @@ def _as_address(value) -> IPAddress:
     return parse_address(value) if isinstance(value, str) else value
 
 
-def _fast_key(conn: TcpConnection) -> Tuple:
-    """Integer-valued demux key matching ``_on_datagram``'s fast lookup."""
+def _demux_key(conn: TcpConnection) -> Tuple:
+    """Integer-valued four-tuple matching ``_on_datagram``'s lookup; the
+    address class keeps v4 and v6 keys distinct."""
     local = conn.local_addr
     return (
         local.__class__,

@@ -25,7 +25,7 @@ def pack_scalar(items, cap):
 
 def pack(items, cap):
     # planted: both branches call the scalar — the fast path is dead.
-    if fastpath.enabled("wire.cache"):
+    if fastpath.enabled("netsim.vectorq"):
         return pack_scalar(items, cap)
     return pack_scalar(items, cap)
 
@@ -39,8 +39,8 @@ def route_scalar(items, cap):
 
 
 def route(items, cap):
-    # planted: netsim.fast's registered cross-check never references
+    # planted: netsim.vectorq's registered cross-check never references
     # route_fast, so the equivalence claim is unverified.
-    if fastpath.enabled("netsim.fast"):
+    if fastpath.enabled("netsim.vectorq"):
         return route_fast(items, cap)
     return route_scalar(items, cap)

@@ -10,7 +10,6 @@ import struct
 
 import pytest
 
-from repro import fastpath
 from repro.core import framing
 from repro.core import join as joinmod
 from repro.quic import packet as quicpkt
@@ -43,16 +42,7 @@ def test_error_hierarchy_is_fail_closed():
 # -- TCP options (satellite: kind/length scanner) --------------------------
 
 
-@pytest.fixture(params=[True, False], ids=["fastpath", "reference"])
-def option_path(request):
-    """Run each option-parser case on both the fast and reference scanners."""
-    saved = fastpath.flags["wire.cache"]
-    fastpath.flags["wire.cache"] = request.param
-    yield
-    fastpath.flags["wire.cache"] = saved
-
-
-def test_zero_length_option_rejected(option_path):
+def test_zero_length_option_rejected():
     """kind=2 length=0: the old scanner subtracted 2 from the length and
     sliced with a negative size (fast path) — a silent misparse that
     could also loop.  Must be a typed rejection now."""
@@ -60,24 +50,24 @@ def test_zero_length_option_rejected(option_path):
         decode_options(b"\x02\x00\x05\xb4")
 
 
-def test_length_one_option_rejected(option_path):
+def test_length_one_option_rejected():
     with pytest.raises(InvalidValue):
         decode_options(b"\x03\x01\x07")
 
 
-def test_option_length_overrunning_block_rejected(option_path):
+def test_option_length_overrunning_block_rejected():
     """kind=2 claiming 10 bytes with 1 present must raise (a DecodeError
     via NeedMoreData), never return a short body as if valid."""
     with pytest.raises(DecodeError):
         decode_options(b"\x02\x0a\x01")
 
 
-def test_option_kind_without_length_byte_rejected(option_path):
+def test_option_kind_without_length_byte_rejected():
     with pytest.raises(DecodeError):
         decode_options(b"\x02")
 
 
-def test_valid_options_still_parse(option_path):
+def test_valid_options_still_parse():
     options = decode_options(b"\x02\x04\x05\xb4\x01\x01\x00")
     assert options[0].mss == 1460
 

@@ -1,5 +1,8 @@
 """Behaviour of the discrete-event engine."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.netsim.engine import Simulator
@@ -92,6 +95,7 @@ def test_max_events_cap_does_not_lose_the_tripping_event():
     assert sim.pending_events() == 2
     sim.run_until_idle()
     assert fired == [0, 1, 2, 3, 4]
+    assert sim.pending_events() == 0
 
 
 def test_max_events_cap_ignores_cancelled_events():
@@ -146,3 +150,175 @@ def test_pending_events_counts_uncancelled():
     assert sim.pending_events() == 2
     a.cancel()
     assert sim.pending_events() == 1
+
+
+def test_basic_order_ties_and_cancel():
+    sim = Simulator()
+    order = []
+    sim.schedule(0.2, order.append, "c")
+    sim.schedule(0.1, order.append, "a")
+    sim.schedule(0.1, order.append, "b")  # same time: insertion order wins
+    doomed = sim.schedule(0.15, order.append, "never")
+    doomed.cancel()
+    doomed.cancel()  # double-cancel is safe
+
+    def reentrant():
+        order.append("r1")
+        sim.schedule(0.0, order.append, "r2")  # same-instant follow-up
+
+    sim.schedule(0.3, reentrant)
+    assert sim.pending_events() == 4  # cancelled event already excluded
+    sim.run(until=1.0)
+    assert order == ["a", "b", "c", "r1", "r2"]
+    assert sim.pending_events() == 0
+    assert sim.events_processed == 5
+
+
+def test_run_until_boundary_preserves_pending():
+    # Breaking on `until` must leave later events queued, then resume in
+    # order.
+    sim = Simulator()
+    log = []
+    sim.schedule(0.1, log.append, "a")
+    sim.schedule(0.9, log.append, "b")
+    sim.run(until=0.5)
+    assert log == ["a"]
+    assert sim.now == 0.5
+    assert sim.pending_events() == 1
+    sim.run_until_idle()
+    assert log == ["a", "b"]
+    assert sim.pending_events() == 0
+
+
+# ----------------------------------------------------------------------
+# Live-event accounting under churn
+# ----------------------------------------------------------------------
+
+def test_cancel_after_fire_does_not_corrupt_live_count():
+    # A handle kept after its event executed (stale RTO timer handle
+    # surviving connection teardown) used to decrement _live_events a
+    # second time, driving the counter negative at scale.
+    sim = Simulator()
+    fired = sim.schedule(0.1, lambda: None)
+    keeper = sim.schedule(0.5, lambda: None)
+    sim.run(until=0.2)
+    assert sim.pending_events() == 1
+    fired.cancel()  # late cancel of an already-fired event
+    fired.cancel()
+    assert sim.pending_events() == 1
+    sim.run_until_idle()
+    assert keeper.cancelled is False
+    assert sim.pending_events() == 0
+
+
+def test_cancel_twice_counts_once():
+    sim = Simulator()
+    event = sim.schedule(0.1, lambda: None)
+    sim.schedule(0.2, lambda: None)
+    event.cancel()
+    event.cancel()
+    assert sim.pending_events() == 1
+    sim.run_until_idle()
+    assert sim.pending_events() == 0
+
+
+def test_mass_cancel_rearm_drains_to_zero():
+    # 5k timers armed, half cancelled and re-armed (RTO churn shape):
+    # after draining, the O(1) live counter must read exactly zero.
+    sim = Simulator()
+    rng = random.Random(99)
+    handles = [
+        sim.schedule(rng.random() * 2.0, lambda: None) for _ in range(5000)
+    ]
+    for handle in rng.sample(handles, 2500):
+        handle.cancel()
+        sim.schedule(rng.random() * 2.0, lambda: None)
+    assert sim.pending_events() == 5000
+    sim.run_until_idle()
+    assert sim.pending_events() == 0
+
+
+# ----------------------------------------------------------------------
+# Execution order against a list model
+# ----------------------------------------------------------------------
+
+class ListModel:
+    """The engine's ordering contract, slowly: always run the earliest
+    live entry, ties broken by insertion order."""
+
+    def __init__(self):
+        self.now, self.entries = 0.0, []
+
+    def schedule(self, delay, callback, *args):
+        entry = SimpleNamespace(time=self.now + delay, order=len(self.entries),
+                                live=True, run=lambda: callback(*args))
+        entry.cancel = lambda: setattr(entry, "live", False)
+        self.entries.append(entry)
+        return entry
+
+    def run_until_idle(self):
+        while any(entry.live for entry in self.entries):
+            head = sorted((entry for entry in self.entries if entry.live),
+                          key=lambda entry: (entry.time, entry.order))[0]
+            head.live, self.now = False, head.time
+            head.run()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_randomized_schedule_cancel_churn(seed):
+    """Seeded storm of schedules, cancels (before and after fire), and
+    re-entrant re-arms from microseconds to hours ahead."""
+
+    def drive(sim):
+        rng = random.Random(seed)
+        log, handles = [], []
+
+        def fire(tag):
+            log.append((tag, sim.now))
+            # Re-entrant churn: sometimes re-arm, sometimes cancel a
+            # random outstanding handle (which may already have fired —
+            # exactly the stale-RTO-handle shape).
+            roll = rng.random()
+            if roll < 0.3:
+                handles.append(sim.schedule(rng.random() * 0.5, fire, tag + 10_000))
+            elif roll < 0.5 and handles:
+                handles[rng.randrange(len(handles))].cancel()
+
+        for i in range(400):
+            delay = rng.choice(
+                [
+                    rng.random() * 1e-4,
+                    rng.random() * 0.05,
+                    rng.random() * 10.0,
+                    rng.random() * 300.0,
+                    rng.random() * 9000.0,
+                ]
+            )
+            handles.append(sim.schedule(delay, fire, i))
+        for _ in range(80):
+            handles[rng.randrange(len(handles))].cancel()
+        sim.run_until_idle()
+        return log
+
+    sim = Simulator()
+    log = drive(sim)
+    assert log == drive(ListModel())
+    assert len(log) > 300
+    assert sim.pending_events() == 0
+
+
+def test_schedule_shake_is_reproducible_per_seed():
+    def order(shake_seed):
+        sim = Simulator()
+        sim.enable_schedule_shake(shake_seed)
+        log = []
+        for i in range(64):
+            sim.schedule(0.25, log.append, i)  # all tied
+        sim.run_until_idle()
+        return log
+
+    shaken = order(1234)
+    assert shaken == order(1234)
+    assert sorted(shaken) == list(range(64))
+    assert shaken != list(range(64))
+    assert shaken != order(99)

@@ -126,7 +126,7 @@ def test_nat44_translates_and_connection_works():
     assert bytes(sinks[0].data) == b"through the NAT"
     assert nat.translations > 0
     # The server saw the public address, not the private one.
-    server_conn_addrs = [key[2] for key in server_tcp._connections]
+    server_conn_addrs = [c.remote_addr for c in server_tcp._connections.values()]
     assert parse_address("20.0.0.9") in server_conn_addrs
 
 

@@ -1,7 +1,10 @@
 """Route computation and the canned scenario topologies."""
 
+import ipaddress
+
 import pytest
 
+from repro.netsim import node as node_mod
 from repro.netsim.packet import Datagram, parse_address
 from repro.netsim.scenarios import dual_path_network, simple_duplex_network
 from repro.netsim.topology import Network
@@ -44,6 +47,38 @@ def test_unroutable_destination_returns_false():
         Datagram(parse_address("10.1.0.1"), parse_address("99.0.0.1"), 253, b"x")
     )
     assert ok is False
+
+
+def test_route_cache_stays_bounded_under_a_destination_spray():
+    # A router's route memo is keyed by destinations read off the wire
+    # (and remembers unroutable ones too): 10k distinct spoofed
+    # destinations must not grow it past its bound, and every packet
+    # must still take the route the table gives it.
+    net = Network()
+    a = net.add_host("a")
+    r = net.add_router("r")
+    b = net.add_host("b")
+    ia = a.add_interface("eth0").configure_ipv4("10.1.0.1/24")
+    ir1 = r.add_interface("eth0").configure_ipv4("10.1.0.254/24")
+    ir2 = r.add_interface("eth1").configure_ipv4("10.2.0.254/16")
+    ib = b.add_interface("eth0").configure_ipv4("10.2.0.1/16")
+    net.connect(ia, ir1)
+    net.connect(ir2, ib)
+    net.compute_routes()
+    src = parse_address("10.1.0.1")
+    routable = int(parse_address("10.2.1.0"))
+    unroutable = int(parse_address("99.0.0.0"))
+    largest = 0
+    for index in range(5000):
+        for base, expected in ((routable, ir2), (unroutable, None)):
+            dst = ipaddress.IPv4Address(base + index)
+            r.receive(Datagram(src, dst, 253, b"x"), ir1)
+            assert r.lookup_route(dst) is expected
+            largest = max(largest, len(r._route_cache))
+    assert r.packets_forwarded == 5000
+    assert node_mod._ROUTE_CACHE_MAX < 10_000  # the spray overran the memo
+    assert largest <= node_mod._ROUTE_CACHE_MAX
+    assert r.lookup_route(parse_address("10.1.0.1")) is ir1
 
 
 def test_hop_limit_expires():

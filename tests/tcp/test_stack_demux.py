@@ -8,7 +8,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import start_sink_server, tcp_pair
 
+import ipaddress
+
+from repro.netsim import node as node_mod
 from repro.netsim.packet import Datagram, PROTO_TCP, parse_address
+from repro.tcp import segment as segment_mod
 from repro.tcp.segment import Flags, TcpSegment
 
 SRC = parse_address("10.0.0.1")
@@ -42,6 +46,26 @@ def test_segment_to_closed_port_answered_with_rst():
     )
     _inject(server_tcp, data_seg)
     assert server_tcp.rsts_sent == 1
+
+
+def test_spoofed_source_spray_keeps_address_memos_bounded():
+    # Both the checksum's pseudo-header memo and the host's route memo
+    # are keyed by addresses read off the wire: 10k SYNs from distinct
+    # spoofed sources must not grow either past its bound, and each
+    # must still verify its checksum and draw its RST.
+    net, client_tcp, server_tcp, link = tcp_pair()
+    interface = list(server_tcp.host.interfaces.values())[0]
+    base = int(parse_address("172.16.0.0"))
+    for index in range(10_000):
+        src = ipaddress.IPv4Address(base + index)
+        syn = TcpSegment(src_port=1234, dst_port=9999, seq=index, flags=Flags.SYN)
+        server_tcp.host.local_deliver(
+            Datagram(src, DST, PROTO_TCP, syn.to_bytes(src, DST)), interface
+        )
+        assert len(segment_mod._PSEUDO_PREFIX) <= segment_mod._PSEUDO_PREFIX_MAX
+        assert len(server_tcp.host._route_cache) <= node_mod._ROUTE_CACHE_MAX
+    assert server_tcp.rsts_sent == 10_000
+    assert server_tcp.segments_dropped_checksum == 0
 
 
 def test_syn_to_closed_port_rst_acks_syn():
