@@ -1,27 +1,49 @@
 """Ed25519 signatures (RFC 8032), used for certificate signing.
 
-Reference (slow, non-constant-time) implementation following RFC 8032
-section 5.1; sufficient for a simulator where the adversary is a
-middlebox model, not a timing attacker.  Validated against the RFC 8032
-section 7.1 test vectors.
+Non-constant-time implementation following RFC 8032 section 5.1;
+sufficient for a simulator where the adversary is a middlebox model, not
+a timing attacker.  Validated against the RFC 8032 section 7.1 test
+vectors.
+
+Two scalar multiplications, one job each:
+
+- ``_point_mul(scalar, point)`` is the readable RFC 8032 path for an
+  arbitrary point: double-and-add over section 5.1.4's addition.  Only
+  verification's ``h * A`` needs it.
+- ``base_mul(scalar)`` is the table path for the base point ``B``:
+  ``_base_table()[i][j] = j * 16**i * B`` (64 x 16 points, built on
+  first use), so a multiply is one addition per scalar nibble and no
+  doubling.  It serves public-key derivation, the ``r * B`` of signing,
+  the ``s * B`` of verification and — through the birational map to the
+  Montgomery curve — ``x25519_base``.  Its lookups are indexed by secret
+  nibbles; that is inside the threat model stated above and would not be
+  in a deployment.
+
+``tests/crypto`` holds both to an affine double-and-add that shares no
+arithmetic with them, and ``x25519_base`` to the Montgomery ladder.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from typing import Tuple
 
 _P = 2**255 - 19
 _L = 2**252 + 27742317777372353535851937790883648493
-_D = (-121665 * pow(121666, _P - 2, _P)) % _P
+_D = (-121665 * pow(121666, -1, _P)) % _P
 
 # Base point (from RFC 8032 section 5.1).
-_BY = (4 * pow(5, _P - 2, _P)) % _P
+_BY = (4 * pow(5, -1, _P)) % _P
+
+#: A point in extended twisted-Edwards coordinates (X, Y, Z, T).
+Point = Tuple[int, int, int, int]
 
 
 def _recover_x(y: int, sign: int) -> int:
     if y >= _P:
         raise ValueError("invalid point encoding")
-    x2 = (y * y - 1) * pow(_D * y * y + 1, _P - 2, _P)
+    x2 = (y * y - 1) * pow(_D * y * y + 1, -1, _P) % _P
     if x2 == 0:
         if sign:
             raise ValueError("invalid point encoding")
@@ -64,6 +86,35 @@ def _point_mul(scalar: int, point):
     return result
 
 
+@functools.cache
+def _base_table() -> Tuple[Tuple[Point, ...], ...]:
+    """``table[i][j] == j * 16**i * B``, built by the first ``base_mul``
+    of the process (~1000 additions, a few milliseconds)."""
+    table = []
+    step = _BASE  # 16**i * B
+    for _ in range(64):
+        row = [_IDENTITY, step]
+        for _ in range(14):
+            row.append(_point_add(row[-1], step))
+        table.append(tuple(row))
+        step = _point_add(row[15], step)
+    return tuple(table)
+
+
+def base_mul(scalar: int) -> Point:
+    """``scalar * B`` for ``0 <= scalar < 2**256``: one table lookup and
+    one addition per non-zero nibble."""
+    if scalar >> 256:
+        raise ValueError("fixed-base scalar must be below 2**256")
+    result = _IDENTITY
+    for row in _base_table():
+        nibble = scalar & 15
+        if nibble:
+            result = _point_add(result, row[nibble])
+        scalar >>= 4
+    return result
+
+
 def _point_equal(p, q) -> bool:
     x1, y1, z1, _ = p
     x2, y2, z2, _ = q
@@ -72,7 +123,7 @@ def _point_equal(p, q) -> bool:
 
 def _point_compress(point) -> bytes:
     x, y, z, _ = point
-    zinv = pow(z, _P - 2, _P)
+    zinv = pow(z, -1, _P)
     x, y = (x * zinv) % _P, (y * zinv) % _P
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
 
@@ -103,14 +154,14 @@ def _secret_expand(secret: bytes):
 
 def ed25519_public_key(secret: bytes) -> bytes:
     a, _ = _secret_expand(secret)
-    return _point_compress(_point_mul(a, _BASE))
+    return _point_compress(base_mul(a))
 
 
 def ed25519_sign(secret: bytes, message: bytes) -> bytes:
     a, prefix = _secret_expand(secret)
-    public = _point_compress(_point_mul(a, _BASE))
+    public = _point_compress(base_mul(a))
     r = _sha512_int(prefix, message) % _L
-    r_point = _point_compress(_point_mul(r, _BASE))
+    r_point = _point_compress(base_mul(r))
     h = _sha512_int(r_point, public, message) % _L
     s = (r + h * a) % _L
     return r_point + s.to_bytes(32, "little")
@@ -128,7 +179,7 @@ def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if s >= _L:
         return False
     h = _sha512_int(signature[:32], public, message) % _L
-    left = _point_mul(s, _BASE)
+    left = base_mul(s)
     right = _point_add(r_point, _point_mul(h, a_point))
     return _point_equal(left, right)
 

@@ -2,13 +2,19 @@
 
 Montgomery-ladder scalar multiplication over Curve25519.  Validated
 against the RFC 7748 section 5.2 test vectors in ``tests/crypto``.
+
+The ladder serves any peer u-coordinate.  The base point is fixed, so
+``x25519_base`` takes the Ed25519 fixed-base table instead (Curve25519
+and edwards25519 are one curve under a birational map, RFC 7748 section
+4.1) and is tested against the ladder.
 """
 
 from __future__ import annotations
 
+from repro.crypto.ed25519 import base_mul
+
 _P = 2**255 - 19
 _A24 = 121665
-_BASE_POINT = 9
 
 
 def _clamp_scalar(scalar_bytes: bytes) -> int:
@@ -71,9 +77,15 @@ def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:
 
 
 def x25519_base(scalar_bytes: bytes) -> bytes:
-    """Compute the public key for a private scalar (scalar * base point 9)."""
-    scalar = _clamp_scalar(scalar_bytes)
-    return _ladder(scalar, _BASE_POINT).to_bytes(32, "little")
+    """Compute the public key for a private scalar (scalar * base point 9).
+
+    ``scalar * B`` on edwards25519 from the fixed-base table, mapped back
+    with ``u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y)``; B maps to u = 9.
+    ``Z = Y`` only at the identity, which a clamped scalar (a multiple of
+    8 below ``8 * L``) never reaches.
+    """
+    _, y, z, _ = base_mul(_clamp_scalar(scalar_bytes))
+    return ((z + y) * pow(z - y, -1, _P) % _P).to_bytes(32, "little")
 
 
 class X25519PrivateKey:

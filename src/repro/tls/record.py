@@ -17,9 +17,10 @@ the ChaCha20 keystream for the next several record sequence numbers in
 one vectorized call and hand slices of it to the AEAD layer.  The cache
 is pure lookahead — sealing/opening through it is bit-identical to the
 per-record scalar construction, the sequence numbers advance exactly as
-before, and any key change drops the cache.  Records too short to open
-a window go through ``ChaCha20Poly1305`` one at a time (one lane-packed
-keystream pass per record).
+before, and any key change drops the cache.  A window opens only on
+evidence of a stream (see ``CipherState``); every other record goes
+through ``ChaCha20Poly1305`` one at a time (one lane-packed keystream
+pass per record).
 """
 
 from __future__ import annotations
@@ -50,15 +51,14 @@ LEGACY_RECORD_VERSION = 0x0303
 # Per-record overhead once encrypted: header + inner type byte + AEAD tag.
 ENCRYPTED_OVERHEAD = RECORD_HEADER_LEN + 1 + TAG_LENGTH
 
-#: Record sequence numbers covered per lookahead keystream generation.
+#: Most record sequence numbers covered per lookahead keystream generation.
 #: numpy dispatch overhead is per-op, not per-element, so a wider window
 #: amortizes the ~1000 vector ops of a ChaCha20 pass over more records;
 #: 32 full-size records is ~0.5 MiB of cached keystream.
 LOOKAHEAD_RECORDS = 32
-#: Inner plaintexts below this size do not open a lookahead window (a
-#: window is a bet on 32 more records of that size; the per-record pass
-#: inside ``ChaCha20Poly1305`` is cheap enough for them).  They still
-#: use a window that is already there.
+#: Inner plaintexts of at least this size count towards the run of
+#: large records that sizes a window (see ``CipherState``).  Shorter
+#: ones end the run; they still use a window that is already there.
 _LOOKAHEAD_MIN_INNER = 1024
 
 
@@ -71,17 +71,27 @@ class CipherState:
 
     Holds the keystream lookahead cache: because the per-record nonce is
     ``iv XOR sequence``, the keystream for sequences ``[base, base + R)``
-    can be generated in one vectorized pass and sliced per record.  The
-    cache is sized by the first record that misses it, so a bulk stream
-    of max-size records pays one generation per ``LOOKAHEAD_RECORDS``.
+    can be generated in one vectorized pass and sliced per record.
+
+    The window ramps like file readahead, on evidence only this state
+    sees: ``R = min(LOOKAHEAD_RECORDS, run)``, where ``run`` counts the
+    consecutive large records already sealed/opened under this key, so
+    no more keystream is ever generated ahead than the run has consumed.
+    A lone large record, a two-record response and a failed trial
+    decryption (which never reaches ``advance``) therefore cost one
+    lane-packed pass each; a bulk stream takes two such passes, doubles
+    its window 2, 4, 8, 16 and is at 32 from its 33rd record.
     """
 
     def __init__(self, keys: TrafficKeys) -> None:
         self.keys = keys
         self.aead = ChaCha20Poly1305(keys.key)
         self.sequence = 0
+        self._run = 0
+        self._large = False  # the record at ``sequence`` extends the run
         self._ks_cache: Optional[memoryview] = None
         self._ks_base = 0
+        self._ks_records = 0
         self._ks_record_bytes = 0
 
     def next_nonce(self) -> bytes:
@@ -89,12 +99,14 @@ class CipherState:
 
     def advance(self) -> None:
         self.sequence += 1
+        self._run = self._run + 1 if self._large else 0
 
     def rekey(self) -> None:
         """RFC 8446 7.2 key update."""
         self.keys = self.keys.next_generation()
         self.aead = ChaCha20Poly1305(self.keys.key)
         self.sequence = 0
+        self._run = 0
         self._ks_cache = None
 
     def _lookahead(self, payload_length: int) -> Optional[memoryview]:
@@ -102,22 +114,23 @@ class CipherState:
         sequence, or ``None`` when the lookahead should not engage."""
         if not _aead.HAVE_NUMPY or not fastpath.flags["crypto.batch"]:
             return None
+        self._large = payload_length >= _LOOKAHEAD_MIN_INNER
         needed = 64 * (1 + (payload_length + 63) // 64)
         seq = self.sequence
         if (
             self._ks_cache is None
             or needed > self._ks_record_bytes
-            or not self._ks_base <= seq < self._ks_base + LOOKAHEAD_RECORDS
+            or not self._ks_base <= seq < self._ks_base + self._ks_records
         ):
-            if payload_length < _LOOKAHEAD_MIN_INNER:
+            window = min(LOOKAHEAD_RECORDS, self._run)
+            if not self._large or window < 2:  # one record looks nothing ahead
                 return None
-            nonces = [
-                self.keys.nonce_for(s) for s in range(seq, seq + LOOKAHEAD_RECORDS)
-            ]
+            nonces = [self.keys.nonce_for(s) for s in range(seq, seq + window)]
             self._ks_cache = memoryview(
                 chacha20_keystream_multi(self.keys.key, nonces, 0, needed // 64)
             )
             self._ks_base = seq
+            self._ks_records = window
             self._ks_record_bytes = needed
         start = (seq - self._ks_base) * self._ks_record_bytes
         return self._ks_cache[start : start + needed]

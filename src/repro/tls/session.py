@@ -519,7 +519,7 @@ class TlsSession:
             raise TlsAlertError(alerts.MISSING_EXTENSION, "no key_share in ServerHello")
         server_public = m.parse_key_share_server(key_share)
         self.keys.update_transcript(raw)
-        self.keys.input_ecdhe(self._ecdh.exchange(server_public))
+        self.keys.input_ecdhe(self._ecdhe_shared(server_public))
         self.decoder.set_key(
             TrafficKeys.from_secret(self.keys.server_handshake_traffic)
         )
@@ -695,7 +695,7 @@ class TlsSession:
         )
         sh_raw = server_hello.to_bytes()
         self.keys.update_transcript(sh_raw)
-        self.keys.input_ecdhe(self._ecdh.exchange(client_public))
+        self.keys.input_ecdhe(self._ecdhe_shared(client_public))
         self._send_record(ContentType.HANDSHAKE, sh_raw)
         self.encoder.set_key(
             TrafficKeys.from_secret(self.keys.server_handshake_traffic)
@@ -908,6 +908,16 @@ class TlsSession:
         except Exception:  # repro: noqa-SEC003 - best-effort alert on a dying connection
             pass
         raise TlsAlertError(description, message)
+
+    def _ecdhe_shared(self, peer_public: bytes) -> bytes:
+        """The (EC)DHE input from the peer's key share.  A low-order
+        share gives the all-zero secret, which RFC 7748 section 6.1 and
+        RFC 8446 section 7.4.2 say to abort on: a peer-made protocol
+        violation, so it must leave as one."""
+        try:
+            return self._ecdh.exchange(peer_public)
+        except ValueError as exc:
+            raise TlsAlertError(alerts.ILLEGAL_PARAMETER, str(exc)) from exc
 
     def _random_bytes(self, count: int) -> bytes:
         return bytes(self.config.rng.randrange(256) for _ in range(count))

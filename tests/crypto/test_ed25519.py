@@ -1,11 +1,24 @@
-"""RFC 8032 section 7.1 test vectors for Ed25519."""
+"""RFC 8032 section 7.1 test vectors for Ed25519, the point-decoding
+rules, and the two scalar multiplications against an oracle that shares
+no arithmetic with them (affine double-and-add, kept in this file)."""
 
+import hashlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto import ed25519 as _ed
 from repro.crypto.ed25519 import (
     Ed25519PrivateKey,
     ed25519_public_key,
     ed25519_sign,
     ed25519_verify,
 )
+
+_P = 2**255 - 19
+_L = 2**252 + 27742317777372353535851937790883648493
 
 
 def test_rfc8032_test_1_empty_message():
@@ -45,6 +58,46 @@ def test_rfc8032_test_2_one_byte():
     assert ed25519_verify(public, message, signature)
 
 
+def test_rfc8032_test_3_two_bytes():
+    secret = bytes.fromhex(
+        "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7"
+    )
+    public = bytes.fromhex(
+        "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025"
+    )
+    message = bytes.fromhex("af82")
+    assert ed25519_public_key(secret) == public
+    signature = ed25519_sign(secret, message)
+    assert signature == bytes.fromhex(
+        "6291d657deec24024827e69c3abe01a3"
+        "0ce548a284743a445e3680d7db5ac3ac"
+        "18ff9b538d16f290ae67f760984dc659"
+        "4a7c15e9716ed28dc027beceea1ec40a"
+    )
+    assert ed25519_verify(public, message, signature)
+
+
+def test_rfc8032_test_sha_abc():
+    secret = bytes.fromhex(
+        "833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42"
+    )
+    public = bytes.fromhex(
+        "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf"
+    )
+    message = hashlib.sha512(b"abc").digest()
+    key = Ed25519PrivateKey(secret)
+    assert key.public_bytes == ed25519_public_key(secret) == public
+    signature = bytes.fromhex(
+        "dc2a4459e7369633a52b1bf277839a00"
+        "201009a3efbf3ecb69bea2186c26b589"
+        "09351fc9ac90b3ecfdfbc7c66431e030"
+        "3dca179c138ac17ad9bef1177331a704"
+    )
+    assert ed25519_sign(secret, message) == signature
+    assert key.sign(message) == signature
+    assert ed25519_verify(public, message, signature)
+
+
 def test_verify_rejects_wrong_message():
     key = Ed25519PrivateKey(b"\x05" * 32)
     signature = key.sign(b"hello")
@@ -62,3 +115,163 @@ def test_verify_rejects_corrupt_signature():
 def test_verify_rejects_garbage_inputs():
     assert not ed25519_verify(b"short", b"msg", b"\x00" * 64)
     assert not ed25519_verify(b"\x00" * 32, b"msg", b"\x00" * 10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    message=st.binary(max_size=200),
+    flip=st.integers(min_value=0, max_value=64 * 8 - 1),
+)
+def test_sign_verify_and_any_flipped_signature_bit_fails(seed, message, flip):
+    key = Ed25519PrivateKey(seed)
+    signature = key.sign(message)
+    assert signature == ed25519_sign(seed, message)
+    assert ed25519_verify(key.public_bytes, message, signature)
+    damaged = bytearray(signature)
+    damaged[flip // 8] ^= 1 << (flip % 8)
+    assert not ed25519_verify(key.public_bytes, message, bytes(damaged))
+    assert not ed25519_verify(key.public_bytes, message + b"\x00", signature)
+
+
+# ----------------------------------------------------------------------
+# Point decoding (RFC 8032 section 5.1.3)
+# ----------------------------------------------------------------------
+
+#: (0, -1), the point of order two, with the sign bit of its x = 0 set:
+#: step 4 rejects it ("if x = 0, and x_0 = 1, decoding fails").
+_MINUS_ONE = (_P - 1).to_bytes(32, "little")
+_MINUS_ONE_SIGN_SET = ((_P - 1) | (1 << 255)).to_bytes(32, "little")
+
+
+def _challenge(r_bytes: bytes, public: bytes, message: bytes) -> int:
+    digest = hashlib.sha512(r_bytes + public + message).digest()
+    return int.from_bytes(digest, "little") % _L
+
+
+def test_decompress_rejects_zero_x_with_sign_bit():
+    assert _ed._point_decompress(_MINUS_ONE)[:2] == (0, _P - 1)
+    with pytest.raises(ValueError):
+        _ed._point_decompress(_MINUS_ONE_SIGN_SET)
+    with pytest.raises(ValueError):  # (0, 1), same rule
+        _ed._point_decompress((1 | (1 << 255)).to_bytes(32, "little"))
+
+
+def test_verify_rejects_non_canonical_order_two_public_key():
+    """With A = (0, -1) and an even challenge h, h*A is the identity and
+    (R = r*B, s = r) satisfies the verification equation; the sign-set
+    alias of A must not get that far."""
+    digest = hashlib.sha512(b"\x09" * 32).digest()  # RFC 8032 5.1.5: r*B is a public key
+    r = (int.from_bytes(digest[:32], "little") & ((1 << 254) - 8) | (1 << 254)) % _L
+    r_bytes = ed25519_public_key(b"\x09" * 32)
+    forged = r_bytes + r.to_bytes(32, "little")
+    message = next(
+        m for m in (bytes([i]) for i in range(256))
+        if _challenge(r_bytes, _MINUS_ONE_SIGN_SET, m) % 2 == 0
+    )
+    assert not ed25519_verify(_MINUS_ONE_SIGN_SET, message, forged)
+
+
+def test_verify_rejects_non_canonical_order_two_r():
+    """With A = R = (0, -1) and an odd challenge, R + h*A is the identity
+    and s = 0 verifies; the sign-set alias in R's place must not."""
+    forged = _MINUS_ONE_SIGN_SET + bytes(32)
+    message = next(
+        m for m in (bytes([i]) for i in range(256))
+        if _challenge(_MINUS_ONE_SIGN_SET, _MINUS_ONE, m) % 2 == 1
+    )
+    assert not ed25519_verify(_MINUS_ONE, message, forged)
+
+
+# ----------------------------------------------------------------------
+# Scalar multiplication oracle: affine double-and-add, own arithmetic
+# ----------------------------------------------------------------------
+
+_D = -121665 * pow(121666, -1, _P) % _P
+_BASE_Y = 4 * pow(5, -1, _P) % _P
+_BASE_X = 15112221349535400772501151409588531511454012693041857206046113283949847762202
+
+
+def _affine_add(p, q):
+    (x1, y1), (x2, y2) = p, q
+    k = _D * x1 * x2 * y1 * y2
+    x3 = (x1 * y2 + x2 * y1) * pow(1 + k, -1, _P)
+    y3 = (y1 * y2 + x1 * x2) * pow(1 - k, -1, _P)
+    return x3 % _P, y3 % _P
+
+
+def _double_and_add(scalar, point):
+    result, addend = (0, 1), point
+    while scalar:
+        if scalar & 1:
+            result = _affine_add(result, addend)
+        addend = _affine_add(addend, addend)
+        scalar >>= 1
+    return result
+
+
+def _encode(point) -> bytes:
+    x, y = point
+    return (y | ((x & 1) << 255)).to_bytes(32, "little")
+
+
+_RNG = random.Random(0xED25519)
+_SCALARS = [0, 1, 15, 16, _L - 1, _L, 2**255 - 1] + [
+    _RNG.getrandbits(256) for _ in range(8)
+]
+
+
+def _assert_same_point(fast, affine):
+    x, y = affine
+    assert _ed._point_equal(fast, (x, y, 1, x * y % _P))
+    assert _ed._point_compress(fast) == _encode(affine)
+
+
+def test_oracle_knows_the_base_point():
+    assert (_BASE_X, _BASE_Y) == _ed._BASE[:2]
+    assert (-_BASE_X * _BASE_X + _BASE_Y * _BASE_Y) % _P == (
+        1 + _D * _BASE_X * _BASE_X * _BASE_Y * _BASE_Y
+    ) % _P
+    assert _double_and_add(_L, (_BASE_X, _BASE_Y)) == (0, 1)
+
+
+@pytest.mark.parametrize("scalar", _SCALARS)
+def test_fixed_base_multiply_matches_double_and_add(scalar):
+    _assert_same_point(
+        _ed.base_mul(scalar), _double_and_add(scalar, (_BASE_X, _BASE_Y))
+    )
+
+
+@pytest.mark.parametrize("scalar", _SCALARS)
+def test_variable_base_multiply_matches_double_and_add(scalar):
+    # Some point that is not the base: a public key.
+    x, y, _, _ = _ed._point_decompress(ed25519_public_key(b"\x07" * 32))
+    _assert_same_point(
+        _ed._point_mul(scalar, (x, y, 1, x * y % _P)), _double_and_add(scalar, (x, y))
+    )
+    _assert_same_point(
+        _ed._point_mul(scalar, _ed._BASE), _double_and_add(scalar, (_BASE_X, _BASE_Y))
+    )
+
+
+def test_fixed_base_scalar_range_is_checked():
+    with pytest.raises(ValueError):
+        _ed.base_mul(1 << 256)
+
+
+def test_base_table_is_built_once(monkeypatch):
+    table = _ed._base_table()
+    additions = []
+    add = _ed._point_add
+
+    def counting(p, q):
+        additions.append(1)
+        return add(p, q)
+
+    monkeypatch.setattr(_ed, "_point_add", counting)
+    _ed.base_mul(0)
+    assert additions == []  # no rebuild, and no work for zero nibbles
+    _ed.base_mul(0x101)
+    assert len(additions) == 2  # one addition per non-zero nibble
+    assert _ed._base_table() is table
+    assert (len(table), {len(row) for row in table}) == (64, {16})

@@ -367,34 +367,40 @@ def test_short_record_inside_a_window_uses_the_window(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"per-record AEAD .{name} used inside a live window")
 
-    def records(state):
+    def records(state, sizes):
         out = []
-        for size in (4096, 100, 1):
+        for size in sizes:
             inner = b"\xcc" * size + bytes([ContentType.APPLICATION_DATA])
             aad = record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
             out.append((state.seal(inner, aad), aad, inner))
             state.advance()
         return out
 
+    # A window opens on evidence of a stream: four large records take
+    # two per-record passes and a two-record window; the fifth opens a
+    # four-record window at sequence 4, which the short ones then share.
+    run, tail = (4096,) * 4, (4096, 100, 1)
     keys = TrafficKeys.from_secret(b"\x35" * 32)
     sender = CipherState(keys)
+    sealed = records(sender, run)
+    assert len(windows) == 1
     first_inner = b"\xcc" * 4096 + bytes([ContentType.APPLICATION_DATA])
     first_aad = record_header(ContentType.APPLICATION_DATA, len(first_inner) + TAG_LENGTH)
-    sender.seal(first_inner, first_aad)  # opens the window at sequence 0
+    sender.seal(first_inner, first_aad)  # opens the window at sequence 4
     sender.aead = _MustNotBeUsed()
-    sealed = records(sender)
-    assert len(windows) == 1
+    sealed += records(sender, tail)
+    assert len(windows) == 2
     with fastpath.scalar_baseline():
-        assert [record for record, _, _ in records(CipherState(keys))] == [
+        assert [record for record, _, _ in records(CipherState(keys), run + tail)] == [
             record for record, _, _ in sealed
         ]
     receiver = CipherState(keys)
     for index, (record, aad, inner) in enumerate(sealed):
         assert receiver.open(record, aad) == inner
-        if index == 0:
+        if index == len(run):
             receiver.aead = _MustNotBeUsed()
         receiver.advance()
-    assert len(windows) == 2  # one per direction, none for the short records
+    assert len(windows) == 4  # two per direction, none for the short records
 
 
 # ----------------------------------------------------------------------

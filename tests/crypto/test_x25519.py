@@ -1,6 +1,27 @@
-"""RFC 7748 test vectors for X25519."""
+"""RFC 7748 test vectors for X25519, the low-order inputs, and the
+fixed-base public key against the Montgomery ladder."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.x25519 import X25519PrivateKey, x25519, x25519_base
+
+_P = 2**255 - 19
+_NINE = (9).to_bytes(32, "little")
+
+#: The u-coordinates of the points of order 1, 2, 4 and 8 on Curve25519
+#: and its twist, plus their non-canonical aliases below 2^255: every
+#: clamped scalar sends each of them to the all-zero output.
+LOW_ORDER_U = (
+    0,
+    1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P - 1,
+    _P,
+    _P + 1,
+)
 
 
 def test_rfc7748_vector_1():
@@ -68,3 +89,36 @@ def test_iterated_ladder_1000():
     assert k == bytes.fromhex(
         "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
     )
+
+
+# ----------------------------------------------------------------------
+# Low-order inputs (RFC 7748 section 6.1)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("u", LOW_ORDER_U)
+def test_low_order_u_gives_all_zero_output(u):
+    """The ladder ends at the point at infinity (``z2 == 0``) and RFC
+    7748's ``x2 * z2^(p-2)`` makes that 0; pinned so that a cheaper
+    inverse cannot turn it into an exception."""
+    u_bytes = u.to_bytes(32, "little")
+    for scalar in (b"\x11" * 32, bytes(range(32)), b"\xff" * 32):
+        assert x25519(scalar, u_bytes) == bytes(32)
+    with pytest.raises(ValueError):
+        X25519PrivateKey(b"\x11" * 32).exchange(u_bytes)
+
+
+# ----------------------------------------------------------------------
+# x25519_base (fixed-base table + Edwards map) against the ladder
+# ----------------------------------------------------------------------
+
+def test_base_matches_ladder_on_the_edges():
+    smallest_clamped = (1 << 254).to_bytes(32, "little")
+    largest_clamped = ((1 << 255) - 8).to_bytes(32, "little")
+    for scalar in (bytes(32), b"\xff" * 32, smallest_clamped, largest_clamped):
+        assert x25519_base(scalar) == x25519(scalar, _NINE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar=st.binary(min_size=32, max_size=32))
+def test_base_matches_ladder_property(scalar):
+    assert x25519_base(scalar) == x25519(scalar, _NINE)

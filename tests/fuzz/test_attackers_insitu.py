@@ -10,6 +10,7 @@ so the whole thing replays deterministically.
 """
 
 from repro.core.events import Event
+from repro.core.session import TcplsContext, TcplsServer, TcplsSession
 from repro.faults import FaultPlan
 from repro.fuzz.attackers import (
     PayloadTamperer,
@@ -17,6 +18,11 @@ from repro.fuzz.attackers import (
     SegmentInjector,
     junk_payloads,
 )
+
+from repro.netsim.middlebox import _parse_tcp, _reserialize
+from repro.netsim.scenarios import simple_duplex_network
+from repro.tcp.stack import TcpStack
+from repro.tls.certificates import CertificateAuthority, TrustStore
 
 from tests.faults.conftest import establish_paths, fault_world, run_scenario
 
@@ -156,3 +162,68 @@ def test_attacked_run_exports_nonzero_hardening_counters():
     # And the session's metrics() export carries them too.
     exported = world.server_session.metrics()
     assert exported["counters"]["session.server"]["guard.tripped"] >= 1
+
+
+class KeyShareRewriter:
+    """On-path MITM that replaces the X25519 share of the first
+    ClientHello it sees (plaintext, unauthenticated at that point) with
+    a low-order point; TCP checksum fixed up, so the server's stack
+    delivers it."""
+
+    _ENTRY = b"\x00\x1d\x00\x20"  # group x25519, 32-byte key_exchange
+
+    def __init__(self, share: bytes) -> None:
+        self.share = share
+        self.rewritten = 0
+
+    def __call__(self, datagram):
+        segment = _parse_tcp(datagram)
+        if segment is None or self.rewritten:
+            return datagram
+        at = segment.payload.find(self._ENTRY)
+        if at < 0:
+            return datagram
+        self.rewritten += 1
+        start = at + len(self._ENTRY)
+        segment.payload = (
+            segment.payload[:start] + self.share + segment.payload[start + 32:]
+        )
+        return _reserialize(datagram, segment)
+
+
+def test_low_order_key_share_kills_only_its_own_connection():
+    """RFC 7748 6.1 in situ: a forged ClientHello whose key share is a
+    low-order point makes the server abort *that* connection; the
+    listener keeps serving and the event loop keeps running."""
+    net, client_host, server_host, link = simple_duplex_network(delay=0.005, seed=3)
+    rewriter = KeyShareRewriter((1).to_bytes(32, "little"))
+    link.add_transformer(client_host.interfaces["eth0"], rewriter)
+    ca = CertificateAuthority("Root", seed=b"low-order")
+    trust = TrustStore()
+    trust.add_authority(ca)
+    accepted = []
+    TcplsServer(
+        TcplsContext(identity=ca.issue_identity("server.example", seed=b"srv"), seed=2),
+        TcpStack(server_host, seed=3),
+        on_session=accepted.append,
+    )
+    stack = TcpStack(client_host, seed=5)
+
+    def dial(seed):
+        session = TcplsSession(
+            TcplsContext(trust_store=trust, server_name="server.example", seed=seed),
+            stack,
+        )
+        session.connect("10.0.0.2")
+        session.handshake()
+        return session
+
+    victim = dial(4)
+    net.sim.run(until=1.0)
+    bystander = dial(6)
+    net.sim.run(until=2.0)
+
+    assert rewriter.rewritten == 1
+    assert not victim.handshake_complete
+    assert bystander.handshake_complete
+    assert [s.handshake_complete for s in accepted].count(True) == 1

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.tls import alerts
 from repro.tls.alerts import TlsAlertError
 from repro.tls.certificates import CertificateAuthority, TrustStore
 from repro.tls.messages import EXT_TCPLS
 from repro.tls.session import SessionTicketStore
 
+from tests.crypto.test_x25519 import LOW_ORDER_U
 from tests.tls.tls_pipe import make_pair
 
 
@@ -155,3 +157,35 @@ def test_handshake_transcript_divergence_detected(pair):
     except Exception:
         pass
     assert not pair.server.is_established or not pair.client.is_established
+
+
+# ----------------------------------------------------------------------
+# Low-order key shares (RFC 8446 section 7.4.2, RFC 7748 section 6.1):
+# the all-zero (EC)DHE output is the peer's protocol violation, and has
+# to leave ``receive`` as one, not as a bare ValueError.
+# ----------------------------------------------------------------------
+
+def _swap_share(buffer: bytearray, share: bytes, u: int) -> None:
+    assert buffer.count(share) == 1
+    buffer[:] = bytes(buffer).replace(share, u.to_bytes(32, "little"))
+
+
+@pytest.mark.parametrize("u", LOW_ORDER_U)
+def test_low_order_client_key_share_is_illegal_parameter(pair, u):
+    pair.client.start_handshake()
+    _swap_share(pair.to_server, pair.client._ecdh.public_bytes, u)
+    with pytest.raises(TlsAlertError) as caught:
+        pair.server.receive(bytes(pair.to_server))
+    assert caught.value.description == alerts.ILLEGAL_PARAMETER
+    assert not pair.server.is_established
+
+
+@pytest.mark.parametrize("u", LOW_ORDER_U)
+def test_low_order_server_key_share_is_illegal_parameter(pair, u):
+    pair.client.start_handshake()
+    pair.server.receive(bytes(pair.to_server))
+    _swap_share(pair.to_client, pair.server._ecdh.public_bytes, u)
+    with pytest.raises(TlsAlertError) as caught:
+        pair.client.receive(bytes(pair.to_client))
+    assert caught.value.description == alerts.ILLEGAL_PARAMETER
+    assert not pair.client.is_established
