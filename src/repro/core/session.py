@@ -1096,7 +1096,9 @@ class TcplsSession:
             )
             self.replay.store(seq, TType.STREAM_DATA, stream.stream_id, body)
             self.sizer.account(len(data), conn)
-            self._send_frame(conn, TType.STREAM_DATA, body, seq)
+            self._send_frame(
+                conn, TType.STREAM_DATA, body, seq, stream_id=stream.stream_id
+            )
         if fin:
             close_seq = self.replay.next_seq()
             close_body = framing.encode_stream_close(
@@ -1148,13 +1150,17 @@ class TcplsSession:
         self, conn: TcplsConnection, ttype: int, body: bytes, seq: int,
         stream_id: Optional[int] = None,
     ) -> None:
-        """Encrypt one frame under the right context and hand it to TCP."""
-        context_stream = (
-            stream_id
-            if stream_id is not None
-            else (framing.decode_stream_data(body)[0] if ttype == TType.STREAM_DATA else CONTROL_STREAM_ID)
-        )
-        cipher = self.contexts.send_context(context_stream, conn.conn_id)
+        """Encrypt one frame under the right context and hand it to TCP.
+
+        ``stream_id`` names the context: required for ``STREAM_DATA``
+        (the caller built the body and knows it), the control stream's
+        for everything else.
+        """
+        if stream_id is None:
+            if ttype == TType.STREAM_DATA:
+                raise ValueError("STREAM_DATA frame sent without its stream id")
+            stream_id = CONTROL_STREAM_ID
+        cipher = self.contexts.send_context(stream_id, conn.conn_id)
         if cipher is None:
             cipher = self.contexts.send_context(CONTROL_STREAM_ID, conn.conn_id)
             if cipher is None:
@@ -2012,10 +2018,9 @@ class TcplsSession:
         for seq, ttype, stream_id, body in list(self.replay.unacked_frames()):
             self.stats["frames_replayed"] += 1
             self._obs_frames_replayed.inc()
+            # Only STREAM_DATA is sealed under its stream's context.
             context_stream = (
-                framing.decode_stream_data(body)[0]
-                if ttype == TType.STREAM_DATA
-                else CONTROL_STREAM_ID
+                stream_id if ttype == TType.STREAM_DATA else CONTROL_STREAM_ID
             )
             self._send_frame(conn, ttype, body, seq, stream_id=context_stream)
 

@@ -18,6 +18,25 @@ machinery the TCPLS experiments depend on:
 
 The application-facing surface is callback-based: ``send``/``close`` plus
 ``on_data``, ``on_established``, ``on_close``, ``on_reset``, ``on_error``.
+
+Header prediction.  ``on_segment`` is written for loss recovery; a
+loss-free transfer consists of two kinds of segment only, and
+``_predicted`` handles those in a straight line in front of it — same
+mutations, same timer calls, same callbacks in the same order (no
+switch; ``tests/tcp/test_header_prediction.py`` runs every scripted
+world with it forced off and demands identical wire bytes, events and
+state).  Predicted, in state ESTABLISHED, flags ``ACK`` or ``ACK|PSH``,
+Timestamps the sole option:
+
+- a pure ACK with ``snd_una < ack <= snd_nxt`` while no fast-recovery or
+  RTO episode is open and nothing re-sent is outstanding;
+- in-order data (``seq == rcv_nxt``) that acknowledges nothing new
+  (``ack == snd_una``), with an empty reassembly queue and no peer FIN
+  waiting behind a hole.
+
+Everything else takes the general path: duplicate and out-of-range
+ACKs, SACK, recovery, data that also acknowledges, out-of-order data,
+SYN/FIN/RST, every other state, and TFO.
 """
 
 from __future__ import annotations
@@ -162,6 +181,10 @@ class TcpConnection:
         self._highest_sacked: Optional[int] = None
         self.user_timeout: Optional[float] = None
         self._first_unacked_time: Optional[float] = None
+        # snd_nxt when a segment was last re-sent (its scoreboard entry's
+        # send time rewritten), until snd_una passes it; None means the
+        # scoreboard's send times are in insertion order.
+        self._resent_below: Optional[int] = None
 
         # TCP Fast Open.
         self._tfo_data: bytes = b""
@@ -404,9 +427,18 @@ class TcpConnection:
 
     def on_segment(self, segment: TcpSegment) -> None:
         self.stats["segments_received"] += 1
-        timestamps = find_option(segment.options, Timestamps)
+        options = segment.options
+        sole = len(options) == 1 and options[0].__class__ is Timestamps
+        timestamps = options[0] if sole else find_option(options, Timestamps)
         if timestamps is not None:
             self._ts_recent = timestamps.value
+            if (
+                sole
+                and self.state == ESTABLISHED
+                and segment.flags & ~Flags.PSH == Flags.ACK
+                and self._predicted(segment, timestamps)
+            ):
+                return
 
         if self.state == SYN_SENT:
             self._handle_syn_sent(segment)
@@ -437,6 +469,85 @@ class TcpConnection:
 
         if segment.payload or segment.is_fin:
             self._handle_data(segment)
+
+    def _predicted(self, segment: TcpSegment, timestamps: Timestamps) -> bool:
+        """Header prediction: the two segments a loss-free transfer is
+        made of, handled in a straight line.  ``on_segment`` has
+        established: state ESTABLISHED (so no FIN of ours is out), flags
+        ACK or ACK|PSH, Timestamps the sole option.  Every further
+        precondition is tested before anything is mutated; False leaves
+        the segment, untouched, to the general path below — the
+        specification this must match event for event.
+        """
+        ack = segment.ack
+        payload = segment.payload
+        advance = (ack - self.snd_una) & 0xFFFFFFFF
+        if not payload:
+            # (a) Pure ACK advancing snd_una within snd_nxt, outside any
+            # recovery episode: _handle_ack + _handle_new_ack.
+            if (
+                not 0 < advance <= (self.snd_nxt - self.snd_una) & 0xFFFFFFFF
+                or self._recovery_point is not None
+                or self._rto_point is not None
+                or self._resent_below is not None
+            ):
+                return False
+            now = self.sim.now
+            if timestamps.echo_reply:
+                sample = now - (timestamps.echo_reply / 1000.0)
+                if 0 <= sample < 60:
+                    self.rto.on_measurement(sample)
+                    self.cc.observe_rtt(sample)
+            self.snd_wnd = segment.window << self.snd_ws_shift
+            acked_bytes = 0
+            rtt_sample: Optional[float] = None
+            first_unacked_time: Optional[float] = None
+            inflight = self._inflight
+            acked_seqs: List[int] = []
+            for seq, entry in inflight.items():
+                length = entry.length()
+                end = (seq + length) & 0xFFFFFFFF
+                if 0 < (end - ack) & 0xFFFFFFFF < 1 << 31:
+                    first_unacked_time = entry.send_time
+                    break
+                acked_bytes += length
+                if not entry.retransmitted and not entry.sacked and end == ack:
+                    rtt_sample = now - entry.send_time
+                acked_seqs.append(seq)
+            for seq in acked_seqs:
+                del inflight[seq]
+            self._inflight_bytes -= acked_bytes
+            self.snd_una = ack
+            self._dup_acks = 0  # _retries is nonzero only inside an RTO episode
+            self._first_unacked_time = first_unacked_time
+            if rtt_sample is not None:
+                self.rto.on_measurement(rtt_sample)
+            self.delivered_bytes += acked_bytes
+            if acked_bytes:
+                srtt = self.rto.srtt
+                self.cc.on_ack(acked_bytes, srtt if srtt is not None else 0.0, now)
+            self._arm_rto()
+            if acked_bytes and self.on_send_progress:
+                self.on_send_progress()
+            self._try_send()
+            return True
+        # (b) In-order data that acknowledges nothing new, nothing
+        # buffered out of order, no peer FIN waiting for it:
+        # _handle_ack's window update + _handle_data.
+        if (
+            advance
+            or segment.seq != self.rcv_nxt
+            or self._reassembly
+            or self._peer_fin_seq is not None
+        ):
+            return False
+        self.snd_wnd = segment.window << self.snd_ws_shift
+        self._try_send()
+        self.stats["bytes_received"] += len(payload)
+        self.rcv_nxt = (self.rcv_nxt + len(payload)) & 0xFFFFFFFF
+        self._deliver(bytes(payload))
+        self._ack_data(False)
+        return True
 
     # -- SYN_SENT ---------------------------------------------------------
 
@@ -559,9 +670,11 @@ class TcpConnection:
         # increase, so an ACK always covers a prefix: scan until the
         # first entry past it instead of sorting per ACK.
         acked_seqs: List[int] = []
+        first_unacked: Optional[_Inflight] = None
         for seq, entry in self._inflight.items():
             end = seqnum.seq_add(seq, entry.length())
             if not seqnum.seq_le(end, ack):
+                first_unacked = entry
                 break
             acked_bytes += entry.length()
             # Karn sample only from the segment whose arrival produced
@@ -576,12 +689,18 @@ class TcpConnection:
         self.snd_una = ack
         self._retries = 0
         self._dup_acks = 0
-        # min() via a C-level attrgetter key: identical value to the
-        # generator form, no per-entry generator frame on the ACK path.
+        # Insertion order is send order until something is re-sent, so
+        # the oldest send time outstanding is the first entry's; only
+        # while a re-sent segment may still be outstanding does it take
+        # a scan (min() via a C-level attrgetter key).
+        if self._resent_below is not None and seqnum.seq_ge(
+            ack, self._resent_below
+        ):
+            self._resent_below = None
+        if first_unacked is not None and self._resent_below is not None:
+            first_unacked = min(self._inflight.values(), key=_send_time_of)
         self._first_unacked_time = (
-            None
-            if not self._inflight
-            else min(self._inflight.values(), key=_send_time_of).send_time
+            None if first_unacked is None else first_unacked.send_time
         )
         if rtt_sample is not None:
             self.rto.on_measurement(rtt_sample)
@@ -679,9 +798,7 @@ class TcpConnection:
             if not eligible:
                 continue  # no loss evidence for this segment yet
             budget_bytes -= entry.length()
-            entry.retransmitted = True
-            entry.send_time = self.sim.now
-            self.stats["retransmissions"] += 1
+            self._note_retransmission(entry)
             flags = Flags.ACK | (Flags.FIN if entry.fin else Flags.PSH)
             self._transmit(
                 self._make_segment(flags=flags, seq=entry.seq, payload=entry.data)
@@ -717,7 +834,10 @@ class TcpConnection:
                 self._drain_reassembly()
 
         self._process_peer_fin()
-        if not self.delayed_ack or segment.is_fin or self._reassembly:
+        self._ack_data(segment.is_fin)
+
+    def _ack_data(self, fin: bool) -> None:
+        if not self.delayed_ack or fin or self._reassembly:
             # Immediate ACK (also for out-of-order data: fast retransmit
             # at the sender depends on prompt duplicate ACKs).
             self._send_ack_now()
@@ -1073,14 +1193,20 @@ class TcpConnection:
                 pipe += entry.length()
         return pipe
 
+    def _note_retransmission(self, entry: _Inflight) -> None:
+        entry.retransmitted = True
+        entry.send_time = self.sim.now
+        # The scoreboard's send times are out of insertion order until
+        # snd_una passes everything that was outstanding just now.
+        self._resent_below = self.snd_nxt
+        self.stats["retransmissions"] += 1
+
     def _retransmit_earliest(self) -> None:
         # First unsacked entry in insertion (== sequence) order.
         entry = next((e for e in self._inflight.values() if not e.sacked), None)
         if entry is None:
             return
-        entry.retransmitted = True
-        entry.send_time = self.sim.now
-        self.stats["retransmissions"] += 1
+        self._note_retransmission(entry)
         if entry.syn:
             if self.state == SYN_SENT:
                 if self._syn_had_tfo and self._retries >= 2:

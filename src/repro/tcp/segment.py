@@ -19,6 +19,10 @@ Serialization is built for the per-packet hot path:
   :meth:`TcpSegment.from_bytes` seeds it with the original raw bytes
   (only when their checksum verifies), so parse → forward round-trips
   are byte-identical *and* free.
+- The one header shape an established connection emits outside SACK
+  (Timestamps as the sole option) is a template: one ``struct`` pack on
+  the way out, one unpack of the option block on the way in, the generic
+  option codec for every other shape.
 - :class:`TcpHeaderPeek` reads the fixed header fields straight out of a
   raw buffer so middleboxes can decide pass/rewrite without a full
   parse; :func:`patch_checksum` refreshes a raw segment they edited in
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.netsim.packet import IPAddress, PROTO_TCP
-from repro.tcp.options import TcpOption, decode_options, encode_options
+from repro.tcp.options import TcpOption, Timestamps, decode_options, encode_options
 from repro.utils.errors import (
     InvalidValue,
     ProtocolViolation,
@@ -107,13 +111,14 @@ def internet_checksum_parts(*parts) -> int:
     true for the TCP pseudo-header, which is 12 bytes for IPv4 and 40
     for IPv6.
     """
-    total = 0
-    for part in parts:
-        value = int.from_bytes(part, "big")
-        if len(part) % 2:
-            value <<= 8
-        total += value
-    return _fold(total)
+    return _fold(sum(map(_word_sum, parts)))
+
+
+def _word_sum(data) -> int:
+    """An int congruent (mod 0xFFFF) to ``data``'s 16-bit word sum: its
+    big-endian value, shifted when an odd length leaves half a word."""
+    value = int.from_bytes(data, "big")
+    return value << 8 if len(data) % 2 else value
 
 
 #: (address class, src int, dst int) -> packed src||dst prefix.  The
@@ -136,6 +141,13 @@ def _pseudo_header(src: IPAddress, dst: IPAddress, tcp_length: int) -> bytes:
     if src.version == 4:
         return prefix + struct.pack("!BBH", 0, PROTO_TCP, tcp_length)
     return prefix + struct.pack("!IBBBB", tcp_length, 0, 0, 0, PROTO_TCP)
+
+
+def _pseudo_sum(src: IPAddress, dst: IPAddress, tcp_length: int) -> int:
+    """What the pseudo-header adds to the checksum, without building it:
+    ``2^16 ≡ 1 (mod 0xFFFF)``, so an address's integer value is congruent
+    to the sum of its 16-bit words, and so is IPv6's 32-bit length."""
+    return src._ip + dst._ip + PROTO_TCP + tcp_length
 
 
 def patch_checksum(buffer: bytearray, src: IPAddress, dst: IPAddress) -> None:
@@ -229,6 +241,17 @@ _WIRE_FIELDS = frozenset(
 )
 
 
+#: The template: the one header shape an established connection emits
+#: outside SACK — data offset 8 words, option bytes ``08 0a <TSval>
+#: <TSecr> 00 00``.  ``_serialize`` packs it in one go and ``from_bytes``
+#: unpacks its option block in one go; every other shape takes the
+#: generic option codec, which stays the specification.
+_TS_SEGMENT = struct.Struct("!HHIIBBHHHHIIH")
+_TS_OPTIONS = struct.Struct("!HIIH")
+_TS_DATA_OFFSET = 8 << 4
+_TS_KIND_LENGTH = 0x080A
+
+
 @dataclass
 class TcpSegment:
     """One TCP segment (header fields + payload)."""
@@ -293,7 +316,28 @@ class TcpSegment:
 
     def _serialize(self, src: IPAddress, dst: IPAddress) -> bytes:
         """Single-buffer serialization with the checksum patched in place."""
-        options_block = encode_options(self.options)
+        options = self.options
+        if len(options) == 1 and options[0].__class__ is Timestamps:
+            # The template.  The header's 16- and 32-bit fields add into
+            # the checksum as they are (2^32 ≡ 1 too): one pack, no
+            # zero-checksum image to sum first.
+            payload = self.payload
+            seq, ack = self.seq & 0xFFFFFFFF, self.ack & 0xFFFFFFFF
+            window = self.window & 0xFFFF
+            value = options[0].value & 0xFFFFFFFF
+            echo_reply = options[0].echo_reply & 0xFFFFFFFF
+            checksum = _fold(
+                _pseudo_sum(src, dst, 32 + len(payload))
+                + self.src_port + self.dst_port + seq + ack
+                + (_TS_DATA_OFFSET << 8 | self.flags) + window + self.urgent
+                + _TS_KIND_LENGTH + value + echo_reply + _word_sum(payload)
+            )
+            return _TS_SEGMENT.pack(
+                self.src_port, self.dst_port, seq, ack, _TS_DATA_OFFSET,
+                self.flags, window, checksum, self.urgent,
+                _TS_KIND_LENGTH, value, echo_reply, 0,
+            ) + payload
+        options_block = encode_options(options)
         header_length = 20 + len(options_block)
         buffer = bytearray(header_length + len(self.payload))
         struct.pack_into(
@@ -345,15 +389,22 @@ class TcpSegment:
                 raise InvalidValue(f"bad TCP data offset {data_offset}")
             checksum_ok = False
             if src is not None and dst is not None:
+                # Verifies iff the sum folds to 0xFFFF; the pseudo-header
+                # keeps it from being all zero.
                 checksum_ok = (
-                    internet_checksum_parts(
-                        _pseudo_header(src, dst, len(data)), data
-                    )
-                    == 0
-                )
+                    _pseudo_sum(src, dst, len(data)) + _word_sum(data)
+                ) % 0xFFFF == 0
                 if verify_checksum and not checksum_ok:
                     raise ProtocolViolation("TCP checksum verification failed")
-            options = decode_options(data[20:data_offset])
+            options = None
+            if offset_flags_hi == _TS_DATA_OFFSET:  # so data_offset == 32
+                kind_length, value, echo_reply, padding = _TS_OPTIONS.unpack_from(
+                    data, 20
+                )
+                if kind_length == _TS_KIND_LENGTH and not padding:
+                    options = [Timestamps(value=value, echo_reply=echo_reply)]
+            if options is None:
+                options = decode_options(data[20:data_offset])
             # Receive-path construction bypasses the dataclass __init__
             # (nine __setattr__ calls per segment) and fills the instance
             # dict in one go, with exactly the field values the

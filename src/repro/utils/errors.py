@@ -13,7 +13,6 @@ unchanged — while fuzzing harnesses can assert the tighter contract.
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
 
 
 class ReproError(Exception):
@@ -107,18 +106,31 @@ _STRAY_DECODE_EXCEPTIONS = (
 )
 
 
-@contextmanager
-def decode_guard(what: str):
+class decode_guard:
     """Fail-closed boundary for a parser body.
 
     Typed decode errors pass through untouched; any stray low-level
     exception from slicing/unpacking/str-decoding is converted into an
     :class:`InvalidValue` naming the parser, so callers can rely on the
     ``DecodeError``-only contract.
+
+    A slotted class, not a ``@contextmanager`` generator: parsers enter
+    one per call (three per received TCP segment).
     """
-    try:
-        yield
-    except DecodeError:
-        raise
-    except _STRAY_DECODE_EXCEPTIONS as exc:
-        raise InvalidValue(f"{what}: {exc}") from exc
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str) -> None:
+        self.what = what
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        if (
+            exc_type is not None
+            and issubclass(exc_type, _STRAY_DECODE_EXCEPTIONS)
+            and not issubclass(exc_type, DecodeError)
+        ):
+            raise InvalidValue(f"{self.what}: {exc}") from exc
+        return False

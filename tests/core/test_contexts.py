@@ -157,3 +157,131 @@ def test_context_affinity_never_changes_the_stream_a_record_opens_to():
     # The first of the run finds stream 5 last of four; the rest hit it first.
     assert server.trial_decryptions - before == 4 + 3
     assert server.forgery_suspects == 0
+
+
+def test_trial_order_across_stream_churn_on_two_connections(monkeypatch):
+    """The order in which contexts are tried is observable (it is what
+    ``trial_decryptions`` and ``core.trial_open_ratio`` count): the
+    context that opened the connection's previous record first, then the
+    rest in stream-id order.  Held, record by record, to a model kept
+    here while streams come and go on two connections."""
+    from repro.tls.record import RecordDecoder
+
+    client, server = _exporter_pair()
+    tried = []
+    real_decrypt_with = RecordDecoder.decrypt_with
+
+    def recording_decrypt_with(state, ciphertext):
+        tried.append(names[id(state)])
+        return real_decrypt_with(state, ciphertext)
+
+    monkeypatch.setattr(
+        RecordDecoder, "decrypt_with", staticmethod(recording_decrypt_with)
+    )
+    names = {}          # id(recv CipherState) -> (stream, conn)
+    installed = set()   # the model: (stream, conn) pairs with a context
+    affinity = {}       # the model: conn -> stream that opened its last record
+    expected_trials = expected_forgeries = 0
+
+    donors = _exporter_pair()  # derive states to hand to install_external
+
+    def install(stream_id, conn_id, external=False):
+        for manager, donor in zip((client, server), donors):
+            if external:
+                donor.install(stream_id, conn_id, b"tok%d" % conn_id)
+                manager.install_external(
+                    stream_id, conn_id,
+                    donor.send_context(stream_id, conn_id),
+                    donor.recv_context(stream_id, conn_id),
+                )
+            else:
+                manager.install(stream_id, conn_id, b"tok%d" % conn_id)
+        names[id(server.recv_context(stream_id, conn_id))] = (stream_id, conn_id)
+        installed.add((stream_id, conn_id))
+
+    def remove_stream(stream_id):
+        client.remove_stream(stream_id)
+        server.remove_stream(stream_id)
+        installed.difference_update({k for k in installed if k[0] == stream_id})
+        for conn_id in [c for c, s in affinity.items() if s == stream_id]:
+            del affinity[conn_id]
+
+    def remove_connection(conn_id):
+        client.remove_connection(conn_id)
+        server.remove_connection(conn_id)
+        installed.difference_update({k for k in installed if k[1] == conn_id})
+        affinity.pop(conn_id, None)
+
+    def model_order(conn_id):
+        streams = sorted(s for s, c in installed if c == conn_id)
+        last = affinity.get(conn_id)
+        if last in streams:
+            streams.remove(last)
+            streams.insert(0, last)
+        return [(s, conn_id) for s in streams]
+
+    def record(stream_id, conn_id, forged=False):
+        nonlocal expected_trials, expected_forgeries
+        sealed = _seal(client, stream_id, conn_id, 0x30, b"r%d" % stream_id)
+        order = model_order(conn_id)
+        if forged:
+            # The sender's sequence number moved on, the receiver's did
+            # not: open the genuine record too so the pair stays in step.
+            damaged = bytes([sealed[0] ^ 1]) + sealed[1:]
+            del tried[:]
+            assert server.open_record(conn_id, damaged) is None
+            assert tried == order
+            expected_trials += len(order)
+            expected_forgeries += 1
+        del tried[:]
+        assert server.open_record(conn_id, sealed)[0] == stream_id
+        assert tried == order[: order.index((stream_id, conn_id)) + 1]
+        expected_trials += len(tried)
+        affinity[conn_id] = stream_id
+        assert server.trial_decryptions == expected_trials
+        assert server.forgery_suspects == expected_forgeries
+
+    # Every structural change below lands while the connection's
+    # affinity is settled (two records in a row from one stream), i.e.
+    # while an implementation that remembers the order has it remembered.
+    install(CONTROL_STREAM_ID, 0)
+    install(5, 0)
+    install(1, 0)
+    record(5, 0)                      # no affinity yet: 0, 1, 5
+    record(5, 0)                      # 5 first
+    record(CONTROL_STREAM_ID, 0)      # 5, then 0
+    install(CONTROL_STREAM_ID, 1)     # a second connection joins
+    install(1, 1)
+    install(5, 1)
+    record(1, 1)                      # its own order, untouched by conn 0's
+    record(1, 1)
+    record(1, 0)                      # conn 0 still prefers 0: 0, 1
+    record(1, 0)
+    install(3, 0)                     # a stream added mid-affinity
+    install(3, 1)
+    record(5, 0)                      # 1, 0, 3, 5: the newcomer has its slot
+    record(3, 1)                      # 1, 0, 3
+    record(3, 1, forged=True)         # every context tried, none opens
+    record(3, 0)
+    record(3, 0)
+    remove_stream(3)                  # both affinity streams go away
+    record(5, 0)                      # back to plain stream-id order
+    record(1, 1)
+    record(1, 1)
+    remove_stream(1)
+    record(5, 1)
+    install(1, 0)                     # re-added: fresh context, same slot
+    install(1, 1)
+    record(1, 0)
+    record(CONTROL_STREAM_ID, 1, forged=True)
+    record(5, 0)
+    record(5, 0)
+    remove_connection(0)
+    record(5, 1)
+    record(5, 1)
+    install(7, 1, external=True)      # adopted, not derived: same rules
+    record(7, 1)                      # 5, 0, 1, 7
+    record(1, 1)
+    assert server.open_record(0, _seal(client, 5, 1, 0x30, b"x")) is None
+    assert server.trial_decryptions == expected_trials  # conn 0 has no contexts
+    assert server.forgery_suspects == expected_forgeries + 1

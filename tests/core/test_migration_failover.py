@@ -1,7 +1,10 @@
 """Connection migration (section 3.2) and failover (section 2.1)."""
 
+import sys
+
 import pytest
 
+from repro.core import framing
 from repro.core.events import Event
 from repro.core.migration import migrate, retire_connection
 from repro.netsim.middlebox import RstInjector
@@ -169,3 +172,49 @@ def test_dedup_after_replay(dual_world):
     assert bytes(received[stream]) == payload
     assert world.client.stats["frames_replayed"] > 0
     assert world.server_session.tracker.duplicates > 0
+
+
+def test_send_and_replay_paths_never_reparse_the_frame_they_built(monkeypatch):
+    """``_send_frame`` is told the stream id by its callers (the sender
+    built the body; the replay buffer stored the id next to it), so the
+    STREAM_DATA decoder runs on the receive path only — through a
+    two-record transfer with one forced failover and its replay."""
+    world = _dual_world(ack_every=100000, ack_flush_delay=30.0)  # nothing ACKed: all replayed
+    _establish_v4(world)
+    v6_conn = world.client.connect(world.topo.server_v6, src=world.topo.client_v6)
+    world.client.handshake(conn_id=v6_conn)
+    world.run(until=2.0)
+
+    decoded, reparsed = [], []
+    original = framing.decode_stream_data
+
+    def watched(body):
+        callers = set()
+        frame = sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        decoded.append(len(body))
+        if callers & {"_send_frame", "_replay_unacked", "_send_stream_chunk"}:
+            reparsed.append(sorted(callers))
+        return original(body)
+
+    monkeypatch.setattr(framing, "decode_stream_data", watched)
+    injector = RstInjector(trigger_bytes=20_000)
+    world.topo.v4_links[0].add_transformer(
+        world.topo.client.interfaces["eth0"], injector
+    )
+    received, _ = collect_stream_data(world.server_session)
+    stream = world.client.stream_new()  # pinned to the v4 primary
+    world.client.streams_attach()
+    payload = bytes(i % 251 for i in range(26_000))
+    sent_before = world.client.stats["records_sent"]
+    world.client.send(stream, payload)
+    world.run(until=10.0)
+
+    assert injector.fired and world.client.events.events_named(Event.FAILOVER)
+    assert world.client.stats["frames_replayed"] >= 2
+    assert world.client.stats["records_sent"] - sent_before >= 4  # 2 sent + replay
+    assert bytes(received[stream]) == payload
+    assert len([size for size in decoded if size > 1_000]) >= 2  # the receiver's
+    assert reparsed == []
