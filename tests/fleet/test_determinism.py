@@ -13,12 +13,24 @@ import os
 import pytest
 
 from repro import fastpath
-from repro.fleet import make_cells, partition_cells, run_fleet
+from repro.fleet import make_cells, partition_cells, run_cell, run_fleet
 from repro.netsim.pcap import pcap_file_digest, read_pcap
 
 SHARD_COUNTS = (1, 2, 4)
 
 _BULK = {"payload_bytes": 6000, "until": 3.0}
+_OVERLOAD = {
+    "capacity_rate": 8.0,
+    "offered_multiplier": 2.0,
+    "duration": 1.0,
+    "stampede_at": 0.3,
+    "stampede_count": 4,
+    "slow_at": 0.2,
+    "slow_duration": 0.4,
+    "mem_at": 0.5,
+    "mem_duration": 0.4,
+    "mem_factor": 0.1,
+}
 
 
 def _digests(cells, workers):
@@ -73,22 +85,45 @@ def test_merged_digests_invariant_for_overload_cells():
     """Overload cells (open-loop storm + workload faults through the
     shedder's whole state machine) must merge digest-identically at
     1, 2, and 4 shards like every other cell kind."""
-    params = {
-        "capacity_rate": 8.0,
-        "offered_multiplier": 2.0,
-        "duration": 1.0,
-        "stampede_at": 0.3,
-        "stampede_count": 4,
-        "slow_at": 0.2,
-        "slow_duration": 0.4,
-        "mem_at": 0.5,
-        "mem_duration": 0.4,
-        "mem_factor": 0.1,
-    }
-    cells = make_cells(4, base_seed=17, kind="overload", params=params)
+    cells = make_cells(4, base_seed=17, kind="overload", params=_OVERLOAD)
     reference = _digests(cells, workers=1)
     for workers in SHARD_COUNTS[1:]:
         assert _digests(cells, workers) == reference
+
+
+#: kind -> (params, (event_digest, pcap_digest, events, packets)) of one
+#: ``run_cell`` at base seed 23, frozen at commit c59becb: within-commit
+#: shard invariance cannot see a refactor that moves every cell alike.
+FROZEN_CELLS = {
+    "bulk": (
+        dict(_BULK, flap_at=1.002, flap_duration=0.05),
+        ("7720b3eed9000ceb3b47ccba345e33b23f8a3e3fb3a993ea614eca4db3c4492c",
+         "0106949b01c7995d0fc9cf95d8d15ba81ec3b2e8666b3b0206fe146968c5c011",
+         81, 75),
+    ),
+    "churn": (
+        {"sessions": 8, "client_hosts": 2, "flap_at": 0.2},
+        ("8e582c4fd87303c57e542540a09012702a8fb870b7094b13ce4a97153f76656b",
+         "6ba48dfefa994555c775467dbe0c4a05faa79c4ac2721a56eb496cb304ee6d77",
+         414, 347),
+    ),
+    "overload": (
+        _OVERLOAD,
+        ("6ef8499a4e8e901962f6b12ba0409798bbb99f17e48959e51957246d62076d9f",
+         "4939dd657d6566c8ff38b3f7f385a37b976b5df2ca99348a9afc0d4429aecaf7",
+         1417, 1262),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_CELLS))
+def test_cell_digests_are_frozen_across_commits(kind):
+    params, frozen = FROZEN_CELLS[kind]
+    (spec,) = make_cells(1, base_seed=23, kind=kind, params=params)
+    cell = run_cell(spec)
+    assert (
+        cell.event_digest, cell.pcap_digest, cell.events, cell.packets
+    ) == frozen
 
 
 def test_fleet_digest_independent_of_vectorq_pcap_side():
@@ -157,7 +192,7 @@ def test_fleet_profiling_produces_merged_top_functions():
 
 
 def test_unknown_cell_kind_is_rejected():
-    from repro.fleet import CellSpec, run_cell
+    from repro.fleet import CellSpec
 
     with pytest.raises(ValueError, match="unknown cell kind"):
         run_cell(CellSpec(index=0, kind="nope"))

@@ -5,6 +5,8 @@ these are the quick structural checks CI's overload-smoke job runs on
 every push.
 """
 
+import hashlib
+
 from repro.analysis import reset_process_globals
 from repro.faults.plan import FaultPlan
 from repro.overload import OverloadConfig, run_overload
@@ -72,6 +74,13 @@ def test_seed_changes_the_run():
     assert _digest(first) != _digest(other)
 
 
+#: sha256 of ``repr(_digest(result))`` for the faulted run below, frozen
+#: at commit c59becb (before the worlds shared one farm).
+FROZEN_FAULTED = (
+    "fafb80db971d1998c14e1d0e8a1c957b00c3312107ba031ab44bacb5b81045b0"
+)
+
+
 def test_workload_faults_drive_the_state_machine():
     plan = (
         FaultPlan(name="overload-mix")
@@ -84,6 +93,8 @@ def test_workload_faults_drive_the_state_machine():
     )
     reset_process_globals()
     result = run_overload(config, fault_plan=plan)
+    frozen = hashlib.sha256(repr(_digest(result)).encode()).hexdigest()
+    assert frozen == FROZEN_FAULTED
     # Conservation still holds with every workload fault active.
     assert result.completed + result.failed + result.rejected == result.offered
     # Memory pressure on slow readers forced real shedding...

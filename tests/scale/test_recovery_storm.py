@@ -8,7 +8,11 @@ objective, exactly-once delivery must hold across the restart boundary
 a double run must be digest-identical under the determinism sanitizer.
 """
 
-from repro.analysis.sanitizers import DeterminismProbe, check_determinism
+from repro.analysis.sanitizers import (
+    DeterminismProbe,
+    check_determinism,
+    reset_process_globals,
+)
 from repro.scale.recovery import RecoveryConfig, run_recovery
 
 #: The acceptance-criteria storm size.
@@ -70,10 +74,32 @@ def test_small_storm_without_rotation_resumes_tickets():
     assert result.endpoint["rotations"] == 0
 
 
+#: (pcap_hash, packets, clock, events) of the 12-session rotated storm
+#: with every link tapped, frozen at commit c59becb (three private farm
+#: constructors) so the shared-farm refactor cannot move the wire.
+FROZEN_STORM = (
+    "2ceb5e1477d801a3aa02d316e7cf91ad2f6e5fc88742e3d12c108caede22ecb1",
+    1132, 9.596015119999997, 1331,
+)
+
+
 def test_storm_detection_is_rst_fast_not_timeout():
     config = _config(sessions=12)
-    result = run_recovery(config)
+    reset_process_globals()
+    probe = DeterminismProbe()
+
+    def on_world(world):
+        probe.watch(world.sim)
+        for link in world.links:
+            probe.tap(link, link.endpoint(0))
+            probe.tap(link, link.endpoint(1))
+
+    result = run_recovery(config, on_world=on_world)
     assert result.invariants.ok
+    digest = probe.digest()
+    assert (
+        digest.pcap_hash, digest.packets, digest.clock, digest.events
+    ) == FROZEN_STORM
     # Worst observed recovery stays well under the request timeout: the
     # clients learned of the crash from RSTs, not from expiring waits.
     assert max(result.ttr) < config.request_timeout / 2
