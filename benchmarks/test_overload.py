@@ -22,7 +22,7 @@ Reported (and exported to ``BENCH_overload.json``):
 - **latency p50/p99** — arrival-to-last-response-byte, simulated;
 - **events/sec** — simulator events per wall second over the sweep.
 
-Set ``REPRO_OVERLOAD_QUICK=1`` (the CI overload-smoke job does) to
+Set ``REPRO_OVERLOAD_QUICK=1`` (the CI farm-smoke job does) to
 shrink the run.
 """
 

@@ -21,7 +21,7 @@ Reported (and exported to ``BENCH_recovery.json``):
   instant to its recovered response (simulated);
 - **0-RTT acceptance** — before the crash vs after the key rotation.
 
-Set ``REPRO_RECOVERY_QUICK=1`` (the CI recovery-smoke job does) to
+Set ``REPRO_RECOVERY_QUICK=1`` (the CI farm-smoke job does) to
 shrink the storm to ~200 sessions.
 """
 

@@ -22,7 +22,7 @@ Teardown asserts the engine's live-event count is exactly zero: under
 ~10^5 scheduled/cancelled timers, any cancel-accounting drift (the PR's
 bugfix target) shows up here.
 
-Set ``REPRO_SCALE_QUICK=1`` (the CI scale-smoke job does) to shrink the
+Set ``REPRO_SCALE_QUICK=1`` (the CI farm-smoke job does) to shrink the
 run to ~200 sessions.
 """
 

@@ -76,10 +76,6 @@ class FunctionInfo:
             return params[1:]
         return params
 
-    def required_positional_count(self) -> int:
-        args = self.node.args  # type: ignore[attr-defined]
-        return len(self.positional_params()) - len(args.defaults)
-
     def accepts_call(self, call: ast.Call) -> bool:
         """Loose signature compatibility for the name+arity fallback."""
         args = self.node.args  # type: ignore[attr-defined]

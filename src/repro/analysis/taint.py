@@ -160,10 +160,6 @@ class SinkHit:
     detail: str
     origin: str
 
-    @property
-    def rule_family(self) -> str:
-        return "TAINT001" if self.sink in INT_SINKS else "TAINT002"
-
 
 @dataclass
 class FnResult:
@@ -214,17 +210,6 @@ class TaintResult:
     sources: Dict[str, Source]
     sinks: List[SinkHit]
     iterations: int
-
-    def tainted_modules(self) -> Set[str]:
-        """Dotted names of modules participating in any taint flow."""
-        involved: Set[str] = set(
-            qualname.rsplit(".", 1)[0].rsplit(".", 1)[0]
-            if self.table.functions.get(qualname)
-            and self.table.functions[qualname].is_method
-            else qualname.rsplit(".", 1)[0]
-            for qualname in list(self.sources) + list(self.env.param_taint)
-        )
-        return {name for name in sorted(involved) if name in self.table.modules}
 
 
 def _contains_decode_guard(node: ast.AST) -> bool:

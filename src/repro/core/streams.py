@@ -207,6 +207,3 @@ class TcplsStream:
             data = bytes(self.read_buffer[:max_bytes])
             del self.read_buffer[:max_bytes]
         return data
-
-    def fully_closed(self) -> bool:
-        return self.fin_sent and self.remote_closed

@@ -60,6 +60,22 @@ def _fault_plan(params: dict):
     )
 
 
+def _instrument(spec: CellSpec, probe: DeterminismProbe, sim, links):
+    """Put ``sim`` and both directions of every link under the probe;
+    returns the cell's pcap writer on the same links, or None."""
+    probe.watch(sim)
+    for link in links:
+        probe.tap(link, link.endpoint(0))
+        probe.tap(link, link.endpoint(1))
+    if not spec.pcap_path:
+        return None
+    writer = PcapWriter(spec.pcap_path, sim)
+    for link in links:
+        link.add_transformer(link.endpoint(0), writer)
+        link.add_transformer(link.endpoint(1), writer)
+    return writer
+
+
 def _run_bulk(spec: CellSpec, probe: DeterminismProbe) -> int:
     from repro.core.session import TcplsContext, TcplsServer, TcplsSession
     from repro.netsim.scenarios import simple_duplex_network
@@ -75,14 +91,7 @@ def _run_bulk(spec: CellSpec, probe: DeterminismProbe) -> int:
         loss_rate=float(params.get("loss_rate", 0.0)),
         seed=spec.seed & 0xFFFFFFFF,
     )
-    probe.watch(net.sim)
-    probe.tap(link, link.endpoint(0))
-    probe.tap(link, link.endpoint(1))
-    writer = None
-    if spec.pcap_path:
-        writer = PcapWriter(spec.pcap_path, net.sim)
-        link.add_transformer(link.endpoint(0), writer)
-        link.add_transformer(link.endpoint(1), writer)
+    writer = _instrument(spec, probe, net.sim, [link])
 
     plan = _fault_plan(params)
     if plan is not None:
@@ -126,6 +135,22 @@ def _run_bulk(spec: CellSpec, probe: DeterminismProbe) -> int:
     return 1
 
 
+def _run_farm(spec: CellSpec, probe: DeterminismProbe, run, config, fault_plan):
+    """Run one farm world (``run_scale``/``run_overload``) under the probe."""
+    writers: list = []
+    result = run(
+        config,
+        fault_plan=fault_plan,
+        until=spec.params.get("until"),
+        on_world=lambda world: writers.append(
+            _instrument(spec, probe, world.sim, world.links)
+        ),
+    )
+    if writers[0] is not None:
+        writers[0].close()
+    return result
+
+
 def _run_churn(spec: CellSpec, probe: DeterminismProbe) -> int:
     from repro.scale.loadgen import ScaleConfig, run_scale
 
@@ -139,28 +164,7 @@ def _run_churn(spec: CellSpec, probe: DeterminismProbe) -> int:
         hold_time=float(params.get("hold_time", 0.2)),
         seed=spec.seed & 0x7FFFFFFF,
     )
-    writer_holder: list = []
-
-    def on_world(world) -> None:
-        probe.watch(world.sim)
-        for link in world.links:
-            probe.tap(link, link.endpoint(0))
-            probe.tap(link, link.endpoint(1))
-        if spec.pcap_path:
-            writer = PcapWriter(spec.pcap_path, world.sim)
-            writer_holder.append(writer)
-            for link in world.links:
-                link.add_transformer(link.endpoint(0), writer)
-                link.add_transformer(link.endpoint(1), writer)
-
-    result = run_scale(
-        config,
-        fault_plan=_fault_plan(params),
-        until=params.get("until"),
-        on_world=on_world,
-    )
-    for writer in writer_holder:
-        writer.close()
+    result = _run_farm(spec, probe, run_scale, config, _fault_plan(params))
     return result.requests_completed
 
 
@@ -202,28 +206,7 @@ def _run_overload(spec: CellSpec, probe: DeterminismProbe) -> int:
         client_hosts=int(params.get("client_hosts", 2)),
         seed=spec.seed & 0x7FFFFFFF,
     )
-    writer_holder: list = []
-
-    def on_world(world) -> None:
-        probe.watch(world.sim)
-        for link in world.links:
-            probe.tap(link, link.endpoint(0))
-            probe.tap(link, link.endpoint(1))
-        if spec.pcap_path:
-            writer = PcapWriter(spec.pcap_path, world.sim)
-            writer_holder.append(writer)
-            for link in world.links:
-                link.add_transformer(link.endpoint(0), writer)
-                link.add_transformer(link.endpoint(1), writer)
-
-    result = run_overload(
-        config,
-        fault_plan=_overload_plan(params),
-        until=params.get("until"),
-        on_world=on_world,
-    )
-    for writer in writer_holder:
-        writer.close()
+    result = _run_farm(spec, probe, run_overload, config, _overload_plan(params))
     return result.completed
 
 

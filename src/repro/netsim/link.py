@@ -131,14 +131,6 @@ class Link:
         """The interface attached at endpoint ``index`` (0 or 1)."""
         return self._endpoints[index]
 
-    def peer_of(self, interface):
-        a, b = self._endpoints
-        if interface is a:
-            return b
-        if interface is b:
-            return a
-        raise ValueError("interface not attached to this link")
-
     def add_transformer(self, from_interface, transformer: Transformer) -> None:
         """Install a middlebox transformer on the direction leaving ``from_interface``."""
         self._directions[self._index_of(from_interface)].transformers.append(

@@ -155,12 +155,6 @@ class Node:
             )
         return (address.__class__, address._ip) in self._owned_cache
 
-    def interface_for_address(self, address: IPAddress) -> Optional[Interface]:
-        for interface in self.interfaces.values():
-            if interface.address_for_family(address.version) == address:
-                return interface
-        return None
-
     # -- data path -------------------------------------------------------------
 
     def receive(self, datagram: Datagram, interface: Interface) -> None:

@@ -13,7 +13,7 @@ The world speaks the chaos workload protocol (`stampede`,
 ``slow_reader_start/end``, ``memory_pressure_start/end``) so the
 ``client_stampede`` / ``slow_reader`` / ``memory_pressure`` fault kinds
 can drive it, and both contexts share one small, *symmetric* stream
-window (``stream_window``) so the credit loop carries real
+window (``STREAM_WINDOW``) so the credit loop carries real
 backpressure: a slow reader parks bytes in its pull-mode read buffer,
 withholds window updates, and the server's unsent response is what
 fills the shedder's global budget.
@@ -25,23 +25,27 @@ at 1x — admission turns excess load into cheap rejects, not collapse.
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.events import Event
-from repro.core.session import TcplsContext, TcplsServer, TcplsSession
-from repro.netsim.topology import Network
+from repro.core.session import TcplsSession
 from repro.obs.hub import Observability
 from repro.overload.admission import AdmissionConfig, AdmissionController, Decision
-from repro.tcp.stack import TcpStack
-from repro.tls.certificates import CertificateAuthority, TrustStore
+from repro.scale.farm import LINK_DELAY, Farm, run_world
 from repro.utils.errors import ReproError
 
-QUICK_ENV = "REPRO_OVERLOAD_QUICK"
-_QUICK_RATE = 30.0
-_QUICK_DURATION = 1.5
+#: Extra simulated time for in-flight requests to finish.
+DRAIN_GRACE = 2.0
+#: Symmetric per-stream window (both contexts) — small on purpose,
+#: so a non-reading client stalls the server within one response.
+STREAM_WINDOW = 8192
+#: Admission maintenance sweep period (budget check + reaping).
+TICK = 0.1
+#: Rejected-with-coupon clients redial after this (plus jitter).
+RETRY_DELAY = 0.3
+#: Poll period for draining slow readers once their window ends.
+DRAIN_INTERVAL = 0.05
 
 
 @dataclass
@@ -54,31 +58,15 @@ class OverloadConfig:
     offered_multiplier: float = 1.0
     #: Seconds over which arrivals spread (the measurement window).
     duration: float = 3.0
-    #: Extra simulated time for in-flight requests to finish.
-    drain_grace: float = 2.0
     client_hosts: int = 4
-    request_bytes: int = 256
-    response_bytes: int = 16384
-    #: Symmetric per-stream window (both contexts) — small on purpose,
-    #: so a non-reading client stalls the server within one response.
-    stream_window: int = 8192
-    link_rate_bps: float = 1e9
-    link_delay: float = 0.002
-    queue_packets: int = 512
+    link_delay: float = LINK_DELAY
     seed: int = 1
-    #: Admission maintenance sweep period (budget check + reaping).
-    tick: float = 0.1
-    #: Rejected-with-coupon clients redial after this (plus jitter).
-    retry_delay: float = 0.3
-    retry_with_coupon: bool = True
-    #: Poll period for draining slow readers once their window ends.
-    drain_interval: float = 0.05
-    #: Admission policy; None derives one from ``capacity_rate``.
-    admission: Optional[AdmissionConfig] = None
+
+    request_bytes: ClassVar[int] = 256
+    response_bytes: ClassVar[int] = 16384
 
     def build_admission(self) -> AdmissionConfig:
-        if self.admission is not None:
-            return self.admission
+        """The admission policy ``capacity_rate`` implies."""
         return AdmissionConfig(
             handshake_rate=self.capacity_rate,
             handshake_burst=max(4.0, self.capacity_rate * 0.25),
@@ -88,15 +76,6 @@ class OverloadConfig:
             coupon_lifetime=2.0,
             seed=self.seed,
         )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "OverloadConfig":
-        """Full-size config, shrunk when ``REPRO_OVERLOAD_QUICK`` is set."""
-        config = cls(**overrides)
-        if os.environ.get(QUICK_ENV):
-            config.capacity_rate = min(config.capacity_rate, _QUICK_RATE)
-            config.duration = min(config.duration, _QUICK_DURATION)
-        return config
 
 
 @dataclass
@@ -126,11 +105,10 @@ class OverloadResult:
 class _Client:
     """One arrival's lifecycle."""
 
-    __slots__ = ("index", "started_at", "session", "stream_id", "received",
-                 "slow", "retried", "resolved")
+    __slots__ = ("started_at", "session", "stream_id", "received", "slow",
+                 "retried", "resolved")
 
-    def __init__(self, index: int, started_at: float) -> None:
-        self.index = index
+    def __init__(self, started_at: float) -> None:
         self.started_at = started_at
         self.session: Optional[TcplsSession] = None
         self.stream_id: Optional[int] = None
@@ -140,92 +118,28 @@ class _Client:
         self.resolved = False
 
 
-class OverloadWorld:
-    """Constructed farm + open-loop arrival driver + chaos workload."""
+class OverloadWorld(Farm):
+    """The farm behind admission + open-loop arrivals + chaos workload."""
 
     def __init__(self, config: OverloadConfig,
                  observability: Optional[Observability] = None) -> None:
-        self.config = config
-        self.net = Network()
-        self.sim = self.net.sim
-        self.rng = random.Random(config.seed)
-        self.obs = observability or Observability(self.sim, enabled=True)
-
-        server_host = self.net.add_host("server")
-        self.client_stacks: List[TcpStack] = []
-        self.client_dests: List[str] = []
-        self.links = []
-        for i in range(config.client_hosts):
-            client_host = self.net.add_host(f"client{i}")
-            c_if = client_host.add_interface("eth0").configure_ipv4(
-                f"10.0.{i}.1/24"
-            )
-            s_if = server_host.add_interface(f"eth{i}").configure_ipv4(
-                f"10.0.{i}.2/24"
-            )
-            self.links.append(
-                self.net.connect(
-                    c_if,
-                    s_if,
-                    rate_bps=config.link_rate_bps,
-                    delay=config.link_delay,
-                    queue_packets=config.queue_packets,
-                    seed=config.seed + i,
-                )
-            )
-            self.client_stacks.append(TcpStack(client_host, seed=config.seed + i))
-            self.client_dests.append(f"10.0.{i}.2")
-        self.net.compute_routes()
-
-        ca = CertificateAuthority("Repro Root", seed=b"root")
-        identity = ca.issue_identity("farm.example", seed=b"farm")
-        self.trust = TrustStore()
-        self.trust.add_authority(ca)
-
-        server_ctx = TcplsContext(
-            identity=identity,
-            seed=config.seed + 1000,
-            observability=self.obs,
-            stream_recv_window=config.stream_window,
-        )
+        super().__init__(config, observability, config.client_hosts,
+                         config.link_delay, stream_recv_window=STREAM_WINDOW)
         self.controller = AdmissionController(
             self.sim, config.build_admission(), observability=self.obs
         )
-        server_stack = TcpStack(server_host, seed=config.seed + 2000)
-        self.server = TcplsServer(
-            server_ctx,
-            server_stack,
-            port=443,
-            on_session=self._on_server_session,
-            admission=self.controller,
-            on_reject=self._on_reject,
-        )
+        self.listen(1, admission=self.controller, on_reject=self._on_reject)
 
         self.result = OverloadResult()
-        self._horizon = config.duration + config.drain_grace
+        self._horizon = config.duration + DRAIN_GRACE
         self._clients: List[_Client] = []
-        self._server_rx: Dict[Tuple[int, int], int] = {}
         #: Coupons minted by rejections, consumed by redials (FIFO).
         self._coupons: List[bytes] = []
         #: Chaos workload flags.
         self._slow_mode = False
         self._slow_clients: List[_Client] = []
-        self._dial_rotation = 0
 
     # -- server side -------------------------------------------------------
-
-    def _on_server_session(self, session: TcplsSession) -> None:
-        key_base = id(session)
-
-        def on_data(stream_id: int, data: bytes) -> None:
-            key = (key_base, stream_id)
-            got = self._server_rx.get(key, 0) + len(data)
-            self._server_rx[key] = got
-            if got >= self.config.request_bytes:
-                del self._server_rx[key]
-                session.send(stream_id, b"R" * self.config.response_bytes)
-
-        session.on_stream_data = on_data
 
     def _on_reject(self, decision: Decision) -> None:
         if decision.coupon:
@@ -233,24 +147,12 @@ class OverloadWorld:
 
     # -- client side -------------------------------------------------------
 
-    def _client_context(self, coupon: bytes = b"") -> TcplsContext:
-        return TcplsContext(
-            trust_store=self.trust,
-            server_name="farm.example",
-            seed=self.config.seed,
-            telemetry=False,
-            stream_recv_window=self.config.stream_window,
-            retry_coupon=coupon,
-        )
-
     def _spawn(self, client: _Client, coupon: bytes = b"") -> None:
-        i = self._dial_rotation % len(self.client_stacks)
-        self._dial_rotation += 1
-        session = TcplsSession(self._client_context(coupon),
-                               self.client_stacks[i])
-        client.session = session
-        session.connect(self.client_dests[i], port=443)
-        session.handshake()
+        # A fresh context per arrival: the worst case for handshake CPU.
+        context = self.client_context(
+            stream_recv_window=STREAM_WINDOW, retry_coupon=coupon
+        )
+        session = client.session = self.dial(context, 443)
 
         def on_handshake(**kwargs) -> None:
             self._on_admitted(client)
@@ -264,19 +166,16 @@ class OverloadWorld:
                 # Shed mid-request (crash model) or torn down under us.
                 self._resolve(client, completed=False)
 
-        session.events.on(Event.HANDSHAKE_DONE, on_handshake)
-        session.events.on(Event.CONN_FAILED, on_conn_failed)
-        session.events.on(Event.SESSION_CLOSED, on_closed)
-        if not client.slow:
-            session.on_stream_data = self._make_reader(client, session)
-
-    def _make_reader(self, client: _Client, session: TcplsSession):
         def on_data(stream_id: int, data: bytes) -> None:
             client.received += len(data)
             if client.received >= self.config.response_bytes:
                 self._finish_request(client)
 
-        return on_data
+        session.events.on(Event.HANDSHAKE_DONE, on_handshake)
+        session.events.on(Event.CONN_FAILED, on_conn_failed)
+        session.events.on(Event.SESSION_CLOSED, on_closed)
+        if not client.slow:
+            session.on_stream_data = on_data
 
     def _on_admitted(self, client: _Client) -> None:
         session = client.session
@@ -290,12 +189,12 @@ class OverloadWorld:
     def _on_rejected(self, client: _Client) -> None:
         if client.resolved:
             return
-        if (self.config.retry_with_coupon and not client.retried
-                and self._coupons and self.sim.now < self._horizon):
+        if (not client.retried and self._coupons
+                and self.sim.now < self._horizon):
             client.retried = True
             self.result.retried += 1
             coupon = self._coupons.pop(0)
-            delay = self.config.retry_delay * (1.0 + 0.2 * self.rng.random())
+            delay = RETRY_DELAY * (1.0 + 0.2 * self.rng.random())
             self.sim.schedule(delay, lambda: self._spawn(client, coupon))
             return
         self.result.rejected += 1
@@ -369,8 +268,7 @@ class OverloadWorld:
             if client.received >= self.config.response_bytes:
                 self._finish_request(client)
                 return
-        self.sim.schedule(self.config.drain_interval,
-                          lambda: self._drain(client))
+        self.sim.schedule(DRAIN_INTERVAL, lambda: self._drain(client))
 
     # -- arrival driver ----------------------------------------------------
 
@@ -379,18 +277,15 @@ class OverloadWorld:
         offered_rate = config.capacity_rate * config.offered_multiplier
         count = max(1, int(offered_rate * config.duration))
         step = config.duration / count
-        t = 0.0
-        for _ in range(count):
-            t += self.rng.uniform(0.2, 1.8) * step
+        for t in self.arrivals(count, step):
             self._schedule_arrival(t)
         self._maintain_tick()
 
     def _schedule_arrival(self, when: float) -> None:
-        index = self.result.offered
         self.result.offered += 1
 
         def arrive() -> None:
-            client = _Client(index, self.sim.now)
+            client = _Client(self.sim.now)
             client.slow = self._slow_mode
             if client.slow:
                 self._slow_clients.append(client)
@@ -401,9 +296,9 @@ class OverloadWorld:
 
     def _maintain_tick(self) -> None:
         self.controller.maintain()
-        self.server.reap_closed()
+        self.reap()
         if self.sim.now < self._horizon:
-            self.sim.schedule(self.config.tick, self._maintain_tick)
+            self.sim.schedule(TICK, self._maintain_tick)
 
     # -- results -----------------------------------------------------------
 
@@ -416,9 +311,7 @@ class OverloadWorld:
         result.counts = self.controller.counts()
         result.transitions = list(self.controller.shedder.transitions)
         result.final_state = self.controller.shedder.state
-        result.sim_time = self.sim.now
-        result.events_processed = self.sim.events_processed
-        result.live_events = self.sim.pending_events()
+        self._stamp(result)
         return result
 
 
@@ -429,21 +322,12 @@ def run_overload(
     until: Optional[float] = None,
     on_world: Optional[Callable[[OverloadWorld], None]] = None,
 ) -> OverloadResult:
-    """Build the farm, run the storm to completion, return the result.
+    """Build the farm, run the storm to completion, return the result
+    (``fault_plan``, ``until``, ``on_world``: see :func:`run_world`).
 
-    ``fault_plan`` faults apply to the per-client-host links (path *i*
-    = client host ``i``'s link); workload fault kinds
-    (``client_stampede``/``slow_reader``/``memory_pressure``) target
-    the world itself through the chaos workload protocol.
+    Workload fault kinds (``client_stampede``/``slow_reader``/
+    ``memory_pressure``) target the world itself through the chaos
+    workload protocol.
     """
-    config = config or OverloadConfig()
-    world = OverloadWorld(config, observability=observability)
-    if on_world is not None:
-        on_world(world)
-    if fault_plan is not None:
-        from repro.faults.chaos import ChaosEngine
-
-        ChaosEngine(world.sim, world.links, workloads=[world]).apply(fault_plan)
-    world.start()
-    world.sim.run(until=until)
-    return world.finalize()
+    world = OverloadWorld(config or OverloadConfig(), observability=observability)
+    return run_world(world, fault_plan, until, on_world, workloads=[world])

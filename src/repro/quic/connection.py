@@ -152,10 +152,6 @@ class _QuicEndpointBase:
         self._pump()
         return len(data)
 
-    def close_stream(self, stream_id: int) -> None:
-        self.streams[stream_id].close()
-        self._pump()
-
     def close(self, reason: str = "") -> None:
         if self.closed:
             return

@@ -83,9 +83,6 @@ class StreamFrame:
         writer.put_u8(1 if self.fin else 0)
         writer.put_vec16(self.data)
 
-    def wire_length(self) -> int:
-        return 1 + 4 + 8 + 1 + 2 + len(self.data)
-
 
 @dataclass
 class PingFrame:

@@ -2,9 +2,12 @@
 
 The paper's deployment story (section 4, "TCPLS as a server-side
 library") implies one process terminating thousands of concurrent TCPLS
-sessions.  This package provides the two halves of that scenario on top
-of the deterministic simulator:
+sessions.  This package provides that scenario on top of the
+deterministic simulator:
 
+- :mod:`repro.scale.farm` — the server farm (topology, PKI, listeners,
+  responder, dial rotation) and the run loop that the load worlds here
+  and in :mod:`repro.overload` share;
 - :mod:`repro.scale.pool` — a scored connection pool / dispatcher that
   reuses, retires, and warms TCPLS client sessions across multiple
   listeners (health- and RTT-weighted scoring, wear limits);

@@ -1,10 +1,10 @@
 """Seeded arrival/departure churn against a multi-listener TCPLS farm.
 
-The scenario the scale benchmark and the churn-matrix test share:
+The scenario the scale benchmark and the churn-matrix test share, on the
+shared :class:`~repro.scale.farm.Farm`:
 
-- one server host running ``config.listeners`` TCPLS listeners on one
-  TCP stack (ports 443, 444, ...), each interface-connected to
-  ``config.client_hosts`` client hosts over fat low-delay links;
+- ``config.listeners`` TCPLS listeners (ports 443, 444, ...) facing
+  ``config.client_hosts`` client hosts;
 - a :class:`~repro.scale.pool.SessionPool` on the client side dialling
   sessions across the listeners;
 - **wave A**: ``config.sessions`` users arrive (seeded spacing across
@@ -17,31 +17,26 @@ The scenario the scale benchmark and the churn-matrix test share:
 
 Everything is driven off ``random.Random(config.seed)`` and the
 simulated clock, so a double run is digest-identical — the churn-matrix
-test leans on that, with and without the timer-wheel fast path, and
-with a fault plan flapping client links mid-ramp.
+test leans on that, clean and with a fault plan flapping client links
+mid-ramp.
 """
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.events import Event
 from repro.utils.errors import ReproError
-from repro.core.session import TcplsContext, TcplsServer, TcplsSession
-from repro.netsim.topology import Network
+from repro.core.session import TcplsSession
 from repro.obs.hub import Observability
+from repro.scale.farm import LINK_DELAY, MAINTAIN_INTERVAL, Farm, run_world
 from repro.scale.pool import PoolConfig, PooledSession, SessionPool
-from repro.tcp.stack import TcpStack
-from repro.tls.certificates import CertificateAuthority, TrustStore
 from repro.tls.session import SessionTicketStore
 
-#: Environment switch the CI smoke job sets: shrink the run to ~200
-#: sessions so the scale scenario stays a quick check.
-QUICK_ENV = "REPRO_SCALE_QUICK"
-_QUICK_SESSIONS = 200
+#: Per-request give-up deadline (covers fault-plan runs where a
+#: request's session dies mid-flap and failover cannot save it).
+REQUEST_TIMEOUT = 30.0
 
 
 @dataclass
@@ -60,26 +55,12 @@ class ScaleConfig:
     arrival_span: float = 2.0
     #: How long each wave-A user holds its session after the response.
     hold_time: float = 0.5
-    request_bytes: int = 512
-    response_bytes: int = 2048
-    link_rate_bps: float = 1e9
-    link_delay: float = 0.002
-    queue_packets: int = 512
+    link_delay: float = LINK_DELAY
     seed: int = 1
-    #: Pool maintenance sweep period (also reaps server session lists).
-    maintain_interval: float = 0.25
-    #: Per-request give-up deadline (covers fault-plan runs where a
-    #: request's session dies mid-flap and failover cannot save it).
-    request_timeout: float = 30.0
     pool: PoolConfig = field(default_factory=PoolConfig)
 
-    @classmethod
-    def from_env(cls, **overrides) -> "ScaleConfig":
-        """Full-size config, shrunk when ``REPRO_SCALE_QUICK`` is set."""
-        config = cls(**overrides)
-        if os.environ.get(QUICK_ENV):
-            config.sessions = min(config.sessions, _QUICK_SESSIONS)
-        return config
+    request_bytes: ClassVar[int] = 512
+    response_bytes: ClassVar[int] = 2048
 
 
 @dataclass
@@ -103,11 +84,10 @@ class ScaleResult:
 class _Request:
     """One user's request lifecycle."""
 
-    __slots__ = ("index", "started_at", "ttfb", "received", "entry",
-                 "stream_id", "departs", "done", "timeout_event")
+    __slots__ = ("started_at", "ttfb", "received", "entry", "stream_id",
+                 "departs", "done", "timeout_event")
 
-    def __init__(self, index: int, started_at: float, departs: bool) -> None:
-        self.index = index
+    def __init__(self, started_at: float, departs: bool) -> None:
         self.started_at = started_at
         self.ttfb: Optional[float] = None
         self.received = 0
@@ -118,119 +98,34 @@ class _Request:
         self.timeout_event = None
 
 
-class ScaleWorld:
-    """The constructed farm: network, listeners, pool, and churn driver."""
+class ScaleWorld(Farm):
+    """The farm plus the session pool and the churn driver."""
 
     def __init__(self, config: ScaleConfig,
                  observability: Optional[Observability] = None) -> None:
-        self.config = config
-        self.net = Network()
-        self.sim = self.net.sim
-        self.rng = random.Random(config.seed)
-        self.obs = observability or Observability(self.sim, enabled=True)
-
-        server_host = self.net.add_host("server")
-        self.client_stacks: List[TcpStack] = []
-        self.client_dests: List[str] = []
-        self.links = []
-        for i in range(config.client_hosts):
-            client_host = self.net.add_host(f"client{i}")
-            c_if = client_host.add_interface("eth0").configure_ipv4(
-                f"10.0.{i}.1/24"
-            )
-            s_if = server_host.add_interface(f"eth{i}").configure_ipv4(
-                f"10.0.{i}.2/24"
-            )
-            self.links.append(
-                self.net.connect(
-                    c_if,
-                    s_if,
-                    rate_bps=config.link_rate_bps,
-                    delay=config.link_delay,
-                    queue_packets=config.queue_packets,
-                    seed=config.seed + i,
-                )
-            )
-            self.client_stacks.append(TcpStack(client_host, seed=config.seed + i))
-            self.client_dests.append(f"10.0.{i}.2")
-        self.net.compute_routes()
-
-        ca = CertificateAuthority("Repro Root", seed=b"root")
-        identity = ca.issue_identity("farm.example", seed=b"farm")
-        trust = TrustStore()
-        trust.add_authority(ca)
-
-        # One shared hub on the server side keeps the farm's telemetry
-        # in one registry; client sessions run with telemetry off — a
-        # thousand per-session hubs would dominate the run's memory.
-        server_ctx = TcplsContext(
-            identity=identity,
-            seed=config.seed + 1000,
-            observability=self.obs,
-        )
-        self.client_ctx = TcplsContext(
-            trust_store=trust,
-            server_name="farm.example",
-            ticket_store=SessionTicketStore(),
-            seed=config.seed,
-            telemetry=False,
-        )
-
-        server_stack = TcpStack(server_host, seed=config.seed + 2000)
-        self.servers: List[TcplsServer] = []
-        self._server_sessions: List[TcplsSession] = []
-        for i in range(config.listeners):
-            self.servers.append(
-                TcplsServer(
-                    server_ctx,
-                    server_stack,
-                    port=443 + i,
-                    on_session=self._on_server_session,
-                )
-            )
-
+        super().__init__(config, observability, config.client_hosts,
+                         config.link_delay)
+        self.client_ctx = self.client_context(ticket_store=SessionTicketStore())
         # Listener targets are (client-rotation-independent) port
-        # choices; the dial closure rotates client hosts itself.
+        # choices; ``Farm.dial`` rotates client hosts itself.
         self.pool = SessionPool(
             self.sim,
             self._dial,
-            listeners=[443 + i for i in range(config.listeners)],
+            listeners=self.listen(config.listeners),
             config=config.pool,
             observability=self.obs,
         )
-        self._dial_rotation = 0
 
         self.result = ScaleResult(sessions=config.sessions)
         self._open_sessions = 0
         self._users_pending = 0
         self._finished = False
-        self._server_rx: Dict[Tuple[int, int], int] = {}
         self._inflight: Dict[Tuple[int, int], _Request] = {}
-
-    # -- server side -------------------------------------------------------
-
-    def _on_server_session(self, session: TcplsSession) -> None:
-        self._server_sessions.append(session)
-        key_base = id(session)
-
-        def on_data(stream_id: int, data: bytes) -> None:
-            key = (key_base, stream_id)
-            got = self._server_rx.get(key, 0) + len(data)
-            self._server_rx[key] = got
-            if got >= self.config.request_bytes:
-                del self._server_rx[key]
-                session.send(stream_id, b"R" * self.config.response_bytes)
-
-        session.on_stream_data = on_data
 
     # -- client side -------------------------------------------------------
 
     def _dial(self, port: int) -> TcplsSession:
-        i = self._dial_rotation % len(self.client_stacks)
-        self._dial_rotation += 1
-        session = TcplsSession(self.client_ctx, self.client_stacks[i])
-        session.connect(self.client_dests[i], port=port)
-        session.handshake()
+        session = self.dial(self.client_ctx, port)
 
         def on_handshake(**kwargs) -> None:
             self._open_sessions += 1
@@ -241,12 +136,6 @@ class ScaleWorld:
             if session.handshake_complete:
                 self._open_sessions -= 1
 
-        session.events.on(Event.HANDSHAKE_DONE, on_handshake)
-        session.events.on(Event.SESSION_CLOSED, on_closed)
-        session.on_stream_data = self._make_client_handler(session)
-        return session
-
-    def _make_client_handler(self, session: TcplsSession):
         def on_data(stream_id: int, data: bytes) -> None:
             request = self._inflight.get((id(session), stream_id))
             if request is None:
@@ -258,41 +147,40 @@ class ScaleWorld:
             if request.received >= self.config.response_bytes:
                 self._complete(request)
 
-        return on_data
+        session.events.on(Event.HANDSHAKE_DONE, on_handshake)
+        session.events.on(Event.SESSION_CLOSED, on_closed)
+        session.on_stream_data = on_data
+        return session
 
     # -- churn driver ------------------------------------------------------
 
     def start(self) -> None:
         """Schedule both arrival waves and the maintenance tick."""
         config = self.config
-        arrivals: List[Tuple[float, bool]] = []
-        # Wave A: seeded spacing across the ramp; holds, then departs.
         step = config.arrival_span / max(config.sessions, 1)
-        t = 0.0
-        for _ in range(config.sessions):
-            t += self.rng.uniform(0.2, 1.8) * step
-            arrivals.append((t, True))
+        # Wave A: seeded spacing across the ramp; holds, then departs.
+        wave_a = self.arrivals(config.sessions, step)
         # Wave B: reuse traffic after every wave-A hold has released.
-        wave_b = int(config.sessions * config.reuse_fraction)
-        wave_b_start = config.arrival_span + config.hold_time
-        t = wave_b_start
-        for _ in range(wave_b):
-            t += self.rng.uniform(0.2, 1.8) * step
-            arrivals.append((t, False))
-
-        self._users_pending = len(arrivals)
-        for when, departs in arrivals:
-            self._schedule_arrival(when, departs)
+        wave_b = self.arrivals(
+            int(config.sessions * config.reuse_fraction), step,
+            start=config.arrival_span + config.hold_time,
+        )
+        self._users_pending = len(wave_a) + len(wave_b)
+        for when in wave_a:
+            self._schedule_arrival(when, departs=True)
+        for when in wave_b:
+            self._schedule_arrival(when, departs=False)
         self._maintain_tick()
 
     def _schedule_arrival(self, when: float, departs: bool) -> None:
-        index = self.result.requests_started
         self.result.requests_started += 1
 
         def arrive() -> None:
-            request = _Request(index, self.sim.now, departs)
+            request = _Request(self.sim.now, departs)
+            # Fires only when the response never arrived: the session
+            # died unrecoverably, or no session ever came out of the pool.
             request.timeout_event = self.sim.schedule(
-                self.config.request_timeout, lambda: self._timeout(request)
+                REQUEST_TIMEOUT, lambda: self._fail(request)
             )
             self.pool.acquire(lambda entry: self._on_acquired(request, entry))
 
@@ -348,26 +236,12 @@ class ScaleWorld:
         request.done = True
         if request.timeout_event is not None:
             request.timeout_event.cancel()
-        if request.entry is not None:
-            self._inflight.pop(
-                (id(request.entry.session), request.stream_id), None
-            )
         self.result.requests_failed += 1
-        if request.entry is not None:
-            self.pool.release(request.entry, failed=True)
+        entry = request.entry
+        if entry is not None:  # None: timed out still queued in the pool
+            self._inflight.pop((id(entry.session), request.stream_id), None)
+            self.pool.release(entry, failed=True)
         self._user_done()
-
-    def _timeout(self, request: _Request) -> None:
-        # Fires only when the response never arrived: a request stuck
-        # waiting in the pool keeps waiting (holds always release), but
-        # one whose session died unrecoverably is written off here.
-        if not request.done and request.entry is not None:
-            self._fail(request)
-        elif not request.done:
-            # Still queued in the pool with no session: give up too.
-            request.done = True
-            self.result.requests_failed += 1
-            self._user_done()
 
     def _depart(self, request: _Request) -> None:
         self.pool.release(request.entry)
@@ -382,15 +256,13 @@ class ScaleWorld:
         if self._finished:
             return
         self.pool.maintain()
-        for server in self.servers:
-            self.result.server_sessions_reaped += server.reap_closed()
-        self.sim.schedule(self.config.maintain_interval, self._maintain_tick)
+        self.result.server_sessions_reaped += self.reap()
+        self.sim.schedule(MAINTAIN_INTERVAL, self._maintain_tick)
 
     def _finish(self) -> None:
         self._finished = True
         self.pool.drain()
-        for server in self.servers:
-            self.result.server_sessions_reaped += server.reap_closed()
+        self.result.server_sessions_reaped += self.reap()
 
     # -- results -----------------------------------------------------------
 
@@ -398,11 +270,8 @@ class ScaleWorld:
         result = self.result
         # The drain's close handshakes finish only once the clock runs
         # dry, so the last reap happens here, not in ``_finish``.
-        for server in self.servers:
-            result.server_sessions_reaped += server.reap_closed()
-        result.sim_time = self.sim.now
-        result.events_processed = self.sim.events_processed
-        result.live_events = self.sim.pending_events()
+        result.server_sessions_reaped += self.reap()
+        self._stamp(result)
         result.pool_stats = self.pool.stats()
         return result
 
@@ -414,23 +283,10 @@ def run_scale(
     until: Optional[float] = None,
     on_world: Optional[Callable[[ScaleWorld], None]] = None,
 ) -> ScaleResult:
-    """Build the farm, run the churn to completion, return the result.
-
-    ``fault_plan`` (a :class:`repro.faults.plan.FaultPlan`) is applied
-    against the per-client-host links (path *i* = client ``i``'s link).
-    ``on_world`` runs after construction but before the clock starts —
-    the determinism probe hooks in there.
-    """
+    """Build the farm, run the churn to completion, return the result
+    (``fault_plan``, ``until``, ``on_world``: see :func:`run_world`)."""
     config = config or ScaleConfig()
     if config.pool.max_sessions < config.sessions:
         config.pool.max_sessions = config.sessions
     world = ScaleWorld(config, observability=observability)
-    if on_world is not None:
-        on_world(world)
-    if fault_plan is not None:
-        from repro.faults.chaos import ChaosEngine
-
-        ChaosEngine(world.sim, world.links).apply(fault_plan)
-    world.start()
-    world.sim.run(until=until)
-    return world.finalize()
+    return run_world(world, fault_plan, until, on_world)

@@ -1,18 +1,15 @@
 """Reconnect storms: a server farm crash-restarts under live load.
 
 The disaster-recovery scenario the R3 benchmark and the recovery-storm
-test share:
+test share, on the shared :class:`~repro.scale.farm.Farm`:
 
-- the same farm shape as :mod:`repro.scale.loadgen` (one server host,
-  ``listeners`` TCPLS listeners on one stack, ``client_hosts`` client
-  hosts on separate links);
-- ``sessions`` clients arrive across ``arrival_span``, each acquiring a
+- ``sessions`` clients arrive across ``ARRIVAL_SPAN``, each acquiring a
   pooled session, completing one request, then *holding* the session;
-- at ``crash_at`` the whole server process dies
+- at ``CRASH_AT`` the whole server process dies
   (:class:`~repro.faults.endpoint.ServerEndpoint` via a
   ``server_restart`` fault) and returns after ``outage`` seconds —
   with rotated ticket keys when ``rotate_keys`` is set;
-- ``probe_delay`` seconds after the crash every client sends its next
+- ``PROBE_DELAY`` seconds after the crash every client sends its next
   request on the held (dead) session.  The server stack RSTs the
   unknown connection, the client sees ``CONN_FAILED``, releases the
   entry as failed, and re-acquires — which makes the pool redial with
@@ -32,14 +29,11 @@ is digest-identical, which the determinism sanitizer checks.
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.events import Event
-from repro.core.session import TcplsContext, TcplsServer, TcplsSession
-from repro.faults.chaos import ChaosEngine
+from repro.core.session import TcplsSession
 from repro.faults.endpoint import ServerEndpoint
 from repro.faults.invariants import (
     InvariantReport,
@@ -47,20 +41,40 @@ from repro.faults.invariants import (
     max_storm_recovery_time,
 )
 from repro.faults.plan import FaultPlan
-from repro.netsim.topology import Network
 from repro.obs import keys as obs_keys
 from repro.obs.hub import Observability
+from repro.scale.farm import (
+    LINK_DELAY,
+    MAINTAIN_INTERVAL,
+    SERVER_NAME,
+    Farm,
+    run_world,
+)
 from repro.scale.pool import PoolConfig, PooledSession, SessionPool
-from repro.tcp.stack import TcpStack
-from repro.tls.certificates import CertificateAuthority, TrustStore
 from repro.tls.session import SessionTicketStore
 from repro.utils.errors import ReproError
 
-#: CI smoke switch: shrink the storm to the acceptance-criteria size.
-QUICK_ENV = "REPRO_RECOVERY_QUICK"
-_QUICK_SESSIONS = 200
-
 _RID_HEADER = 8  # request id: client(4) | seq(4), big-endian
+
+#: The farm's shape and the arrival ramp (S1's defaults).
+LISTENERS = 2
+CLIENT_HOSTS = 4
+ARRIVAL_SPAN = 2.0
+#: When the server process dies (must be after the arrival ramp).
+CRASH_AT = 3.0
+#: How long after the crash each client touches its dead session.
+PROBE_DELAY = 0.2
+#: Slack added to the recovery-time-objective bound (handshake +
+#: request/response RTTs + scheduler quantisation).
+RTO_SLACK = 1.0
+#: The storm's redial backoff (see :class:`PoolConfig`): jittered and
+#: capped under the outage, so redials spread out instead of hammering
+#: the dead listener in lockstep.
+REDIAL_BACKOFF = dict(
+    redial_backoff_base=0.05,
+    redial_backoff_max=0.8,
+    redial_backoff_jitter=0.1,
+)
 
 
 def _rid(client: int, seq: int) -> int:
@@ -72,45 +86,17 @@ class RecoveryConfig:
     """One crash-restart storm's shape."""
 
     sessions: int = 500
-    listeners: int = 2
-    client_hosts: int = 4
-    arrival_span: float = 2.0
-    #: When the server process dies (must be after the arrival ramp).
-    crash_at: float = 3.0
-    #: Seconds until the process is back and listening.
-    outage: float = 1.0
     #: Rotate the ticket keys across the restart (the disaster-recovery
     #: default: a crashed box comes back with fresh key material).
     rotate_keys: bool = True
-    #: How long after the crash each client touches its dead session.
-    probe_delay: float = 0.2
     #: 0-RTT probes per acceptance-rate bucket (before / after).
     zero_rtt_probes: int = 8
-    request_bytes: int = 256
-    response_bytes: int = 1024
-    link_rate_bps: float = 1e9
-    link_delay: float = 0.002
-    queue_packets: int = 512
     seed: int = 1
-    maintain_interval: float = 0.25
-    request_timeout: float = 30.0
-    #: Slack added to the recovery-time-objective bound (handshake +
-    #: request/response RTTs + scheduler quantisation).
-    rto_slack: float = 1.0
-    pool: PoolConfig = field(
-        default_factory=lambda: PoolConfig(
-            redial_backoff_base=0.05,
-            redial_backoff_max=0.8,
-            redial_backoff_jitter=0.1,
-        )
-    )
 
-    @classmethod
-    def from_env(cls, **overrides) -> "RecoveryConfig":
-        config = cls(**overrides)
-        if os.environ.get(QUICK_ENV):
-            config.sessions = min(config.sessions, _QUICK_SESSIONS)
-        return config
+    #: Seconds until the process is back and listening.
+    outage: ClassVar[float] = 1.0
+    request_bytes: ClassVar[int] = 256
+    response_bytes: ClassVar[int] = 1024
 
 
 @dataclass
@@ -152,96 +138,39 @@ class _Client:
         self.retries = 0
 
 
-class RecoveryWorld:
-    """The constructed farm plus the crash/restart storm driver."""
+class RecoveryWorld(Farm):
+    """The farm plus the crash/restart storm driver."""
 
     def __init__(self, config: RecoveryConfig,
                  observability: Optional[Observability] = None) -> None:
-        self.config = config
-        self.net = Network()
-        self.sim = self.net.sim
-        self.rng = random.Random(config.seed)
-        self.obs = observability or Observability(self.sim, enabled=True)
-
-        server_host = self.net.add_host("server")
-        self.client_stacks: List[TcpStack] = []
-        self.client_dests: List[str] = []
-        self.links = []
-        for i in range(config.client_hosts):
-            client_host = self.net.add_host(f"client{i}")
-            c_if = client_host.add_interface("eth0").configure_ipv4(
-                f"10.0.{i}.1/24"
-            )
-            s_if = server_host.add_interface(f"eth{i}").configure_ipv4(
-                f"10.0.{i}.2/24"
-            )
-            self.links.append(
-                self.net.connect(
-                    c_if,
-                    s_if,
-                    rate_bps=config.link_rate_bps,
-                    delay=config.link_delay,
-                    queue_packets=config.queue_packets,
-                    seed=config.seed + i,
-                )
-            )
-            self.client_stacks.append(TcpStack(client_host, seed=config.seed + i))
-            self.client_dests.append(f"10.0.{i}.2")
-        self.net.compute_routes()
-
-        ca = CertificateAuthority("Repro Root", seed=b"root")
-        identity = ca.issue_identity("farm.example", seed=b"farm")
-        trust = TrustStore()
-        trust.add_authority(ca)
-
-        self.server_ctx = TcplsContext(
-            identity=identity,
-            seed=config.seed + 1000,
-            observability=self.obs,
-        )
+        super().__init__(config, observability, CLIENT_HOSTS)
         # Storm clients do not failover (the whole farm is down — there
         # is no path to fail over *to*); recovery is the pool's job.
-        self.client_ctx = TcplsContext(
-            trust_store=trust,
-            server_name="farm.example",
+        self.client_ctx = self.client_context(
             ticket_store=SessionTicketStore(clock=lambda: self.sim.now),
-            seed=config.seed,
-            telemetry=False,
             auto_failover=False,
         )
         # The 0-RTT probes keep their own ticket cache so the probe and
         # storm populations cannot consume each other's tickets.
-        self.probe_ctx = TcplsContext(
-            trust_store=trust,
-            server_name="farm.example",
+        self.probe_ctx = self.client_context(
+            seed_offset=500,
             ticket_store=SessionTicketStore(clock=lambda: self.sim.now),
-            seed=config.seed + 500,
-            telemetry=False,
             auto_failover=False,
         )
-
-        server_stack = TcpStack(server_host, seed=config.seed + 2000)
-        self.servers: List[TcplsServer] = []
-        for i in range(config.listeners):
-            self.servers.append(
-                TcplsServer(
-                    self.server_ctx,
-                    server_stack,
-                    port=443 + i,
-                    on_session=self._on_server_session,
-                )
-            )
+        ports = self.listen(LISTENERS)
         self.endpoint = ServerEndpoint(self.servers, name="farm")
 
         self.pool = SessionPool(
             self.sim,
             self._dial,
-            listeners=[443 + i for i in range(config.listeners)],
-            config=config.pool,
+            listeners=ports,
+            config=PoolConfig(
+                max_sessions=max(PoolConfig.max_sessions, config.sessions),
+                **REDIAL_BACKOFF,
+            ),
             observability=self.obs,
             seed=config.seed + 7,
         )
-        self._dial_rotation = 0
 
         self.result = RecoveryResult(clients=config.sessions)
         self.clients = [_Client(i) for i in range(config.sessions)]
@@ -250,7 +179,6 @@ class RecoveryWorld:
         # store that survives the process crash.
         self.applied: Dict[int, int] = {}
         self.sent: Dict[int, int] = {}
-        self._server_rx: Dict[Tuple[int, int], bytearray] = {}
         self._inflight: Dict[Tuple[int, int], _Client] = {}
         self._finished = False
         self._pending = 0
@@ -265,42 +193,19 @@ class RecoveryWorld:
 
     # -- server side -------------------------------------------------------
 
-    def _on_server_session(self, session: TcplsSession) -> None:
-        key_base = id(session)
-
-        def on_data(stream_id: int, data: bytes) -> None:
-            key = (key_base, stream_id)
-            buffer = self._server_rx.setdefault(key, bytearray())
-            buffer.extend(data)
-            if len(buffer) < self.config.request_bytes:
-                return
-            rid = int.from_bytes(buffer[:_RID_HEADER], "big")
-            del self._server_rx[key]
-            # Apply the mutation unconditionally and count it: the
-            # exactly-once invariant asserts the count stays 1, i.e.
-            # clients only ever retried requests whose first copy died
-            # with the crashed process.
-            self.applied[rid] = self.applied.get(rid, 0) + 1
-            session.send(stream_id, b"R" * self.config.response_bytes)
-
-        session.on_stream_data = on_data
+    def _on_request(self, request: bytearray) -> None:
+        # Apply the mutation unconditionally and count it: the
+        # exactly-once invariant asserts the count stays 1, i.e.
+        # clients only ever retried requests whose first copy died
+        # with the crashed process.
+        rid = int.from_bytes(request[:_RID_HEADER], "big")
+        self.applied[rid] = self.applied.get(rid, 0) + 1
 
     # -- client side -------------------------------------------------------
 
     def _dial(self, port: int) -> TcplsSession:
-        i = self._dial_rotation % len(self.client_stacks)
-        self._dial_rotation += 1
-        session = TcplsSession(self.client_ctx, self.client_stacks[i])
-        session.connect(self.client_dests[i], port=port)
-        session.handshake()
-        session.on_stream_data = self._make_response_handler(session)
-        session.events.on(
-            Event.CONN_FAILED,
-            lambda **kwargs: self._on_session_dead(session),
-        )
-        return session
+        session = self.dial(self.client_ctx, port)
 
-    def _make_response_handler(self, session: TcplsSession):
         def on_data(stream_id: int, data: bytes) -> None:
             client = self._inflight.get((id(session), stream_id))
             if client is None:
@@ -309,7 +214,12 @@ class RecoveryWorld:
             if client.buffer >= self.config.response_bytes:
                 self._on_response(client)
 
-        return on_data
+        session.on_stream_data = on_data
+        session.events.on(
+            Event.CONN_FAILED,
+            lambda **kwargs: self._on_session_dead(session),
+        )
+        return session
 
     def _on_session_dead(self, session: TcplsSession) -> None:
         """A held session's connection died (the RST after the crash)."""
@@ -318,16 +228,15 @@ class RecoveryWorld:
             if sid == id(session)
         ]
         for client in stalled:
-            self._inflight.pop((id(session), client.stream_id), None)
-            entry = client.entry
-            client.entry = None
-            client.stream_id = None
-            client.buffer = 0
-            if entry is not None:
-                self.pool.release(entry, failed=True)
             self._retry(client)
 
     def _retry(self, client: _Client) -> None:
+        """The client's session is dead: free its entry, go around again."""
+        entry = client.entry
+        self._inflight.pop((id(entry.session), client.stream_id), None)
+        client.entry = None
+        client.stream_id = None
+        self.pool.release(entry, failed=True)
         client.retries += 1
         if client.retries > 50:  # storm runaway backstop, never expected
             self.result.requests_failed += 1
@@ -353,10 +262,6 @@ class RecoveryWorld:
             session.send(stream_id, payload)
         except (ReproError, RuntimeError):
             # The session died between the pool's choice and our write.
-            self._inflight.pop((id(session), client.stream_id), None)
-            client.stream_id = None
-            client.entry = None
-            self.pool.release(entry, failed=True)
             self._retry(client)
 
     def _on_acquired(self, client: _Client, entry: PooledSession) -> None:
@@ -381,7 +286,7 @@ class RecoveryWorld:
             client.seq = 1
             return
         # Post-crash request recovered.
-        ttr = self.sim.now - self.config.crash_at
+        ttr = self.sim.now - CRASH_AT
         client.recovered_at = self.sim.now
         self.result.ttr.append(ttr)
         self._obs_ttr.observe(ttr)
@@ -402,19 +307,17 @@ class RecoveryWorld:
     # -- storm driver ------------------------------------------------------
 
     def start(self) -> None:
-        config = self.config
-        self._pending = config.sessions
-        step = config.arrival_span / max(config.sessions, 1)
-        t = 0.0
-        for client in self.clients:
-            t += self.rng.uniform(0.2, 1.8) * step
+        sessions = self.config.sessions
+        self._pending = sessions
+        step = ARRIVAL_SPAN / max(sessions, 1)
+        for client, t in zip(self.clients, self.arrivals(sessions, step)):
             self.sim.schedule(
                 t, lambda c=client: self.pool.acquire(
                     lambda entry: self._on_acquired(c, entry)
                 )
             )
         # The post-crash probe: every client touches its held session.
-        self.sim.schedule(config.crash_at + config.probe_delay, self._probe_all)
+        self.sim.schedule(CRASH_AT + PROBE_DELAY, self._probe_all)
         self._schedule_zero_rtt_probes()
         self._maintain_tick()
 
@@ -428,9 +331,8 @@ class RecoveryWorld:
         if self._finished:
             return
         self.pool.maintain()
-        for server in self.servers:
-            server.reap_closed()
-        self.sim.schedule(self.config.maintain_interval, self._maintain_tick)
+        self.reap()
+        self.sim.schedule(MAINTAIN_INTERVAL, self._maintain_tick)
 
     # -- 0-RTT acceptance probes ------------------------------------------
 
@@ -449,14 +351,14 @@ class RecoveryWorld:
             )
             # Before-crash probe (tickets still sealed under key A).
             self.sim.schedule(
-                config.crash_at - 0.4 + 0.01 * i,
+                CRASH_AT - 0.4 + 0.01 * i,
                 lambda si=stack_index: self._zero_rtt_probe(
                     si, self.result.early_before
                 ),
             )
             # After-restart probe: same cached tickets, rotated keys.
             self.sim.schedule(
-                config.crash_at + config.outage + 1.5 + 0.01 * i,
+                CRASH_AT + config.outage + 1.5 + 0.01 * i,
                 lambda si=stack_index: self._zero_rtt_probe(
                     si, self.result.early_after
                 ),
@@ -487,7 +389,7 @@ class RecoveryWorld:
         )
 
     def _zero_rtt_probe(self, stack_index: int, bucket: Dict[str, int]) -> None:
-        if self.probe_ctx.ticket_store.count("farm.example") == 0:
+        if self.probe_ctx.ticket_store.count(SERVER_NAME) == 0:
             return  # priming failed; do not crash the run
         bucket["total"] += 1
         session = self._probe_session(stack_index)
@@ -510,13 +412,11 @@ class RecoveryWorld:
 
     def rto_bound(self) -> float:
         """The storm's recovery-time objective, from the crash instant."""
-        config = self.config
-        detect = config.probe_delay + 4 * config.link_delay
         return max_storm_recovery_time(
-            config.pool,
-            outage=config.outage,
-            detect_delay=detect,
-            slack=config.rto_slack,
+            self.pool.config,
+            outage=self.config.outage,
+            detect_delay=PROBE_DELAY + 4 * LINK_DELAY,
+            slack=RTO_SLACK,
         )
 
     def check(self) -> InvariantReport:
@@ -526,7 +426,7 @@ class RecoveryWorld:
             if client.recovered_at is not None
         }
         return check_reconnect_storm(
-            crash_at=self.config.crash_at,
+            crash_at=CRASH_AT,
             bound=self.rto_bound(),
             clients=self.config.sessions,
             recovered_at=recovered_at,
@@ -544,9 +444,7 @@ class RecoveryWorld:
             1 for client in self.clients if client.recovered_at is not None
         )
         result.rto_bound = self.rto_bound()
-        result.sim_time = self.sim.now
-        result.events_processed = self.sim.events_processed
-        result.live_events = self.sim.pending_events()
+        self._stamp(result)
         result.pool_stats = self.pool.stats()
         result.endpoint = self.endpoint.describe()
         result.invariants = self.check()
@@ -558,27 +456,11 @@ def run_recovery(
     observability: Optional[Observability] = None,
     on_world: Optional[Callable[[RecoveryWorld], None]] = None,
 ) -> RecoveryResult:
-    """Build the farm, run the crash-restart storm, return the result.
-
-    ``on_world`` runs after construction but before the clock starts —
-    the determinism probe hooks in there.
-    """
+    """Build the farm, run the crash-restart storm, return the result
+    (``on_world``: see :func:`run_world`)."""
     config = config or RecoveryConfig()
-    if config.pool.max_sessions < config.sessions:
-        config.pool.max_sessions = config.sessions
     world = RecoveryWorld(config, observability=observability)
-    if on_world is not None:
-        on_world(world)
     plan = FaultPlan(name="crash-restart").server_restart(
-        config.crash_at, config.outage, rotate_keys=config.rotate_keys
+        CRASH_AT, config.outage, rotate_keys=config.rotate_keys
     )
-    engine = ChaosEngine(
-        world.sim, world.links, obs=world.obs, endpoints=[world.endpoint]
-    )
-    engine.apply(plan)
-    world.start()
-    # Run until the storm settles (probes included), then let teardown
-    # repair anything a config change might leave dangling.
-    world.sim.run()
-    engine.teardown()
-    return world.finalize()
+    return run_world(world, plan, None, on_world, endpoints=[world.endpoint])

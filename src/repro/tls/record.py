@@ -166,10 +166,6 @@ class RecordEncoder:
         self.on_record_encrypted: Optional[Callable[[int], None]] = None
 
     @property
-    def is_encrypting(self) -> bool:
-        return self._cipher is not None
-
-    @property
     def cipher(self) -> Optional[CipherState]:
         return self._cipher
 
@@ -226,10 +222,6 @@ class RecordDecoder:
         # Optional observability hook: ciphertext length of each record
         # successfully decrypted by this decoder.
         self.on_record_decrypted: Optional[Callable[[int], None]] = None
-
-    @property
-    def is_decrypting(self) -> bool:
-        return self._cipher is not None
 
     @property
     def cipher(self) -> Optional[CipherState]:

@@ -27,10 +27,6 @@ class CryptoError(ReproError):
     """Authentication failure or malformed cryptographic input."""
 
 
-class ConfigurationError(ReproError):
-    """The caller configured an object inconsistently."""
-
-
 class DecodeError(ProtocolViolation):
     """A wire parser rejected its input.
 

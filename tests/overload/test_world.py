@@ -1,8 +1,7 @@
 """Overload world integration: conservation, determinism, fault wiring.
 
 The heavyweight sweep lives in ``benchmarks/test_overload.py`` (O1);
-these are the quick structural checks CI's overload-smoke job runs on
-every push.
+these are the quick structural checks tier-1 runs on every push.
 """
 
 import hashlib

@@ -5,9 +5,9 @@ determinism sanitizer.  On top of per-cell identity, the wire traffic
 (pcap digest), packet and event counts and the final clock are held to
 values frozen at commit ad1523e: generated there with every
 ``repro.fastpath`` flag off (event heap of ``Event`` objects, scan
-twins) and verified identical with every flag on (timer wheel), so a
-firing-order bug under hundreds-of-timers churn cannot hide behind
-run-to-run sameness.
+twins) and verified identical with every flag on, so a firing-order
+bug under hundreds-of-timers churn cannot hide behind run-to-run
+sameness.
 """
 
 import pytest

@@ -1,10 +1,17 @@
 """The scored session pool: dial, reuse, retire, dispatch, warmth."""
 
+import gc
+import inspect
+import weakref
+
 import pytest
 
 from repro.core.events import Event, EventDispatcher
-from repro.scale.loadgen import ScaleConfig, run_scale
+from repro.overload.world import OverloadConfig, OverloadWorld
+from repro.scale.farm import Farm
+from repro.scale.loadgen import ScaleConfig, ScaleWorld, run_scale
 from repro.scale.pool import PoolConfig, PooledSession, SessionPool
+from repro.scale.recovery import RecoveryConfig, RecoveryWorld
 
 
 class FakeSim:
@@ -254,7 +261,24 @@ def test_small_scale_run_reuses_and_drains_clean():
         listeners=2,
         arrival_span=0.4,
     )
-    result = run_scale(config)
+    # Hold the world past the run, as every ``on_world`` caller and the
+    # benchmark do: a reaped server session must not stay reachable
+    # through it.
+    held, accepted = [], []
+
+    def on_world(world):
+        held.append(world)
+        for server in world.servers:
+            def on_session(session, inner=server.on_session):
+                accepted.append(weakref.ref(session))
+                inner(session)
+
+            server.on_session = on_session
+
+    result = run_scale(config, on_world=on_world)
+    gc.collect()
+    assert len(accepted) == 20
+    assert sum(ref() is not None for ref in accepted) == 0
     assert result.requests_started == 30
     assert result.requests_completed == 30
     assert result.requests_failed == 0
@@ -265,3 +289,31 @@ def test_small_scale_run_reuses_and_drains_clean():
     assert result.live_events == 0  # no leaked timers after teardown
     assert len(result.ttfb) == 30
     assert all(t > 0 for t in result.ttfb)
+
+
+@pytest.mark.parametrize(
+    "world_cls, config, hosts, listeners",
+    [
+        (ScaleWorld, ScaleConfig(sessions=4, client_hosts=2, listeners=3), 2, 3),
+        (RecoveryWorld, RecoveryConfig(sessions=4), 4, 2),
+        (OverloadWorld, OverloadConfig(client_hosts=3), 3, 1),
+    ],
+    ids=["churn", "crash-restart", "overload"],
+)
+def test_every_world_stands_on_the_one_farm(world_cls, config, hosts, listeners):
+    # The three regimes are comparable only on an identical testbed:
+    # topology, stacks, PKI and listeners come from Farm, and a world's
+    # own constructor builds none of them.
+    assert issubclass(world_cls, Farm)
+    own = inspect.getsource(world_cls.__init__)
+    for part in ("Network(", "TcpStack(", "CertificateAuthority(", "TcplsServer("):
+        assert part not in own
+    world = world_cls(config)
+    assert len(world.links) == len(world.client_stacks) == hosts
+    assert [server.port for server in world.servers] == [
+        443 + i for i in range(listeners)
+    ]
+    assert all(server.context is world.server_ctx for server in world.servers)
+    assert world.trust.verify(
+        world.server_ctx.identity.certificate, expected_subject="farm.example"
+    )
