@@ -6,7 +6,7 @@ experiment's wall-clock time.
 """
 
 from repro.crypto.aead import ChaCha20Poly1305
-from repro.crypto.ed25519 import Ed25519PrivateKey, ed25519_verify
+from repro.crypto.ed25519 import Ed25519PrivateKey, _key_powers, ed25519_verify
 from repro.crypto.keyschedule import KeySchedule
 from repro.crypto.x25519 import X25519PrivateKey
 
@@ -34,6 +34,9 @@ def test_x25519_exchange(benchmark):
 
 
 def test_ed25519_sign_verify(benchmark):
+    """Sign, then verify under a key seen before (its table is kept): a
+    client re-dialling one server.  The first-contact price is the row
+    below; read the two together."""
     key = Ed25519PrivateKey(b"\x33" * 32)
 
     def sign_and_verify():
@@ -41,6 +44,20 @@ def test_ed25519_sign_verify(benchmark):
         return ed25519_verify(key.public_bytes, b"transcript hash stand-in", signature)
 
     assert benchmark(sign_and_verify)
+
+
+def test_ed25519_verify_cold_key(benchmark):
+    """Verify under a key never seen: the per-key table is dropped before
+    every round, so this row cannot become the cached number."""
+    key = Ed25519PrivateKey(b"\x33" * 32)
+    signature = key.sign(b"transcript hash stand-in")
+
+    def forget():
+        _key_powers.cache_clear()
+        return (key.public_bytes, b"transcript hash stand-in", signature), {}
+
+    assert benchmark.pedantic(ed25519_verify, setup=forget, rounds=50)
+    assert _key_powers.cache_info().hits == 0  # no round found a table
 
 
 def test_key_schedule_full_ladder(benchmark):

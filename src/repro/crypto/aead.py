@@ -130,8 +130,9 @@ class ChaCha20Poly1305:
                 chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), data, aad
             )
         ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
-        # The tag is always verified before any payload keystream is
-        # generated, so a failed trial decryption costs only the MAC.
+        # Here the tag is verified before any payload keystream exists, so
+        # a failed trial decryption costs only the MAC; the lane path above
+        # has paid the record's whole keystream pass by the time it fails.
         otk = poly1305_key_gen(self._key, nonce)
         expected = poly1305_mac(otk, _auth_input(aad, ciphertext))
         if not constant_time_equal(tag, expected):

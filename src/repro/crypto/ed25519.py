@@ -5,11 +5,14 @@ sufficient for a simulator where the adversary is a middlebox model, not
 a timing attacker.  Validated against the RFC 8032 section 7.1 test
 vectors.
 
-Two scalar multiplications, one job each:
+Two scalar multiplications, one job each, both over section 5.1.4's
+addition and both a table walk with no doubling at multiply time:
 
-- ``_point_mul(scalar, point)`` is the readable RFC 8032 path for an
-  arbitrary point: double-and-add over section 5.1.4's addition.  Only
-  verification's ``h * A`` needs it.
+- ``_powers_mul(scalar, _key_powers(public))`` is verification's
+  ``h * A``.  The 252 doublings any multiply by a 253-bit scalar needs
+  do not depend on the scalar, so the first verification under a key
+  keeps them (``16**i * A``) and later ones only add.  A bounded LRU of
+  ``_KEY_TABLES`` keys; never slower than double-and-add, so no switch.
 - ``base_mul(scalar)`` is the table path for the base point ``B``:
   ``_base_table()[i][j] = j * 16**i * B`` (64 x 16 points, built on
   first use), so a multiply is one addition per scalar nibble and no
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Tuple
+from typing import Optional, Tuple
 
 _P = 2**255 - 19
 _L = 2**252 + 27742317777372353535851937790883648493
@@ -73,17 +76,6 @@ def _point_add(p, q):
     d = (2 * z1 * z2) % _P
     e, f, g, h = b - a, d - c, d + c, b + a
     return ((e * f) % _P, (g * h) % _P, (f * g) % _P, (e * h) % _P)
-
-
-def _point_mul(scalar: int, point):
-    result = _IDENTITY
-    addend = point
-    while scalar:
-        if scalar & 1:
-            result = _point_add(result, addend)
-        addend = _point_add(addend, addend)
-        scalar >>= 1
-    return result
 
 
 @functools.cache
@@ -138,6 +130,42 @@ def _point_decompress(data: bytes):
     return (x, y, 1, (x * y) % _P)
 
 
+#: Public keys whose ``_key_powers`` are kept (~20 KiB each).
+_KEY_TABLES = 32
+
+
+@functools.lru_cache(maxsize=_KEY_TABLES)
+def _key_powers(public: bytes) -> Tuple[Point, ...]:
+    """``powers[i] == 16**i * A`` for the key ``public`` encodes, ``i`` in
+    0..63: the doublings of one double-and-add, and the decompressed
+    ``A`` itself.  An invalid encoding raises and is not remembered."""
+    step = _point_decompress(public)
+    powers = [step]
+    for _ in range(63):
+        for _ in range(4):
+            step = _point_add(step, step)
+        powers.append(step)
+    return tuple(powers)
+
+
+def _powers_mul(scalar: int, powers: Tuple[Point, ...]) -> Point:
+    """``scalar * A`` for ``0 <= scalar < 2**256`` from ``A``'s powers:
+    ``sum(j * bucket[j])``, where ``bucket[j]`` collects the ``16**i * A``
+    whose nibble is ``j`` (one addition per non-zero nibble) and the
+    weighted sum is fifteen running-sum steps."""
+    buckets = [_IDENTITY] * 16
+    for step in powers:
+        nibble = scalar & 15
+        if nibble:
+            buckets[nibble] = _point_add(buckets[nibble], step)
+        scalar >>= 4
+    running = total = _IDENTITY
+    for bucket in reversed(buckets[1:]):
+        running = _point_add(running, bucket)
+        total = _point_add(total, running)
+    return total
+
+
 def _sha512_int(*parts: bytes) -> int:
     return int.from_bytes(hashlib.sha512(b"".join(parts)).digest(), "little")
 
@@ -157,9 +185,14 @@ def ed25519_public_key(secret: bytes) -> bytes:
     return _point_compress(base_mul(a))
 
 
-def ed25519_sign(secret: bytes, message: bytes) -> bytes:
+def ed25519_sign(
+    secret: bytes, message: bytes, public: Optional[bytes] = None
+) -> bytes:
+    """RFC 8032 section 5.1.6.  ``public`` is the key ``secret`` derives,
+    for a caller that already holds it (it is hashed, not checked)."""
     a, prefix = _secret_expand(secret)
-    public = _point_compress(base_mul(a))
+    if public is None:
+        public = _point_compress(base_mul(a))
     r = _sha512_int(prefix, message) % _L
     r_point = _point_compress(base_mul(r))
     h = _sha512_int(r_point, public, message) % _L
@@ -170,18 +203,17 @@ def ed25519_sign(secret: bytes, message: bytes) -> bytes:
 def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if len(public) != 32 or len(signature) != 64:
         return False
-    try:
-        a_point = _point_decompress(public)
-        r_point = _point_decompress(signature[:32])
-    except ValueError:
-        return False
     s = int.from_bytes(signature[32:], "little")
     if s >= _L:
         return False
+    try:
+        r_point = _point_decompress(signature[:32])
+        powers = _key_powers(bytes(public))
+    except ValueError:
+        return False
     h = _sha512_int(signature[:32], public, message) % _L
-    left = base_mul(s)
-    right = _point_add(r_point, _point_mul(h, a_point))
-    return _point_equal(left, right)
+    right = _point_add(r_point, _powers_mul(h, powers))
+    return _point_equal(base_mul(s), right)
 
 
 class Ed25519PrivateKey:
@@ -192,4 +224,4 @@ class Ed25519PrivateKey:
         self.public_bytes = ed25519_public_key(self._seed)
 
     def sign(self, message: bytes) -> bytes:
-        return ed25519_sign(self._seed, message)
+        return ed25519_sign(self._seed, message, self.public_bytes)

@@ -96,10 +96,15 @@ class Identity:
 
 
 class TrustStore:
-    """The client's set of trusted CA keys."""
+    """The client's set of trusted CA keys, and the certificates it has
+    already checked under them."""
 
     def __init__(self) -> None:
         self._cas: dict[str, bytes] = {}
+        #: (CA key, certificate) pairs whose signature passed: every byte
+        #: the Ed25519 check reads, so a repeat needs no second check.
+        #: Grows only by certificates a trusted key really signed.
+        self._verified: set[tuple[bytes, Certificate]] = set()
 
     def add(self, ca_name: str, ca_public_key: bytes) -> None:
         self._cas[ca_name] = ca_public_key
@@ -114,6 +119,10 @@ class TrustStore:
             return False
         if expected_subject is not None and certificate.subject != expected_subject:
             return False
-        return ed25519_verify(
-            ca_key, certificate.to_be_signed(), certificate.signature
-        )
+        checked = (ca_key, certificate)
+        if checked in self._verified:
+            return True
+        if not ed25519_verify(ca_key, certificate.to_be_signed(), certificate.signature):
+            return False
+        self._verified.add(checked)
+        return True

@@ -145,8 +145,9 @@ class CipherState:
     def open(self, ciphertext: bytes, aad: bytes) -> bytes:
         """Verify + decrypt one record at the current sequence.
 
-        The tag is checked before any plaintext is produced either way,
-        so failed trial decryptions stay cheap on both paths.
+        The tag is checked before any plaintext is produced either way.
+        A failed trial decryption costs only the MAC on the scalar path;
+        on the lane path it pays the record's whole keystream pass first.
         """
         keystream = self._lookahead(len(ciphertext) - TAG_LENGTH)
         if keystream is not None:

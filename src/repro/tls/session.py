@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.aead import ChaCha20Poly1305
+from repro.crypto.ed25519 import ed25519_verify
 from repro.crypto.hkdf import hkdf_expand_label, sha256
 from repro.crypto.keyschedule import KeySchedule, TrafficKeys
 from repro.crypto.x25519 import X25519PrivateKey
@@ -536,8 +537,6 @@ class TlsSession:
         if not self.config.trust_store.verify(self.peer_certificate, expected):
             raise TlsAlertError(alerts.BAD_CERTIFICATE, "certificate not trusted")
         signed = _CERT_VERIFY_CONTEXT_SERVER + self.keys.transcript_hash()
-        from repro.crypto.ed25519 import ed25519_verify
-
         if not ed25519_verify(self.peer_certificate.public_key, signed, msg.signature):
             raise TlsAlertError(alerts.DECRYPT_ERROR, "CertificateVerify failed")
         self.keys.update_transcript(raw)

@@ -1,6 +1,8 @@
 """RFC 8032 section 7.1 test vectors for Ed25519, the point-decoding
-rules, and the two scalar multiplications against an oracle that shares
-no arithmetic with them (affine double-and-add, kept in this file)."""
+rules, the two scalar multiplications against an oracle that shares
+no arithmetic with them (affine double-and-add, kept in this file), and
+the per-key table of verification: a key seen before and a key seen for
+the first time get the same verdict."""
 
 import hashlib
 import random
@@ -242,15 +244,70 @@ def test_fixed_base_multiply_matches_double_and_add(scalar):
     )
 
 
+def _affine(encoded: bytes):
+    """The point ``encoded`` names, checked with this file's arithmetic:
+    on the curve and re-encoding to the same bytes leaves one candidate."""
+    x, y, _, _ = _ed._point_decompress(encoded)
+    assert (y * y - x * x) % _P == (1 + _D * x * x * y * y) % _P
+    assert _encode((x, y)) == encoded
+    return x, y
+
+
+def _key_mul(scalar: int, encoded: bytes):
+    """Verification's ``h * A``, as ``ed25519_verify`` evaluates it."""
+    return _ed._powers_mul(scalar, _ed._key_powers(encoded))
+
+
+#: Some point that is not the base: a public key.
+_DERIVED = ed25519_public_key(b"\x07" * 32)
+
+
 @pytest.mark.parametrize("scalar", _SCALARS)
 def test_variable_base_multiply_matches_double_and_add(scalar):
-    # Some point that is not the base: a public key.
-    x, y, _, _ = _ed._point_decompress(ed25519_public_key(b"\x07" * 32))
-    _assert_same_point(
-        _ed._point_mul(scalar, (x, y, 1, x * y % _P)), _double_and_add(scalar, (x, y))
+    for encoded in (_DERIVED, _encode((_BASE_X, _BASE_Y))):
+        _assert_same_point(
+            _key_mul(scalar, encoded), _double_and_add(scalar, _affine(encoded))
+        )
+
+
+#: The eight points of order dividing 8, by encoding: order 1, 2, 4, 4
+#: and four of order 8.  ``h * A`` for such an ``A`` cycles through them,
+#: the identity included, so every table entry repeats.
+_SMALL_ORDER = [
+    bytes.fromhex(encoding)
+    for encoding in (
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
     )
+]
+
+
+def test_oracle_knows_the_small_order_points():
+    orders = []
+    for encoded in _SMALL_ORDER:
+        point = _affine(encoded)
+        orders.append(
+            next(n for n in (1, 2, 4, 8) if _double_and_add(n, point) == (0, 1))
+        )
+    assert orders == [1, 2, 4, 4, 8, 8, 8, 8]
+    assert len(set(_SMALL_ORDER)) == 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scalar=st.sampled_from([0, 1, 15, 16, _L - 1, _L, 2**252, 2**253 - 1])
+    | st.integers(min_value=0, max_value=2**256 - 1),
+    encoded=st.sampled_from([_encode((_BASE_X, _BASE_Y)), _DERIVED] + _SMALL_ORDER),
+)
+def test_per_key_multiply_matches_double_and_add(scalar, encoded):
     _assert_same_point(
-        _ed._point_mul(scalar, _ed._BASE), _double_and_add(scalar, (_BASE_X, _BASE_Y))
+        _key_mul(scalar, encoded), _double_and_add(scalar, _affine(encoded))
     )
 
 
@@ -275,3 +332,112 @@ def test_base_table_is_built_once(monkeypatch):
     assert len(additions) == 2  # one addition per non-zero nibble
     assert _ed._base_table() is table
     assert (len(table), {len(row) for row in table}) == (64, {16})
+
+
+# ----------------------------------------------------------------------
+# The per-key table: warm and cold verification are one predicate
+# ----------------------------------------------------------------------
+
+
+def _cold_then_warm(public: bytes, message: bytes, signature: bytes):
+    """Both verdicts, with proof from the cache's own counters that the
+    first call built ``public``'s table and the second one found it --
+    unless R or s was rejected before the key was looked at (no lookup),
+    or the key does not decode (two misses, nothing kept)."""
+    _ed._key_powers.cache_clear()
+    cold = ed25519_verify(public, message, signature)
+    warm = ed25519_verify(public, message, signature)
+    info = _ed._key_powers.cache_info()
+    assert (info.misses, info.hits, info.currsize) in ((1, 1, 1), (0, 0, 0), (2, 0, 0))
+    return cold, warm
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    damaged = bytearray(data)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+def test_warm_and_cold_agree_on_every_single_bit_flip():
+    key = Ed25519PrivateKey(b"\x21" * 32)
+    message = b"CertificateVerify stand-in"
+    signature = key.sign(message)
+    assert _cold_then_warm(key.public_bytes, message, signature) == (True, True)
+    for bit in range(64 * 8):
+        verdicts = _cold_then_warm(key.public_bytes, message, _flip(signature, bit))
+        assert verdicts == (False, False), bit
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    message=st.binary(max_size=200),
+    flip=st.integers(min_value=0, max_value=(32 + 64) * 8 - 1),
+)
+def test_warm_and_cold_agree_on_any_key(seed, message, flip):
+    """One flipped bit anywhere in (public key, signature): whatever the
+    verdict (a damaged key may not even decode), it is the same twice."""
+    key = Ed25519PrivateKey(seed)
+    signature = key.sign(message)
+    assert _cold_then_warm(key.public_bytes, message, signature) == (True, True)
+    damaged = _flip(key.public_bytes + signature, flip)
+    cold, warm = _cold_then_warm(damaged[:32], message, damaged[32:])
+    assert cold is warm is False
+
+
+def test_a_key_seen_before_costs_no_doubling(monkeypatch):
+    key = Ed25519PrivateKey(b"\x22" * 32)
+    signature = key.sign(b"msg")
+    additions = []
+    add = _ed._point_add
+    monkeypatch.setattr(_ed, "_point_add", lambda p, q: additions.append(1) or add(p, q))
+    _ed._key_powers.cache_clear()
+    assert ed25519_verify(key.public_bytes, b"msg", signature)
+    cold = len(additions)
+    assert ed25519_verify(key.public_bytes, b"msg", signature)
+    warm = len(additions) - cold
+    assert cold - warm == 252  # 63 steps of four doublings, paid once
+    # s*B and h*A: one addition per nibble at most, the running sum, R.
+    assert warm <= 64 + (64 + 30) + 1
+
+
+def test_key_tables_are_bounded_and_eviction_changes_no_verdict():
+    keys = [Ed25519PrivateKey(bytes([i]) * 32) for i in range(40)]
+    signed = [(key.public_bytes, key.sign(key.public_bytes)) for key in keys]
+    _ed._key_powers.cache_clear()
+    for _ in range(2):  # round-robin over more keys than tables: all evicted
+        for index, (public, signature) in enumerate(signed):
+            assert ed25519_verify(public, public, signature)
+            assert not ed25519_verify(public, public, signed[index - 1][1])
+            assert _ed._key_powers.cache_info().currsize <= _ed._KEY_TABLES
+    info = _ed._key_powers.cache_info()
+    assert info.maxsize == _ed._KEY_TABLES == 32
+    assert (info.currsize, info.misses, info.hits) == (32, 80, 80)
+
+
+@pytest.mark.parametrize(
+    "public",
+    [_MINUS_ONE_SIGN_SET, (2).to_bytes(32, "little"), (_P + 3).to_bytes(32, "little")],
+    ids=["zero-x-sign-set", "off-curve", "y-not-reduced"],
+)
+def test_invalid_key_encoding_is_false_twice_and_never_cached(public):
+    with pytest.raises(ValueError):
+        _ed._point_decompress(public)
+    signature = Ed25519PrivateKey(b"\x23" * 32).sign(b"msg")
+    _ed._key_powers.cache_clear()
+    for attempt in (1, 2):
+        assert not ed25519_verify(public, b"msg", signature)
+        info = _ed._key_powers.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (0, attempt, 0)
+
+
+def test_key_object_signs_with_one_base_multiply(monkeypatch):
+    key = Ed25519PrivateKey(b"\x24" * 32)
+    calls = []
+    base_mul = _ed.base_mul
+    monkeypatch.setattr(_ed, "base_mul", lambda k: calls.append(k) or base_mul(k))
+    signature = key.sign(b"msg")
+    assert len(calls) == 1  # r*B; the public key is the one it already holds
+    assert ed25519_sign(b"\x24" * 32, b"msg") == signature
+    assert len(calls) == 3  # the RFC call shape derives the key again
+    assert ed25519_sign(b"\x24" * 32, b"msg", key.public_bytes) == signature
