@@ -1,0 +1,98 @@
+"""``TcplsConnection``: one TCP connection inside a TCPLS session."""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.core.health import PathHealth
+from repro.tcp.connection import TcpConnection
+from repro.tls.record import RecordDecoder
+
+if TYPE_CHECKING:
+    from repro.core.session import TcplsSession
+
+
+class TcplsConnection:
+    """One TCP connection inside a TCPLS session; its TCP callbacks
+    land on the owning session's ``_on_tcp_*`` handlers.
+
+    ``__slots__``-packed: thousands of concurrent sessions mean
+    thousands of these plus their per-frame attribute reads; slots cut
+    the per-instance dict and keep the hot fields in fixed offsets.
+    """
+
+    __slots__ = (
+        "session",
+        "conn_id",
+        "tcp",
+        "state",
+        "is_primary",
+        "token",
+        "decoder",
+        "bytes_delivered",
+        "records_received",
+        "auth_failure_run",
+        "plaintext_junk",
+        "health",
+    )
+
+    CONNECTING = "CONNECTING"
+    TLS_HANDSHAKE = "TLS_HANDSHAKE"
+    JOIN_SENT = "JOIN_SENT"
+    ACTIVE = "ACTIVE"
+    FAILED = "FAILED"
+    CLOSED = "CLOSED"
+
+    def __init__(self, session: "TcplsSession", conn_id: int, tcp: TcpConnection) -> None:
+        self.session = session
+        self.conn_id = conn_id
+        self.tcp = tcp
+        self.state = self.CONNECTING
+        self.is_primary = False
+        self.token = b""  # key-derivation token: CONNID or the JOIN cookie
+        self.decoder = RecordDecoder()  # raw record splitting only
+        self.bytes_delivered = 0
+        self.records_received = 0
+        self.auth_failure_run = 0  # consecutive open_record failures
+        self.plaintext_junk = 0  # post-establishment non-APPDATA records
+        self.health = PathHealth()
+        tcp.on_data = self._on_data
+        tcp.on_established = lambda: session._on_tcp_established(self)
+        tcp.on_reset = lambda: session._on_tcp_failed(self, "reset")
+        tcp.on_error = lambda reason: session._on_tcp_failed(self, reason)
+        tcp.on_close = lambda: session._on_tcp_peer_close(self)
+        tcp.on_send_progress = session._pump
+
+    def _on_data(self, data: bytes) -> None:
+        self.session._on_tcp_data(self, data)
+
+    def usable(self) -> bool:
+        return self.state == self.ACTIVE and self.tcp.state in (
+            "ESTABLISHED", "CLOSE_WAIT",
+        )
+
+    def send_room(self) -> int:
+        """Free sending capacity: window minus flight minus queued bytes.
+
+        Clamped at zero: queued bytes can exceed the window after a
+        congestion-window collapse, and a negative value skews the
+        round-robin scheduler's capacity comparisons.
+        """
+        info_window = min(self.tcp.cc.window(), self.tcp.snd_wnd)
+        room = info_window - self.tcp.bytes_in_flight() - self.tcp.send_queue_length()
+        return max(0, room)
+
+    def path_score(self) -> float:
+        """Health score (lower is better) for scheduler/failover choice."""
+        return self.health.score(self)
+
+    def describe(self) -> dict:
+        return {
+            "conn_id": self.conn_id,
+            "state": self.state,
+            "primary": self.is_primary,
+            "local": f"{self.tcp.local_addr}:{self.tcp.local_port}",
+            "remote": f"{self.tcp.remote_addr}:{self.tcp.remote_port}",
+            "tcp": self.tcp.info(),
+            "health": self.health.describe(self),
+        }

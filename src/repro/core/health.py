@@ -2,19 +2,14 @@
 
 The paper's failover story (section 2.1) needs an answer to "which
 surviving connection should carry the replayed frames and the re-pinned
-streams?"  The seed implementation always picked ``survivors[0]``; this
-module scores every path from cross-layer TCP signals — smoothed RTT and
-loss events (retransmissions, fast retransmits, RTO expiries) — so the
-scheduler, ``_repin_streams_away_from`` and the replay target all prefer
-the healthiest path.
+streams?"  This module scores every path from cross-layer TCP signals —
+smoothed RTT and loss events (retransmissions, fast retransmits, RTO
+expiries) — so the scheduler, ``_repin_streams_away_from`` and the
+replay target all prefer the healthiest path.
 
 Scores are *lower-is-better* simulated seconds: an idealised path scores
 its smoothed RTT; loss inflates that multiplicatively.  Scoring reads
-only locally-available TCP state, so it costs nothing on the wire; the
-optional heartbeat (session-level PING on idle connections, driven by
-``TcplsSession`` when ``health_interval`` is set) exists to keep those
-TCP signals fresh on paths that would otherwise sit idle and look
-perfectly healthy while dead.
+only locally-available TCP state, so it costs nothing on the wire.
 """
 
 from __future__ import annotations
@@ -25,64 +20,33 @@ from typing import Optional
 # this placeholder so established paths with real measurements win ties.
 UNMEASURED_RTT = 1.0
 
-# Weight of the long-run loss ratio relative to RTT: a path losing 10%
-# of its segments scores as if its RTT were ~1.8x higher.
+# Weight of the loss ratio relative to RTT: a path losing 10% of its
+# segments scores as if its RTT were ~1.8x higher.
 LOSS_WEIGHT = 8.0
 
-# Weight of *recent* loss events (since the last refresh window) — these
-# dominate so a path that just started timing out is fled quickly even
-# if its lifetime ratio still looks good.
-RECENT_LOSS_WEIGHT = 0.5
+# Weight of each loss event on its own — these dominate so a path that
+# just started timing out is fled quickly even if its ratio still looks
+# good.
+LOSS_EVENT_WEIGHT = 0.5
 
 
 class PathHealth:
-    """Health state attached to one ``TcplsConnection``."""
+    """Health view of one ``TcplsConnection`` (stateless: everything is
+    read off the connection's TCP counters at scoring time)."""
 
-    __slots__ = (
-        "last_activity",
-        "pings_sent",
-        "loss_ewma",
-        "_seen_loss_events",
-    )
-
-    def __init__(self) -> None:
-        self.last_activity = 0.0   # sim time of the last send or receive
-        self.pings_sent = 0        # heartbeat PINGs emitted on this path
-        self.loss_ewma = 0.0       # EWMA of loss events per refresh tick
-        self._seen_loss_events = 0
-
-    # -- periodic refresh (driven by the session's health tick) -----------
-
-    def refresh(self, conn) -> int:
-        """Fold loss events since the last refresh into the EWMA.
-
-        Returns the number of new loss events observed this tick.
-        """
-        total = self._loss_events(conn)
-        delta = total - self._seen_loss_events
-        self._seen_loss_events = total
-        self.loss_ewma = 0.75 * self.loss_ewma + 0.25 * delta
-        return delta
-
-    # -- scoring ----------------------------------------------------------
+    __slots__ = ()
 
     def score(self, conn) -> float:
-        """Lower is better.  Usable at any time, tick or no tick."""
-        stats = conn.tcp.stats
+        """Lower is better."""
         # Explicit unmeasured sentinel: a measured srtt of exactly 0.0
         # (zero-delay simulated link) is a *good* path, not an unknown.
         srtt = conn.tcp.rto.srtt
         if srtt is None:
             srtt = UNMEASURED_RTT
-        sent = stats["segments_sent"]
-        loss_ratio = self._loss_events(conn) / sent if sent else 0.0
-        recent = self._loss_events(conn) - self._seen_loss_events
-        return srtt * (
-            1.0
-            + LOSS_WEIGHT * loss_ratio
-            + RECENT_LOSS_WEIGHT * recent
-            + self.loss_ewma
-        )
+        sent = conn.tcp.stats["segments_sent"]
+        events = self._loss_events(conn)
+        loss_ratio = events / sent if sent else 0.0
+        return srtt * (1.0 + LOSS_WEIGHT * loss_ratio + LOSS_EVENT_WEIGHT * events)
 
     @staticmethod
     def _loss_events(conn) -> int:
@@ -97,10 +61,7 @@ class PathHealth:
         return {
             "score": self.score(conn),
             "srtt": conn.tcp.rto.srtt,
-            "loss_ewma": self.loss_ewma,
             "loss_events": self._loss_events(conn),
-            "pings_sent": self.pings_sent,
-            "last_activity": self.last_activity,
         }
 
 

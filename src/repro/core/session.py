@@ -2,36 +2,41 @@
 
 A ``TcplsSession`` gathers one TLS 1.3 session and one or more TCP
 connections (like a Multipath TCP connection gathers subflows — paper
-section 2.1) and runs the machinery of sections 2-3 on top of them:
+section 2.1) and carries the datapath of sections 2-3 on top of them:
 
 - per-(stream, connection) cryptographic contexts with receiver-side
   trial decryption;
-- session sequence numbers, TCPLS ACKs, replay-on-failover;
+- session sequence numbers, TCPLS ACKs, and the replay of unacked
+  frames onto another connection;
 - JOIN of additional connections using CONNID + one-time cookies;
-- application-driven connection migration and automatic failover on
-  spurious RST or outage;
 - the secure TCP-option channel (User Timeout working end-to-end);
 - congestion-control plugins delivered as bytecode;
 - 0-RTT resumption over TCP Fast Open;
 - SYN-echo middlebox detection.
 
-``TcplsServer`` demultiplexes incoming TCP connections on a listening
-port into new sessions (ClientHello) or JOINs to existing ones.
+What the session *does* when a TCP connection dies — fail over, redial
+with a cookie, give up — is ``repro.core.recovery``.  Its configuration
+(``context.TcplsContext``), its per-TCP-connection record
+(``connection.TcplsConnection``) and its listener
+(``server.TcplsServer``) live in their own modules and are re-exported
+here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import framing, join as joinmod
+from repro.core.connection import TcplsConnection
+from repro.core.context import TcplsContext
 from repro.core.contexts import CONTROL_STREAM_ID, ContextManager
 from repro.core.cookies import CookieJar, CookiePurse, mint_connection_id
 from repro.core.events import Event, EventDispatcher
 from repro.core.framing import TType
-from repro.core.health import PathHealth, best_path
+from repro.core.health import best_path
 from repro.core.record_sizing import RecordSizer, TOTAL_OVERHEAD
+from repro.core.recovery import ReconnectState, Recovery
 from repro.core.reliability import ReceiveTracker, ReplayBuffer
 from repro.core.scheduler import make_scheduler
 from repro.core.streams import DEFAULT_STREAM_WINDOW, TcplsStream
@@ -45,11 +50,8 @@ from repro.tcp.options import (
 )
 from repro.tcp.stack import TcpStack
 from repro.tls import messages as m
-from repro.tls.certificates import Identity, TrustStore
-from repro.tls.record import ContentType, RecordDecoder, record_header
-from repro.tls.replay import AntiReplayRegister
-from repro.tls.session import SessionTicketStore, TlsConfig, TlsSession
-from repro.utils.bytesio import ByteWriter
+from repro.tls.record import ContentType, record_header
+from repro.tls.session import TlsConfig, TlsSession
 from repro.utils.errors import (
     DecodeError,
     GuardLimitExceeded,
@@ -64,212 +66,12 @@ from repro.utils.errors import (
 # fixes).
 _session_counter = [0]
 
+__all__ = ["TcplsConnection", "TcplsContext", "TcplsServer", "TcplsSession"]
 
-@dataclass
-class TcplsContext:
-    """Configuration for TCPLS sessions (client or server side)."""
-
-    # TLS material.
-    identity: Optional[Identity] = None            # server
-    trust_store: Optional[TrustStore] = None       # client
-    server_name: str = ""                          # client
-    ticket_store: Optional[SessionTicketStore] = None
-    ticket_key: bytes = b"\x00" * 32
-    send_tickets: int = 2
-    # Resumption hardening.  ``ticket_lifetime`` is sealed into every
-    # issued ticket and enforced on both ends (the TLS layer reads the
-    # simulator clock, wired in by the session).  ``zero_rtt_anti_replay``
-    # sizes the server's bounded 0-RTT strike register (0 disables it);
-    # ``anti_replay`` lets several servers share one register — a
-    # TcplsServer builds its own when left None.
-    ticket_lifetime: int = 7200
-    zero_rtt_anti_replay: int = 4096
-    anti_replay: Optional[AntiReplayRegister] = None
-    # Overload retry coupon (client side): a sealed coupon a server
-    # handed out when it refused this client under pressure, presented
-    # in the redial's ClientHello for cheap-class admission.
-    retry_coupon: bytes = b""
-
-    # TCPLS behaviour.
-    congestion: str = "reno"
-    multipath_mode: str = "pinned"   # pinned | aggregate | round_robin | rtt
-    ack_every: int = 16
-    ack_flush_delay: float = 0.025
-    max_record_payload: int = 16000
-    cwnd_match_records: bool = False
-    auto_failover: bool = True
-    # Applied to every underlying TCP connection so path outages surface
-    # as connection failures quickly enough for failover to act (the
-    # local analogue of the RFC 5482 option TCPLS ships to the peer).
-    connection_user_timeout: Optional[float] = 5.0
-    cookie_batch: int = 4
-    advertise_addresses: bool = True
-    seed: int = 0
-
-    # Robustness / recovery (client-side reconnection after total path
-    # loss).  The seed code made exactly one reconnect attempt; these
-    # knobs bound an exponential-backoff retry loop instead: attempt i
-    # waits ``min(backoff_base * 2**(i-1), backoff_max)`` plus a random
-    # jitter fraction before redialling, up to ``reconnect_max_retries``
-    # attempts (each consuming one JOIN cookie).  ``join_timeout`` is a
-    # per-attempt guard for JOINs that hang without the TCP connection
-    # dying.
-    reconnect_max_retries: int = 4
-    reconnect_backoff_base: float = 0.25
-    reconnect_backoff_max: float = 4.0
-    reconnect_backoff_jitter: float = 0.1
-    join_timeout: float = 10.0
-
-    # How many *consecutive* record-authentication failures a connection
-    # tolerates before it is declared compromised and failed over.  A
-    # lone forged record injected by an attacker fails once and genuine
-    # traffic keeps decrypting (the receive nonce never advanced), so
-    # small runs are survivable noise; but a tampered *genuine* record
-    # desynchronizes the AEAD nonce sequence and every later record on
-    # that connection fails too — only killing the connection (and
-    # replaying its unacked frames elsewhere) can recover from that, and
-    # a tolerance this small bounds how long the stall lasts.
-    auth_failure_tolerance: int = 3
-
-    # Resource-exhaustion guards (fail closed; each trip increments the
-    # session's ``guard.tripped`` counter).  ``max_streams`` caps the
-    # concurrent stream table; ``max_reassembly_bytes`` caps one
-    # stream's out-of-order buffer (a peer striping far ahead of a hole
-    # is hoarding our memory); ``max_plaintext_records`` caps how much
-    # post-establishment plaintext junk (injected non-APPDATA records)
-    # a connection tolerates before it is torn down; the JOIN knobs
-    # rate-limit cookie-guessing against the server per peer address.
-    # ``max_session_memory`` caps the *session-wide* buffered-byte
-    # footprint — every stream's reassembly buffer plus the failover
-    # replay buffer — so one session cannot hoard a scale run's memory
-    # even while each individual stream stays under its own cap.
-    max_streams: int = 64
-    max_reassembly_bytes: int = 4 << 20
-    max_session_memory: int = 16 << 20
-    max_plaintext_records: int = 32
-    join_rate_limit: int = 8
-    join_rate_window: float = 1.0
-
-    # Per-stream flow control (PR 9).  ``stream_recv_window`` is the
-    # credit this endpoint grants a peer per stream: in-order bytes the
-    # application has not consumed plus reassembly backlog may never
-    # exceed it, and a compliant sender stalls instead of overrunning.
-    # The default equals ``DEFAULT_STREAM_WINDOW`` so symmetric contexts
-    # agree on the initial credit without a handshake extension.
-    # ``stream_send_buffer`` bounds the *local* unsent backlog per
-    # stream: 0 keeps the legacy queue-everything behaviour (still
-    # capped by ``max_session_memory``); a positive value makes
-    # ``send()`` raise ``WouldBlock`` instead of queueing past it, with
-    # ``Event.STREAM_WRITABLE`` fired once the backlog drains below
-    # half the limit.
-    stream_recv_window: int = DEFAULT_STREAM_WINDOW
-    stream_send_buffer: int = 0
-
-    # Path health monitor.  ``health_interval > 0`` arms a periodic tick
-    # that refreshes per-path loss scores and sends a heartbeat PING on
-    # connections idle longer than ``health_idle_ping`` (keeping TCP's
-    # RTT/loss signals fresh on quiet paths so a dead one is noticed).
-    # Off by default: scoring itself works without the tick, and the
-    # tick adds wire traffic.
-    health_interval: float = 0.0
-    health_idle_ping: float = 1.0
-
-    # Observability (repro.obs).  ``telemetry`` keeps the per-session
-    # hub on by default (instrumentation is observation-only, so
-    # disabling it never changes a simulated result); ``observability``
-    # shares one hub — one timeline, one metrics registry — across all
-    # sessions built from this context (e.g. a server and everything it
-    # accepts).
-    telemetry: bool = True
-    observability: Optional[Observability] = None
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
-
-class TcplsConnection:
-    """One TCP connection inside a TCPLS session.
-
-    ``__slots__``-packed: thousands of concurrent sessions mean
-    thousands of these plus their per-frame attribute reads; slots cut
-    the per-instance dict and keep the hot fields in fixed offsets.
-    """
-
-    __slots__ = (
-        "session",
-        "conn_id",
-        "tcp",
-        "state",
-        "is_primary",
-        "token",
-        "decoder",
-        "bytes_delivered",
-        "records_received",
-        "auth_failure_run",
-        "plaintext_junk",
-        "health",
-    )
-
-    CONNECTING = "CONNECTING"
-    TLS_HANDSHAKE = "TLS_HANDSHAKE"
-    JOIN_SENT = "JOIN_SENT"
-    ACTIVE = "ACTIVE"
-    FAILED = "FAILED"
-    CLOSED = "CLOSED"
-
-    def __init__(self, session: "TcplsSession", conn_id: int, tcp: TcpConnection) -> None:
-        self.session = session
-        self.conn_id = conn_id
-        self.tcp = tcp
-        self.state = self.CONNECTING
-        self.is_primary = False
-        self.token = b""  # key-derivation token: CONNID or the JOIN cookie
-        self.decoder = RecordDecoder()  # raw record splitting only
-        self.bytes_delivered = 0
-        self.records_received = 0
-        self.auth_failure_run = 0  # consecutive open_record failures
-        self.plaintext_junk = 0  # post-establishment non-APPDATA records
-        self.health = PathHealth()
-        tcp.on_data = self._on_data
-        tcp.on_established = lambda: session._on_tcp_established(self)
-        tcp.on_reset = lambda: session._on_tcp_failed(self, "reset")
-        tcp.on_error = lambda reason: session._on_tcp_failed(self, reason)
-        tcp.on_close = lambda: session._on_tcp_peer_close(self)
-        tcp.on_send_progress = session._pump
-
-    def _on_data(self, data: bytes) -> None:
-        self.session._on_tcp_data(self, data)
-
-    def usable(self) -> bool:
-        return self.state == self.ACTIVE and self.tcp.state in (
-            "ESTABLISHED", "CLOSE_WAIT",
-        )
-
-    def send_room(self) -> int:
-        """Free sending capacity: window minus flight minus queued bytes.
-
-        Clamped at zero: queued bytes can exceed the window after a
-        congestion-window collapse, and a negative value skews the
-        round-robin scheduler's capacity comparisons.
-        """
-        info_window = min(self.tcp.cc.window(), self.tcp.snd_wnd)
-        room = info_window - self.tcp.bytes_in_flight() - self.tcp.send_queue_length()
-        return max(0, room)
-
-    def path_score(self) -> float:
-        """Health score (lower is better) for scheduler/failover choice."""
-        return self.health.score(self)
-
-    def describe(self) -> dict:
-        return {
-            "conn_id": self.conn_id,
-            "state": self.state,
-            "primary": self.is_primary,
-            "local": f"{self.tcp.local_addr}:{self.tcp.local_port}",
-            "remote": f"{self.tcp.remote_addr}:{self.tcp.remote_port}",
-            "tcp": self.tcp.info(),
-            "health": self.health.describe(self),
-        }
+# How many *consecutive* record-authentication failures a connection
+# tolerates before it is failed over (why: ``_on_raw_record``); this
+# small, it bounds how long a desynchronized connection stalls.
+AUTH_FAILURE_TOLERANCE = 3
 
 
 class TcplsSession:
@@ -302,14 +104,8 @@ class TcplsSession:
         self.contexts: Optional[ContextManager] = None
         self.replay = ReplayBuffer()
         self.tracker = ReceiveTracker()
-        self.sizer = RecordSizer(
-            max_payload=context.max_record_payload,
-            match_cwnd=context.cwnd_match_records,
-        )
-        self.scheduler = make_scheduler(
-            context.multipath_mode if context.multipath_mode != "pinned" else "pinned"
-        )
-        self.multipath_enabled = context.multipath_mode != "pinned"
+        self.sizer = RecordSizer(match_cwnd=context.cwnd_match_records)
+        self.scheduler = make_scheduler(context.multipath_mode)
         self.events = EventDispatcher()
 
         # Identity / join state.
@@ -337,18 +133,6 @@ class TcplsSession:
         self._ack_flush_event = None
         self._closing = False
         self.session_closed = False
-        self._probe_reports: Dict[int, List[str]] = {}
-
-        # Robustness state.  ``_reconnect`` is the in-flight reconnection
-        # state machine (None when idle); ``_degraded_level`` is None,
-        # "single_path" or "no_path"; ``_peak_active`` remembers the best
-        # path redundancy the session ever had, so dropping from 2 paths
-        # to 1 counts as degradation but a single-path session does not.
-        self._reconnect: Optional[dict] = None
-        self._degraded_level: Optional[str] = None
-        self._degraded_since = 0.0
-        self._peak_active = 0
-        self._health_timer = None
 
         # Observability: one hub per session unless the context shares
         # one.  Instruments are looked up once here so the hot paths
@@ -376,19 +160,9 @@ class TcplsSession:
         self._obs_stream_bytes = telemetry.counter(
             component, obs_keys.STREAM_BYTES_RECEIVED
         )
-        # Fault & recovery counters (the fault-injection test matrix and
-        # the invariant checker read these).
-        self._obs_retries = telemetry.counter(component, obs_keys.FAILOVER_RETRIES)
-        self._obs_recovered = telemetry.counter(
-            component, obs_keys.FAILOVER_RECOVERED
-        )
-        self._obs_abandoned = telemetry.counter(
-            component, obs_keys.FAILOVER_ABANDONED
-        )
-        self._obs_cookies_exhausted = telemetry.counter(
-            component, obs_keys.FAILOVER_COOKIES_EXHAUSTED
-        )
-        self._obs_pings = telemetry.counter(component, obs_keys.HEALTH_PINGS_SENT)
+        # What happens when a connection dies: failover, redial, give up
+        # (its failover.* counters register at this point of the export).
+        self.recovery = Recovery(self)
         # Fail-closed wire hardening: rejected decodes and tripped
         # resource guards, per layer (the fuzz/attacker tests and the
         # BENCH export read these).
@@ -598,61 +372,71 @@ class TcplsSession:
             raise RuntimeError("no connection; call connect() first")
         return next(iter(self.connections.values()))
 
-    def _wire_tls_guards(self, tls: TlsSession) -> None:
-        """Feed TLS-layer rejections into the session's observability.
+    def _new_tls(self, config: TlsConfig, transport_write: Callable) -> None:
+        """Create the TLS driver and feed its rejections into the
+        session's observability.
 
-        The TLS driver fails closed on its own (alert + teardown); this
-        only makes those events visible in ``decode.rejected`` /
+        The driver fails closed on its own (alert + teardown); the two
+        hooks only make those events visible in ``decode.rejected`` /
         ``guard.tripped`` alongside the TCPLS-layer ones.
         """
+        self.tls = tls = TlsSession(
+            config, is_server=self.is_server, transport_write=transport_write
+        )
         tls.on_decode_rejected = lambda _why: self._obs_decode_rejected.inc()
         tls.on_guard_tripped = lambda _why: self._obs_guard_tripped.inc()
 
-    def _client_extensions(self) -> List[Tuple[int, bytes]]:
-        """ClientHello extensions: the TCPLS marker, plus a retry coupon
-        when a refusing server handed one out (cheap-class admission on
-        the redial)."""
+    def _client_tls_config(self) -> TlsConfig:
+        # ClientHello extensions: the TCPLS marker, plus a retry coupon
+        # when a refusing server handed one out (cheap-class admission
+        # on the redial).
         extensions = [(joinmod.EXT_TCPLS, joinmod.build_tcpls_marker())]
         if self.context.retry_coupon:
             extensions.append((m.EXT_TCPLS_COUPON, self.context.retry_coupon))
-        return extensions
-
-    def _start_tls_client(self, conn: TcplsConnection, early_data: bytes) -> None:
-        conn.is_primary = True
-        self.primary = conn
-        self._hs_span = self.obs.tracer.span(
-            self._obs_component, "handshake", conn_id=conn.conn_id,
-            early_data=bool(early_data),
-        )
-        tls_config = TlsConfig(
+        return TlsConfig(
             trust_store=self.context.trust_store,
             server_name=self.context.server_name,
             ticket_store=self.context.ticket_store,
-            extra_client_extensions=self._client_extensions(),
+            extra_client_extensions=extensions,
             rng=random.Random(self.rng.randrange(1 << 30)),
             clock=lambda: self.sim.now,
         )
-        self.tls = TlsSession(
-            tls_config, is_server=False, transport_write=conn.tcp.send
+
+    def _begin_primary_handshake(self, conn: TcplsConnection, **span_attrs) -> None:
+        """Mark ``conn`` primary, open the handshake span, and route the
+        TLS driver's completion to it (``self.tls`` exists by now)."""
+        conn.is_primary = True
+        self.primary = conn
+        self._hs_span = self.obs.tracer.span(
+            self._obs_component, "handshake", conn_id=conn.conn_id, **span_attrs
         )
-        self._wire_tls_guards(self.tls)
         self.tls.on_handshake_complete = lambda: self._on_tls_complete(conn)
+
+    @staticmethod
+    def _when_established(conn: TcplsConnection, fn: Callable[[], None]) -> None:
+        """Run ``fn`` now if ``conn``'s TCP is up, else right after
+        whatever ``on_established`` already does."""
+        if conn.tcp.state == "ESTABLISHED":
+            fn()
+            return
+        previous = conn.tcp.on_established
+
+        def on_established():
+            if previous:
+                previous()
+            fn()
+
+        conn.tcp.on_established = on_established
+
+    def _start_tls_client(self, conn: TcplsConnection, early_data: bytes) -> None:
+        self._new_tls(self._client_tls_config(), conn.tcp.send)
+        self._begin_primary_handshake(conn, early_data=bool(early_data))
 
         def start():
             conn.state = TcplsConnection.TLS_HANDSHAKE
             self.tls.start_handshake(early_data=early_data)
 
-        if conn.tcp.state == "ESTABLISHED":
-            start()
-        else:
-            previous = conn.tcp.on_established
-
-            def on_established():
-                if previous:
-                    previous()
-                start()
-
-            conn.tcp.on_established = on_established
+        self._when_established(conn, start)
 
     def connect_0rtt(
         self, dest: str, port: int = 443, early_data: bytes = b""
@@ -671,16 +455,7 @@ class TcplsSession:
         def write(data: bytes) -> None:
             hold[0](data)
 
-        tls_config = TlsConfig(
-            trust_store=self.context.trust_store,
-            server_name=self.context.server_name,
-            ticket_store=self.context.ticket_store,
-            extra_client_extensions=self._client_extensions(),
-            rng=random.Random(self.rng.randrange(1 << 30)),
-            clock=lambda: self.sim.now,
-        )
-        self.tls = TlsSession(tls_config, is_server=False, transport_write=write)
-        self._wire_tls_guards(self.tls)
+        self._new_tls(self._client_tls_config(), write)
         self.tls.start_handshake(early_data=early_data)
         syn_payload = bytes(first_flight)
 
@@ -688,39 +463,24 @@ class TcplsSession:
             dest, port, fast_open=True, fast_open_data=syn_payload
         )
         conn = self.connections[conn_id]
-        conn.is_primary = True
         conn.state = TcplsConnection.TLS_HANDSHAKE
-        self.primary = conn
-        self._hs_span = self.obs.tracer.span(
-            self._obs_component, "handshake", conn_id=conn.conn_id,
-            zero_rtt=True,
-        )
+        self._begin_primary_handshake(conn, zero_rtt=True)
         hold[0] = conn.tcp.send  # later flights go straight to TCP
-        self.tls.on_handshake_complete = lambda: self._on_tls_complete(conn)
         return conn_id
 
     # -- server side (driven by TcplsServer) ------------------------------
 
     def accept_primary(self, tcp: TcpConnection, initial_bytes: bytes) -> None:
         conn = self._register_tcp(tcp)
-        conn.is_primary = True
         conn.state = TcplsConnection.TLS_HANDSHAKE
-        self.primary = conn
-        self._hs_span = self.obs.tracer.span(
-            self._obs_component, "handshake", conn_id=conn.conn_id
-        )
 
         self.connection_id = mint_connection_id(self.rng)
         cookies = self.cookie_jar.mint()
         params = joinmod.TcplsServerParams(
             connection_id=self.connection_id,
             cookies=cookies,
-            v4_addresses=[
-                str(a) for a in self.stack.host.addresses(version=4)
-            ] if self.context.advertise_addresses else [],
-            v6_addresses=[
-                str(a) for a in self.stack.host.addresses(version=6)
-            ] if self.context.advertise_addresses else [],
+            v4_addresses=[str(a) for a in self.stack.host.addresses(version=4)],
+            v6_addresses=[str(a) for a in self.stack.host.addresses(version=6)],
         )
         tls_config = TlsConfig(
             identity=self.context.identity,
@@ -732,9 +492,8 @@ class TcplsSession:
             rng=random.Random(self.rng.randrange(1 << 30)),
             clock=lambda: self.sim.now,
         )
-        self.tls = TlsSession(tls_config, is_server=True, transport_write=tcp.send)
-        self._wire_tls_guards(self.tls)
-        self.tls.on_handshake_complete = lambda: self._on_tls_complete(conn)
+        self._new_tls(tls_config, tcp.send)
+        self._begin_primary_handshake(conn)
         self.tls.on_early_data = self._on_tls_early_data
         if initial_bytes:
             self._on_tcp_data(conn, initial_bytes)
@@ -797,8 +556,7 @@ class TcplsSession:
             recv=self.tls.decoder.cipher,
         )
         self.events.emit(Event.HANDSHAKE_DONE, conn_id=conn.conn_id)
-        self._note_path_active()
-        self._start_health_monitor()
+        self.recovery.path_active()
         self._pump()
 
     # ------------------------------------------------------------------
@@ -824,17 +582,7 @@ class TcplsSession:
             # Derive this connection's contexts from the session + cookie.
             self.contexts.install(CONTROL_STREAM_ID, conn.conn_id, cookie)
 
-        if conn.tcp.state == "ESTABLISHED":
-            send_join()
-        else:
-            previous = conn.tcp.on_established
-
-            def on_established():
-                if previous:
-                    previous()
-                send_join()
-
-            conn.tcp.on_established = on_established
+        self._when_established(conn, send_join)
 
     # -- server side JOIN (driven by TcplsServer) -----------------------------
 
@@ -870,7 +618,7 @@ class TcplsSession:
         for stream in self.streams.values():
             if stream.attached:
                 self.contexts.install(stream.stream_id, conn.conn_id, conn.token)
-        self._note_path_active()
+        self.recovery.path_active()
 
     # ------------------------------------------------------------------
     # Streams
@@ -880,17 +628,17 @@ class TcplsSession:
         conn = self._resolve_conn(conn_id)
         stream_id = self._next_stream_id
         self._next_stream_id += 2
-        stream = TcplsStream(
+        self._add_stream(stream_id, conn)
+        return stream_id
+
+    def _add_stream(self, stream_id: int, conn: TcplsConnection) -> TcplsStream:
+        stream = self.streams[stream_id] = TcplsStream(
             stream_id, conn.conn_id,
             recv_window=self.context.stream_recv_window,
         )
-        self._wire_stream(stream)
-        self.streams[stream_id] = stream
-        return stream_id
-
-    def _wire_stream(self, stream: TcplsStream) -> None:
         stream.on_data = lambda data: self._deliver_stream_data(stream, data)
         stream.on_fin = lambda: self._on_stream_fin(stream)
+        return stream
 
     def streams_attach(self) -> None:
         """Announce every unattached stream to the peer (STREAM_OPEN)."""
@@ -912,10 +660,7 @@ class TcplsSession:
             # STREAM_OPEN on another connection would fail trial
             # decryption and be lost.
             for conn in self._active_conns():
-                self._send_frame(
-                    conn, TType.STREAM_OPEN, body, seq,
-                    stream_id=CONTROL_STREAM_ID,
-                )
+                self._send_frame(conn, TType.STREAM_OPEN, body, seq)
             self.events.emit(
                 Event.STREAM_ATTACHED,
                 stream_id=stream.stream_id,
@@ -1016,10 +761,7 @@ class TcplsSession:
         if self._ack_flush_event is not None:
             self._ack_flush_event.cancel()
             self._ack_flush_event = None
-        if self._health_timer is not None:
-            self._health_timer.cancel()
-            self._health_timer = None
-        self._reconnect = None
+        self.recovery.cancel()
         for conn in list(self.connections.values()):
             conn.state = TcplsConnection.CLOSED
             conn.tcp.vanish()
@@ -1090,24 +832,21 @@ class TcplsSession:
         fin: bool,
     ) -> None:
         if data:
-            seq = self.replay.next_seq()
             body = framing.encode_stream_data(
                 stream.stream_id, offset, data, fin=False
             )
-            self.replay.store(seq, TType.STREAM_DATA, stream.stream_id, body)
             self.sizer.account(len(data), conn)
-            self._send_frame(
-                conn, TType.STREAM_DATA, body, seq, stream_id=stream.stream_id
+            self._send_reliable(
+                TType.STREAM_DATA, body, stream_id=stream.stream_id, conn=conn
             )
         if fin:
-            close_seq = self.replay.next_seq()
             close_body = framing.encode_stream_close(
                 stream.stream_id, offset + len(data)
             )
-            self.replay.store(
-                close_seq, TType.STREAM_CLOSE, stream.stream_id, close_body
+            self._send_reliable(
+                TType.STREAM_CLOSE, close_body, stream_id=stream.stream_id,
+                conn=conn,
             )
-            self._send_frame(conn, TType.STREAM_CLOSE, close_body, close_seq)
             self.events.emit(Event.STREAM_CLOSED, stream_id=stream.stream_id)
             self._maybe_retire_connection(stream)
 
@@ -1152,14 +891,15 @@ class TcplsSession:
     ) -> None:
         """Encrypt one frame under the right context and hand it to TCP.
 
-        ``stream_id`` names the context: required for ``STREAM_DATA``
-        (the caller built the body and knows it), the control stream's
-        for everything else.
+        ``stream_id`` is the stream the frame is about: required for
+        ``STREAM_DATA`` (the caller built the body and knows it), whose
+        records are sealed under their stream's context; every other
+        frame is sealed under the control stream's.
         """
-        if stream_id is None:
-            if ttype == TType.STREAM_DATA:
-                raise ValueError("STREAM_DATA frame sent without its stream id")
+        if ttype != TType.STREAM_DATA:
             stream_id = CONTROL_STREAM_ID
+        elif stream_id is None:
+            raise ValueError("STREAM_DATA frame sent without its stream id")
         cipher = self.contexts.send_context(stream_id, conn.conn_id)
         if cipher is None:
             cipher = self.contexts.send_context(CONTROL_STREAM_ID, conn.conn_id)
@@ -1173,7 +913,6 @@ class TcplsSession:
         sealed = cipher.seal(inner, header)
         cipher.advance()
         conn.tcp.send(header + sealed)
-        conn.health.last_activity = self.sim.now
         self.stats["records_sent"] += 1
         self._obs_records_sent.inc()
         self._obs_record_bytes.observe(len(header) + len(sealed))
@@ -1183,14 +922,28 @@ class TcplsSession:
         if not conns:
             return
         primary_like = next((c for c in conns if c.is_primary), conns[0])
-        self._send_frame(primary_like, ttype, body, seq, stream_id=CONTROL_STREAM_ID)
+        self._send_frame(primary_like, ttype, body, seq)
+
+    def _send_reliable(
+        self, ttype: int, body: bytes, *,
+        stream_id: int = CONTROL_STREAM_ID,
+        conn: Optional[TcplsConnection] = None,
+    ) -> None:
+        """Sequence a frame, keep it until the peer's TCPLS ACK covers
+        it, and send it — on ``conn``, or on the control path without
+        one.  ``stream_id`` is the stream the frame is about."""
+        seq = self.replay.next_seq()
+        self.replay.store(seq, ttype, stream_id, body)
+        if conn is None:
+            self._send_control(ttype, body, seq)
+        else:
+            self._send_frame(conn, ttype, body, seq, stream_id=stream_id)
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
 
     def _on_tcp_data(self, conn: TcplsConnection, data: bytes) -> None:
-        conn.health.last_activity = self.sim.now
         conn.decoder.feed(data)
         try:
             for outer_type, body in conn.decoder.raw_records():
@@ -1201,20 +954,17 @@ class TcplsSession:
             # connection down before the attacker-controlled state
             # grows any further.
             self._obs_guard_tripped.inc()
-            conn.tcp.abort("resource guard tripped")
-            self._on_tcp_failed(conn, "guard_tripped")
+            self._fail_connection(conn, "guard_tripped", "resource guard tripped")
         except DecodeError:
             # Malformed bytes that a parser rejected (fail-closed wire
             # armor): count, kill this connection; the session survives
             # on the others.
             self._obs_decode_rejected.inc()
-            conn.tcp.abort("malformed record stream")
-            self._on_tcp_failed(conn, "malformed record stream")
+            self._fail_connection(conn, "malformed record stream")
         except ProtocolViolation:
             # Other protocol violations (e.g. AEAD desync detected at a
             # higher layer): same teardown, separate bookkeeping.
-            conn.tcp.abort("malformed record stream")
-            self._on_tcp_failed(conn, "malformed record stream")
+            self._fail_connection(conn, "malformed record stream")
 
     def _on_raw_record(self, conn: TcplsConnection, outer_type: int, body: bytes) -> None:
         if conn.state == TcplsConnection.TLS_HANDSHAKE:
@@ -1246,10 +996,11 @@ class TcplsSession:
             # sequence): fail the connection so replay/reconnect can act
             # instead of stalling silently.
             conn.auth_failure_run += 1
-            if conn.auth_failure_run >= self.context.auth_failure_tolerance:
+            if conn.auth_failure_run >= AUTH_FAILURE_TOLERANCE:
                 self._obs_guard_tripped.inc()
-                conn.tcp.abort("record authentication failures")
-                self._on_tcp_failed(conn, "record_auth_failures")
+                self._fail_connection(
+                    conn, "record_auth_failures", "record authentication failures"
+                )
             return
         conn.auth_failure_run = 0
         stream_id, ttype, plaintext = opened
@@ -1258,7 +1009,7 @@ class TcplsSession:
         self._obs_records_received.inc()
         if ttype == TType.HANDSHAKE:
             self.tls.process_handshake_bytes(plaintext)
-            self._maybe_collect_ticket()
+            self.events.emit(Event.TICKET)
             return
         if ttype == TType.ALERT:
             self.session_closed = True
@@ -1293,35 +1044,22 @@ class TcplsSession:
             span.end()
         self._activate_joined(conn)
         self.events.emit(Event.JOIN, conn_id=conn.conn_id)
+        self.recovery.joined(conn)
         self._pump()
-
-    def _maybe_collect_ticket(self) -> None:
-        self.events.emit(Event.TICKET)
 
     # ------------------------------------------------------------------
     # Frame dispatch
     # ------------------------------------------------------------------
 
     def _dispatch_frame(self, conn: TcplsConnection, frame: framing.Frame) -> None:
-        handler = {
-            TType.STREAM_DATA: self._on_stream_data_frame,
-            TType.STREAM_OPEN: self._on_stream_open_frame,
-            TType.STREAM_CLOSE: self._on_stream_close_frame,
-            TType.ACK: self._on_ack_frame,
-            TType.TCP_OPTION: self._on_tcp_option_frame,
-            TType.NEW_COOKIES: self._on_new_cookies_frame,
-            TType.PLUGIN: self._on_plugin_frame,
-            TType.PROBE: self._on_probe_frame,
-            TType.PROBE_REPORT: self._on_probe_report_frame,
-            TType.SESSION_CLOSE: self._on_session_close_frame,
-            TType.ADDRESS_ADVERT: self._on_address_advert_frame,
-            TType.ADDRESS_REMOVE: self._on_address_remove_frame,
-            TType.WINDOW_UPDATE: self._on_window_update_frame,
-            TType.PING: lambda c, f: self._flush_ack(),
-        }.get(frame.ttype)
-        if handler is None:
-            raise UnknownType(f"unknown TCPLS frame type {frame.ttype:#04x}")
-        handler(conn, frame)
+        """Hand ``frame`` to its ``_FRAME_HANDLERS`` entry (end of class)."""
+        try:
+            handler = self._FRAME_HANDLERS[frame.ttype]
+        except KeyError:
+            raise UnknownType(
+                f"unknown TCPLS frame type {frame.ttype:#04x}"
+            ) from None
+        handler(self, conn, frame)
 
     def _on_stream_data_frame(self, conn: TcplsConnection, frame: framing.Frame) -> None:
         stream_id, offset, fin, data = framing.decode_stream_data(frame.body)
@@ -1380,13 +1118,8 @@ class TcplsSession:
                     f"stream table full ({self.context.max_streams}); "
                     f"refusing stream {stream_id}"
                 )
-            stream = TcplsStream(
-                stream_id, conn.conn_id,
-                recv_window=self.context.stream_recv_window,
-            )
+            stream = self._add_stream(stream_id, conn)
             stream.attached = True
-            self._wire_stream(stream)
-            self.streams[stream_id] = stream
             for active in self._active_conns():
                 self.contexts.install(stream_id, active.conn_id, active.token)
         return stream
@@ -1449,13 +1182,10 @@ class TcplsSession:
         probe_conn_id, syn_as_sent = framing.decode_probe(frame.body)
         differences = compare_syns(syn_as_sent, conn.tcp.received_syn_bytes)
         reply = framing.encode_probe_report(probe_conn_id, differences)
-        seq = self.replay.next_seq()
-        self.replay.store(seq, TType.PROBE_REPORT, CONTROL_STREAM_ID, reply)
-        self._send_frame(conn, TType.PROBE_REPORT, reply, seq, stream_id=CONTROL_STREAM_ID)
+        self._send_reliable(TType.PROBE_REPORT, reply, conn=conn)
 
     def _on_probe_report_frame(self, conn: TcplsConnection, frame: framing.Frame) -> None:
         probe_conn_id, differences = framing.decode_probe_report(frame.body)
-        self._probe_reports[probe_conn_id] = differences
         self.events.emit(
             Event.PROBE_REPORT, conn_id=probe_conn_id, differences=differences
         )
@@ -1465,8 +1195,7 @@ class TcplsSession:
         self._flush_ack()
         self.events.emit(Event.SESSION_CLOSED)
         for c in self._active_conns():
-            if c.tcp.state in ("ESTABLISHED", "CLOSE_WAIT"):
-                c.tcp.close()
+            c.tcp.close()
             c.state = TcplsConnection.CLOSED
 
     def _on_address_advert_frame(self, conn: TcplsConnection, frame: framing.Frame) -> None:
@@ -1480,6 +1209,9 @@ class TcplsSession:
         self.peer_v4_addresses = [a for a in self.peer_v4_addresses if a not in v4]
         self.peer_v6_addresses = [a for a in self.peer_v6_addresses if a not in v6]
         self.events.emit(Event.ADDRESS_REMOVED, v4=v4, v6=v6)
+
+    def _on_ping_frame(self, conn: TcplsConnection, frame: framing.Frame) -> None:
+        self._flush_ack()
 
     # ------------------------------------------------------------------
     # Delivery to the application
@@ -1515,10 +1247,8 @@ class TcplsSession:
         if new_limit - stream.granted_limit < max(1, window // 4):
             return
         stream.granted_limit = new_limit
-        seq = self.replay.next_seq()
         body = framing.encode_window_update(stream.stream_id, new_limit)
-        self.replay.store(seq, TType.WINDOW_UPDATE, stream.stream_id, body)
-        self._send_control(TType.WINDOW_UPDATE, body, seq)
+        self._send_reliable(TType.WINDOW_UPDATE, body, stream_id=stream.stream_id)
         self._obs_flow_updates_sent.inc()
 
     def _on_window_update_frame(
@@ -1550,10 +1280,10 @@ class TcplsSession:
         if not all(s.fin_sent for s in self.streams.values()):
             return
         self.session_closed = True
-        seq = self.replay.next_seq()
-        body = framing.encode_session_close(max(self.streams, default=0))
-        self.replay.store(seq, TType.SESSION_CLOSE, CONTROL_STREAM_ID, body)
-        self._send_control(TType.SESSION_CLOSE, body, seq)
+        self._send_reliable(
+            TType.SESSION_CLOSE,
+            framing.encode_session_close(max(self.streams, default=0)),
+        )
         self.events.emit(Event.SESSION_CLOSED)
         for conn in self._active_conns():
             conn.tcp.close()
@@ -1581,7 +1311,7 @@ class TcplsSession:
         if not conns:
             return
         body = framing.encode_ack(self.tracker.cumulative, conns[0].conn_id)
-        self._send_frame(conns[0], TType.ACK, body, seq=0, stream_id=CONTROL_STREAM_ID)
+        self._send_frame(conns[0], TType.ACK, body, seq=0)
         self.stats["acks_sent"] += 1
         self._obs_acks_sent.inc()
 
@@ -1592,16 +1322,11 @@ class TcplsSession:
     def send_tcp_option(self, option, apply_to_conn: int = 0) -> None:
         """Ship a TCP option over the secure channel (section 3.1)."""
         body = framing.encode_tcp_option(option.kind, option.body(), apply_to_conn)
-        seq = self.replay.next_seq()
-        self.replay.store(seq, TType.TCP_OPTION, CONTROL_STREAM_ID, body)
-        self._send_control(TType.TCP_OPTION, body, seq)
+        self._send_reliable(TType.TCP_OPTION, body)
 
     def send_plugin(self, target: str, bytecode: bytes) -> None:
         """Ship bytecode to upgrade the peer (section 3 item iii)."""
-        body = framing.encode_plugin(target, bytecode)
-        seq = self.replay.next_seq()
-        self.replay.store(seq, TType.PLUGIN, CONTROL_STREAM_ID, body)
-        self._send_control(TType.PLUGIN, body, seq)
+        self._send_reliable(TType.PLUGIN, framing.encode_plugin(target, bytecode))
 
     def send_middlebox_probe(self, conn_id: Optional[int] = None) -> None:
         """SYN-echo probe (section 4.5): send our SYN as we sent it."""
@@ -1609,12 +1334,7 @@ class TcplsSession:
             raise RuntimeError("middlebox probe requires a completed handshake")
         conn = self._resolve_conn(conn_id)
         body = framing.encode_probe(conn.conn_id, conn.tcp.sent_syn_bytes)
-        seq = self.replay.next_seq()
-        self.replay.store(seq, TType.PROBE, CONTROL_STREAM_ID, body)
-        self._send_frame(conn, TType.PROBE, body, seq, stream_id=CONTROL_STREAM_ID)
-
-    def probe_report(self, conn_id: int) -> Optional[List[str]]:
-        return self._probe_reports.get(conn_id)
+        self._send_reliable(TType.PROBE, body, conn=conn)
 
     def advertise_addresses(self, v4=(), v6=()) -> None:
         """Reliable ADD_ADDR over the encrypted channel (section 4.1):
@@ -1622,16 +1342,12 @@ class TcplsSession:
         records are part of the bytestream) and middleboxes cannot read
         or forge it."""
         body = framing.encode_address_advert(list(v4), list(v6))
-        seq = self.replay.next_seq()
-        self.replay.store(seq, TType.ADDRESS_ADVERT, CONTROL_STREAM_ID, body)
-        self._send_control(TType.ADDRESS_ADVERT, body, seq)
+        self._send_reliable(TType.ADDRESS_ADVERT, body)
 
     def withdraw_addresses(self, v4=(), v6=()) -> None:
         """Reliable RM_ADDR (section 4.1)."""
         body = framing.encode_address_advert(list(v4), list(v6))
-        seq = self.replay.next_seq()
-        self.replay.store(seq, TType.ADDRESS_REMOVE, CONTROL_STREAM_ID, body)
-        self._send_control(TType.ADDRESS_REMOVE, body, seq)
+        self._send_reliable(TType.ADDRESS_REMOVE, body)
 
     def update_keys(self) -> None:
         """Roll the primary control channel's sending keys (RFC 8446
@@ -1647,33 +1363,29 @@ class TcplsSession:
     def send_new_cookies(self, count: int = 4) -> None:
         """Server: replenish the client's JOIN cookies."""
         cookies = self.cookie_jar.mint(count)
-        body = framing.encode_new_cookies(cookies)
-        seq = self.replay.next_seq()
-        self.replay.store(seq, TType.NEW_COOKIES, CONTROL_STREAM_ID, body)
-        self._send_control(TType.NEW_COOKIES, body, seq)
+        self._send_reliable(TType.NEW_COOKIES, framing.encode_new_cookies(cookies))
 
     # ------------------------------------------------------------------
-    # Failure handling: failover & migration support
+    # Connection loss: what the datapath does; the policy is ``recovery``
     # ------------------------------------------------------------------
 
     def _on_tcp_established(self, conn: TcplsConnection) -> None:
         self.events.emit(Event.CONN_ESTABLISHED, conn_id=conn.conn_id)
 
     def _on_tcp_peer_close(self, conn: TcplsConnection) -> None:
-        if self.session_closed:
-            conn.state = TcplsConnection.CLOSED
-            if conn.tcp.state == "CLOSE_WAIT":
-                conn.tcp.close()
-            self.events.emit(Event.CONN_CLOSED, conn_id=conn.conn_id)
+        session_closed = self.session_closed  # as of the FIN, not of a handler
+        conn.state = TcplsConnection.CLOSED
+        if conn.tcp.state == "CLOSE_WAIT":
+            conn.tcp.close()
+        self.events.emit(Event.CONN_CLOSED, conn_id=conn.conn_id)
+        if session_closed:
             return
         # A FIN outside session close: treat as the peer retiring this
         # connection (e.g. migration's tcpls_stream_close of the old path).
         # Contexts stay installed: data still in flight on this
         # connection must keep decrypting until the stream drains.
-        conn.state = TcplsConnection.CLOSED
-        if conn.tcp.state == "CLOSE_WAIT":
-            conn.tcp.close()
-        self.events.emit(Event.CONN_CLOSED, conn_id=conn.conn_id)
+        # Not ``_take_over``: a retirement is no FAILOVER and moves no
+        # primary.
         self._repin_streams_away_from(conn)
         target = best_path(self._active_conns())
         if target is not None:
@@ -1682,6 +1394,15 @@ class TcplsSession:
             self._replay_unacked(target)
         self._pump()
 
+    def _fail_connection(
+        self, conn: TcplsConnection, reason: str, abort_reason: Optional[str] = None
+    ) -> None:
+        """Kill ``conn`` from our side and run the failure path."""
+        conn.tcp.abort(abort_reason or reason)
+        # ``abort`` may or may not surface through callbacks; fail the
+        # connection explicitly (idempotent).
+        self._on_tcp_failed(conn, reason)
+
     def _on_tcp_failed(self, conn: TcplsConnection, reason: str) -> None:
         if conn.state in (TcplsConnection.FAILED, TcplsConnection.CLOSED):
             return
@@ -1689,45 +1410,36 @@ class TcplsSession:
         conn.state = TcplsConnection.FAILED
         if self.contexts is not None:
             self.contexts.remove_connection(conn.conn_id)
+        # An establishment this failure cut short still belongs on the
+        # timeline: spans are only recorded when they end.
+        span = self._join_spans.pop(conn.conn_id, None)
+        if span is None and conn is self.primary:
+            span, self._hs_span = self._hs_span, None
+        if span is not None:
+            span.end(ok=False, reason=reason)
         self.events.emit(Event.CONN_FAILED, conn_id=conn.conn_id, reason=reason)
         if not self.handshake_complete or self.session_closed:
             return
-        self._reassess_degraded(reason)
-        # A failing *reconnection attempt* feeds the retry loop, not a
-        # fresh failover (the attempt connection was never ACTIVE).
-        if self._reconnect is not None and self._reconnect.get("conn") is conn:
-            self._retry_after_backoff(reason)
-            return
-        if not was_active or not self.context.auto_failover:
-            return
-        self._failover_from(conn)
+        self.recovery.conn_failed(conn, reason, was_active)
 
-    def _failover_from(self, failed: TcplsConnection) -> None:
-        """Re-establish connectivity and replay unacked frames (2.1).
-
-        With survivors, traffic re-pins onto the healthiest remaining
-        path immediately.  With none, the client enters the bounded
-        exponential-backoff reconnection loop (``_begin_reconnect``);
-        the seed code's single-shot reconnect stalled forever if that
-        one attempt was itself lost.
-        """
-        survivors = self._active_conns()
-        if survivors:
-            self._repin_streams_away_from(failed)
-            target = best_path(survivors) or survivors[0]
-            self._transfer_primary(failed, target)
-            self._replay_unacked(target)
-            self.events.emit(
-                Event.FAILOVER, from_conn=failed.conn_id, to_conn=target.conn_id
-            )
-            self._pump()
-        if self.is_server:
-            return  # the client drives reconnection
-        # Even with survivors carrying the traffic, redial the failed
-        # path in the background: failover restores *connectivity*, the
-        # reconnect loop restores *redundancy* (single_path -> RECOVERED
-        # once the JOIN lands).
-        self._begin_reconnect(failed)
+    def _take_over(
+        self, failed: TcplsConnection, target: TcplsConnection, **failover_attrs
+    ) -> None:
+        """``target`` takes over from ``failed``: streams re-pin, the
+        primary role moves, unacked frames are replayed (paper 2.1)."""
+        self._repin_streams_away_from(failed)
+        if failed.is_primary and failed is not target:
+            # Default stream pinning and control traffic must never aim
+            # at a dead connection.
+            failed.is_primary = False
+            target.is_primary = True
+            self.primary = target
+        self._replay_unacked(target)
+        self.events.emit(
+            Event.FAILOVER, from_conn=failed.conn_id, to_conn=target.conn_id,
+            **failover_attrs,
+        )
+        self._pump()
 
     def _repin_streams_away_from(self, gone: TcplsConnection) -> None:
         target = best_path(self._active_conns())
@@ -1741,288 +1453,11 @@ class TcplsSession:
                         stream.stream_id, target.conn_id, target.token
                     )
 
-    # -- degradation bookkeeping ------------------------------------------
-
-    _DEGRADATION_RANK = {None: 0, "single_path": 1, "no_path": 2}
-
-    def _degradation_level(self) -> Optional[str]:
-        active = len(self._active_conns())
-        if active == 0:
-            return "no_path"
-        if active == 1 and self._peak_active >= 2:
-            return "single_path"
-        return None
-
-    def _note_path_active(self) -> None:
-        """A connection became usable: update redundancy bookkeeping and
-        emit SESSION_RECOVERED if a degradation just healed."""
-        self._peak_active = max(self._peak_active, len(self._active_conns()))
-        self._reassess_degraded("path_active")
-        self._start_health_monitor()
-
-    def _reassess_degraded(self, reason: str) -> None:
-        """Emit the app-visible DEGRADED/RECOVERED pair on transitions.
-
-        Levels (ranked): healthy < single_path < no_path.  Worsening
-        emits SESSION_DEGRADED, improving emits SESSION_RECOVERED (with
-        the level recovered *to* — a reconnect out of ``no_path`` onto
-        one path is a recovery even if redundancy is not yet back).
-        Only failures move the needle; graceful retirement (migration)
-        never calls this.
-        """
-        if not self.handshake_complete or self.session_closed:
-            return
-        level = self._degradation_level()
-        old = self._degraded_level
-        if level == old:
-            return
-        rank, ranks = self._DEGRADATION_RANK[level], self._DEGRADATION_RANK
-        if rank > ranks[old]:
-            if old is None:
-                self._degraded_since = self.sim.now
-            self.events.emit(
-                Event.SESSION_DEGRADED, level=level, reason=reason, terminal=False
-            )
-        else:
-            self.events.emit(
-                Event.SESSION_RECOVERED,
-                level=level,
-                downtime=self.sim.now - self._degraded_since,
-            )
-        self._degraded_level = level
-
-    # -- path health monitor ----------------------------------------------
-
-    def _start_health_monitor(self) -> None:
-        if self._health_timer is not None or self.context.health_interval <= 0:
-            return
-        if self.session_closed:
-            return
-        self._health_timer = self.sim.schedule(
-            self.context.health_interval, self._health_tick
-        )
-
-    def _health_tick(self) -> None:
-        self._health_timer = None
-        if self.session_closed:
-            return
-        active = self._active_conns()
-        for conn in active:
-            conn.health.refresh(conn)
-            idle = self.sim.now - conn.health.last_activity
-            if idle >= self.context.health_idle_ping:
-                # Heartbeat: an unsequenced PING keeps TCP's RTT/loss
-                # signals fresh on idle paths, so the user timeout can
-                # notice a silently dead one.
-                self._send_frame(
-                    conn, TType.PING, b"", seq=0, stream_id=CONTROL_STREAM_ID
-                )
-                conn.health.pings_sent += 1
-                self._obs_pings.inc()
-        # Keep ticking while anything could still need watching; a fully
-        # failed session with no reconnection in flight stops the timer
-        # (``_note_path_active`` restarts it).
-        if active or self._reconnect is not None:
-            self._health_timer = self.sim.schedule(
-                self.context.health_interval, self._health_tick
-            )
-
-    # -- reconnection with backoff ----------------------------------------
-
-    def _begin_reconnect(self, failed: TcplsConnection) -> None:
-        if self._reconnect is not None:
-            return  # a reconnection is already in flight
-        self._reconnect = {
-            "failed": failed,
-            "dest": str(failed.tcp.remote_addr),
-            "port": failed.tcp.remote_port,
-            "src": str(failed.tcp.local_addr),
-            "attempt": 0,
-            "started": self.sim.now,
-            "conn": None,
-            "handler": None,
-            "timer": None,
-            "span": self.obs.tracer.span(
-                self._obs_component, "reconnect", from_conn=failed.conn_id
-            ),
-        }
-        self._reconnect_attempt()
-
-    def _reconnect_attempt(self) -> None:
-        state = self._reconnect
-        if state is None or self.session_closed:
-            return
-        state["timer"] = None
-        if state["attempt"] >= self.context.reconnect_max_retries:
-            self._abandon_reconnect("retries_exhausted")
-            return
-        if len(self.cookie_purse) == 0:
-            # Surface cookie exhaustion instead of silently abandoning
-            # the session (the seed code's bare ``return``).  Checked
-            # after the budget so "out of budget" is never misreported
-            # as "out of cookies".
-            self._obs_cookies_exhausted.inc()
-            self._abandon_reconnect("cookies_exhausted")
-            return
-        state["attempt"] += 1
-        self._obs_retries.inc()
-        self.events.emit(
-            Event.CONN_RETRY,
-            attempt=state["attempt"],
-            dest=state["dest"],
-            max_retries=self.context.reconnect_max_retries,
-        )
-        new_id = self.connect(state["dest"], state["port"], src=state["src"])
-        new_conn = self.connections[new_id]
-        state["conn"] = new_conn
-
-        def on_join(conn_id: int, _new=new_conn) -> None:
-            if conn_id != _new.conn_id:
-                return
-            self._finish_reconnect(_new)
-
-        state["handler"] = on_join
-        self.events.on(Event.JOIN, on_join)
-        self._start_join(new_conn)
-        if self.context.join_timeout:
-            state["timer"] = self.sim.schedule(
-                self.context.join_timeout, self._join_attempt_timeout, new_conn
-            )
-
-    def _join_attempt_timeout(self, conn: TcplsConnection) -> None:
-        state = self._reconnect
-        if state is None or state.get("conn") is not conn:
-            return
-        if conn.state == TcplsConnection.ACTIVE:
-            return
-        state["timer"] = None
-        conn.tcp.abort("reconnect JOIN timed out")
-        # ``abort`` may or may not surface through callbacks; fail the
-        # connection explicitly (idempotent) so the retry loop advances.
-        self._on_tcp_failed(conn, "join_timeout")
-
-    def _retry_after_backoff(self, reason: str) -> None:
-        state = self._reconnect
-        if state is None:
-            return
-        self._detach_attempt(state)
-        attempt = max(1, state["attempt"])
-        delay = min(
-            self.context.reconnect_backoff_base * (2 ** (attempt - 1)),
-            self.context.reconnect_backoff_max,
-        )
-        delay += delay * self.context.reconnect_backoff_jitter * self.rng.random()
-        self.obs.tracer.point(
-            self._obs_component, "reconnect_backoff",
-            attempt=attempt, delay=delay, reason=reason,
-        )
-        state["timer"] = self.sim.schedule(delay, self._reconnect_attempt)
-
-    def _detach_attempt(self, state: dict) -> None:
-        """Disarm the current attempt's timer and one-shot JOIN handler.
-
-        Deregistering here (and in ``_finish_reconnect``) is what keeps
-        repeated failovers from accumulating stale on-JOIN handlers that
-        re-trigger old replays.
-        """
-        if state["timer"] is not None:
-            state["timer"].cancel()
-            state["timer"] = None
-        if state["handler"] is not None:
-            self.events.off(Event.JOIN, state["handler"])
-            state["handler"] = None
-        state["conn"] = None
-
-    def _finish_reconnect(self, new_conn: TcplsConnection) -> None:
-        state = self._reconnect
-        if state is None:
-            return
-        self._reconnect = None
-        self._detach_attempt(state)
-        state["span"].end(attempts=state["attempt"], ok=True)
-        self._obs_recovered.inc()
-        failed = state["failed"]
-        self._repin_streams_away_from(failed)
-        self._transfer_primary(failed, new_conn)
-        self._replay_unacked(new_conn)
-        self.events.emit(
-            Event.FAILOVER,
-            from_conn=failed.conn_id,
-            to_conn=new_conn.conn_id,
-            attempts=state["attempt"],
-        )
-        self._pump()
-        self._redial_next_failed_path()
-
-    def _transfer_primary(self, failed: TcplsConnection,
-                          target: TcplsConnection) -> None:
-        """Hand the primary role to the failover target so default
-        stream pinning and control traffic never aim at a dead
-        connection."""
-        if not failed.is_primary or failed is target:
-            return
-        failed.is_primary = False
-        target.is_primary = True
-        self.primary = target
-
-    def _redial_next_failed_path(self) -> None:
-        """If the session is still short on redundancy, redial the next
-        failed path (e.g. the survivor died while its sibling was being
-        reconnected).  A path counts as restored when some ACTIVE
-        connection shares its (local, remote) address pair."""
-        if self.is_server or self._degradation_level() is None:
-            return
-        restored = {
-            (str(conn.tcp.local_addr), str(conn.tcp.remote_addr))
-            for conn in self._active_conns()
-        }
-        stale = [
-            conn
-            for conn in self.connections.values()
-            if conn.state == TcplsConnection.FAILED
-            and (str(conn.tcp.local_addr), str(conn.tcp.remote_addr))
-            not in restored
-        ]
-        if stale:
-            self._begin_reconnect(stale[-1])
-
-    def _abandon_reconnect(self, reason: str) -> None:
-        state = self._reconnect
-        self._reconnect = None
-        if state is not None:
-            self._detach_attempt(state)
-            state["span"].end(attempts=state["attempt"], ok=False, reason=reason)
-        self._obs_abandoned.inc()
-        level = self._degradation_level()
-        if level == "no_path":
-            # Terminal: recovery gave up and nothing is left.  Emitted
-            # even though a DEGRADED event already fired for the level
-            # transition — ``terminal`` is the signal callers react to
-            # (tear down, alert, re-dial by hand).
-            self._degraded_level = "no_path"
-            self.events.emit(
-                Event.SESSION_DEGRADED, level="no_path", reason=reason,
-                terminal=True,
-            )
-        else:
-            # Survivors still carry traffic: redundancy was not restored
-            # (the path may be gone for good) but the session lives on at
-            # its current level.  Restate the degradation so observers
-            # learn the redial gave up; non-terminal, not a transition.
-            self.events.emit(
-                Event.SESSION_DEGRADED, level=level, reason=reason,
-                terminal=False,
-            )
-
     def _replay_unacked(self, conn: TcplsConnection) -> None:
         for seq, ttype, stream_id, body in list(self.replay.unacked_frames()):
             self.stats["frames_replayed"] += 1
             self._obs_frames_replayed.inc()
-            # Only STREAM_DATA is sealed under its stream's context.
-            context_stream = (
-                stream_id if ttype == TType.STREAM_DATA else CONTROL_STREAM_ID
-            )
-            self._send_frame(conn, ttype, body, seq, stream_id=context_stream)
+            self._send_frame(conn, ttype, body, seq, stream_id=stream_id)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -2035,245 +1470,30 @@ class TcplsSession:
             "connections": [c.describe() for c in self.connections.values()],
             "streams": sorted(self.streams),
             "cookies_left": len(self.cookie_purse),
-            "degraded_level": self._degraded_level,
-            "reconnecting": self._reconnect is not None,
+            "degraded_level": self.recovery.degraded_level,
+            "reconnecting": self.recovery.state is not ReconnectState.IDLE,
             "stats": dict(self.stats),
             "forgery_suspects": self.contexts.forgery_suspects if self.contexts else 0,
             "record_sizing": self.sizer.stats(),
         }
 
+    # TType -> handler(self, conn, frame), for ``_dispatch_frame``.
+    _FRAME_HANDLERS = {
+        TType.STREAM_DATA: _on_stream_data_frame,
+        TType.STREAM_OPEN: _on_stream_open_frame,
+        TType.STREAM_CLOSE: _on_stream_close_frame,
+        TType.ACK: _on_ack_frame,
+        TType.TCP_OPTION: _on_tcp_option_frame,
+        TType.NEW_COOKIES: _on_new_cookies_frame,
+        TType.PLUGIN: _on_plugin_frame,
+        TType.PROBE: _on_probe_frame,
+        TType.PROBE_REPORT: _on_probe_report_frame,
+        TType.SESSION_CLOSE: _on_session_close_frame,
+        TType.ADDRESS_ADVERT: _on_address_advert_frame,
+        TType.ADDRESS_REMOVE: _on_address_remove_frame,
+        TType.WINDOW_UPDATE: _on_window_update_frame,
+        TType.PING: _on_ping_frame,
+    }
 
-class TcplsServer:
-    """Accepts TCP connections and routes them to TCPLS sessions."""
 
-    def __init__(
-        self,
-        context: TcplsContext,
-        stack: TcpStack,
-        port: int = 443,
-        on_session: Optional[Callable[[TcplsSession], None]] = None,
-        fast_open: bool = True,
-        admission=None,
-        on_reject: Optional[Callable] = None,
-    ) -> None:
-        self.context = context
-        self.stack = stack
-        self.port = port
-        self.on_session = on_session
-        # Optional overload protection (repro.overload): an
-        # AdmissionController shared across the farm's listeners.  When
-        # present it gates every accept (queue cap) and every first
-        # record (cost-aware policy + handshake pacer) and tracks
-        # admitted sessions against the global memory budget.
-        # ``on_reject(decision)`` lets the harness observe refusals and
-        # deliver retry coupons.
-        self.admission = admission
-        self.on_reject = on_reject
-        self.sessions: List[TcplsSession] = []
-        self._session_seed = context.seed
-        self._fast_open = fast_open
-        self.crashed = False
-        # Connections sniffed but not yet routed to a session — tracked
-        # so a crash can vanish them too (their closures die with us).
-        # A list, not a set: crash() iterates it, and arrival order is
-        # the only deterministic order these objects have.
-        self._pending: List[TcpConnection] = []
-        # Server-side 0-RTT anti-replay, shared across every session this
-        # listener accepts (a per-session register would defeat itself:
-        # each replayed flight lands in a *new* session).
-        if (
-            context.anti_replay is None
-            and context.identity is not None
-            and context.zero_rtt_anti_replay > 0
-        ):
-            context.anti_replay = AntiReplayRegister(
-                capacity=context.zero_rtt_anti_replay,
-                clock=lambda: stack.sim.now,
-                window=float(context.ticket_lifetime),
-            )
-        # Listener-level hardening counters: rejects that happen before
-        # any session exists (garbage first flights, JOIN floods).
-        self.obs = context.observability or Observability(
-            stack.sim, enabled=context.telemetry
-        )
-        telemetry = self.obs.telemetry
-        self._obs_decode_rejected = telemetry.counter(
-            obs_keys.COMP_SERVER, obs_keys.DECODE_REJECTED
-        )
-        self._obs_guard_tripped = telemetry.counter(
-            obs_keys.COMP_SERVER, obs_keys.GUARD_TRIPPED
-        )
-        # Per-peer-address JOIN arrival times (sim clock), for the
-        # sliding-window rate limit that throttles cookie guessing.
-        self._join_times: Dict[str, List[float]] = {}
-        stack.listen(
-            port,
-            self._on_tcp_connection,
-            fast_open=fast_open,
-            congestion=context.congestion,
-        )
-
-    def _on_tcp_connection(self, tcp: TcpConnection) -> None:
-        if self.admission is not None and not self.admission.admit_connection(
-            len(self._pending)
-        ):
-            # Accept queue full: refuse before buffering a single
-            # record — the cheapest possible rejection.
-            tcp.abort("accept queue full")
-            return
-        # Buffer until the first record (a ClientHello) is complete, then
-        # decide: new session, or JOIN onto an existing one.
-        decoder = RecordDecoder()
-        sniffed = bytearray()
-        done = {"routed": False}
-        self._pending.append(tcp)
-
-        def on_first_data(data: bytes) -> None:
-            if done["routed"]:
-                return
-            sniffed.extend(data)
-            decoder.feed(data)
-            try:
-                for outer_type, body in decoder.raw_records():
-                    done["routed"] = True
-                    if tcp in self._pending:
-                        self._pending.remove(tcp)
-                    self._route(tcp, outer_type, body, bytes(sniffed))
-                    return
-            except ProtocolViolation:
-                done["routed"] = True
-                if tcp in self._pending:
-                    self._pending.remove(tcp)
-                self._obs_decode_rejected.inc()
-                tcp.abort("not a TLS record stream")
-
-        tcp.on_data = on_first_data
-
-    def _route(self, tcp, outer_type: int, body: bytes, all_bytes: bytes) -> None:
-        join_info = None
-        hello = None
-        if outer_type == ContentType.HANDSHAKE:
-            try:
-                frames = m.parse_handshake_frames(body)
-                if frames and frames[0][0] == m.CLIENT_HELLO:
-                    hello = m.ClientHello.from_body(frames[0][1])
-                    join_info = joinmod.extract_join(hello)
-            except DecodeError:
-                self._obs_decode_rejected.inc()
-                tcp.abort("malformed first record")
-                return
-        if self.admission is not None:
-            decision = self.admission.admit_hello(hello, join_info)
-            if not decision.admitted:
-                if self.on_reject:
-                    self.on_reject(decision)
-                tcp.abort(f"overloaded ({decision.reason})")
-                return
-        if join_info is not None:
-            if not self._join_allowed(tcp):
-                self._obs_guard_tripped.inc()
-                tcp.abort("JOIN rate limit")
-                return
-            connection_id, cookie = join_info
-            session = self._find_session(connection_id)
-            if session is None:
-                self._obs_decode_rejected.inc()
-                tcp.abort("JOIN for unknown session")
-                return
-            session.adopt_joined_connection(tcp, cookie, b"")
-            return
-        # New session: hand over all buffered bytes (the ClientHello).
-        session_context = self.context
-        session = TcplsSession(session_context, self.stack, is_server=True)
-        self.sessions.append(session)
-        if self.admission is not None:
-            self.admission.track(session)
-        if self.on_session:
-            self.on_session(session)
-        session.accept_primary(tcp, all_bytes)
-
-    def _join_allowed(self, tcp) -> bool:
-        """Sliding-window JOIN rate limit, keyed by peer address.
-
-        A keyless attacker can always open TCP connections and send
-        JOIN-shaped ClientHellos; without a cap each attempt costs us a
-        cookie comparison and (on success-shaped garbage) session
-        lookups.  Bound the attempts per ``join_rate_window`` seconds so
-        cookie guessing is throttled while legitimate multipath joins
-        (a handful per session lifetime) are untouched.
-        """
-        peer = str(getattr(tcp, "remote_addr", None) or "?")
-        now = self.stack.sim.now
-        window = self.context.join_rate_window
-        times = [
-            t for t in self._join_times.get(peer, []) if now - t < window
-        ]
-        if len(times) >= self.context.join_rate_limit:
-            self._join_times[peer] = times
-            return False
-        times.append(now)
-        self._join_times[peer] = times
-        return True
-
-    def _find_session(self, connection_id: bytes) -> Optional[TcplsSession]:
-        for session in self.sessions:
-            if session.connection_id == connection_id:
-                return session
-        return None
-
-    # -- crash / restart ---------------------------------------------------
-
-    def crash(self) -> None:
-        """The server process dies: listener gone, every session gone.
-
-        In-flight sessions vanish silently (no alerts, no FINs — see
-        ``TcplsSession.crash``); the TCP stack itself survives, so the
-        next segment a client sends to a dead connection draws an RST,
-        and new SYNs are refused until ``relisten``.  Idempotent.
-        """
-        if self.crashed:
-            return
-        self.crashed = True
-        for session in self.sessions:
-            if not session.session_closed:
-                session.crash()
-        self.sessions.clear()
-        self._join_times.clear()
-        for tcp in list(self._pending):
-            tcp.vanish()
-        self._pending.clear()
-        self.stack.unlisten(self.port)
-
-    def relisten(self) -> None:
-        """Come back after a crash: bind the listener again.
-
-        Session state is *not* restored — that is the point of the
-        crash model.  Resumption state survives only as much as the
-        ticket key does: restart with the same ``context.ticket_key``
-        and clients resume with their cached tickets; rotate it first
-        and every presented ticket is declined into a full handshake.
-        """
-        if not self.crashed:
-            return
-        self.crashed = False
-        self.stack.listen(
-            self.port,
-            self._on_tcp_connection,
-            fast_open=self._fast_open,
-            congestion=self.context.congestion,
-        )
-
-    def reap_closed(self) -> int:
-        """Drop closed sessions from the routing list; returns the count.
-
-        ``sessions`` otherwise grows for the listener's whole lifetime,
-        which a server-farm churn run turns into both a leak and an
-        ever-slower linear ``_find_session`` JOIN lookup.  Closed
-        sessions can never be joined again (their connection id died
-        with them), so reaping is invisible to the protocol.
-        """
-        alive = [s for s in self.sessions if not s.session_closed]
-        reaped = len(self.sessions) - len(alive)
-        if reaped:
-            self.sessions = alive
-        return reaped
+from repro.core.server import TcplsServer  # noqa: E402  (needs TcplsSession)

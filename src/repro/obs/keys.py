@@ -62,7 +62,6 @@ FAILOVER_RETRIES = "failover.retries"
 FAILOVER_RECOVERED = "failover.recovered"
 FAILOVER_ABANDONED = "failover.abandoned"
 FAILOVER_COOKIES_EXHAUSTED = "failover.cookies_exhausted"
-HEALTH_PINGS_SENT = "health.pings_sent"
 #: Rejected wire decodes (fail-closed parser contract, PR 4).
 DECODE_REJECTED = "decode.rejected"
 #: Tripped resource-exhaustion guards (stream/reassembly/rate caps, PR 4).
@@ -197,7 +196,6 @@ ALL_KEYS = frozenset(
         FAILOVER_RECOVERED,
         FAILOVER_ABANDONED,
         FAILOVER_COOKIES_EXHAUSTED,
-        HEALTH_PINGS_SENT,
         DECODE_REJECTED,
         GUARD_TRIPPED,
         SESSION_MEMORY_BYTES,

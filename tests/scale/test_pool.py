@@ -290,6 +290,35 @@ def test_small_scale_run_reuses_and_drains_clean():
     assert len(result.ttfb) == 30
     assert all(t > 0 for t in result.ttfb)
 
+    # The same sweep drops the JOIN rate limit's per-peer stamps once a
+    # peer has stopped joining for a whole window (they were kept for
+    # the listener's lifetime); a peer still joining keeps its entry.
+    world, server = held[0], held[0].servers[0]
+    window = server.context.join_rate_window
+
+    def join(session):
+        remote = session.primary.tcp.remote_addr
+        session.handshake(conn_id=session.connect(str(remote), port=server.port))
+        world.sim.run(until=world.sim.now + 0.2)
+
+    quiet, busy = (
+        world.dial(world.client_context(seed_offset=90 + i), server.port)
+        for i in range(2)
+    )
+    world.sim.run(until=world.sim.now + 0.2)
+    quiet_addr, busy_addr = (
+        str(session.primary.tcp.local_addr) for session in (quiet, busy)
+    )
+    assert quiet_addr != busy_addr
+    join(quiet)
+    join(busy)
+    assert set(server._join_times) == {quiet_addr, busy_addr}
+    world.sim.run(until=world.sim.now + window)
+    join(busy)
+    server.reap_closed()
+    assert set(server._join_times) == {busy_addr}
+    assert len(busy._active_conns()) == 3  # the limiter itself let it through
+
 
 @pytest.mark.parametrize(
     "world_cls, config, hosts, listeners",
