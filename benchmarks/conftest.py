@@ -16,22 +16,16 @@ Alongside every printed table, ``report()`` writes a machine-readable
   ``benchmarks/_metrics``);
 - ``REPRO_METRICS=0`` — disable the JSON export entirely.
 
-Every benchmark also runs under a standing ``cProfile`` pass (the
-autouse fixture below): ``collect_metrics`` reads the armed profiler and
-folds its top-10 hot-function table into each ``BENCH_*.json``, so the
-profiling view of a release ships with the figures instead of being a
-separate run someone has to remember.  ``REPRO_PROFILE=0`` opts out.
+Host cost per layer is not this suite's job: ``python -m bench`` is the
+one performance instrument (see ``bench/README.md``).
 """
 
-import cProfile
 import os
 import re
 
 import pytest
-from pytest_benchmark.fixture import BenchmarkFixture
 
 from repro.obs import collect_metrics, write_metrics_json
-from repro.obs import profiling
 
 FULL_SCALE = bool(os.environ.get("REPRO_FULL_FIG4"))
 
@@ -39,7 +33,6 @@ METRICS_ENABLED = os.environ.get("REPRO_METRICS", "1") != "0"
 METRICS_DIR = os.environ.get(
     "REPRO_METRICS_DIR", os.path.join(os.path.dirname(__file__), "_metrics")
 )
-PROFILE_ENABLED = os.environ.get("REPRO_PROFILE", "1") != "0"
 
 
 def _current_test_name() -> str:
@@ -69,78 +62,6 @@ def report(title: str, lines, *, sim=None, sessions=(), links=(), extra=None) ->
         path = os.path.join(METRICS_DIR, f"BENCH_{_current_test_name()}.json")
         write_metrics_json(path, metrics)
         print(f"[metrics] {path}")
-
-
-@pytest.fixture(autouse=True)
-def standing_profile():
-    """Arm one cProfile per benchmark for the standing profiling pass.
-
-    ``collect_metrics`` picks the armed profiler up via
-    ``profiling.active_profile()`` — this covers both ``report()`` users
-    and benchmarks that call ``collect_metrics`` directly.  Profiling
-    reads wall time only; simulated outcomes are digest-identical with
-    or without it.
-    """
-    if not PROFILE_ENABLED:
-        yield None
-        return
-    profile = cProfile.Profile()
-    profiling.activate_profile(profile)
-    try:
-        yield profile
-    finally:
-        profiling.deactivate_profile(profile)
-
-
-def _parked_profile(fn):
-    """Park the standing profiler; return a target that re-arms it.
-
-    pytest-benchmark saves ``sys.getprofile()`` around every measured
-    round and restores it afterwards — and a C-level cProfile hook does
-    not survive that round trip (``Profile`` is not a callable
-    ``sys.setprofile`` accepts).  So the standing profiler is parked
-    while the harness machinery runs and re-armed only inside the
-    measured callable: the workload is profiled, but the harness never
-    sees the C hook.  Measured wall times include the cProfile overhead;
-    the perf gates all compare legs measured under identical
-    instrumentation, and ``REPRO_PROFILE=0`` gives instrumentation-free
-    numbers.
-    """
-    profile = profiling.active_profile()
-    if profile is None:
-        return fn, None
-    profile.disable()
-
-    def target(*args, **kwargs):
-        profile.enable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            profile.disable()
-
-    return target, profile
-
-
-def _profile_safe(original):
-    def method(self, fn, *args, **kwargs):
-        target, profile = _parked_profile(fn)
-        try:
-            return original(self, target, *args, **kwargs)
-        finally:
-            if profile is not None:
-                profile.enable()
-
-    method.__name__ = original.__name__
-    return method
-
-
-# The plugin rejects a same-name fixture override ("must be a
-# BenchmarkFixture instance"), so the guard wraps the fixture class's
-# entry points instead.
-if not getattr(BenchmarkFixture, "_repro_profile_safe", False):
-    BenchmarkFixture.__call__ = _profile_safe(BenchmarkFixture.__call__)
-    BenchmarkFixture.pedantic = _profile_safe(BenchmarkFixture.pedantic)
-    BenchmarkFixture._repro_profile_safe = True
 
 
 @pytest.fixture

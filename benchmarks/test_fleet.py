@@ -3,15 +3,15 @@
 One fixed scenario set (``CELLS`` independent TCPLS cells: bulk
 transfers plus server-farm churn) runs at 1, 2, 4, and 8 workers.  For
 every worker count the fleet reports aggregate **events/sec** and
-**sessions/sec** over parent wall-clock time, the scaling-efficiency
+**sessions/sec** over wall-clock time measured here, around
+``run_fleet`` (the result carries no host time), the scaling-efficiency
 curve relative to the single-process leg, and the merged determinism
 digests.  Acceptance: every leg's merged event-stream digest equals the
 single-process digest (the merge invariant, end to end).  The scaling
 curve is reported, not asserted — it is a property of the host's cores.
 
-Exported to ``BENCH_fleet.json``: the per-worker-count series, the
-efficiency curve, and the merged top-10 hot-function profile (each
-shard profiles under its own cProfile; tables merge at the barrier).
+Exported to ``BENCH_fleet.json``: the per-worker-count series and the
+efficiency curve.
 
 Set ``REPRO_FLEET_QUICK=1`` (the CI fleet-smoke job does) for a small
 cell set at 1/2 workers.
@@ -20,6 +20,7 @@ cell set at 1/2 workers.
 from __future__ import annotations
 
 import os
+import time
 
 from repro import fastpath
 from repro.fleet import make_cells, run_fleet
@@ -53,10 +54,13 @@ def _cell_set():
 def test_fleet_scaling(once):
     cells = _cell_set()
     legs = {}
+    wall = {}
 
     def run():
         for workers in WORKER_COUNTS:
-            legs[workers] = run_fleet(cells, workers=workers, profile=True)
+            started = time.perf_counter()
+            legs[workers] = run_fleet(cells, workers=workers)
+            wall[workers] = time.perf_counter() - started
         return legs
 
     once(run)
@@ -72,28 +76,21 @@ def test_fleet_scaling(once):
         )
         assert result.total_events == single.total_events
         assert result.total_sessions == single.total_sessions
-        assert result.hot_functions, "standing profiling produced no table"
 
     cores = os.cpu_count() or 1
-    speedups = {
-        workers: legs[workers].events_per_second / single.events_per_second
-        for workers in WORKER_COUNTS
-    }
+    # Every leg does the same work, so speedup is a ratio of wall times.
+    speedups = {workers: wall[1] / wall[workers] for workers in WORKER_COUNTS}
 
     series = []
     for workers in WORKER_COUNTS:
-        result = legs[workers]
         series.append(
             {
                 "workers": workers,
-                "events_per_sec": result.events_per_second,
-                "sessions_per_sec": result.sessions_per_second,
-                "wall_seconds": result.wall_seconds,
+                "events_per_sec": single.total_events / wall[workers],
+                "sessions_per_sec": single.total_sessions / wall[workers],
+                "wall_seconds": wall[workers],
                 "speedup": speedups[workers],
                 "efficiency": speedups[workers] / workers,
-                "shard_wall_seconds": [
-                    shard.wall_seconds for shard in result.shards
-                ],
             }
         )
 
@@ -112,12 +109,6 @@ def test_fleet_scaling(once):
             f"  speedup {row['speedup']:.2f}x"
             f"  efficiency {row['efficiency']:.2f}"
         )
-    top = legs[max(WORKER_COUNTS)].hot_functions[:3]
-    for row in top:
-        lines.append(
-            f"hot: {row['function']}  tottime {row['tottime_s']:.3f}s"
-            f"  calls {row['calls']}"
-        )
     report("FL1: sharded fleet scaling (merged-digest verified)", lines)
 
     payload = collect_metrics(
@@ -132,9 +123,6 @@ def test_fleet_scaling(once):
             "total_events": single.total_events,
             "total_sessions": single.total_sessions,
             "scaling": series,
-            "fleet_profiling_top_functions": legs[
-                max(WORKER_COUNTS)
-            ].hot_functions,
             "fleet": legs[max(WORKER_COUNTS)].to_metrics(),
         },
     )

@@ -15,7 +15,6 @@ from repro.core.session import TcplsContext, TcplsServer, TcplsSession
 from repro.faults import DeliveryRecorder, TrackerAudit, check_invariants
 from repro.fuzz import run_campaign
 from repro.fuzz.attackers import PayloadTamperer
-from repro.fuzz.harness import default_iterations
 from repro.netsim.scenarios import multi_path_network
 from repro.tcp.stack import TcpStack
 from repro.tls.certificates import CertificateAuthority, TrustStore
@@ -90,9 +89,7 @@ def _attacked_transfer(seed=5):
 
 def test_r2_fuzz_and_attack_accounting(once):
     def run():
-        campaign = run_campaign(
-            seed=CAMPAIGN_SEED, iterations=default_iterations()
-        )
+        campaign = run_campaign(seed=CAMPAIGN_SEED)
         attack_row, world = _attacked_transfer()
         return campaign, attack_row, world
 

@@ -4,8 +4,8 @@ Twelve rules, each protecting an invariant the reproduction's claims
 rest on (see DESIGN.md section 4f for the full rationale catalogue):
 
 ========  ==============================================================
-DET001    No wall-clock reads or unseeded global randomness in
-          simulation code.
+DET001    No host-clock reads (profiling clocks included), environment
+          reads or unseeded global randomness under ``src/``.
 DET002    No iteration over ``set``-typed values without explicit
           ordering (feeds scheduling / wire output nondeterminism).
 SEC001    Every public ``decode``/``parse`` entry point in the wire
@@ -111,7 +111,7 @@ def _contains_decode_guard(node: ast.AST) -> bool:
 
 class Det001WallClock(Rule):
     id = "DET001"
-    title = "no wall-clock reads or unseeded global randomness in simulation code"
+    title = "no host-clock or environment reads, no unseeded global randomness"
     rationale = """\
 The discrete-event simulator is the determinism root of the whole
 reproduction: PR 1's pcap/telemetry identity checks, PR 3's
@@ -123,17 +123,27 @@ OS-seeded global RNG) silently couples a run to the host, and the
 breakage only shows up later as an unreproducible trace.
 
 All entropy must flow from `random.Random(seed)` instances constructed
-from configuration, and all time from `Simulator.now`.  Wall-clock
-*profiling* via `time.perf_counter()` is allowed — it only feeds
-observability gauges, never simulated behaviour.
+from configuration, and all time from `Simulator.now`.  The `time`
+module's profiling clocks and environment lookups are banned with the
+rest (`_BANNED` lists each name): a result that carries host time is no
+longer a function of its seeds, and an environment read is an option no
+config object shows.  Host time is measured from outside the package,
+by `bench/` (see `bench/README.md`).  This rule sees calls; the
+environment mapping and profiler imports are held out by a text guard
+(`tests/analysis/test_rules.py` and the CI `analysis` job).
 
 Suppress with `# repro: noqa-DET001` only for code that demonstrably
 never feeds the simulation (e.g. log file naming)."""
 
     #: module -> callables that read the wall clock / OS entropy.
     _BANNED = {
-        "time": {"time", "time_ns"},
-        "os": {"urandom", "getrandom"},
+        "time": {
+            "time", "time_ns",
+            "perf_counter", "perf_counter_ns",
+            "process_time", "process_time_ns",
+            "monotonic", "monotonic_ns",
+        },
+        "os": {"urandom", "getrandom", "getenv"},
         "uuid": {"uuid1", "uuid4"},
     }
     _DATETIME_CTORS = {"now", "utcnow", "today"}
@@ -182,7 +192,7 @@ never feeds the simulation (e.g. log file naming)."""
                 elif mod == "secrets":
                     yield flag(node, f"secrets.{attr}() (OS entropy)")
                 elif attr in self._BANNED.get(mod, ()):
-                    yield flag(node, f"{mod}.{attr}() wall-clock/OS-entropy read")
+                    yield flag(node, f"{mod}.{attr}() reads the host (clock/entropy/environment)")
             elif isinstance(func, ast.Name) and func.id in names:
                 src_mod, orig = names[func.id]
                 if src_mod == "random" and orig not in self._RANDOM_OK:
@@ -195,7 +205,7 @@ never feeds the simulation (e.g. log file naming)."""
                 ):
                     continue
                 elif orig in self._BANNED.get(src_mod, ()):
-                    yield flag(node, f"{src_mod}.{orig}() wall-clock/OS-entropy read")
+                    yield flag(node, f"{src_mod}.{orig}() reads the host (clock/entropy/environment)")
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,7 @@ def all_enabled() -> Dict[str, bool]:
 def scalar_baseline() -> Iterator[None]:
     """Run the enclosed block with every flagged fast path off.
 
-    Restores the previous values on exit.  Used by the cross-check tests
-    and by the crypto legs of the perf benchmarks.
+    Restores the previous values on exit.  Used by the cross-check tests.
     """
     saved = dict(_flags)
     try:

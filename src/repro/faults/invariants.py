@@ -86,9 +86,6 @@ class TrackerAudit:
             self.accepted.add(seq)
         return ok
 
-    def detach(self) -> None:
-        self.tracker.accept = self._original_accept
-
 
 def max_recovery_time(context, attempts: Optional[int] = None,
                       slack: float = 0.5) -> float:

@@ -4,7 +4,7 @@ A cell is the fleet's unit of work and of verification.  ``run_cell``
 rewinds the process-global counters, builds a fresh world from the
 cell's derived seed, runs it under a determinism probe, and reduces the
 run to a :class:`~repro.fleet.spec.CellResult`: digests, counters,
-mergeable telemetry/timer state.  Because nothing a cell touches
+mergeable telemetry state.  Because nothing a cell touches
 outlives it (and nothing from a previous cell leaks in), a cell's
 digests depend only on its spec — not on which process, which shard, or
 which position in the batch ran it.  That per-cell isolation is the
@@ -29,14 +29,12 @@ cover the fault path, and all honour ``spec.shake_seed`` and
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, Tuple
 
 from repro.analysis.sanitizers import DeterminismProbe, reset_process_globals
 from repro.fleet.spec import CellResult, CellSpec
 from repro.netsim.pcap import PcapWriter
 from repro.obs import keys as obs_keys
-from repro.obs.profiling import SubsystemTimers
 from repro.obs.telemetry import Telemetry
 
 
@@ -229,11 +227,7 @@ def run_cell(spec: CellSpec) -> CellResult:
         ) from None
     reset_process_globals()
     probe = DeterminismProbe(shake_seed=spec.shake_seed)
-    timers = SubsystemTimers(enabled=True)
-    started = perf_counter()
-    with timers.section("fleet.cell"):
-        sessions = runner(spec, probe)
-    wall = perf_counter() - started
+    sessions = runner(spec, probe)
     digest = probe.digest()
 
     telemetry = Telemetry(enabled=True)
@@ -252,7 +246,5 @@ def run_cell(spec: CellSpec) -> CellResult:
         packets=digest.packets,
         sessions=sessions,
         telemetry=telemetry.export_state(),
-        timers=timers.state(),
-        wall_seconds=wall,
         pcap_path=spec.pcap_path,
     )

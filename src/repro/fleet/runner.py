@@ -15,11 +15,13 @@ the barrier:
 - **pcaps**: per-cell traces concatenate in the same order
   (``netsim.pcap.merge_pcaps``), with one SHA-256 over the merged
   record stream;
-- **telemetry / timers**: per-cell mergeable states reduce through
-  ``Telemetry.merge`` / ``SubsystemTimers.merge``;
-- **profiles**: each shard runs under its own ``cProfile``; per-shard
-  top-K tables merge into one ranked top-10
-  (``repro.obs.profiling.merge_hot_functions``).
+- **telemetry**: per-cell mergeable states reduce through
+  ``Telemetry.merge``.
+
+Nothing here reads the host clock, so a ``FleetResult`` is a function of
+its cells: two runs differ only in ``workers``/``shards`` and the
+``fleet.shards`` counter.  Time ``run_fleet`` from outside
+(``benchmarks/test_fleet.py`` does).
 
 Workers use the ``fork`` start method (the cell builds its whole world
 after the fork, so nothing stateful is inherited that
@@ -30,13 +32,10 @@ which produces identical merged output — only slower.
 
 from __future__ import annotations
 
-import cProfile
 import multiprocessing
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro import fastpath
 from repro.fleet.cells import run_cell
 from repro.fleet.spec import (
     CellSpec,
@@ -47,7 +46,6 @@ from repro.fleet.spec import (
 )
 from repro.netsim.pcap import merge_pcaps
 from repro.obs import keys as obs_keys
-from repro.obs import profiling
 from repro.obs.telemetry import Telemetry
 
 
@@ -101,32 +99,9 @@ def partition_cells(
 
 
 def run_shard(spec: ShardSpec) -> ShardResult:
-    """Run one shard's cells (worker entry point; also used inline).
-
-    Applies the parent's fastpath flag snapshot first, so workers run
-    the datapath configuration the parent decided on regardless of the
-    start method.  Profiling wraps the whole cell loop in a shard-local
-    ``cProfile`` via ``exclusive_profile`` — which also suspends any
-    profiler inherited across the fork (or armed by the benchmark
-    conftest in inline mode) instead of colliding with it.
-    """
-    for name, value in spec.fastpath_flags.items():
-        if name in fastpath.flags:
-            fastpath.set_enabled(name, value)  # repro: noqa-FP001 - replaying the parent's already-audited flag snapshot
-    started = perf_counter()
-    hot: List[dict] = []
-    if spec.profile:
-        profile = cProfile.Profile()
-        with profiling.exclusive_profile(profile):
-            cells = [run_cell(cell) for cell in spec.cells]
-        hot = profiling.hot_functions(profile, limit=spec.profile_limit)
-    else:
-        cells = [run_cell(cell) for cell in spec.cells]
+    """Run one shard's cells (worker entry point; also used inline)."""
     return ShardResult(
-        index=spec.index,
-        cells=cells,
-        wall_seconds=perf_counter() - started,
-        hot_functions=hot,
+        index=spec.index, cells=[run_cell(cell) for cell in spec.cells]
     )
 
 
@@ -147,22 +122,7 @@ class FleetResult:
     total_events: int = 0
     total_sessions: int = 0
     total_packets: int = 0
-    #: Parent-side wall time across the whole fan-out/merge (the number
-    #: the scaling curve divides by).
-    wall_seconds: float = 0.0
     telemetry: Optional[Telemetry] = None
-    timers_state: Dict[str, dict] = field(default_factory=dict)
-    hot_functions: List[dict] = field(default_factory=list)
-
-    @property
-    def events_per_second(self) -> float:
-        return self.total_events / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def sessions_per_second(self) -> float:
-        return (
-            self.total_sessions / self.wall_seconds if self.wall_seconds else 0.0
-        )
 
     def to_metrics(self) -> dict:
         """JSON-ready summary for the BENCH export."""
@@ -175,12 +135,7 @@ class FleetResult:
             "total_events": self.total_events,
             "total_sessions": self.total_sessions,
             "total_packets": self.total_packets,
-            "wall_seconds": self.wall_seconds,
-            "events_per_second": self.events_per_second,
-            "sessions_per_second": self.sessions_per_second,
-            "shard_wall_seconds": [shard.wall_seconds for shard in self.shards],
             "telemetry": self.telemetry.snapshot() if self.telemetry else {},
-            "profiling": {"top_functions": self.hot_functions},
         }
 
 
@@ -193,7 +148,6 @@ def _fork_context():
 def run_fleet(
     cells: Sequence[CellSpec],
     workers: int = 1,
-    profile: bool = True,
     merge_pcap_path: Optional[str] = None,
 ) -> FleetResult:
     """Partition ``cells`` across ``workers``, run, and merge.
@@ -208,26 +162,17 @@ def run_fleet(
     import hashlib
 
     blocks = partition_cells(cells, workers)
-    flags = fastpath.all_enabled()
     specs = [
-        ShardSpec(
-            index=index,
-            shards=len(blocks),
-            cells=block,
-            fastpath_flags=flags,
-            profile=profile,
-        )
+        ShardSpec(index=index, shards=len(blocks), cells=block)
         for index, block in enumerate(blocks)
     ]
 
-    started = perf_counter()
     context = _fork_context() if len(specs) > 1 else None
     if context is None:
         shard_results = [run_shard(spec) for spec in specs]
     else:
         with context.Pool(processes=len(specs)) as pool:
             shard_results = pool.map(run_shard, specs)
-    wall = perf_counter() - started
 
     # Shard-major concatenation == cell-index order (contiguous blocks).
     merged_cells: List[CellResult] = []
@@ -253,19 +198,6 @@ def run_fleet(
     telemetry.counter(obs_keys.COMP_FLEET, obs_keys.FLEET_SHARDS).inc(
         len(shard_results)
     )
-    wall_hist = telemetry.histogram(
-        obs_keys.COMP_FLEET, obs_keys.FLEET_SHARD_WALL_SECONDS
-    )
-    for shard in shard_results:
-        wall_hist.observe(shard.wall_seconds)
-
-    timers = profiling.SubsystemTimers.merge(
-        cell.timers for cell in merged_cells
-    )
-    hot = profiling.merge_hot_functions(
-        (shard.hot_functions for shard in shard_results),
-        limit=profiling.TOP_FUNCTIONS,
-    )
 
     return FleetResult(
         workers=len(specs),
@@ -278,8 +210,5 @@ def run_fleet(
         total_events=sum(cell.events for cell in merged_cells),
         total_sessions=sum(cell.sessions for cell in merged_cells),
         total_packets=sum(cell.packets for cell in merged_cells),
-        wall_seconds=wall,
         telemetry=telemetry,
-        timers_state=timers.state(),
-        hot_functions=hot,
     )

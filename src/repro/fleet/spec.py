@@ -69,23 +69,19 @@ class CellSpec:
 class ShardSpec:
     """One worker's assignment: a contiguous block of cells.
 
-    Carries the parent's fastpath flag snapshot so a spawned (rather
-    than forked) worker would still run the same datapath configuration.
+    Workers are forked (or run inline), so they inherit the parent's
+    fastpath flags; nothing about the datapath travels in the spec.
     """
 
     index: int
     shards: int
     cells: List[CellSpec] = field(default_factory=list)
-    fastpath_flags: Dict[str, bool] = field(default_factory=dict)
-    profile: bool = True
-    #: Per-shard hot-function rows kept for the merge (> the published
-    #: top-10 so the merged ranking is exact for anything hot anywhere).
-    profile_limit: int = 30
 
 
 @dataclass
 class CellResult:
-    """Everything one cell run reduces to (all picklable, all mergeable)."""
+    """Everything one cell run reduces to: picklable, mergeable, and a
+    function of the cell's spec alone (no host time)."""
 
     index: int
     kind: str
@@ -96,8 +92,6 @@ class CellResult:
     packets: int
     sessions: int
     telemetry: Dict[str, dict] = field(default_factory=dict)
-    timers: Dict[str, dict] = field(default_factory=dict)
-    wall_seconds: float = 0.0
     pcap_path: Optional[str] = None
 
 
@@ -107,5 +101,3 @@ class ShardResult:
 
     index: int
     cells: List[CellResult] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    hot_functions: List[dict] = field(default_factory=list)

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from repro.fuzz.harness import default_iterations, run_campaign, save_crashers
+from repro.fuzz.harness import DEFAULT_ITERATIONS, run_campaign, save_crashers
 
 
 def main(argv=None) -> int:
@@ -19,19 +19,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--iterations",
         type=int,
-        default=None,
-        help="inputs to drive (default honours REPRO_FUZZ_QUICK)",
+        default=DEFAULT_ITERATIONS,
+        help="inputs to drive",
     )
     parser.add_argument("--format", action="append", dest="formats", default=None)
     parser.add_argument("--crash-dir", default="fuzz-crashers")
     parser.add_argument("--json", action="store_true", help="print the full report")
     options = parser.parse_args(argv)
 
-    iterations = (
-        options.iterations if options.iterations is not None else default_iterations()
-    )
     report = run_campaign(
-        seed=options.seed, iterations=iterations, formats=options.formats
+        seed=options.seed, iterations=options.iterations, formats=options.formats
     )
     if options.json:
         print(json.dumps(report.to_dict(), indent=2))

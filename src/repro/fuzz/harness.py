@@ -43,8 +43,6 @@ from repro.fuzz.mutate import mutate
 # the record/handshake layers' teardown signal) and nothing else.
 ALLOWED_EXCEPTIONS = (ProtocolViolation, TlsAlertError, CryptoError)
 
-QUICK_ENV = "REPRO_FUZZ_QUICK"
-QUICK_ITERATIONS = 700
 DEFAULT_ITERATIONS = 7000
 
 
@@ -214,16 +212,9 @@ class CampaignReport:
         }
 
 
-def default_iterations() -> int:
-    """Campaign size: trimmed under the CI smoke budget."""
-    if os.environ.get(QUICK_ENV):
-        return QUICK_ITERATIONS
-    return DEFAULT_ITERATIONS
-
-
 def run_campaign(
     seed: int = 0,
-    iterations: Optional[int] = None,
+    iterations: int = DEFAULT_ITERATIONS,
     formats: Optional[List[str]] = None,
     obs=None,
 ) -> CampaignReport:
@@ -239,8 +230,6 @@ def run_campaign(
     rng = random.Random(seed)
     corpus = seed_corpus()
     chosen = list(formats) if formats else list(FORMATS)
-    if iterations is None:
-        iterations = default_iterations()
     report = CampaignReport(seed=seed, iterations=iterations)
     digest = hashlib.sha256()
 

@@ -12,18 +12,14 @@ rules:
 
 ``pending_events`` is O(1): a live counter tracks scheduled-minus-
 (cancelled-or-executed) events instead of scanning the heap.  The engine
-also keeps cheap wall-clock profiling (total ``run()`` time and an
-events-per-second gauge) that ``attach_observability`` mirrors into the
-telemetry registry for the perf benchmarks.
+never reads the host clock; ``bench/`` times ``run()`` from outside.
 """
 
 from __future__ import annotations
 
 import heapq
-import time as _time
 from typing import Callable, Optional
 
-from repro.obs import keys
 from repro.utils.errors import ReentrancyError
 
 
@@ -72,10 +68,6 @@ class Simulator:
         self._seq = 0
         self._events_processed = 0
         self._live_events = 0  # scheduled minus cancelled/executed
-        self.run_wall_seconds = 0.0  # wall-clock time spent inside run()
-        self._obs_events = None  # optional telemetry counter
-        self._obs_rate = None  # optional events/sec gauge
-        self._obs_wall = None  # optional wall-seconds gauge
         self._event_hook: Optional[Callable[[float, int], None]] = None
         self._shake_key: Optional[int] = None
         self._running = False  # reentrancy sanitizer: inside run()?
@@ -103,34 +95,9 @@ class Simulator:
             raise ValueError("schedule shake must be enabled before scheduling")
         self._shake_key = seed & 0xFFFFFFFF
 
-    def attach_observability(self, obs) -> None:
-        """Mirror the processed-event count into a telemetry registry.
-
-        Pure observation: attaching never changes scheduling order,
-        event counts, or the clock.  Also exposes wall-clock profiling:
-        total seconds spent inside ``run()`` and the resulting
-        events-per-second rate.
-        """
-        self._obs_events = obs.telemetry.counter(
-            keys.COMP_ENGINE, keys.ENGINE_EVENTS_PROCESSED
-        )
-        self._obs_rate = obs.telemetry.gauge(
-            keys.COMP_ENGINE, keys.ENGINE_EVENTS_PER_SECOND
-        )
-        self._obs_wall = obs.telemetry.gauge(
-            keys.COMP_ENGINE, keys.ENGINE_RUN_WALL_SECONDS
-        )
-
     @property
     def events_processed(self) -> int:
         return self._events_processed
-
-    @property
-    def events_per_second(self) -> float:
-        """Processed events per wall-clock second inside ``run()``."""
-        if self.run_wall_seconds <= 0:
-            return 0.0
-        return self._events_processed / self.run_wall_seconds
 
     def schedule(self, delay: float, callback: Callable, *args) -> Event:
         """Run ``callback(*args)`` after ``delay`` seconds of simulated time."""
@@ -174,7 +141,6 @@ class Simulator:
             )
         self._running = True
         processed = 0
-        wall_start = _time.perf_counter()
         queue = self._queue
         heappop = heapq.heappop
         event_hook = self._event_hook
@@ -202,15 +168,8 @@ class Simulator:
                 event.callback(*event.args)
                 processed += 1
                 self._events_processed += 1
-                if self._obs_events is not None:
-                    self._obs_events.inc()
         finally:
             self._running = False
-            self.run_wall_seconds += _time.perf_counter() - wall_start
-            if self._obs_wall is not None:
-                self._obs_wall.set(self.run_wall_seconds)
-            if self._obs_rate is not None:
-                self._obs_rate.set(self.events_per_second)
         if until is not None and until > self.now:
             self.now = until
 

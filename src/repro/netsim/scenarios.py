@@ -37,14 +37,6 @@ class DualPathNetwork:
         for link in self.v4_links:
             link.set_down()
 
-    def restore_v4_path(self) -> None:
-        for link in self.v4_links:
-            link.set_up()
-
-    def cut_v6_path(self) -> None:
-        for link in self.v6_links:
-            link.set_down()
-
 
 def dual_path_network(
     rate_bps: float = 30e6,
@@ -131,12 +123,6 @@ class MultiPathNetwork:
     @property
     def sim(self):
         return self.net.sim
-
-    def cut_path(self, index: int) -> None:
-        self.links[index].set_down()
-
-    def restore_path(self, index: int) -> None:
-        self.links[index].set_up()
 
 
 def multi_path_network(

@@ -10,16 +10,13 @@ document with a stable shape:
       "events_processed": int,
       "sessions":         [per-session counters, stats, snapshots, timeline],
       "links":            [per-link delivery/drop counters],
-      "profiling":        {"top_functions": top-10 hot-function list},
       "extra":            caller-provided figures (goodput, series, ...),
     }
 
 The benchmark conftest calls this from ``report()`` so every figure and
 ablation benchmark emits its machine-readable twin next to the printed
-table.  When a standing profiler is armed (the conftest arms one per
-benchmark; see :mod:`repro.obs.profiling`), every export automatically
-includes the flamegraph-derived top-10 hot-function table for the run so
-far — the per-release profiling pass rides along in every artifact.
+table.  The document is a function of the simulated run: host time is
+measured from outside the package, by ``bench/`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import json
 import os
 from typing import Iterable, Optional
 
-from repro.obs import profiling
 from repro.obs.tcpinfo import sample_tcp
 
 SCHEMA_VERSION = 1
@@ -77,14 +73,6 @@ def collect_metrics(
     if sim is not None:
         metrics["sim_time"] = sim.now
         metrics["events_processed"] = sim.events_processed
-    profile = profiling.active_profile()
-    if profile is not None:
-        # Reading the stats disables the profiler (cProfile snapshots on
-        # create_stats), so re-enable to keep the standing pass running
-        # for later exports in the same benchmark.
-        top = profiling.hot_functions(profile)
-        profile.enable()
-        metrics["profiling"] = {"top_functions": top}
     if extra:
         metrics["extra"] = extra
     return metrics

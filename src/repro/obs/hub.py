@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.profiling import SubsystemTimers
 from repro.obs.tcpinfo import TcpInfoLog
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import Tracer
 
 
 class Observability:
-    """Telemetry + tracer + TCP snapshot log + wall timers, one clock."""
+    """Telemetry + tracer + TCP snapshot log, one clock."""
 
     def __init__(self, sim=None, enabled: bool = True) -> None:
         self.sim = sim
@@ -30,7 +29,6 @@ class Observability:
         self.telemetry = Telemetry(enabled=enabled)
         self.tracer = Tracer(clock, enabled=enabled)
         self.tcp_log = TcpInfoLog(clock, enabled=enabled)
-        self.timers = SubsystemTimers(enabled=enabled)
 
     def snapshot(self) -> dict:
         """Everything recorded so far, as plain JSON-ready dicts."""
@@ -40,5 +38,4 @@ class Observability:
             "tcp_samples": self.tcp_log.samples(),
             "timeline_dropped": self.tracer.dropped,
             "tcp_samples_dropped": self.tcp_log.dropped,
-            "profiling": self.timers.snapshot(),
         }

@@ -24,7 +24,6 @@ COMP_SESSION_CLIENT = "session.client"
 COMP_SESSION_SERVER = "session.server"
 #: The TCPLS listener (pre-session demux, JOIN routing).
 COMP_SERVER = "server"
-COMP_ENGINE = "engine"
 COMP_FAULTS = "faults"
 COMP_FUZZ = "fuzz"
 #: The scale-run session pool/dispatcher (repro.scale).
@@ -120,8 +119,6 @@ FLEET_SHARDS = "shards"
 FLEET_EVENTS = "events"
 #: TCPLS sessions driven to completion, summed across all shard worlds.
 FLEET_SESSIONS = "sessions"
-#: Histogram: per-shard wall-clock seconds (barrier skew diagnosis).
-FLEET_SHARD_WALL_SECONDS = "shard_wall_seconds"
 
 # -- overload metrics ---------------------------------------------------------
 # Every shed/reject code path in ``repro.overload`` must increment one
@@ -147,12 +144,6 @@ OVERLOAD_COUPONS_ACCEPTED = "overload.coupons_accepted"
 OVERLOAD_STATE = "overload.state"
 #: Gauge: bytes tracked against the global memory budget.
 OVERLOAD_MEMORY_BYTES = "overload.memory_bytes"
-
-# -- engine metrics -----------------------------------------------------------
-
-ENGINE_EVENTS_PROCESSED = "events_processed"
-ENGINE_EVENTS_PER_SECOND = "events_per_second"
-ENGINE_RUN_WALL_SECONDS = "run_wall_seconds"
 
 # -- fuzz metrics -------------------------------------------------------------
 
@@ -232,10 +223,6 @@ ALL_KEYS = frozenset(
         FLEET_SHARDS,
         FLEET_EVENTS,
         FLEET_SESSIONS,
-        FLEET_SHARD_WALL_SECONDS,
-        ENGINE_EVENTS_PROCESSED,
-        ENGINE_EVENTS_PER_SECOND,
-        ENGINE_RUN_WALL_SECONDS,
         FUZZ_INPUTS,
         FUZZ_REJECTED,
         FUZZ_CRASHERS,
@@ -253,7 +240,6 @@ ALL_COMPONENTS = frozenset(
         COMP_SESSION_CLIENT,
         COMP_SESSION_SERVER,
         COMP_SERVER,
-        COMP_ENGINE,
         COMP_FAULTS,
         COMP_FUZZ,
         COMP_POOL,

@@ -48,6 +48,14 @@ KIND_RESUMPTION = "resumption"
 KIND_COUPON = "coupon"
 KIND_FULL = "full"
 
+#: Handshake-bucket tokens one admission of each class takes.
+TOKEN_COST = {
+    KIND_FULL: 1.0,
+    KIND_RESUMPTION: 0.1,
+    KIND_JOIN: 0.05,
+    KIND_COUPON: 0.1,
+}
+
 
 @dataclass
 class AdmissionConfig:
@@ -59,11 +67,6 @@ class AdmissionConfig:
     handshake_rate: float = 200.0
     #: Bucket depth: tolerated burst above the sustained rate.
     handshake_burst: float = 20.0
-    #: Token cost per admission class.
-    full_cost: float = 1.0
-    resumption_cost: float = 0.1
-    join_cost: float = 0.05
-    coupon_cost: float = 0.1
     #: Global memory budget across every admitted session.
     global_memory_budget: int = 64 << 20
     degraded_watermark: float = 0.7
@@ -221,13 +224,7 @@ class AdmissionController:
             return self.reject_state(kind, state)
         if state == STATE_DEGRADED and kind == KIND_FULL:
             return self.reject_state(kind, state)
-        cost = {
-            KIND_FULL: self.config.full_cost,
-            KIND_RESUMPTION: self.config.resumption_cost,
-            KIND_JOIN: self.config.join_cost,
-            KIND_COUPON: self.config.coupon_cost,
-        }[kind]
-        if not self.bucket.take(cost):
+        if not self.bucket.take(TOKEN_COST[kind]):
             return self.reject_pacer(kind)
         if kind == KIND_FULL:
             self._obs_admitted.inc()

@@ -38,7 +38,6 @@ class QuicConfig:
     ticket_store: Optional[SessionTicketStore] = None
     ticket_key: bytes = b"\x00" * 32
     congestion: str = "reno"
-    mtu: int = qp.MAX_DATAGRAM
     seed: int = 0
 
 
@@ -103,7 +102,7 @@ class _QuicEndpointBase:
         self._ack_event = None
         self._pto_event = None
         self._resend_frames: List = []
-        self.cc = NewReno(config.mtu - 100)
+        self.cc = NewReno(qp.MAX_DATAGRAM - 100)
         self.rto = RtoEstimator(min_rto=0.1)
         self._in_recovery_until = -1
 
@@ -213,7 +212,7 @@ class _QuicEndpointBase:
             # Split oversized crypto frames across packets.
             data = frame.data
             offset = frame.offset
-            max_chunk = self.config.mtu - 100
+            max_chunk = qp.MAX_DATAGRAM - 100
             while data:
                 chunk, data = data[:max_chunk], data[max_chunk:]
                 self._send_packet(
@@ -256,7 +255,7 @@ class _QuicEndpointBase:
         return in_flight < self.cc.window()
 
     def _collect_stream_frames(self) -> List[qp.StreamFrame]:
-        budget = self.config.mtu - 60
+        budget = qp.MAX_DATAGRAM - 60
         frames: List[qp.StreamFrame] = []
         for stream in self.streams.values():
             if budget < 80:

@@ -75,9 +75,6 @@ class PoolConfig:
     redial_backoff_base: float = 0.0
     redial_backoff_max: float = 2.0
     redial_backoff_jitter: float = 0.1
-    #: Give up re-dialling for a failure after this many attempts;
-    #: 0 = keep trying while demand remains.
-    redial_max_retries: int = 0
 
 
 class ListenerStats:
@@ -398,8 +395,6 @@ class SessionPool:
             self._dial(entry.dial_attempt + 1)
             return
         attempt = entry.dial_attempt
-        if config.redial_max_retries and attempt >= config.redial_max_retries:
-            return
         delay = min(
             config.redial_backoff_base * 2 ** (attempt - 1),
             config.redial_backoff_max,

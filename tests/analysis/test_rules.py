@@ -1,6 +1,7 @@
 """The lint engine and the twelve repo-aware rules."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,43 @@ def test_noqa_inside_string_literal_does_not_suppress(tmp_path):
     )
     report = run([bad], default_rules(), root=tmp_path)
     assert [finding.rule for finding in report.findings] == ["DET001"]
+
+
+HOST_CLOCKS = ("perf_counter", "perf_counter_ns", "process_time", "monotonic")
+
+
+def test_det001_flags_every_host_clock_call_in_its_fixture():
+    report = run([EXPECTED["DET001"]], default_rules(), root=REPO)
+    flagged = " ".join(f.message for f in report.findings if f.rule == "DET001")
+    for name in HOST_CLOCKS:
+        assert f"time.{name}()" in flagged
+
+
+@pytest.mark.parametrize("name", HOST_CLOCKS)
+@pytest.mark.parametrize(
+    "form", ["import time\nT = time.{0}()\n", "from time import {0}\nT = {0}()\n"]
+)
+def test_det001_has_no_profiling_exemption(tmp_path, form, name):
+    bad = tmp_path / "mod.py"
+    bad.write_text(form.format(name), encoding="utf-8")
+    report = run([bad], default_rules(), root=tmp_path)
+    assert [finding.rule for finding in report.findings] == ["DET001"]
+
+
+def test_src_reads_no_host_clock_profiler_or_environment():
+    """The invariant behind DET001, by text: host time is `bench/`'s job.
+    Mirrors the CI `analysis` guard; rules.py only names what it bans."""
+    pattern = re.compile(
+        r"perf_counter|process_time|monotonic\(|cProfile|os\.environ|getenv"
+    )
+    hits = [
+        f"{path.relative_to(REPO)}:{number}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        if path.name != "rules.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, hits
 
 
 def test_det002_would_catch_unsorting_the_route_tiebreak():

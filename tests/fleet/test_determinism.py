@@ -8,6 +8,7 @@ scripted fault plan, under schedule shake, and for the merged pcap
 *file* bytes.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -34,7 +35,7 @@ _OVERLOAD = {
 
 
 def _digests(cells, workers):
-    result = run_fleet(cells, workers=workers, profile=False)
+    result = run_fleet(cells, workers=workers)
     return result.event_digest, result.pcap_digest
 
 
@@ -131,10 +132,14 @@ def test_fleet_digest_independent_of_vectorq_pcap_side():
     queue path; the fleet is the end-to-end consumer of that claim."""
     cells = make_cells(2, base_seed=3, kind="bulk", params=_BULK)
     with fastpath.overridden("netsim.vectorq", False):
-        scalar = run_fleet(cells, workers=1, profile=False)
+        scalar = run_fleet(cells, workers=1)
+        forked = run_fleet(cells, workers=2)
     with fastpath.overridden("netsim.vectorq", True):
-        vector = run_fleet(cells, workers=1, profile=False)
+        vector = run_fleet(cells, workers=1)
     assert vector.pcap_digest == scalar.pcap_digest
+    # Forked workers inherit the parent's flags: the two paths order
+    # their events differently, and the children ran the scalar one.
+    assert forked.event_digest == scalar.event_digest != vector.event_digest
 
 
 def test_merged_pcap_file_invariant_across_shard_counts(tmp_path):
@@ -145,9 +150,7 @@ def test_merged_pcap_file_invariant_across_shard_counts(tmp_path):
             4, base_seed=42, kind="bulk", params=_BULK, pcap_dir=str(pcap_dir)
         )
         merged = str(pcap_dir / "merged.pcap")
-        return run_fleet(
-            cells, workers=workers, profile=False, merge_pcap_path=merged
-        )
+        return run_fleet(cells, workers=workers, merge_pcap_path=merged)
 
     reference = run_with_pcaps(1)
     assert reference.merged_pcap_file_digest is not None
@@ -164,31 +167,38 @@ def test_merged_pcap_file_invariant_across_shard_counts(tmp_path):
 
 def test_cell_results_come_back_in_cell_index_order():
     cells = make_cells(5, base_seed=2, kind="bulk", params=_BULK)
-    result = run_fleet(cells, workers=3, profile=False)
+    result = run_fleet(cells, workers=3)
     assert [cell.index for cell in result.cells] == list(range(5))
 
 
 def test_fleet_totals_and_telemetry_merge():
     cells = make_cells(3, base_seed=9, kind="bulk", params=_BULK)
-    result = run_fleet(cells, workers=2, profile=False)
+    result = run_fleet(cells, workers=2)
     assert result.total_events == sum(cell.events for cell in result.cells)
     assert result.total_sessions == 3
     snapshot = result.telemetry.snapshot()
     assert snapshot["fleet"]["cells"] == 3
     assert snapshot["fleet"]["events"] == result.total_events
     assert snapshot["fleet"]["shards"] == 2
-    assert snapshot["fleet"]["shard_wall_seconds"]["count"] == 2
-    assert result.timers_state["sections"]["fleet.cell"] == 3
 
 
-def test_fleet_profiling_produces_merged_top_functions():
-    cells = make_cells(2, base_seed=4, kind="bulk", params=_BULK)
-    result = run_fleet(cells, workers=2, profile=True)
-    assert result.hot_functions
-    assert len(result.hot_functions) <= 10
-    top = result.hot_functions[0]
-    assert set(top) == {"function", "calls", "tottime_s", "cumtime_s"}
-    assert top["tottime_s"] > 0
+def test_fleet_result_is_a_function_of_its_cells():
+    """No host time rides in the result: one worker or two, every field
+    but the shard bookkeeping is equal, merged telemetry included."""
+    cells = make_cells(3, base_seed=9, kind="bulk", params=_BULK)
+    one = run_fleet(cells, workers=1)
+    two = run_fleet(cells, workers=2)
+    assert (one.workers, len(one.shards)) == (1, 1)
+    assert (two.workers, len(two.shards)) == (2, 2)
+    for field in dataclasses.fields(one):
+        if field.name not in ("workers", "shards", "telemetry"):
+            assert getattr(one, field.name) == getattr(two, field.name), field.name
+    states = []
+    for result in (one, two):
+        state = result.telemetry.export_state()
+        assert state["counters"]["fleet"].pop("shards") == result.workers
+        states.append(state)
+    assert states[0] == states[1]
 
 
 def test_unknown_cell_kind_is_rejected():

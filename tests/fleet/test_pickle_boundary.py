@@ -34,8 +34,6 @@ def _specimens():
         index=1,
         shards=4,
         cells=[cell_spec],
-        fastpath_flags={"netsim.vectorq": True},
-        profile=True,
     )
     cell_result = CellResult(
         index=3,
@@ -47,16 +45,11 @@ def _specimens():
         packets=64,
         sessions=1,
         telemetry={"counters": {"fleet": {"cells": 1}}},
-        timers={"wall_seconds": {"fleet.cell": 0.5}, "sections": {"fleet.cell": 1}},
-        wall_seconds=0.5,
         pcap_path="/tmp/cell_0003.pcap",
     )
     shard_result = ShardResult(
         index=1,
         cells=[cell_result],
-        wall_seconds=0.6,
-        hot_functions=[{"function": "f:1(g)", "calls": 2, "tottime_s": 0.1,
-                        "cumtime_s": 0.1}],
     )
     return {
         "CellSpec": cell_spec,

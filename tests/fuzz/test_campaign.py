@@ -13,9 +13,7 @@ from repro.fuzz import (
 from repro.fuzz.harness import (
     CampaignReport,
     Crasher,
-    QUICK_ENV,
-    QUICK_ITERATIONS,
-    default_iterations,
+    DEFAULT_ITERATIONS,
     save_crashers,
 )
 
@@ -82,11 +80,10 @@ def test_mutators_are_deterministic_and_total():
             assert isinstance(result, bytes), name
 
 
-def test_quick_env_trims_the_default_budget(monkeypatch):
-    monkeypatch.delenv(QUICK_ENV, raising=False)
-    full = default_iterations()
-    monkeypatch.setenv(QUICK_ENV, "1")
-    assert default_iterations() == QUICK_ITERATIONS < full
+def test_default_budget_ignores_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_FUZZ_QUICK", "1")
+    report = run_campaign(seed=3, formats=["tcp_options"])
+    assert report.iterations == DEFAULT_ITERATIONS
 
 
 def test_campaign_restricted_to_one_format():

@@ -166,19 +166,6 @@ def test_collect_metrics_document_shape(tmp_path):
         assert json.load(handle)["schema"] == 1
 
 
-def test_engine_mirrors_event_count_into_telemetry():
-    from repro.netsim.engine import Simulator
-
-    sim = Simulator()
-    obs = Observability(sim)
-    sim.attach_observability(obs)
-    for i in range(4):
-        sim.schedule(0.1 * (i + 1), lambda: None)
-    sim.run_until_idle()
-    assert obs.telemetry.snapshot()["engine"]["events_processed"] == 4
-    assert sim.events_processed == 4
-
-
 def test_session_metrics_method_matches_export():
     _net, client, _server = _run_transfer(telemetry=True)
     doc = client.metrics()

@@ -1,19 +1,7 @@
-"""Mergeable telemetry/timer snapshots and the standing profiler."""
-
-import cProfile
+"""Mergeable telemetry snapshots."""
 
 import pytest
 
-from repro.obs import collect_metrics
-from repro.obs.profiling import (
-    SubsystemTimers,
-    activate_profile,
-    active_profile,
-    deactivate_profile,
-    exclusive_profile,
-    hot_functions,
-    merge_hot_functions,
-)
 from repro.obs.telemetry import Histogram, Telemetry
 
 
@@ -100,91 +88,3 @@ def test_merge_handles_disjoint_instruments():
     snapshot = merged.snapshot()
     assert snapshot["left"]["only"] == 2
     assert snapshot["right"]["only"] == 5
-
-
-# ----------------------------------------------------------------------
-# SubsystemTimers.merge
-# ----------------------------------------------------------------------
-
-def test_timer_states_sum():
-    a = SubsystemTimers()
-    a.add("crypto", 1.5)
-    b = SubsystemTimers()
-    b.add("crypto", 0.5)
-    b.add("tcp", 2.0)
-    merged = SubsystemTimers.merge([a.state(), b.state()])
-    assert merged.seconds("crypto") == 2.0
-    assert merged.seconds("tcp") == 2.0
-    assert merged.snapshot()["sections"] == {"crypto": 2, "tcp": 1}
-
-
-# ----------------------------------------------------------------------
-# Standing profiler
-# ----------------------------------------------------------------------
-
-def _busy():
-    return sum(i * i for i in range(20_000))
-
-
-def test_hot_functions_reports_ranked_rows():
-    profile = cProfile.Profile()
-    profile.enable()
-    _busy()
-    profile.disable()
-    rows = hot_functions(profile, limit=5)
-    assert rows
-    assert len(rows) <= 5
-    assert all(
-        set(row) == {"function", "calls", "tottime_s", "cumtime_s"}
-        for row in rows
-    )
-    times = [row["tottime_s"] for row in rows]
-    assert times == sorted(times, reverse=True)
-
-
-def test_merge_hot_functions_sums_and_reranks():
-    table_a = [
-        {"function": "f", "calls": 1, "tottime_s": 0.1, "cumtime_s": 0.1},
-        {"function": "g", "calls": 1, "tottime_s": 0.5, "cumtime_s": 0.5},
-    ]
-    table_b = [
-        {"function": "f", "calls": 3, "tottime_s": 0.9, "cumtime_s": 0.9},
-    ]
-    merged = merge_hot_functions([table_a, table_b])
-    assert merged[0]["function"] == "f"
-    assert merged[0]["calls"] == 4
-    assert merged[0]["tottime_s"] == pytest.approx(1.0)
-    assert merged[1]["function"] == "g"
-
-
-def test_active_profile_registry_and_exclusive_suspension():
-    outer = cProfile.Profile()
-    activate_profile(outer)
-    try:
-        assert active_profile() is outer
-        inner = cProfile.Profile()
-        with exclusive_profile(inner):
-            assert active_profile() is None
-            _busy()
-        assert active_profile() is outer
-        assert hot_functions(inner)
-    finally:
-        deactivate_profile(outer)
-    assert active_profile() is None
-
-
-def test_collect_metrics_includes_profiling_when_armed():
-    profile = cProfile.Profile()
-    activate_profile(profile)
-    try:
-        _busy()
-        metrics = collect_metrics(title="t")
-        assert "profiling" in metrics
-        top = metrics["profiling"]["top_functions"]
-        assert top and len(top) <= 10
-        # Reading the table must leave the standing profiler running.
-        metrics_again = collect_metrics(title="t2")
-        assert "profiling" in metrics_again
-    finally:
-        deactivate_profile(profile)
-    assert "profiling" not in collect_metrics(title="t3")
