@@ -2,16 +2,9 @@
 
 Not a paper artefact — engineering due diligence: the simulator pushes
 megabytes through these primitives, so their throughput bounds every
-experiment's wall-clock time.
-
-The two AEAD rows run with ``crypto.batch`` on and off so the ratio is
-readable; it is not asserted (the scalar twin is kept as the RFC 8439
-specification and the numpy-free path, not for its speed).
+experiment's wall-clock time.  Nothing here asserts a speed.
 """
 
-import pytest
-
-from repro import fastpath
 from repro.crypto.aead import ChaCha20Poly1305
 from repro.crypto.ed25519 import Ed25519PrivateKey, _key_powers, ed25519_verify
 from repro.crypto.keyschedule import KeySchedule
@@ -20,19 +13,13 @@ from repro.crypto.x25519 import X25519PrivateKey
 RECORD = b"\xab" * 16000  # one max-size TCPLS record payload
 
 
-@pytest.fixture(params=[True, False], ids=["batch", "scalar"])
-def crypto_batch(request):
-    with fastpath.overridden("crypto.batch", request.param):
-        yield request.param
-
-
-def test_aead_seal_16k_record(benchmark, crypto_batch):
+def test_aead_seal_16k_record(benchmark):
     aead = ChaCha20Poly1305(b"\x01" * 32)
     out = benchmark(aead.encrypt, b"\x00" * 12, RECORD, b"header")
     assert len(out) == len(RECORD) + 16
 
 
-def test_aead_open_16k_record(benchmark, crypto_batch):
+def test_aead_open_16k_record(benchmark):
     aead = ChaCha20Poly1305(b"\x01" * 32)
     sealed = aead.encrypt(b"\x00" * 12, RECORD, b"header")
     out = benchmark(aead.decrypt, b"\x00" * 12, sealed, b"header")

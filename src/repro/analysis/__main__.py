@@ -11,7 +11,7 @@ import textwrap
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.engine import iter_python_files, load_module, run
+from repro.analysis.engine import run
 from repro.analysis.rules import default_rules, rule_by_id
 from repro.analysis.sanitizers import builtin_smoke_scenario, check_determinism
 
@@ -65,12 +65,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="SARIF 2.1.0 report (for code-scanning upload)",
     )
     parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only git-changed files (falls back to the full repo "
-        "when a changed module is imported from the wire scope)",
-    )
-    parser.add_argument(
         "--explain", metavar="RULE", help="print a rule's rationale and exit"
     )
     parser.add_argument(
@@ -111,10 +105,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path in missing:
             print(f"no such path: {path}", file=sys.stderr)
         return 2
-    if args.changed_only:
-        narrowed = _narrow_to_changed(paths, args.root)
-        if narrowed is not None:
-            paths = narrowed
     report = run(paths, default_rules(), root=args.root)
     if args.sarif:
         from repro.analysis.sarif import to_sarif
@@ -123,38 +113,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print(report.to_json() if args.json else report.format_human())
     return 0 if report.ok else 1
-
-
-def _narrow_to_changed(
-    paths: List[Path], root: Path
-) -> Optional[List[Path]]:
-    """Resolve --changed-only to a file list, or None for a full run."""
-    from repro.analysis.callgraph import SymbolTable
-    from repro.analysis.changed import git_changed_files, select_changed
-
-    changed = git_changed_files(root)
-    if changed is None:
-        print(
-            "warning: --changed-only needs a usable git checkout; "
-            "running the full scope",
-            file=sys.stderr,
-        )
-        return None
-    modules = []
-    for file_path in iter_python_files(paths):
-        module = load_module(file_path, root)
-        if module is not None:
-            modules.append(module)
-    table = SymbolTable.build(modules)
-    selected = select_changed(modules, table, changed)
-    if selected is None:
-        print(
-            "changed module is reachable from the wire scope; "
-            "running the full scope",
-            file=sys.stderr,
-        )
-        return None
-    return [module.path for module in selected]
 
 
 if __name__ == "__main__":

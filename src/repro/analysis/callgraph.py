@@ -4,8 +4,7 @@ The per-module rules in :mod:`repro.analysis.rules` are blind to flows
 that cross a function boundary: a length field decoded safely in
 ``tls/messages.py`` can still travel through three helpers into a
 buffer allocation in ``core/``.  This module builds the shared
-infrastructure the interprocedural rules (TAINT001/TAINT002/API001)
-stand on:
+infrastructure the interprocedural rules (TAINT001/TAINT002) stand on:
 
 - a **symbol table** of every module, class, function and method under
   the analysis roots, keyed by dotted qualified name
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import Module
 
@@ -247,25 +246,6 @@ class SymbolTable:
                 return self.module_class(resolved, rest)
         return None
 
-    def imports_of(self, mod_name: str) -> Set[str]:
-        """Project modules this module imports (for --changed-only)."""
-        modules_map, names_map = self._imports.get(mod_name, ({}, {}))
-        found: Set[str] = set()
-        for target in modules_map.values():
-            resolved = self.resolve_module(target)
-            if resolved is not None:
-                found.add(resolved)
-        for src_mod, _orig in names_map.values():
-            resolved = self.resolve_module(src_mod)
-            if resolved is not None:
-                found.add(resolved)
-            else:
-                # ``from pkg import name`` where pkg.name is a module.
-                resolved = self.resolve_module(f"{src_mod}.{_orig}")
-                if resolved is not None:
-                    found.add(resolved)
-        return found
-
 
 def _collect_imports(
     tree: ast.AST,
@@ -428,21 +408,3 @@ class CallGraph:
                     graph.callers_of.setdefault(fn.qualname, set()).add(qualname)
             graph.sites[qualname] = sites
         return graph
-
-    def callees(self, qualname: str) -> Iterator[str]:
-        for site in self.sites.get(qualname, []):
-            yield from site.callees
-
-    def reachable_from(self, roots: Set[str]) -> Set[str]:
-        """Transitive closure of callees starting from ``roots``."""
-        seen: Set[str] = set()
-        stack = [r for r in sorted(roots) if r in self.sites]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for callee in self.callees(current):
-                if callee not in seen:
-                    stack.append(callee)
-        return seen

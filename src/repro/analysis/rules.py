@@ -1,6 +1,6 @@
 """The repo-aware rule catalogue.
 
-Twelve rules, each protecting an invariant the reproduction's claims
+Eleven rules, each protecting an invariant the reproduction's claims
 rest on (see DESIGN.md section 4f for the full rationale catalogue):
 
 ========  ==============================================================
@@ -27,11 +27,9 @@ TAINT001  No wire-derived integer reaches an allocation size, range
           without a dominating bounds check (interprocedural).
 TAINT002  No wire-derived bytes reach pickle/exec/eval/RNG-seed/
           telemetry-key sinks (interprocedural).
-API001    Flag-gated fastpath/scalar call pairs have matching
-          signatures and a cross-check that exercises the fast callee.
 ========  ==============================================================
 
-The TAINT/API rules run on the whole-program layer: a symbol table and
+The TAINT rules run on the whole-program layer: a symbol table and
 call graph (``repro.analysis.callgraph``) plus a forward taint fixpoint
 (``repro.analysis.taint``), shared and memoized per run.
 """
@@ -652,8 +650,8 @@ class Fp001FastpathRegistry(Rule):
     id = "FP001"
     title = "fastpath flags must be declared and cross-checked"
     rationale = """\
-Every flag-selected fast path (`crypto.batch`, `netsim.vectorq`) must
-be bit-identical to the twin it stands in for, and the only thing
+Every flag-selected fast path (today only `netsim.vectorq`) must be
+bit-identical to the twin it stands in for, and the only thing
 enforcing that is the cross-check test registered for its flag.  A
 flag name used at a gate site but absent from
 `repro.fastpath.FEATURES` raises `KeyError` at runtime on an untested
@@ -661,13 +659,13 @@ path; a feature without a `CROSSCHECKS` entry (or whose
 registered test file no longer mentions the flag) is a fast path whose
 equivalence claim nobody verifies.
 
-The rule audits (a) every literal flag used with `fastpath.flags[...]`,
-`enabled()`, `set_enabled()`, or `overridden()` is declared in
-`FEATURES`; (b) gate subscripts use literal strings (dynamic flag names
-defeat auditing); (c) every feature has a registered cross-check test
-file that exists and references the flag."""
+The rule audits (a) every literal flag used with `fastpath.flags[...]`
+or `overridden()` is declared in `FEATURES`; (b) gate subscripts use
+literal strings (dynamic flag names defeat auditing); (c) every feature
+has a registered cross-check test file that exists and references the
+flag."""
 
-    _GATE_CALLS = frozenset(("enabled", "set_enabled", "overridden"))
+    _GATE_CALLS = frozenset(("overridden",))
 
     def __init__(self) -> None:
         self._uses: List[Tuple[str, int, int, Optional[str]]] = []
@@ -804,17 +802,14 @@ state silently corrupts the merge.  The declared boundary is
 `PICKLE_BOUNDARY` in the boundary module; the enforcement is the
 pickle round-trip test registered per class in
 `repro.fleet.CROSSCHECKS` (the same contract FP001 applies to fastpath
-flags — no boundary object outlives the test proving it safe).  The
-registry must also keep a cross-check entry for the vectorized queue
-path (`netsim.vectorq`), the fleet's in-world fast path.
+flags — no boundary object outlives the test proving it safe).
 
 The rule audits (a) every top-level class in a module declaring
 `PICKLE_BOUNDARY` is listed in it (a class added to the boundary
 module but not the declaration escapes testing); (b) the declaration
 is a literal tuple/list of strings (dynamic boundaries defeat
 auditing); (c) every declared name has a registered test file that
-exists and references the name; (d) the `netsim.vectorq` entry is
-present."""
+exists and references the name."""
 
     def check(self, module: Module) -> Iterator[Finding]:
         declaration: Optional[ast.stmt] = None
@@ -873,8 +868,7 @@ present."""
         from repro import fleet
 
         crosschecks = getattr(fleet, "CROSSCHECKS", {})
-        required = tuple(fleet.PICKLE_BOUNDARY) + ("netsim.vectorq",)
-        for name in required:
+        for name in fleet.PICKLE_BOUNDARY:
             test_path = crosschecks.get(name)
             if test_path is None:
                 yield Finding(
@@ -1134,193 +1128,6 @@ still caught."""
 
 
 # ---------------------------------------------------------------------------
-# API001 — fastpath/scalar pair contracts via the call graph
-# ---------------------------------------------------------------------------
-
-class Api001FastpathPairContract(Rule):
-    id = "API001"
-    title = "fastpath/scalar pairs must match signatures and be cross-checked"
-    rationale = """\
-FP001 checks flag hygiene by name convention: the flag exists and its
-registered test file mentions the flag.  This rule checks the *pair*
-semantics via the call graph: at every gate of the form
-
-    if fastpath.enabled("x"): return fast(...)
-    return scalar(...)
-
-(or the ternary / branch-assignment equivalents), the fast and scalar
-callees must (a) be two distinct functions — both branches calling the
-same function is a dead fast path, (b) have matching positional
-signatures — a drifted parameter list means the cross-check test cannot
-be exercising both paths with the same inputs, and (c) the flag's
-registered cross-check test must reference the fast callee by name, so
-renaming the fast function without updating the equivalence test is
-caught."""
-
-    def finalize(self, modules: Sequence[Module], root: Path) -> Iterator[Finding]:
-        from repro import fastpath
-        from repro.analysis.callgraph import CallResolver, SymbolTable
-        from repro.analysis.taint import analyze_program
-
-        table, _graph, _result = analyze_program(modules)
-        crosschecks = getattr(fastpath, "CROSSCHECKS", {})
-        check_registry = (root / "src" / "repro" / "fastpath.py").exists()
-        for qualname in sorted(table.functions):
-            info = table.functions[qualname]
-            resolver = CallResolver(table, info)
-            for gate in _find_fastpath_gates(info.node):
-                flag, fast_call, slow_call = gate
-                fast = _sole_callee(resolver, fast_call)
-                slow = _sole_callee(resolver, slow_call)
-                if fast is None or slow is None:
-                    continue
-                line = fast_call.lineno
-                col = fast_call.col_offset
-                if fast.qualname == slow.qualname:
-                    yield Finding(
-                        rule=self.id,
-                        path=info.module.relpath,
-                        line=line,
-                        col=col,
-                        message=f"both branches of the {flag!r} gate call "
-                        f"{fast.name}(); the fast path is dead",
-                    )
-                    continue
-                fast_params = tuple(fast.positional_params())
-                slow_params = tuple(slow.positional_params())
-                if fast_params != slow_params:
-                    yield Finding(
-                        rule=self.id,
-                        path=info.module.relpath,
-                        line=line,
-                        col=col,
-                        message=f"{flag!r} gate pair has drifted signatures: "
-                        f"{fast.name}({', '.join(fast_params)}) vs "
-                        f"{slow.name}({', '.join(slow_params)})",
-                    )
-                test_path = crosschecks.get(flag)
-                if not check_registry or test_path is None:
-                    continue  # flag registry itself is FP001's business
-                full = root / test_path
-                if full.exists() and fast.name not in full.read_text(
-                    encoding="utf-8"
-                ):
-                    yield Finding(
-                        rule=self.id,
-                        path=info.module.relpath,
-                        line=line,
-                        col=col,
-                        message=f"cross-check test {test_path!r} for "
-                        f"{flag!r} never references the fast callee "
-                        f"{fast.name}()",
-                    )
-
-
-def _gate_flag(test: ast.AST) -> Optional[str]:
-    """Extract the flag literal from a fastpath gate test expression."""
-    for node in ast.walk(test):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "enabled"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "fastpath"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                return node.args[0].value
-        if isinstance(node, ast.Subscript):
-            value = node.value
-            if (
-                isinstance(value, ast.Attribute)
-                and value.attr == "flags"
-                and isinstance(value.value, ast.Name)
-                and value.value.id == "fastpath"
-                and isinstance(node.slice, ast.Constant)
-                and isinstance(node.slice.value, str)
-            ):
-                return node.slice.value
-    return None
-
-
-def _only_call(node: ast.AST) -> Optional[ast.Call]:
-    """The expression's sole top-level call, unwrapping trivial casts."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in (
-            "int", "float", "bytes", "list", "tuple"
-        ) and len(node.args) == 1:
-            return _only_call(node.args[0])
-        return node
-    return None
-
-
-def _find_fastpath_gates(
-    fn: ast.AST,
-) -> Iterator[Tuple[str, ast.Call, ast.Call]]:
-    """Yield (flag, fast call, scalar call) for recognized gate shapes."""
-    for node in ast.walk(fn):
-        # Shape 1: `if <gate>: return fast(...)` ... `return scalar(...)`
-        # where the next return after the If (same block) is the scalar.
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            bodies = [node.body]
-        elif isinstance(node, (ast.If, ast.For, ast.While, ast.With)):
-            bodies = [getattr(node, "body", []), getattr(node, "orelse", [])]
-        else:
-            bodies = []
-        for body in bodies:
-            for index, stmt in enumerate(body):
-                if not isinstance(stmt, ast.If):
-                    continue
-                flag = _gate_flag(stmt.test)
-                if flag is None:
-                    continue
-                fast_ret = (
-                    stmt.body[0]
-                    if len(stmt.body) == 1
-                    and isinstance(stmt.body[0], ast.Return)
-                    else None
-                )
-                if fast_ret is None or fast_ret.value is None:
-                    continue
-                fast_call = _only_call(fast_ret.value)
-                if fast_call is None:
-                    continue
-                slow_call = None
-                if stmt.orelse and isinstance(stmt.orelse[0], ast.Return):
-                    slow_stmt = stmt.orelse[0]
-                    if slow_stmt.value is not None:
-                        slow_call = _only_call(slow_stmt.value)
-                elif index + 1 < len(body) and isinstance(
-                    body[index + 1], ast.Return
-                ):
-                    nxt = body[index + 1]
-                    if nxt.value is not None:
-                        slow_call = _only_call(nxt.value)
-                if slow_call is not None:
-                    yield flag, fast_call, slow_call
-        # Shape 2: ternary `fast(...) if <gate> else scalar(...)`.
-        if isinstance(node, ast.IfExp):
-            flag = _gate_flag(node.test)
-            if flag is None:
-                continue
-            fast_call = _only_call(node.body)
-            slow_call = _only_call(node.orelse)
-            if fast_call is not None and slow_call is not None:
-                yield flag, fast_call, slow_call
-
-
-def _sole_callee(resolver, call: ast.Call):
-    """Resolve a gate branch call to exactly one known function."""
-    callees, via_fallback = resolver.resolve(call)
-    if via_fallback or len(callees) != 1:
-        return None
-    return callees[0]
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -1338,7 +1145,6 @@ def default_rules() -> List[Rule]:
         Rel001OverloadTelemetry(),
         Taint001UnboundedWireInteger(),
         Taint002WireDataSink(),
-        Api001FastpathPairContract(),
     ]
 
 

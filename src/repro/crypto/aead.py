@@ -5,12 +5,12 @@ This is the single cipher suite the TLS stack uses
 ``CryptoError`` — TCPLS counts those as forgery attempts when doing
 trial decryption across per-stream contexts (paper section 2.3).
 
-Fast path (``fastpath`` feature ``crypto.batch``): the Poly1305 one-time
-key and the payload keystream come out of a *single* lane-packed pass
-(blocks 0..n as Python big ints, ``chacha20.chacha20_keystream_lanes``),
-and the tag of a long record is computed by the batched Poly1305.  The
-scalar construction below is the reference; both produce bit-identical
-output.
+The Poly1305 one-time key and the payload keystream come out of a
+*single* lane-packed pass (blocks 0..n as Python big ints,
+``chacha20.chacha20_keystream_lanes``), and the tag of a long record is
+computed by the batched Poly1305.  The RFC 8439 functions in
+``chacha20`` and ``poly1305`` are the references the tests hold this
+construction to, together with OpenSSL's.
 
 ``seal_with_keystream`` / ``open_with_keystream`` additionally let the
 record layer supply keystream bytes it precomputed for several future
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import struct
 
-from repro import fastpath
-from repro.crypto.chacha20 import chacha20_encrypt, chacha20_keystream_lanes, xor_bytes
-from repro.crypto.poly1305 import constant_time_equal, poly1305_key_gen, poly1305_mac
+from repro.crypto.chacha20 import chacha20_keystream_lanes, xor_bytes
+from repro.crypto.poly1305 import constant_time_equal, poly1305_mac
 from repro.crypto.poly1305_fast import MIN_BATCH_BYTES, poly1305_mac_fast
 from repro.utils.errors import CryptoError
 
-try:  # numpy is baked into the image, but the fast path must survive
+try:  # numpy is baked into the image, but the AEAD must survive without it
     from repro.crypto.chacha20_fast import xor_keystream
 
     HAVE_NUMPY = True
@@ -60,7 +59,7 @@ def _auth_input(aad: bytes, ciphertext: bytes) -> bytes:
 
 def _mac(otk: bytes, data: bytes) -> bytes:
     """Tag via the batched Poly1305 when it is worth it, scalar otherwise."""
-    if len(data) >= MIN_BATCH_BYTES and fastpath.enabled("crypto.batch"):
+    if len(data) >= MIN_BATCH_BYTES:
         return poly1305_mac_fast(otk, data)
     return poly1305_mac(otk, data)
 
@@ -107,16 +106,11 @@ class ChaCha20Poly1305:
         """Return ciphertext || 16-byte tag."""
         if len(nonce) != NONCE_LENGTH:
             raise ValueError("nonce must be 12 bytes")
-        if fastpath.flags["crypto.batch"]:
-            # Blocks 0..n in one pass: OTK + payload stream.
-            n_blocks = 1 + (len(plaintext) + 63) // 64
-            return seal_with_keystream(
-                chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), plaintext, aad
-            )
-        otk = poly1305_key_gen(self._key, nonce)
-        ciphertext = chacha20_encrypt(self._key, 1, nonce, plaintext)
-        tag = poly1305_mac(otk, _auth_input(aad, ciphertext))
-        return ciphertext + tag
+        # Blocks 0..n in one pass: OTK + payload stream.
+        n_blocks = 1 + (len(plaintext) + 63) // 64
+        return seal_with_keystream(
+            chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), plaintext, aad
+        )
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and return the plaintext, or raise ``CryptoError``."""
@@ -124,17 +118,7 @@ class ChaCha20Poly1305:
             raise ValueError("nonce must be 12 bytes")
         if len(data) < TAG_LENGTH:
             raise CryptoError("ciphertext shorter than the AEAD tag")
-        if fastpath.flags["crypto.batch"]:
-            n_blocks = 1 + (len(data) - TAG_LENGTH + 63) // 64
-            return open_with_keystream(
-                chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), data, aad
-            )
-        ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
-        # Here the tag is verified before any payload keystream exists, so
-        # a failed trial decryption costs only the MAC; the lane path above
-        # has paid the record's whole keystream pass by the time it fails.
-        otk = poly1305_key_gen(self._key, nonce)
-        expected = poly1305_mac(otk, _auth_input(aad, ciphertext))
-        if not constant_time_equal(tag, expected):
-            raise CryptoError("AEAD tag verification failed")
-        return chacha20_encrypt(self._key, 1, nonce, ciphertext)
+        n_blocks = 1 + (len(data) - TAG_LENGTH + 63) // 64
+        return open_with_keystream(
+            chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), data, aad
+        )

@@ -1,8 +1,9 @@
 """ChaCha20 stream cipher (RFC 8439 section 2).
 
-Implements the 20-round ChaCha block function and the counter-mode stream
-cipher built on it.  Used both directly (record encryption) and as the key
-derivation step of Poly1305 (``poly1305_key_gen``).
+``chacha20_block`` and ``chacha20_encrypt`` are the RFC's block function
+and counter-mode cipher, kept as the references for the tests.  Records
+are encrypted with ``chacha20_keystream_lanes``, which computes many
+blocks in one lane-packed pass.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Lane-packed multi-block keystream (fastpath feature "crypto.batch")
+# Lane-packed multi-block keystream (the AEAD's per-record pass)
 # ----------------------------------------------------------------------
 #
 # The state of ``n`` blocks is held SIMD-style in four Python big ints,
@@ -176,20 +177,13 @@ def xor_bytes(data, stream) -> bytes:
 def chacha20_encrypt(key: bytes, counter: int, nonce: bytes, plaintext: bytes) -> bytes:
     """Encrypt (or decrypt) ``plaintext`` in counter mode (RFC 8439 2.4).
 
-    Inputs beyond a few blocks take a numpy-vectorized keystream path
-    (``repro.crypto.chacha20_fast``); the scalar loop below is the
-    reference implementation and the fallback.  Both are exercised against
-    the RFC vectors in the test suite.
+    The plain block-by-block reference the tests hold the lane-packed
+    and vectorized keystreams to; nothing at run time calls it.
     """
     if len(key) != 32:
         raise ValueError("ChaCha20 key must be 32 bytes")
     if len(nonce) != 12:
         raise ValueError("ChaCha20 nonce must be 12 bytes")
-    if len(plaintext) >= 256:
-        try:
-            return _encrypt_vectorized(key, counter, nonce, plaintext)
-        except ImportError:  # pragma: no cover - numpy is a hard dependency
-            pass
     output = bytearray(len(plaintext))
     for block_index in range(0, len(plaintext), 64):
         keystream = chacha20_block(key, counter + block_index // 64, nonce)
@@ -197,15 +191,3 @@ def chacha20_encrypt(key: bytes, counter: int, nonce: bytes, plaintext: bytes) -
         for i, byte in enumerate(chunk):
             output[block_index + i] = byte ^ keystream[i]
     return bytes(output)
-
-
-def _encrypt_vectorized(key: bytes, counter: int, nonce: bytes, plaintext: bytes) -> bytes:
-    import numpy as np
-
-    from repro.crypto.chacha20_fast import chacha20_keystream
-
-    n_blocks = (len(plaintext) + 63) // 64
-    keystream = chacha20_keystream(key, counter, nonce, n_blocks)
-    data = np.frombuffer(plaintext, dtype=np.uint8)
-    ks = np.frombuffer(keystream, dtype=np.uint8)[: len(plaintext)]
-    return (data ^ ks).tobytes()

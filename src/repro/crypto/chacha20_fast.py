@@ -1,28 +1,18 @@
-"""Vectorized ChaCha20 keystream generation using numpy.
+"""Vectorized ChaCha20 keystream for the record layer's lookahead window.
 
-Generates many 64-byte keystream blocks in one pass by holding the 16-word
-ChaCha state as a ``(16, n_blocks)`` uint32 matrix and running the 20
-rounds across all blocks simultaneously.  Output is bit-identical to the
-scalar implementation in ``repro.crypto.chacha20`` (asserted by tests);
-the scalar path remains the reference and the fallback.
-
-Two entry points:
-
-- :func:`chacha20_keystream` — blocks of one (key, nonce) stream, the
-  original API;
-- :func:`chacha20_keystream_multi` — blocks for *several nonces* of the
-  same key in one matrix.  Per-record numpy dispatch overhead dominates
-  at TLS record sizes (256 blocks ≈ 16 KiB), so batching the keystream
-  for the next R records into one call is worth ~8x on the record
-  datapath (see ``tls/record.py``'s keystream lookahead cache, which
-  exploits the deterministic ``iv XOR sequence`` nonce schedule).
+:func:`chacha20_keystream_multi` generates blocks for *several nonces*
+of one key in one pass, holding the 16-word ChaCha state as a
+``(16, total_blocks)`` uint32 matrix and running the 20 rounds across
+all columns at once.  Per-record numpy dispatch overhead dominates at
+TLS record sizes (256 blocks ≈ 16 KiB), so ``tls/record.py`` batches
+the keystream for the next R records into one call, exploiting the
+deterministic ``iv XOR sequence`` nonce schedule.  Output is
+bit-identical to ``repro.crypto.chacha20.chacha20_block`` (asserted by
+tests).
 
 The quarter-round works in place with one shared scratch row: rotations
 are two shifts and an OR into preallocated storage, so the 20 rounds
 allocate nothing beyond the state matrix itself.
-
-Throughput matters here because the network simulator pushes megabytes of
-application data through the TLS record layer.
 """
 
 from __future__ import annotations
@@ -87,34 +77,21 @@ def _base_state(key: bytes, n_columns: int) -> "np.ndarray":
     return initial
 
 
-def chacha20_keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
-    """Return ``n_blocks`` 64-byte keystream blocks starting at ``counter``."""
-    if n_blocks <= 0:
-        return b""
-    initial = _base_state(key, n_blocks)
-    # Per-block counters; ChaCha20's counter wraps at 2^32 by construction.
-    initial[12] = (np.arange(counter, counter + n_blocks, dtype=np.uint64)
-                   & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    nonce_words = struct.unpack("<3I", nonce)
-    for i, word in enumerate(nonce_words):
-        initial[13 + i] = word
-    return _run_rounds(initial)
-
-
 def chacha20_keystream_multi(
     key: bytes, nonces: Sequence[bytes], counter: int, blocks_per_nonce: int
 ) -> bytes:
     """Keystream blocks ``counter .. counter+blocks_per_nonce-1`` for every
     nonce, concatenated nonce-major, from a single vectorized pass.
 
-    ``result[i*blocks_per_nonce*64 : (i+1)*blocks_per_nonce*64]`` equals
-    ``chacha20_keystream(key, counter, nonces[i], blocks_per_nonce)``.
+    ``result[i*blocks_per_nonce*64 : (i+1)*blocks_per_nonce*64]`` is the
+    ``chacha20_block`` outputs for ``nonces[i]`` at those counters.
     """
     if blocks_per_nonce <= 0 or not nonces:
         return b""
     n_nonces = len(nonces)
     total = n_nonces * blocks_per_nonce
     initial = _base_state(key, total)
+    # ChaCha20's block counter wraps at 2^32 by construction.
     counters = (np.arange(counter, counter + blocks_per_nonce, dtype=np.uint64)
                 & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     initial[12] = np.tile(counters, n_nonces)

@@ -38,16 +38,13 @@ from repro.fleet.spec import (
 )
 
 #: Cross-check registry enforced by the FP002 lint rule: every object
-#: crossing the shard boundary must have a pickle round-trip test, and
-#: the vectorized queue path must keep its scalar-oracle test.  Same
-#: contract as ``repro.fastpath.CROSSCHECKS`` — no shard-boundary object
-#: or fleet fast path outlives the test that proves it safe.
+#: crossing the shard boundary must have a pickle round-trip test, so no
+#: shard-boundary object outlives the test that proves it safe.
 CROSSCHECKS: Dict[str, str] = {
     "CellSpec": "tests/fleet/test_pickle_boundary.py",
     "ShardSpec": "tests/fleet/test_pickle_boundary.py",
     "CellResult": "tests/fleet/test_pickle_boundary.py",
     "ShardResult": "tests/fleet/test_pickle_boundary.py",
-    "netsim.vectorq": "tests/netsim/test_vectorq.py",
 }
 
 __all__ = [

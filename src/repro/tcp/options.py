@@ -37,9 +37,6 @@ class TcpOption:
     def body(self) -> bytes:
         raise NotImplementedError
 
-    def encoded_length(self) -> int:
-        return 2 + len(self.body())
-
 
 @dataclass(frozen=True)
 class NoOperation(TcpOption):
@@ -47,9 +44,6 @@ class NoOperation(TcpOption):
 
     def body(self) -> bytes:
         return b""
-
-    def encoded_length(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,14 @@ opaque APPDATA records.
 can do trial decryption across per-stream cryptographic contexts
 (paper section 2.3).
 
-Fast path (``fastpath`` feature ``crypto.batch``): the nonce schedule is
-deterministic (``iv XOR sequence``), so a ``CipherState`` can precompute
-the ChaCha20 keystream for the next several record sequence numbers in
-one vectorized call and hand slices of it to the AEAD layer.  The cache
-is pure lookahead — sealing/opening through it is bit-identical to the
-per-record scalar construction, the sequence numbers advance exactly as
-before, and any key change drops the cache.  A window opens only on
-evidence of a stream (see ``CipherState``); every other record goes
-through ``ChaCha20Poly1305`` one at a time (one lane-packed keystream
-pass per record).
+Keystream lookahead: the nonce schedule is deterministic (``iv XOR
+sequence``), so a ``CipherState`` can precompute the ChaCha20 keystream
+for the next several record sequence numbers in one vectorized call and
+hand slices of it to the AEAD layer.  Sealing/opening through a window
+is bit-identical to sealing each record on its own, the sequence
+numbers advance the same way, and any key change drops the window.  A
+window opens only on evidence of a stream (see ``CipherState``); every
+other record goes through ``ChaCha20Poly1305`` one at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import struct
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro import fastpath
 from repro.crypto import aead as _aead
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
 from repro.crypto.keyschedule import TrafficKeys
@@ -112,7 +109,7 @@ class CipherState:
     def _lookahead(self, payload_length: int) -> Optional[memoryview]:
         """Keystream slice (OTK block + payload blocks) for the current
         sequence, or ``None`` when the lookahead should not engage."""
-        if not _aead.HAVE_NUMPY or not fastpath.flags["crypto.batch"]:
+        if not _aead.HAVE_NUMPY:
             return None
         self._large = payload_length >= _LOOKAHEAD_MIN_INNER
         needed = 64 * (1 + (payload_length + 63) // 64)
@@ -145,9 +142,10 @@ class CipherState:
     def open(self, ciphertext: bytes, aad: bytes) -> bytes:
         """Verify + decrypt one record at the current sequence.
 
-        The tag is checked before any plaintext is produced either way.
-        A failed trial decryption costs only the MAC on the scalar path;
-        on the lane path it pays the record's whole keystream pass first.
+        The tag is checked before any plaintext is produced.  A failed
+        trial decryption has paid the record's whole keystream pass by
+        then: the one-time key and the payload stream come out of one
+        lane-packed pass.
         """
         keystream = self._lookahead(len(ciphertext) - TAG_LENGTH)
         if keystream is not None:
@@ -172,9 +170,6 @@ class RecordEncoder:
 
     def set_key(self, keys: TrafficKeys) -> None:
         self._cipher = CipherState(keys)
-
-    def clear_key(self) -> None:
-        self._cipher = None
 
     def encode(self, content_type: int, payload: bytes) -> bytes:
         """Produce one or more records carrying ``payload``."""
@@ -230,9 +225,6 @@ class RecordDecoder:
 
     def set_key(self, keys: TrafficKeys) -> None:
         self._cipher = CipherState(keys)
-
-    def clear_key(self) -> None:
-        self._cipher = None
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)

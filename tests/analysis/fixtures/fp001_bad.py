@@ -8,4 +8,9 @@ def gate():
 
 
 def dynamic_gate(name):
-    return fastpath.enabled(name)
+    return fastpath.flags[name]
+
+
+def forced(name):
+    with fastpath.overridden(name, False):
+        return gate()

@@ -3,15 +3,7 @@
 import json
 from pathlib import Path
 
-from repro.analysis.callgraph import SymbolTable
-from repro.analysis.changed import select_changed
-from repro.analysis.engine import (
-    Finding,
-    Rule,
-    iter_python_files,
-    load_module,
-    run,
-)
+from repro.analysis.engine import Rule, run
 from repro.analysis.rules import default_rules, rule_by_id
 from repro.analysis.sarif import to_sarif
 
@@ -137,7 +129,7 @@ def test_crashing_rule_poisons_an_otherwise_clean_run(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_rule_by_id_is_case_insensitive():
-    for spelled in ("taint001", "Taint001", "TAINT001", "api001"):
+    for spelled in ("taint001", "Taint001", "TAINT001", "fp002"):
         rule = rule_by_id(spelled)
         assert rule is not None
         assert rule.id == spelled.upper()
@@ -180,67 +172,6 @@ def test_sarif_surfaces_rule_errors_as_notifications(tmp_path):
     assert invocation["executionSuccessful"] is False
     notes = invocation["toolExecutionNotifications"]
     assert notes and "kaboom" in notes[0]["message"]["text"]
-
-
-# ----------------------------------------------------------------------
-# --changed-only selection
-# ----------------------------------------------------------------------
-
-def _load_tree(root):
-    modules = []
-    for path in iter_python_files([root]):
-        module = load_module(path, root)
-        if module is not None:
-            modules.append(module)
-    return modules, SymbolTable.build(modules)
-
-
-def _fake_repo(tmp_path):
-    """A tiny layered tree: wire core imports a helper; a tool stands alone."""
-    (tmp_path / "repro" / "core").mkdir(parents=True)
-    (tmp_path / "repro" / "utils").mkdir()
-    (tmp_path / "repro" / "tools").mkdir()
-    for pkg in ("", "core", "utils", "tools"):
-        (tmp_path / "repro" / pkg / "__init__.py").write_text(
-            "", encoding="utf-8"
-        )
-    (tmp_path / "repro" / "utils" / "helper.py").write_text(
-        "def clamp(x, cap):\n    return min(x, cap)\n", encoding="utf-8"
-    )
-    (tmp_path / "repro" / "core" / "session.py").write_text(
-        "from repro.utils.helper import clamp\n"
-        "\n"
-        "def apply(x):\n"
-        "    return clamp(x, 10)\n",
-        encoding="utf-8",
-    )
-    (tmp_path / "repro" / "tools" / "report.py").write_text(
-        "def render(rows):\n    return len(rows)\n", encoding="utf-8"
-    )
-    return tmp_path
-
-
-def test_select_changed_empty_when_nothing_changed(tmp_path):
-    root = _fake_repo(tmp_path)
-    modules, table = _load_tree(root)
-    assert select_changed(modules, table, []) == []
-
-
-def test_select_changed_falls_back_for_wire_reachable_helper(tmp_path):
-    root = _fake_repo(tmp_path)
-    modules, table = _load_tree(root)
-    changed = [root / "repro" / "utils" / "helper.py"]
-    # helper is imported by repro.core.session → full-repo fallback.
-    assert select_changed(modules, table, changed) is None
-
-
-def test_select_changed_narrows_to_isolated_tooling(tmp_path):
-    root = _fake_repo(tmp_path)
-    modules, table = _load_tree(root)
-    changed = [root / "repro" / "tools" / "report.py"]
-    selected = select_changed(modules, table, changed)
-    assert selected is not None
-    assert [m.relpath for m in selected] == ["repro/tools/report.py"]
 
 
 def test_json_report_carries_waiver_debt_for_src():

@@ -1,4 +1,4 @@
-"""The lint engine and the twelve repo-aware rules."""
+"""The lint engine and the eleven repo-aware rules."""
 
 import json
 import re
@@ -26,7 +26,6 @@ EXPECTED = {
     "REL001": FIXTURES / "repro" / "overload" / "rel001_bad.py",
     "TAINT001": FIXTURES / "taint" / "core" / "taint001_bad.py",
     "TAINT002": FIXTURES / "taint" / "core" / "taint002_bad.py",
-    "API001": FIXTURES / "taint" / "api001_bad.py",
 }
 
 
@@ -261,12 +260,14 @@ def test_fp002_rejects_dynamic_boundary_declaration(tmp_path):
     assert findings and "dynamic" in findings[0].message
 
 
-def test_fp002_registry_covers_live_boundary_and_vectorq():
-    """The live repo's boundary classes and the vectorized queue path
-    all have existing, name-referencing cross-check tests."""
+def test_fp002_registry_covers_live_boundary():
+    """The live repo's boundary classes all have existing,
+    name-referencing cross-check tests, and nothing else is registered:
+    fastpath flags are FP001's registry, not the fleet's."""
     from repro import fleet
 
-    for name in tuple(fleet.PICKLE_BOUNDARY) + ("netsim.vectorq",):
+    assert sorted(fleet.CROSSCHECKS) == sorted(fleet.PICKLE_BOUNDARY)
+    for name in fleet.PICKLE_BOUNDARY:
         test_path = fleet.CROSSCHECKS[name]
         full = REPO / test_path
         assert full.exists(), test_path
@@ -318,5 +319,5 @@ def test_cli_explain_unknown_rule_is_usage_error():
 def test_cli_list_rules_names_every_rule():
     proc = _cli("--list-rules")
     assert proc.returncode == 0
-    for rule_id in EXPECTED:
-        assert rule_id in proc.stdout
+    listed = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert sorted(listed) == sorted(EXPECTED)

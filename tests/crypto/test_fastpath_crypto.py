@@ -1,17 +1,22 @@
-"""Randomized cross-checks: every crypto fast path vs its scalar reference.
+"""Randomized cross-checks: the run-time AEAD vs the RFC 8439 references.
 
-The fast paths are only allowed to exist because they are bit-identical
-to the scalar implementations.  These tests are the enforcement: random
-keys/messages (seeded — failures reproduce), boundary sizes around every
-group/block/window edge, and both the numpy and the pure-int group
-evaluators of the batched Poly1305.
+The lane-packed keystream, the batched Poly1305 and the record-layer
+lookahead exist only because they are bit-identical to the RFC 8439
+functions kept in ``repro.crypto`` (``chacha20_block``,
+``chacha20_encrypt``, ``poly1305_key_gen``, ``poly1305_mac``).  These
+tests are the enforcement: random keys/messages (seeded — failures
+reproduce), boundary sizes around every group/block/window edge, and
+both the numpy and the pure-int group evaluators of the batched
+Poly1305.  ``test_aead_differential.py`` holds the same AEAD to OpenSSL.
 
 The CI perf-smoke job fails if any test here is *skipped*, so none of
 them may depend on optional machinery without a hard reason.
 """
 
+import json
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -19,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.crypto import aead as _aead
 from repro.crypto import poly1305_fast as _poly_fast
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
@@ -30,7 +34,7 @@ from repro.crypto.chacha20 import (
     xor_bytes,
 )
 from repro.crypto.keyschedule import TrafficKeys
-from repro.crypto.poly1305 import constant_time_equal, poly1305_mac
+from repro.crypto.poly1305 import constant_time_equal, poly1305_key_gen, poly1305_mac
 from repro.crypto.poly1305_fast import poly1305_mac_fast
 from repro.tls.record import CipherState, ContentType, record_header
 from repro.utils.errors import CryptoError
@@ -49,6 +53,27 @@ BOUNDARY_SIZES = (
 
 def _random_bytes(n: int) -> bytes:
     return _RNG.randbytes(n)
+
+
+def rfc8439_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """RFC 8439 section 2.8, composed from the section 2.4-2.6 references:
+    the reference every run-time seal is compared with."""
+    otk = poly1305_key_gen(key, nonce)
+    ciphertext = chacha20_encrypt(key, 1, nonce, plaintext)
+    mac_data = b"".join((
+        aad, bytes(-len(aad) % 16),
+        ciphertext, bytes(-len(ciphertext) % 16),
+        struct.pack("<QQ", len(aad), len(ciphertext)),
+    ))
+    return ciphertext + poly1305_mac(otk, mac_data)
+
+
+def reference_records(keys, inners, aads):
+    """One ``rfc8439_seal`` per record at ``keys.nonce_for(sequence)``."""
+    return [
+        rfc8439_seal(keys.key, keys.nonce_for(sequence), inner, aad)
+        for sequence, (inner, aad) in enumerate(zip(inners, aads))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -192,34 +217,24 @@ def test_rfc8439_vectors_through_the_lane_path():
         "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
         "5af90bbf74a35be6b40b8eedf2785e42874d"
     )
-    with fastpath.overridden("crypto.batch", True):
-        aead = ChaCha20Poly1305(bytes(range(0x80, 0xA0)))
-        nonce = bytes.fromhex("070000004041424344454647")
-        aad = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
-        sealed = aead.encrypt(nonce, sunscreen, aad)
-        assert sealed == bytes.fromhex(
-            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
-            "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
-            "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
-            "3ff4def08e4b7a9de576d26586cec64b6116"
-            "1ae10b594f09e26a7e902ecbd0600691"
-        )
-        assert aead.decrypt(nonce, sealed, aad) == sunscreen
-
-
-def test_chacha20_encrypt_batch_matches_scalar():
-    for size in (0, 1, 63, 64, 65, 512, 4096):
-        key = _random_bytes(32)
-        nonce = _random_bytes(12)
-        plaintext = _random_bytes(size)
-        fast = chacha20_encrypt(key, 1, nonce, plaintext)
-        with fastpath.scalar_baseline():
-            scalar = chacha20_encrypt(key, 1, nonce, plaintext)
-        assert fast == scalar, size
+    key = bytes(range(0x80, 0xA0))
+    nonce = bytes.fromhex("070000004041424344454647")
+    aad = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
+    aead = ChaCha20Poly1305(key)
+    sealed = aead.encrypt(nonce, sunscreen, aad)
+    assert sealed == bytes.fromhex(
+        "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+        "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+        "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+        "3ff4def08e4b7a9de576d26586cec64b6116"
+        "1ae10b594f09e26a7e902ecbd0600691"
+    )
+    assert rfc8439_seal(key, nonce, sunscreen, aad) == sealed
+    assert aead.decrypt(nonce, sealed, aad) == sunscreen
 
 
 # ----------------------------------------------------------------------
-# AEAD: batched vs scalar, and the keystream-slice entry points
+# AEAD vs the RFC 8439 construction, and the keystream-slice entry points
 # ----------------------------------------------------------------------
 
 def test_aead_seal_open_matches_scalar_baseline():
@@ -230,24 +245,21 @@ def test_aead_seal_open_matches_scalar_baseline():
         plaintext = _random_bytes(size)
         aead = ChaCha20Poly1305(key)
         fast = aead.encrypt(nonce, plaintext, aad)
-        with fastpath.scalar_baseline():
-            scalar = aead.encrypt(nonce, plaintext, aad)
-        assert fast == scalar, size
+        assert fast == rfc8439_seal(key, nonce, plaintext, aad), size
         assert aead.decrypt(nonce, fast, aad) == plaintext
 
 
 def test_aead_small_record_matches_scalar_for_every_length():
     """Every payload length the lane-packed path serves below the bulk
     lookahead, against the RFC reference construction."""
-    aead = ChaCha20Poly1305(_random_bytes(32))
+    key = _random_bytes(32)
+    aead = ChaCha20Poly1305(key)
     for size in range(0, 1101):
         nonce = _random_bytes(12)
         aad = _random_bytes(_RNG.randrange(0, 32))
         plaintext = _random_bytes(size)
         fast = aead.encrypt(nonce, plaintext, aad)
-        with fastpath.scalar_baseline():
-            assert aead.encrypt(nonce, plaintext, aad) == fast, size
-            assert aead.decrypt(nonce, fast, aad) == plaintext
+        assert fast == rfc8439_seal(key, nonce, plaintext, aad), size
         assert aead.decrypt(nonce, fast, aad) == plaintext, size
 
 
@@ -262,9 +274,7 @@ def test_aead_seal_open_matches_scalar_property(key, nonce, plaintext, aad):
     aead = ChaCha20Poly1305(key)
     fast = aead.encrypt(nonce, plaintext, aad)
     assert aead.decrypt(nonce, fast, aad) == plaintext
-    with fastpath.scalar_baseline():
-        assert aead.encrypt(nonce, plaintext, aad) == fast
-        assert aead.decrypt(nonce, fast, aad) == plaintext
+    assert fast == rfc8439_seal(key, nonce, plaintext, aad)
 
 
 def test_aead_keystream_slice_entry_points():
@@ -291,26 +301,21 @@ def test_aead_keystream_slice_entry_points():
 # Record-layer lookahead cache
 # ----------------------------------------------------------------------
 
-def _seal_series(sizes):
-    keys = TrafficKeys.from_secret(b"\x31" * 32)
-    state = CipherState(keys)
-    out = []
-    for index, size in enumerate(sizes):
-        inner = bytes([index & 0xFF]) * size + bytes([ContentType.APPLICATION_DATA])
-        aad = record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
-        out.append(state.seal(inner, aad))
-        state.advance()
-    return out
-
-
 def test_record_lookahead_seal_matches_scalar():
     # Mix sizes so the series crosses the lookahead threshold both ways
     # and forces cache regeneration (larger record after a small window).
     sizes = [100, 2048, 2048, 16000, 64, 16000, 1024, 4096, 300, 8192]
-    fast = _seal_series(sizes)
-    with fastpath.scalar_baseline():
-        scalar = _seal_series(sizes)
-    assert fast == scalar
+    keys = TrafficKeys.from_secret(b"\x31" * 32)
+    state = CipherState(keys)
+    inners, aads, fast = [], [], []
+    for index, size in enumerate(sizes):
+        inner = bytes([index & 0xFF]) * size + bytes([ContentType.APPLICATION_DATA])
+        aad = record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
+        fast.append(state.seal(inner, aad))
+        state.advance()
+        inners.append(inner)
+        aads.append(aad)
+    assert fast == reference_records(keys, inners, aads)
 
 
 def test_record_lookahead_open_and_failed_trial():
@@ -339,11 +344,7 @@ def test_record_rekey_drops_lookahead_cache():
     fast_state.seal(inner, aad)  # populates the cache
     fast_state.rekey()
     sealed_fast = fast_state.seal(inner, aad)
-    with fastpath.scalar_baseline():
-        scalar_state = CipherState(keys)
-        scalar_state.rekey()
-        sealed_scalar = scalar_state.seal(inner, aad)
-    assert sealed_fast == sealed_scalar
+    assert sealed_fast == reference_records(keys.next_generation(), [inner], [aad])[0]
 
 
 def test_short_record_inside_a_window_uses_the_window(monkeypatch):
@@ -390,10 +391,9 @@ def test_short_record_inside_a_window_uses_the_window(monkeypatch):
     sender.aead = _MustNotBeUsed()
     sealed += records(sender, tail)
     assert len(windows) == 2
-    with fastpath.scalar_baseline():
-        assert [record for record, _, _ in records(CipherState(keys), run + tail)] == [
-            record for record, _, _ in sealed
-        ]
+    assert reference_records(
+        keys, [inner for _, _, inner in sealed], [aad for _, aad, _ in sealed]
+    ) == [record for record, _, _ in sealed]
     receiver = CipherState(keys)
     for index, (record, aad, inner) in enumerate(sealed):
         assert receiver.open(record, aad) == inner
@@ -436,26 +436,35 @@ def test_failed_trial_then_owner_opens_at_the_same_sequence():
         receiver.advance()
 
 
+_NO_NUMPY_SIZES = (0, 1, 63, 64, 65, 200, 1024, 5000, 16385)
+
+
 def test_fast_path_without_numpy():
-    """The small-record path must not need numpy: run the cross-check in
-    an interpreter where ``import numpy`` fails."""
-    script = """
+    """The AEAD must not need numpy: run it in an interpreter where
+    ``import numpy`` fails, against seals this process computed."""
+    rng = random.Random(5)
+    key = rng.randbytes(32)
+    expected = []
+    for size in _NO_NUMPY_SIZES:
+        nonce, aad, plaintext = rng.randbytes(12), rng.randbytes(13), rng.randbytes(size)
+        expected.append(rfc8439_seal(key, nonce, plaintext, aad).hex())
+    script = f"""
+import json
 import sys
 sys.modules["numpy"] = None
 import random
-from repro import fastpath
 from repro.crypto import aead
 from repro.crypto.keyschedule import TrafficKeys
 from repro.tls.record import CipherState
 assert not aead.HAVE_NUMPY
+expected = json.load(sys.stdin)
 rng = random.Random(5)
 cipher = aead.ChaCha20Poly1305(rng.randbytes(32))
-for size in (0, 1, 63, 64, 65, 200, 1024, 5000, 16385):
+for size, want in zip({_NO_NUMPY_SIZES!r}, expected):
     nonce, aad, plaintext = rng.randbytes(12), rng.randbytes(13), rng.randbytes(size)
     fast = cipher.encrypt(nonce, plaintext, aad)
+    assert fast.hex() == want, size
     assert cipher.decrypt(nonce, fast, aad) == plaintext
-    with fastpath.scalar_baseline():
-        assert cipher.encrypt(nonce, plaintext, aad) == fast, size
 keys = TrafficKeys.from_secret(b"k" * 32)
 sender, receiver = CipherState(keys), CipherState(keys)
 for size in (10, 3000, 10):
@@ -468,27 +477,9 @@ print("ok")
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=env, input=json.dumps(expected),
+        capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
 
-
-# ----------------------------------------------------------------------
-# FP001 cross-check registration for the "crypto.batch" flag
-# ----------------------------------------------------------------------
-
-def test_crypto_batch_flag_crosscheck():
-    # The registered fastpath.CROSSCHECKS entry for "crypto.batch": both
-    # flag states must produce byte-identical AEAD output.
-    key = _random_bytes(32)
-    nonce = _random_bytes(12)
-    aad = _random_bytes(16)
-    plaintext = _random_bytes(2048)
-    aead = ChaCha20Poly1305(key)
-    with fastpath.overridden("crypto.batch", True):
-        fast = aead.encrypt(nonce, plaintext, aad)
-    with fastpath.overridden("crypto.batch", False):
-        scalar = aead.encrypt(nonce, plaintext, aad)
-        assert aead.decrypt(nonce, fast, aad) == plaintext
-    assert fast == scalar

@@ -4,13 +4,12 @@
 stream: never more records ahead than the current run of large records
 on that key has already consumed.  These tests count the calls that
 generate keystream (the window generator and the per-record lane pass,
-both wrapped from outside) and compare every byte against the scalar
+both wrapped from outside) and compare every byte against the RFC 8439
 reference.  CI's perf-smoke job fails if any of them is skipped.
 """
 
 import pytest
 
-from repro import fastpath
 from repro.crypto import aead as _aead
 from repro.crypto.aead import TAG_LENGTH
 from repro.crypto.keyschedule import TrafficKeys
@@ -18,6 +17,7 @@ from repro.scale.loadgen import ScaleConfig, run_scale
 from repro.tls import record as _record
 from repro.tls.record import LOOKAHEAD_RECORDS, CipherState, ContentType, record_header
 from repro.utils.errors import CryptoError
+from tests.crypto.test_fastpath_crypto import reference_records
 
 FULL = (1 << 14) - 1  # payload of a full-size record
 
@@ -149,12 +149,9 @@ def test_mixed_series_is_byte_identical_to_the_scalar_reference(counts):
 
     fast = series(CipherState(_keys(7)))
     assert counts.windows  # the series does cross into windows
-    with fastpath.scalar_baseline():
-        scalar = series(CipherState(_keys(7)))
-        scalar_receiver = CipherState(_keys(7))
-        for sealed, aad, inner in fast:
-            assert _open(scalar_receiver, sealed, aad) == inner
-    assert [sealed for sealed, _, _ in fast] == [sealed for sealed, _, _ in scalar]
+    assert [sealed for sealed, _, _ in fast] == reference_records(
+        _keys(7), [inner for _, _, inner in fast], [aad for _, aad, _ in fast]
+    )
     receiver = CipherState(_keys(7))
     for sealed, aad, inner in fast:
         assert _open(receiver, sealed, aad) == inner
