@@ -1,6 +1,6 @@
 """The repo-aware rule catalogue.
 
-Eleven rules, each protecting an invariant the reproduction's claims
+Ten rules, each protecting an invariant the reproduction's claims
 rest on (see DESIGN.md section 4f for the full rationale catalogue):
 
 ========  ==============================================================
@@ -16,9 +16,6 @@ SEC003    No bare/broad ``except`` that can swallow
           ``ProtocolViolation``.
 FP001     Every fastpath flag is declared in ``repro.fastpath.FEATURES``
           and has a registered cross-check test.
-FP002     Every object crossing the fleet's shard boundary is declared
-          in ``PICKLE_BOUNDARY`` and has a registered pickle
-          round-trip test (``repro.fleet.CROSSCHECKS``).
 OBS001    Telemetry key strings come from ``repro.obs.keys``.
 REL001    Every overload shed/reject path increments a registered
           ``overload.*`` telemetry key.
@@ -787,121 +784,6 @@ flag."""
 
 
 # ---------------------------------------------------------------------------
-# FP002 — shard-boundary objects declared and pickle-tested
-# ---------------------------------------------------------------------------
-
-class Fp002ShardBoundary(Rule):
-    id = "FP002"
-    title = "shard-boundary objects must be declared and pickle-tested"
-    rationale = """\
-The fleet runner ships shard specs to workers and shard results back
-through `multiprocessing`, so every object on that boundary must
-survive a pickle round trip — an unpicklable field fails at fan-out
-time with an opaque pool traceback, and a field that pickles but loses
-state silently corrupts the merge.  The declared boundary is
-`PICKLE_BOUNDARY` in the boundary module; the enforcement is the
-pickle round-trip test registered per class in
-`repro.fleet.CROSSCHECKS` (the same contract FP001 applies to fastpath
-flags — no boundary object outlives the test proving it safe).
-
-The rule audits (a) every top-level class in a module declaring
-`PICKLE_BOUNDARY` is listed in it (a class added to the boundary
-module but not the declaration escapes testing); (b) the declaration
-is a literal tuple/list of strings (dynamic boundaries defeat
-auditing); (c) every declared name has a registered test file that
-exists and references the name."""
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        declaration: Optional[ast.stmt] = None
-        value: Optional[ast.expr] = None
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "PICKLE_BOUNDARY"
-                for target in node.targets
-            ):
-                declaration, value = node, node.value
-                break
-            if isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ) and node.target.id == "PICKLE_BOUNDARY":
-                declaration, value = node, node.value
-                break
-        if declaration is None:
-            return
-        declared: Set[str] = set()
-        if isinstance(value, (ast.Tuple, ast.List)) and all(
-            isinstance(element, ast.Constant)
-            and isinstance(element.value, str)
-            for element in value.elts
-        ):
-            declared = {
-                element.value
-                for element in value.elts
-                if isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            }
-        else:
-            yield Finding(
-                rule=self.id,
-                path=module.relpath,
-                line=declaration.lineno,
-                col=declaration.col_offset,
-                message="PICKLE_BOUNDARY is not a literal tuple/list of "
-                "strings; a dynamic boundary cannot be audited",
-            )
-        for node in module.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name not in declared:
-                yield Finding(
-                    rule=self.id,
-                    path=module.relpath,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=f"class {node.name!r} in a shard-boundary module "
-                    "is not declared in PICKLE_BOUNDARY",
-                )
-
-    def finalize(self, modules: Sequence[Module], root: Path) -> Iterator[Finding]:
-        # Registry completeness is only checkable from the repo root.
-        spec_src = root / "src" / "repro" / "fleet" / "spec.py"
-        if not spec_src.exists():
-            return
-        from repro import fleet
-
-        crosschecks = getattr(fleet, "CROSSCHECKS", {})
-        for name in fleet.PICKLE_BOUNDARY:
-            test_path = crosschecks.get(name)
-            if test_path is None:
-                yield Finding(
-                    rule=self.id,
-                    path="src/repro/fleet/__init__.py",
-                    line=1,
-                    col=0,
-                    message=f"shard-boundary entry {name!r} has no registered "
-                    "cross-check test (fleet.CROSSCHECKS)",
-                )
-                continue
-            full = root / test_path
-            if not full.exists():
-                yield Finding(
-                    rule=self.id,
-                    path="src/repro/fleet/__init__.py",
-                    line=1,
-                    col=0,
-                    message=f"cross-check test {test_path!r} for "
-                    f"{name!r} does not exist",
-                )
-            elif name not in full.read_text(encoding="utf-8"):
-                yield Finding(
-                    rule=self.id,
-                    path="src/repro/fleet/__init__.py",
-                    line=1,
-                    col=0,
-                    message=f"cross-check test {test_path!r} never references "
-                    f"{name!r}",
-                )
-
-
-# ---------------------------------------------------------------------------
 # OBS001 — telemetry keys from the registry
 # ---------------------------------------------------------------------------
 
@@ -1116,10 +998,9 @@ and `marshal.loads` execute reduction callables, `exec`/`eval`/`compile`
 are code injection, seeding a `random.Random` from wire data lets a
 peer steer "random" simulation decisions, and interpolating wire bytes
 into a telemetry key explodes key cardinality and corrupts dashboards.
-FP002 already polices the fleet's declared pickle boundary per-module;
-this rule follows the bytes interprocedurally, so a decode in `tls/`
-that funnels into a `pickle.loads` three calls away in `fleet/` is
-still caught."""
+The rule follows the bytes interprocedurally, so a decode in `tls/`
+that funnels into a `pickle.loads` three calls away in another package
+is still caught."""
 
     def __init__(self) -> None:
         from repro.analysis.taint import DATA_SINKS
@@ -1140,7 +1021,6 @@ def default_rules() -> List[Rule]:
         Sec002AssertValidation(),
         Sec003BroadExcept(),
         Fp001FastpathRegistry(),
-        Fp002ShardBoundary(),
         Obs001TelemetryKeys(),
         Rel001OverloadTelemetry(),
         Taint001UnboundedWireInteger(),

@@ -78,14 +78,7 @@ class Link:
         self._endpoints: list = [None, None]  # two Interface objects
         self._directions = {0: _Direction(), 1: _Direction()}
         # Counters for experiments.
-        self.stats = {
-            "delivered": 0,
-            "dropped_queue": 0,
-            "dropped_loss": 0,
-            "dropped_down": 0,
-            "reordered": 0,
-            "bytes_delivered": 0,
-        }
+        self.stats = dict.fromkeys(obs_keys.LINK_STATS, 0)
         # Optional observability hookup (see observe()).
         self._obs_counters = None
         self._obs_queue = None

@@ -13,20 +13,12 @@ transformer:
 
 The file uses the classic pcap format with LINKTYPE_RAW (101): each
 packet starts directly at the IP header.
-
-``merge_pcaps`` concatenates per-shard traces from a fleet run into one
-auditable file: records keep their original timestamps and appear in
-stable shard-major order (all of shard 0's packets, then shard 1's, ...),
-so the merged byte stream — and therefore its SHA-256 digest — depends
-only on the scenario set, not on how it was partitioned or which worker
-finished first.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
 from repro.netsim.packet import Datagram
 
@@ -171,49 +163,3 @@ def read_pcap(path: str):
         packets.append((seconds + micros / 1e6, data[offset : offset + caplen]))
         offset += caplen
     return packets
-
-
-_HEADER = struct.pack(
-    "!IHHiIII", _MAGIC, _VERSION[0], _VERSION[1], 0, 0, _SNAPLEN, _LINKTYPE_RAW
-)
-
-
-def _records_bytes(path: str) -> bytes:
-    """A pcap file's record stream (header validated, then stripped)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < 24 or data[:24] != _HEADER:
-        raise ValueError(f"{path}: not a pcap file this merger understands")
-    return data[24:]
-
-
-def pcap_file_digest(path: str) -> str:
-    """SHA-256 over a pcap's record stream (header excluded).
-
-    Excluding the 24-byte file header makes a single trace's digest equal
-    the digest of a one-input merge, so single-process and fleet runs are
-    directly comparable.
-    """
-    return hashlib.sha256(_records_bytes(path)).hexdigest()
-
-
-def merge_pcaps(paths: Iterable[str], out_path: str) -> Tuple[str, str]:
-    """Concatenate per-shard pcaps in the given (shard-major) order.
-
-    Returns ``(out_path, sha256_hexdigest)`` where the digest covers the
-    merged record stream.  Records keep their original simulated
-    timestamps; ordering is by position in ``paths`` — the caller passes
-    shards in cell-index order, which the fleet's contiguous partitioning
-    makes identical across shard counts.
-    """
-    digest = hashlib.sha256()
-    streams: List[bytes] = []
-    for path in paths:
-        records = _records_bytes(path)
-        digest.update(records)
-        streams.append(records)
-    with open(out_path, "wb") as out:
-        out.write(_HEADER)
-        for records in streams:
-            out.write(records)
-    return out_path, digest.hexdigest()

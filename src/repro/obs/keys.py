@@ -30,8 +30,6 @@ COMP_FUZZ = "fuzz"
 COMP_POOL = "scale.pool"
 #: The reconnect-storm recovery driver (repro.scale.recovery).
 COMP_RECOVERY = "scale.recovery"
-#: The sharded fleet runner (repro.fleet).
-COMP_FLEET = "fleet"
 #: Admission control / load shedding (repro.overload).
 COMP_OVERLOAD = "overload"
 #: Prefix for per-link components (see :func:`link_component`).
@@ -108,17 +106,6 @@ POOL_REDIALS = "redials"
 RECOVERY_RECONNECTS = "reconnects"
 #: Histogram: seconds from crash to a client's first recovered response.
 RECOVERY_TTR = "time_to_recover"
-
-# -- fleet metrics ------------------------------------------------------------
-
-#: Scenario cells executed across all shards.
-FLEET_CELLS = "cells"
-#: Worker shards launched for the run.
-FLEET_SHARDS = "shards"
-#: Simulator events processed, summed across all shard worlds.
-FLEET_EVENTS = "events"
-#: TCPLS sessions driven to completion, summed across all shard worlds.
-FLEET_SESSIONS = "sessions"
 
 # -- overload metrics ---------------------------------------------------------
 # Every shed/reject code path in ``repro.overload`` must increment one
@@ -219,10 +206,6 @@ ALL_KEYS = frozenset(
         POOL_REDIALS,
         RECOVERY_RECONNECTS,
         RECOVERY_TTR,
-        FLEET_CELLS,
-        FLEET_SHARDS,
-        FLEET_EVENTS,
-        FLEET_SESSIONS,
         FUZZ_INPUTS,
         FUZZ_REJECTED,
         FUZZ_CRASHERS,
@@ -233,21 +216,6 @@ ALL_KEYS = frozenset(
 
 #: Prefixes under which dynamically-derived keys are legal.
 DYNAMIC_PREFIXES = (SESSION_EVENT_PREFIX,)
-
-#: Statically-named components.
-ALL_COMPONENTS = frozenset(
-    (
-        COMP_SESSION_CLIENT,
-        COMP_SESSION_SERVER,
-        COMP_SERVER,
-        COMP_FAULTS,
-        COMP_FUZZ,
-        COMP_POOL,
-        COMP_RECOVERY,
-        COMP_FLEET,
-        COMP_OVERLOAD,
-    )
-)
 
 
 def is_registered(name: str) -> bool:

@@ -11,19 +11,13 @@ Design constraints (the reason this is not a thin dict wrapper):
   simulator, never consume randomness, and never allocate on the hot
   path (histograms bisect into preallocated log-scaled buckets);
 - **machine readable** — ``snapshot()`` returns plain nested dicts that
-  serialize to the ``BENCH_*.json`` metrics files;
-- **mergeable across processes** — ``export_state()`` produces a typed,
-  picklable state document and ``Telemetry.merge()`` recombines any
-  number of them (counters sum, gauges keep the maximum, histograms
-  combine bucket-wise), so a sharded fleet run can reduce its workers'
-  registries into one registry indistinguishable from a single-process
-  run over the same workload.
+  serialize to the ``BENCH_*.json`` metrics files.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 # Log-scaled bucket upper bounds shared by all histograms: 1, 2, 4, ...
 # 2^30.  Good enough resolution for byte sizes, counts, and (scaled)
@@ -92,48 +86,6 @@ class Histogram:
             "mean": mean,
             "buckets": buckets,
         }
-
-    def state(self) -> dict:
-        """Lossless, picklable state (unlike ``summary``, which drops
-        empty buckets and the bound vector)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "bounds": list(self._bounds),
-            "buckets": list(self._buckets),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Histogram":
-        histogram = cls(bounds=tuple(state["bounds"]))
-        histogram.combine(state)
-        return histogram
-
-    def combine(self, state: dict) -> None:
-        """Fold another histogram's ``state()`` into this one.
-
-        Streaming statistics combine exactly: counts, sums, and per-bucket
-        tallies add; min/max reduce.  The bound vectors must match — two
-        histograms bucketed differently have no common refinement.
-        """
-        if list(state["bounds"]) != list(self._bounds):
-            raise ValueError("cannot combine histograms with different bounds")
-        self.count += state["count"]
-        self.total += state["total"]
-        for extreme in ("min", "max"):
-            theirs = state[extreme]
-            if theirs is None:
-                continue
-            mine = getattr(self, extreme)
-            if mine is None:
-                setattr(self, extreme, theirs)
-            else:
-                reduce_fn = min if extreme == "min" else max
-                setattr(self, extreme, reduce_fn(mine, theirs))
-        for index, tally in enumerate(state["buckets"]):
-            self._buckets[index] += tally
 
 
 class _NullInstrument:
@@ -205,68 +157,3 @@ class Telemetry:
         for (component, name), histogram in self._histograms.items():
             out.setdefault(component, {})[name] = histogram.summary()
         return out
-
-    def export_state(self) -> dict:
-        """Typed, picklable state for cross-process merging.
-
-        ``snapshot()`` flattens the three instrument kinds into one
-        namespace (fine for reading, ambiguous for merging — a counter
-        and a gauge both export a bare number).  This form keeps each
-        kind in its own map so :meth:`merge` can apply kind-specific
-        combination semantics.
-        """
-        counters: Dict[str, Dict[str, int]] = {}
-        gauges: Dict[str, Dict[str, Union[int, float]]] = {}
-        histograms: Dict[str, Dict[str, dict]] = {}
-        for (component, name), counter in self._counters.items():
-            counters.setdefault(component, {})[name] = counter.value
-        for (component, name), gauge in self._gauges.items():
-            gauges.setdefault(component, {})[name] = gauge.value
-        for (component, name), histogram in self._histograms.items():
-            histograms.setdefault(component, {})[name] = histogram.state()
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-
-    @classmethod
-    def merge(cls, states: Iterable[dict]) -> "Telemetry":
-        """Recombine any number of ``export_state()`` documents.
-
-        Semantics per instrument kind:
-
-        - **counters sum** — a monotonic tally split across workers is
-          the sum of the per-worker tallies;
-        - **gauges keep the maximum** — a point-in-time value (queue
-          depth, cwnd, peak concurrency) has no meaningful sum across
-          isolated worlds, so the merge reports the worst/largest case;
-        - **histograms combine** — counts, sums and per-bucket tallies
-          add, min/max reduce (see :meth:`Histogram.combine`).
-
-        Returns a live registry, so merged state can itself be exported,
-        snapshotted, or merged again (the fleet runner merges per-cell
-        states into shards, then shards into the final result).
-        """
-        merged = cls(enabled=True)
-        for state in states:
-            for component, names in state.get("counters", {}).items():
-                for name, value in names.items():
-                    merged.counter(component, name).inc(value)
-            for component, names in state.get("gauges", {}).items():
-                for name, value in names.items():
-                    key = (component, name)
-                    existing = merged._gauges.get(key)
-                    if existing is None:
-                        merged.gauge(component, name).set(value)
-                    else:
-                        existing.set(max(existing.value, value))
-            for component, names in state.get("histograms", {}).items():
-                for name, hist_state in names.items():
-                    key = (component, name)
-                    existing_hist = merged._histograms.get(key)
-                    if existing_hist is None:
-                        merged._histograms[key] = Histogram.from_state(hist_state)
-                    else:
-                        existing_hist.combine(hist_state)
-        return merged

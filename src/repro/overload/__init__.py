@@ -12,7 +12,7 @@ exceeds capacity*.  Three layers:
   and the NORMAL → DEGRADED → SHEDDING → recovered state machine.
 - :mod:`repro.overload.world` — a deterministic open-loop load
   generator sweeping offered load past capacity, the O1 benchmark's
-  engine and the ``overload`` fleet cell.
+  engine.
 
 Per-stream credit flow control (the other half of overload robustness)
 lives in ``repro.core``: receive windows + WINDOW_UPDATE grants in

@@ -129,7 +129,7 @@ def test_crashing_rule_poisons_an_otherwise_clean_run(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_rule_by_id_is_case_insensitive():
-    for spelled in ("taint001", "Taint001", "TAINT001", "fp002"):
+    for spelled in ("taint001", "Taint001", "TAINT001", "fp001"):
         rule = rule_by_id(spelled)
         assert rule is not None
         assert rule.id == spelled.upper()

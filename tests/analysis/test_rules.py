@@ -1,4 +1,4 @@
-"""The lint engine and the eleven repo-aware rules."""
+"""The lint engine and the ten repo-aware rules."""
 
 import json
 import re
@@ -21,7 +21,6 @@ EXPECTED = {
     "SEC002": FIXTURES / "core" / "sec002_bad.py",
     "SEC003": FIXTURES / "sec003_bad.py",
     "FP001": FIXTURES / "fp001_bad.py",
-    "FP002": FIXTURES / "fp002_bad.py",
     "OBS001": FIXTURES / "obs001_bad.py",
     "REL001": FIXTURES / "repro" / "overload" / "rel001_bad.py",
     "TAINT001": FIXTURES / "taint" / "core" / "taint001_bad.py",
@@ -227,51 +226,6 @@ def test_det002_infers_dict_of_sets_values(tmp_path):
     )
     report = run([mod], default_rules(), root=tmp_path)
     assert [f.rule for f in report.findings] == ["DET002"]
-
-
-def test_fp002_fully_declared_boundary_module_is_clean(tmp_path):
-    mod = tmp_path / "mod.py"
-    mod.write_text(
-        'PICKLE_BOUNDARY = ("Spec", "Result")\n'
-        "\n"
-        "class Spec:\n"
-        "    pass\n"
-        "\n"
-        "class Result:\n"
-        "    pass\n",
-        encoding="utf-8",
-    )
-    report = run([mod], default_rules(), root=tmp_path)
-    assert not [f for f in report.findings if f.rule == "FP002"]
-
-
-def test_fp002_rejects_dynamic_boundary_declaration(tmp_path):
-    mod = tmp_path / "mod.py"
-    mod.write_text(
-        "NAMES = ['Spec']\n"
-        "PICKLE_BOUNDARY = tuple(NAMES)\n"
-        "\n"
-        "class Spec:\n"
-        "    pass\n",
-        encoding="utf-8",
-    )
-    report = run([mod], default_rules(), root=tmp_path)
-    findings = [f for f in report.findings if f.rule == "FP002"]
-    assert findings and "dynamic" in findings[0].message
-
-
-def test_fp002_registry_covers_live_boundary():
-    """The live repo's boundary classes all have existing,
-    name-referencing cross-check tests, and nothing else is registered:
-    fastpath flags are FP001's registry, not the fleet's."""
-    from repro import fleet
-
-    assert sorted(fleet.CROSSCHECKS) == sorted(fleet.PICKLE_BOUNDARY)
-    for name in fleet.PICKLE_BOUNDARY:
-        test_path = fleet.CROSSCHECKS[name]
-        full = REPO / test_path
-        assert full.exists(), test_path
-        assert name in full.read_text(encoding="utf-8")
 
 
 # ----------------------------------------------------------------------
