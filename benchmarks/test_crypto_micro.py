@@ -5,12 +5,33 @@ megabytes through these primitives, so their throughput bounds every
 experiment's wall-clock time.  Nothing here asserts a speed.
 """
 
+import pytest
+
 from repro.crypto.aead import ChaCha20Poly1305
+from repro.crypto.chacha20 import chacha20_keystream_lanes
+from repro.crypto.chacha20_fast import chacha20_keystream_multi
 from repro.crypto.ed25519 import Ed25519PrivateKey, _key_powers, ed25519_verify
-from repro.crypto.keyschedule import KeySchedule
+from repro.crypto.keyschedule import KeySchedule, TrafficKeys
 from repro.crypto.x25519 import X25519PrivateKey
+from repro.tls.record import (
+    LOOKAHEAD_RECORDS,
+    CipherState,
+    ContentType,
+    record_header,
+    window_pays,
+)
+from repro.utils.errors import CryptoError
 
 RECORD = b"\xab" * 16000  # one max-size TCPLS record payload
+
+#: (W, blocks) where ``window_pays`` first opens a window, for slots of
+#: 21-, 150- and 406-byte inner plaintexts (small_rpc's control, request
+#: and response records), a 2 KiB response, the smallest slot a
+#: two-record window takes, and a full-size record.
+WINDOW_CROSSOVERS = [
+    (next(w for w in range(2, LOOKAHEAD_RECORDS + 1) if window_pays(w, blocks)), blocks)
+    for blocks in (2, 4, 8, 34, 67, 257)
+]
 
 
 def test_aead_seal_16k_record(benchmark):
@@ -73,3 +94,60 @@ def test_key_schedule_full_ladder(benchmark):
         return ks.export("tcpls context", b"\x00" * 21, 32)
 
     assert len(benchmark(ladder)) == 32
+
+
+# ----------------------------------------------------------------------
+# The keystream window rule's prices (reported, nothing asserted): one
+# numpy window pass against the W lane-packed passes it replaces, at the
+# points where the rule opens a window, so its constants can be re-checked.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("records, blocks", WINDOW_CROSSOVERS)
+def test_keystream_window_pass(benchmark, records, blocks):
+    nonces = [bytes([i]) * 12 for i in range(records)]
+    out = benchmark(chacha20_keystream_multi, b"\x01" * 32, nonces, 0, blocks)
+    assert len(out) == 64 * records * blocks
+
+
+@pytest.mark.parametrize("records, blocks", WINDOW_CROSSOVERS)
+def test_keystream_lane_passes(benchmark, records, blocks):
+    def lane_passes():
+        return [chacha20_keystream_lanes(b"\x01" * 32, 0, bytes([i]) * 12, blocks)
+                for i in range(records)]
+
+    assert len(benchmark(lane_passes)) == records
+
+
+def _failed_trial(receiver):
+    """A record of another context offered to ``receiver`` (paper
+    section 2.3's trial decryption): the call fails and advances nothing."""
+    inner = b"\x5a" * 149 + bytes([ContentType.APPLICATION_DATA])
+    aad = record_header(ContentType.APPLICATION_DATA, len(inner) + 16)
+    stray = CipherState(TrafficKeys.from_secret(b"\x02" * 32)).seal(inner, aad)
+
+    def trial():
+        try:
+            receiver.open(stray, aad)
+        except CryptoError:
+            return True
+        return False
+
+    return trial
+
+
+def test_failed_trial_without_window(benchmark):
+    """One lane pass (one-time key and payload) plus the Poly1305."""
+    assert benchmark(_failed_trial(CipherState(TrafficKeys.from_secret(b"\x03" * 32))))
+
+
+def test_failed_trial_with_window(benchmark):
+    """Under a live window: the Poly1305 alone."""
+    keys = TrafficKeys.from_secret(b"\x03" * 32)
+    sender, receiver = CipherState(keys), CipherState(keys)
+    inner = b"\x5a" * 149 + bytes([ContentType.APPLICATION_DATA])
+    aad = record_header(ContentType.APPLICATION_DATA, len(inner) + 16)
+    for _ in range(40):
+        receiver.open(sender.seal(inner, aad), aad)
+        sender.advance()
+        receiver.advance()
+    assert benchmark(_failed_trial(receiver))

@@ -13,8 +13,8 @@ computed by the batched Poly1305.  The RFC 8439 functions in
 construction to, together with OpenSSL's.
 
 ``seal_with_keystream`` / ``open_with_keystream`` additionally let the
-record layer supply keystream bytes it precomputed for several future
-records at once (see the lookahead cache in ``repro.tls.record``).
+record layer supply keystream it precomputed for several future records
+at once (see the keystream window in ``repro.tls.record``).
 """
 
 from __future__ import annotations
@@ -78,8 +78,15 @@ def seal_with_keystream(keystream, plaintext: bytes, aad: bytes = b"") -> bytes:
     return ciphertext + tag
 
 
-def open_with_keystream(keystream, data: bytes, aad: bytes = b"") -> bytes:
-    """Verify + decrypt using externally supplied keystream bytes."""
+def open_with_keystream(
+    keystream, data: bytes, aad: bytes = b"", *, key=None, nonce=None
+) -> bytes:
+    """Verify + decrypt using externally supplied keystream bytes.
+
+    The tag is checked from block 0 before any payload keystream is read
+    or made; ``key`` and ``nonce`` make the payload blocks ``keystream``
+    lacks, in one lane-packed pass, so a record that fails costs one MAC.
+    """
     if len(data) < TAG_LENGTH:
         raise CryptoError("ciphertext shorter than the AEAD tag")
     ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
@@ -87,6 +94,10 @@ def open_with_keystream(keystream, data: bytes, aad: bytes = b"") -> bytes:
     expected = _mac(otk, _auth_input(aad, ciphertext))
     if not constant_time_equal(tag, expected):
         raise CryptoError("AEAD tag verification failed")
+    have, needed = len(keystream) // 64, 1 + (len(ciphertext) + 63) // 64
+    if have < needed:
+        tail = chacha20_keystream_lanes(key, have, nonce, needed - have)
+        keystream = bytes(keystream[: 64 * have]) + tail
     return xor_keystream(ciphertext, keystream[64 : 64 + len(ciphertext)])
 
 

@@ -1,18 +1,16 @@
-"""Vectorized ChaCha20 keystream for the record layer's lookahead window.
+"""Vectorized ChaCha20 keystream for the record layer's keystream windows.
 
 :func:`chacha20_keystream_multi` generates blocks for *several nonces*
-of one key in one pass, holding the 16-word ChaCha state as a
-``(16, total_blocks)`` uint32 matrix and running the 20 rounds across
-all columns at once.  Per-record numpy dispatch overhead dominates at
-TLS record sizes (256 blocks ≈ 16 KiB), so ``tls/record.py`` batches
-the keystream for the next R records into one call, exploiting the
-deterministic ``iv XOR sequence`` nonce schedule.  Output is
-bit-identical to ``repro.crypto.chacha20.chacha20_block`` (asserted by
-tests).
-
-The quarter-round works in place with one shared scratch row: rotations
-are two shifts and an OR into preallocated storage, so the 20 rounds
-allocate nothing beyond the state matrix itself.
+of one key in one pass.  The state is a ``(16, N)`` uint32 matrix, one
+column per block, whose rows a/b/c/d of the 4x4 ChaCha matrix (words
+0-3, 4-7, 8-11, 12-15) are ``(4, N)`` arrays: a quarter-round on whole
+rows is the column round of every block, and the diagonal round is the
+same after rotating rows b/c/d up by 1/2/3 words (undone after it).  A
+pass is ~460 numpy calls whatever ``N`` is, ~0.18 ms of dispatch, which
+``tls/record.py`` spreads over the next records of one key (the nonce
+schedule ``iv XOR sequence`` is deterministic).  Output is bit-identical
+to ``repro.crypto.chacha20.chacha20_block`` (``tests/crypto/test_chacha20_fast.py``).
+Rotations work in place: two shifts and an OR into one scratch array.
 """
 
 from __future__ import annotations
@@ -24,44 +22,50 @@ import numpy as np
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 
+# Row permutations that line the diagonals up as columns, and back.
+_UP1, _UP2, _UP3 = [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]
+
+# Shift counts as 0-d uint32 arrays: numpy dispatches these faster than
+# scalars, and dispatch is most of a pass over a few blocks.
+_SHIFTS = {n: (np.array(n, np.uint32), np.array(32 - n, np.uint32))
+           for n in (16, 12, 8, 7)}
+
 
 def _rotl_inplace(x: "np.ndarray", count: int, scratch: "np.ndarray") -> None:
-    np.right_shift(x, np.uint32(32 - count), out=scratch)
-    np.left_shift(x, np.uint32(count), out=x)
-    np.bitwise_or(x, scratch, out=x)
+    left, right = _SHIFTS[count]
+    np.right_shift(x, right, scratch)
+    np.left_shift(x, left, x)
+    np.bitwise_or(x, scratch, x)
 
 
 def _quarter_round(
-    state: "np.ndarray", a: int, b: int, c: int, d: int, scratch: "np.ndarray"
+    a: "np.ndarray", b: "np.ndarray", c: "np.ndarray", d: "np.ndarray",
+    scratch: "np.ndarray",
 ) -> None:
-    sa, sb, sc, sd = state[a], state[b], state[c], state[d]
-    np.add(sa, sb, out=sa)
-    np.bitwise_xor(sd, sa, out=sd)
-    _rotl_inplace(sd, 16, scratch)
-    np.add(sc, sd, out=sc)
-    np.bitwise_xor(sb, sc, out=sb)
-    _rotl_inplace(sb, 12, scratch)
-    np.add(sa, sb, out=sa)
-    np.bitwise_xor(sd, sa, out=sd)
-    _rotl_inplace(sd, 8, scratch)
-    np.add(sc, sd, out=sc)
-    np.bitwise_xor(sb, sc, out=sb)
-    _rotl_inplace(sb, 7, scratch)
+    np.add(a, b, a)
+    np.bitwise_xor(d, a, d)
+    _rotl_inplace(d, 16, scratch)
+    np.add(c, d, c)
+    np.bitwise_xor(b, c, b)
+    _rotl_inplace(b, 12, scratch)
+    np.add(a, b, a)
+    np.bitwise_xor(d, a, d)
+    _rotl_inplace(d, 8, scratch)
+    np.add(c, d, c)
+    np.bitwise_xor(b, c, b)
+    _rotl_inplace(b, 7, scratch)
 
 
 def _run_rounds(initial: "np.ndarray") -> bytes:
-    state = initial.copy()
-    scratch = np.empty(initial.shape[1], dtype=np.uint32)
+    a, b, c, d = (initial[row : row + 4].copy() for row in (0, 4, 8, 12))
+    scratch = np.empty_like(a)
     with np.errstate(over="ignore"):
         for _ in range(10):
-            _quarter_round(state, 0, 4, 8, 12, scratch)
-            _quarter_round(state, 1, 5, 9, 13, scratch)
-            _quarter_round(state, 2, 6, 10, 14, scratch)
-            _quarter_round(state, 3, 7, 11, 15, scratch)
-            _quarter_round(state, 0, 5, 10, 15, scratch)
-            _quarter_round(state, 1, 6, 11, 12, scratch)
-            _quarter_round(state, 2, 7, 8, 13, scratch)
-            _quarter_round(state, 3, 4, 9, 14, scratch)
+            _quarter_round(a, b, c, d, scratch)
+            b, c, d = b.take(_UP1, 0), c.take(_UP2, 0), d.take(_UP3, 0)
+            _quarter_round(a, b, c, d, scratch)
+            b, c, d = b.take(_UP3, 0), c.take(_UP2, 0), d.take(_UP1, 0)
+        state = np.concatenate((a, b, c, d))
         state += initial
     # Column-major per block: transpose so each row is one block's 16 words.
     return state.T.astype("<u4").tobytes()

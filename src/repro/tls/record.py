@@ -11,14 +11,15 @@ opaque APPDATA records.
 can do trial decryption across per-stream cryptographic contexts
 (paper section 2.3).
 
-Keystream lookahead: the nonce schedule is deterministic (``iv XOR
+Keystream windows: the nonce schedule is deterministic (``iv XOR
 sequence``), so a ``CipherState`` can precompute the ChaCha20 keystream
-for the next several record sequence numbers in one vectorized call and
-hand slices of it to the AEAD layer.  Sealing/opening through a window
-is bit-identical to sealing each record on its own, the sequence
-numbers advance the same way, and any key change drops the window.  A
-window opens only on evidence of a stream (see ``CipherState``); every
-other record goes through ``ChaCha20Poly1305`` one at a time.
+for its next several record sequence numbers in one vectorized call and
+hand a slot of it to the AEAD layer per record, whatever its size.
+Sealing/opening through a window is bit-identical to sealing each
+record on its own, and any key change drops the window.  Opens verify
+the tag from the slot's block 0 first, so a failed trial decryption
+under a window costs one Poly1305.  Records no window covers go through
+``ChaCha20Poly1305`` one at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from repro.crypto import aead as _aead
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
 from repro.crypto.keyschedule import TrafficKeys
-from repro.utils.errors import CryptoError, InvalidValue, ProtocolViolation
+from repro.utils.errors import CryptoError, InvalidValue, MessageTooLarge, ProtocolViolation
 
 if _aead.HAVE_NUMPY:
     from repro.crypto.chacha20_fast import chacha20_keystream_multi
@@ -42,21 +43,31 @@ class ContentType:
     APPLICATION_DATA = 23
 
 MAX_PLAINTEXT = 1 << 14  # RFC 8446: 2^14 bytes of plaintext per record
+MAX_INNER_PLAINTEXT = MAX_PLAINTEXT + 1  # section 5.4: content + type byte
+MAX_CIPHERTEXT = MAX_PLAINTEXT + 256  # section 5.2; each limit raises MessageTooLarge
 RECORD_HEADER_LEN = 5
 LEGACY_RECORD_VERSION = 0x0303
 
 # Per-record overhead once encrypted: header + inner type byte + AEAD tag.
 ENCRYPTED_OVERHEAD = RECORD_HEADER_LEN + 1 + TAG_LENGTH
 
-#: Most record sequence numbers covered per lookahead keystream generation.
-#: numpy dispatch overhead is per-op, not per-element, so a wider window
-#: amortizes the ~1000 vector ops of a ChaCha20 pass over more records;
-#: 32 full-size records is ~0.5 MiB of cached keystream.
+#: Most record sequence numbers one keystream window covers: 32
+#: full-size records is ~0.5 MiB of keystream.
 LOOKAHEAD_RECORDS = 32
-#: Inner plaintexts of at least this size count towards the run of
-#: large records that sizes a window (see ``CipherState``).  Shorter
-#: ones end the run; they still use a window that is already there.
-_LOOKAHEAD_MIN_INNER = 1024
+
+
+def window_pays(records: int, blocks: int) -> bool:
+    """Whether one numpy pass over ``records`` slots of ``blocks``
+    keystream blocks costs less than the lane passes it saves when only
+    half its slots are used (a window sized by the run bets on as many
+    records ahead as behind).  Microseconds on a 2-core Xeon VM, CPython
+    3.11, numpy 2.4 (``benchmarks/test_crypto_micro.py`` reports them):
+    a lane pass ~ ``25 + 3b``, a window pass ~ ``185 + 0.3 W b``.  A
+    one-slot window looks nothing ahead and never opens.
+    """
+    lane_us = 25 + 3 * blocks
+    window_us = 185 + 0.3 * records * blocks
+    return records >= 2 and records / 2 * lane_us > window_us
 
 
 def record_header(content_type: int, length: int) -> bytes:
@@ -66,26 +77,22 @@ def record_header(content_type: int, length: int) -> bytes:
 class CipherState:
     """One direction's AEAD key material plus its record sequence number.
 
-    Holds the keystream lookahead cache: because the per-record nonce is
-    ``iv XOR sequence``, the keystream for sequences ``[base, base + R)``
-    can be generated in one vectorized pass and sliced per record.
-
-    The window ramps like file readahead, on evidence only this state
-    sees: ``R = min(LOOKAHEAD_RECORDS, run)``, where ``run`` counts the
-    consecutive large records already sealed/opened under this key, so
-    no more keystream is ever generated ahead than the run has consumed.
-    A lone large record, a two-record response and a failed trial
-    decryption (which never reaches ``advance``) therefore cost one
-    lane-packed pass each; a bulk stream takes two such passes, doubles
-    its window 2, 4, 8, 16 and is at 32 from its 33rd record.
+    Holds the keystream window for sequences ``[base, base + W)``, one
+    slot per record, and the one rule for opening it.  The run is
+    ``sequence``: every record sealed or opened and advanced past (a
+    failed trial decryption never advances).  At a sequence no window
+    covers, ``W = min(LOOKAHEAD_RECORDS, sequence)`` slots of the key's
+    last record's block count open when ``window_pays``, so no more
+    keystream is generated ahead than the run consumed.  A record longer
+    than its slot is sealed by one lane pass; it is opened MAC-first from
+    the slot's block 0 and gets the rest from one lane pass.
     """
 
     def __init__(self, keys: TrafficKeys) -> None:
         self.keys = keys
         self.aead = ChaCha20Poly1305(keys.key)
         self.sequence = 0
-        self._run = 0
-        self._large = False  # the record at ``sequence`` extends the run
+        self._last_blocks = 0  # keystream blocks of the last record sealed/opened
         self._ks_cache: Optional[memoryview] = None
         self._ks_base = 0
         self._ks_records = 0
@@ -96,61 +103,71 @@ class CipherState:
 
     def advance(self) -> None:
         self.sequence += 1
-        self._run = self._run + 1 if self._large else 0
 
     def rekey(self) -> None:
         """RFC 8446 7.2 key update."""
         self.keys = self.keys.next_generation()
         self.aead = ChaCha20Poly1305(self.keys.key)
         self.sequence = 0
-        self._run = 0
         self._ks_cache = None
 
-    def _lookahead(self, payload_length: int) -> Optional[memoryview]:
-        """Keystream slice (OTK block + payload blocks) for the current
-        sequence, or ``None`` when the lookahead should not engage."""
-        if not _aead.HAVE_NUMPY:
+    def _slot(self) -> Optional[memoryview]:
+        """The current sequence's slot of the live window (block 0
+        first), or ``None`` when no window covers it."""
+        offset = self.sequence - self._ks_base
+        if self._ks_cache is None or not 0 <= offset < self._ks_records:
             return None
-        self._large = payload_length >= _LOOKAHEAD_MIN_INNER
-        needed = 64 * (1 + (payload_length + 63) // 64)
-        seq = self.sequence
-        if (
-            self._ks_cache is None
-            or needed > self._ks_record_bytes
-            or not self._ks_base <= seq < self._ks_base + self._ks_records
-        ):
-            window = min(LOOKAHEAD_RECORDS, self._run)
-            if not self._large or window < 2:  # one record looks nothing ahead
-                return None
-            nonces = [self.keys.nonce_for(s) for s in range(seq, seq + window)]
-            self._ks_cache = memoryview(
-                chacha20_keystream_multi(self.keys.key, nonces, 0, needed // 64)
-            )
-            self._ks_base = seq
-            self._ks_records = window
-            self._ks_record_bytes = needed
-        start = (seq - self._ks_base) * self._ks_record_bytes
-        return self._ks_cache[start : start + needed]
+        start = offset * self._ks_record_bytes
+        return self._ks_cache[start : start + self._ks_record_bytes]
+
+    def _open_window(self, base: int) -> None:
+        """Generate ``min(LOOKAHEAD_RECORDS, sequence)`` slots from
+        sequence ``base`` if ``window_pays``."""
+        records, blocks = min(LOOKAHEAD_RECORDS, self.sequence), self._last_blocks
+        if not (_aead.HAVE_NUMPY and window_pays(records, blocks)):
+            return
+        nonces = [self.keys.nonce_for(s) for s in range(base, base + records)]
+        self._ks_cache = memoryview(
+            chacha20_keystream_multi(self.keys.key, nonces, 0, blocks)
+        )
+        self._ks_base = base
+        self._ks_records = records
+        self._ks_record_bytes = 64 * blocks
 
     def seal(self, inner: bytes, aad: bytes) -> bytes:
         """Encrypt one record at the current sequence (does not advance)."""
-        keystream = self._lookahead(len(inner))
-        if keystream is not None:
-            return _aead.seal_with_keystream(keystream, inner, aad)
-        return self.aead.encrypt(self.next_nonce(), inner, aad)
+        slot = self._slot()
+        if slot is None:
+            self._open_window(self.sequence)
+            slot = self._slot()
+        self._last_blocks = 1 + (len(inner) + 63) // 64
+        if slot is None or len(slot) < 64 * self._last_blocks:
+            return self.aead.encrypt(self.next_nonce(), inner, aad)
+        return _aead.seal_with_keystream(slot, inner, aad)
 
     def open(self, ciphertext: bytes, aad: bytes) -> bytes:
         """Verify + decrypt one record at the current sequence.
 
-        The tag is checked before any plaintext is produced.  A failed
-        trial decryption has paid the record's whole keystream pass by
-        then: the one-time key and the payload stream come out of one
-        lane-packed pass.
+        The tag is checked before any plaintext is produced.  Under a
+        window that check needs only the slot's block 0, so a failed
+        trial decryption generates no keystream; without one it has
+        paid a whole lane-packed pass.  A receiver's window opens right
+        after a tag verified, at the next sequence if no window covers
+        it: a trial decryption is no evidence that this key has a
+        record there.
         """
-        keystream = self._lookahead(len(ciphertext) - TAG_LENGTH)
-        if keystream is not None:
-            return _aead.open_with_keystream(keystream, ciphertext, aad)
-        return self.aead.decrypt(self.next_nonce(), ciphertext, aad)
+        slot = self._slot()
+        if slot is None:
+            inner = self.aead.decrypt(self.next_nonce(), ciphertext, aad)
+        else:
+            inner = _aead.open_with_keystream(
+                slot, ciphertext, aad, key=self.keys.key, nonce=self.next_nonce()
+            )
+        self._last_blocks = 1 + (len(inner) + 63) // 64
+        following = self.sequence + 1
+        if self._ks_cache is None or following >= self._ks_base + self._ks_records:
+            self._open_window(following)
+        return inner
 
 
 class RecordEncoder:
@@ -197,6 +214,13 @@ class RecordEncoder:
         return header + sealed
 
 
+def _check_inner_length(ciphertext: bytes) -> None:
+    """RFC 8446 5.4: the TLSInnerPlaintext (ciphertext less the tag) is
+    at most 2^14 + 1 bytes; checked before any AEAD work is spent."""
+    if len(ciphertext) - TAG_LENGTH > MAX_INNER_PLAINTEXT:
+        raise MessageTooLarge(f"inner plaintext of {len(ciphertext) - TAG_LENGTH} bytes")
+
+
 def strip_padding(inner: bytes) -> Tuple[int, bytes]:
     """Split TLSInnerPlaintext into (content_type, content)."""
     end = len(inner)
@@ -240,6 +264,8 @@ class RecordDecoder:
                 return
             outer_type, ciphertext = record
             if self._cipher is None or outer_type != ContentType.APPLICATION_DATA:
+                if outer_type != ContentType.APPLICATION_DATA and len(ciphertext) > MAX_PLAINTEXT:
+                    raise MessageTooLarge(f"plaintext record of {len(ciphertext)} bytes")
                 yield outer_type, ciphertext
                 continue
             yield self._decrypt(ciphertext)
@@ -260,8 +286,8 @@ class RecordDecoder:
         outer_type, _legacy_version, length = struct.unpack_from(
             "!BHH", self._buffer, 0
         )
-        if length > MAX_PLAINTEXT + 256 + TAG_LENGTH:
-            raise InvalidValue(f"record length {length} exceeds the limit")
+        if length > MAX_CIPHERTEXT:
+            raise MessageTooLarge(f"record length {length} exceeds the limit")
         if len(self._buffer) < RECORD_HEADER_LEN + length:
             return None
         body = bytes(self._buffer[RECORD_HEADER_LEN : RECORD_HEADER_LEN + length])
@@ -270,6 +296,7 @@ class RecordDecoder:
 
     def _decrypt(self, ciphertext: bytes) -> Tuple[int, bytes]:
         assert self._cipher is not None
+        _check_inner_length(ciphertext)
         header = record_header(ContentType.APPLICATION_DATA, len(ciphertext))
         try:
             inner = self._cipher.open(ciphertext, header)
@@ -290,6 +317,7 @@ class RecordDecoder:
         tag does not verify — the lightweight "check the authentication
         tag until we find the stream" probe from paper section 2.3.
         """
+        _check_inner_length(ciphertext)
         header = record_header(ContentType.APPLICATION_DATA, len(ciphertext))
         inner = cipher.open(ciphertext, header)
         cipher.advance()

@@ -377,15 +377,15 @@ def test_short_record_inside_a_window_uses_the_window(monkeypatch):
             state.advance()
         return out
 
-    # A window opens on evidence of a stream: four large records take
+    # A window opens on evidence of a stream: four full-size records take
     # two per-record passes and a two-record window; the fifth opens a
     # four-record window at sequence 4, which the short ones then share.
-    run, tail = (4096,) * 4, (4096, 100, 1)
+    run, tail = (16000,) * 4, (16000, 100, 1)
     keys = TrafficKeys.from_secret(b"\x35" * 32)
     sender = CipherState(keys)
     sealed = records(sender, run)
     assert len(windows) == 1
-    first_inner = b"\xcc" * 4096 + bytes([ContentType.APPLICATION_DATA])
+    first_inner = b"\xcc" * 16000 + bytes([ContentType.APPLICATION_DATA])
     first_aad = record_header(ContentType.APPLICATION_DATA, len(first_inner) + TAG_LENGTH)
     sender.seal(first_inner, first_aad)  # opens the window at sequence 4
     sender.aead = _MustNotBeUsed()

@@ -21,6 +21,7 @@ from repro.utils.errors import (
     DecodeError,
     InvalidValue,
     LengthMismatch,
+    MessageTooLarge,
     ProtocolViolation,
     TruncatedInput,
     UnknownType,
@@ -211,5 +212,5 @@ def test_record_oversize_length_is_decode_error():
 
     decoder = RecordDecoder()
     decoder.feed(b"\x17\x03\x03\xff\xff" + b"\x00" * 64)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(MessageTooLarge):
         list(decoder.raw_records())

@@ -1,11 +1,12 @@
-"""The keystream lookahead ramp, pinned by counts instead of timings.
+"""The keystream window rule, pinned by counts instead of timings.
 
-``CipherState`` opens a numpy keystream window only on evidence of a
-stream: never more records ahead than the current run of large records
-on that key has already consumed.  These tests count the calls that
-generate keystream (the window generator and the per-record lane pass,
-both wrapped from outside) and compare every byte against the RFC 8439
-reference.  CI's perf-smoke job fails if any of them is skipped.
+``CipherState`` opens a numpy keystream window, for records of every
+size, only on evidence of a stream and only where ``window_pays``: never
+more records ahead than the key has already consumed.  These tests
+count the calls that generate keystream (the window generator and the
+per-record lane pass, both wrapped from outside) and compare every byte
+against the RFC 8439 reference.  CI's perf-smoke job fails if any of
+them is skipped.
 """
 
 import pytest
@@ -15,7 +16,13 @@ from repro.crypto.aead import TAG_LENGTH
 from repro.crypto.keyschedule import TrafficKeys
 from repro.scale.loadgen import ScaleConfig, run_scale
 from repro.tls import record as _record
-from repro.tls.record import LOOKAHEAD_RECORDS, CipherState, ContentType, record_header
+from repro.tls.record import (
+    LOOKAHEAD_RECORDS,
+    CipherState,
+    ContentType,
+    record_header,
+    window_pays,
+)
 from repro.utils.errors import CryptoError
 from tests.crypto.test_fastpath_crypto import reference_records
 
@@ -25,6 +32,7 @@ FULL = (1 << 14) - 1  # payload of a full-size record
 class _Counts:
     def __init__(self):
         self.windows = []  # (key, records, blocks per record)
+        self.bases = []  # first sequence number of each window
         self.lane_blocks = 0
 
     @property
@@ -41,6 +49,7 @@ def counts(monkeypatch):
 
     def counting_window(key, nonces, counter, blocks_per_nonce):
         seen.windows.append((key, len(nonces), blocks_per_nonce))
+        seen.bases.append(nonces[0])
         return window(key, nonces, counter, blocks_per_nonce)
 
     def counting_lanes(key, counter, nonce, n_blocks):
@@ -70,12 +79,126 @@ def _open(state, sealed, aad):
     return inner
 
 
-def test_lone_large_record_between_small_ones_opens_no_window(counts):
-    sender, receiver = CipherState(_keys(1)), CipherState(_keys(1))
-    for size in (64, 200, 384, 2048, 384, 64, 2048, 100):
+def _base(keys, nonce):
+    """The sequence number a window's first nonce (``iv XOR seq``) is for."""
+    return int.from_bytes(nonce, "big") ^ int.from_bytes(keys.iv, "big")
+
+
+def _first_window(blocks):
+    """Smallest ``W`` the cost rule opens for slots of ``blocks``."""
+    return next(w for w in range(1, LOOKAHEAD_RECORDS + 1) if window_pays(w, blocks))
+
+
+def test_failed_trial_under_a_live_window_generates_no_keystream(counts):
+    """Paper section 2.3's trial decryption under a window costs one MAC:
+    the tag is checked from the slot's block 0 before any payload
+    keystream, so neither a lane pass nor a window runs."""
+    keys = _keys(1)
+    sender, receiver = CipherState(keys), CipherState(keys)
+    foreign = CipherState(_keys(11))
+    for _ in range(40):
+        sealed, aad, inner = _seal(sender, 150)
+        assert _open(receiver, sealed, aad) == inner
+    (_, records, _), base = counts.windows[-1], _base(keys, counts.bases[-1])
+    assert base <= 40 < base + records  # the receiver's window covers the next record
+    # Shorter, equal, longer than the slot.
+    strays = [_seal(foreign, size)[:2] for size in (21, 150, 406, FULL)]
+    before = (counts.lane_blocks, len(counts.windows))
+    for stray, stray_aad in strays:
+        with pytest.raises(CryptoError):
+            receiver.open(stray, stray_aad)
+    assert (counts.lane_blocks, len(counts.windows)) == before
+    assert receiver.sequence == 40
+    sealed, aad, inner = _seal(sender, 150)
+    assert _open(receiver, sealed, aad) == inner
+
+
+def test_failed_trial_at_an_uncovered_sequence_opens_no_window(counts):
+    """overload_2x's shape: a key carries a two-record 16 KiB response,
+    then a control record is tried on it first.  The sender would open
+    a 2-slot window at that sequence, but a receiver opens one only after
+    a tag verified there, so the failed trial pays its lane pass and no
+    window is generated that nothing would use."""
+    keys = _keys(16)
+    sender, receiver = CipherState(keys), CipherState(keys)
+    for _ in range(2):
+        sealed, aad, inner = _seal(sender, 8192)
+        assert _open(receiver, sealed, aad) == inner
+    stray, stray_aad, _ = _seal(CipherState(_keys(17)), 20)
+    lanes_before = counts.lane_blocks
+    with pytest.raises(CryptoError):
+        receiver.open(stray, stray_aad)
+    assert counts.windows == []
+    assert counts.lane_blocks - lanes_before == 2  # block 0 and the payload block
+
+
+def test_no_window_covers_more_records_than_the_run_consumed(counts):
+    """A window of W slots from sequence ``base`` opens once the key has
+    sealed or authenticated ``base`` records (the receiver's opens after
+    the record at ``base - 1`` verified), so W <= base always."""
+    keys = _keys(12)
+    sender, receiver = CipherState(keys), CipherState(keys)
+    sizes = [(index * 37) % 601 for index in range(150)] + [FULL] * 70 + [21] * 40
+    for size in sizes:
         sealed, aad, inner = _seal(sender, size)
         assert _open(receiver, sealed, aad) == inner
+    assert len(counts.windows) > 10
+    for (_, records, _), nonce in zip(counts.windows, counts.bases):
+        assert 2 <= records <= min(LOOKAHEAD_RECORDS, _base(keys, nonce))
+
+
+@pytest.mark.parametrize("size", [0, 21, 150, 406, 2048, 8192, FULL])
+def test_windows_open_only_where_the_cost_rule_says(counts, size):
+    """For a stream of one record size the sender opens its first window
+    at the first sequence ``window_pays`` accepts, again after a key
+    update, and every window opened on either side is one the rule
+    accepts for its slot size."""
+    keys = _keys(13)
+    blocks = 1 + (size + 1 + 63) // 64
+    first = _first_window(blocks)
+    sender, receiver = CipherState(keys), CipherState(keys)
+    for _ in range(first):
+        _seal(sender, size)
     assert counts.windows == []
+    _seal(sender, size)
+    assert counts.windows == [(keys.key, first, blocks)]
+    assert _base(keys, counts.bases[0]) == first
+    sender.rekey()  # the run restarts with the new key's sequence numbers
+    for _ in range(first):
+        _seal(sender, size)
+    assert len(counts.windows) == 1
+    _seal(sender, size)
+    assert counts.windows[-1] == (sender.keys.key, first, blocks)
+    sender = CipherState(keys)
+    for _ in range(3 * LOOKAHEAD_RECORDS):
+        sealed, aad, inner = _seal(sender, size)
+        assert _open(receiver, sealed, aad) == inner
+    assert all(window_pays(records, b) for _, records, b in counts.windows)
+    assert {b for _, _, b in counts.windows} == {blocks}
+
+
+def test_small_record_series_reaches_full_windows(counts):
+    """small_rpc's shape: 150-byte requests on one key, 21-byte control
+    records on another.  Both reach full windows on both sides, and only
+    the records before the first window take a lane pass."""
+    data_keys, control_keys = _keys(14), _keys(15)
+    for keys, size in ((data_keys, 150), (control_keys, 21)):
+        sender, receiver = CipherState(keys), CipherState(keys)
+        lane_before = counts.lane_blocks
+        records = 4 * LOOKAHEAD_RECORDS
+        sealed_series = [_seal(sender, size) for _ in range(records)]
+        for sealed, aad, inner in sealed_series:
+            assert _open(receiver, sealed, aad) == inner
+        assert [s for s, _, _ in sealed_series] == reference_records(
+            keys, [i for _, _, i in sealed_series], [a for _, a, _ in sealed_series]
+        )
+        blocks = 1 + (size + 1 + 63) // 64
+        first = _first_window(blocks)
+        # The sender's first ``first`` records and the receiver's first
+        # ``first + 1`` (its window opens after a verified record).
+        assert counts.lane_blocks - lane_before == (2 * first + 1) * blocks
+        sizes = [r for key, r, _ in counts.windows if key == keys.key]
+        assert sizes[-2:] == [LOOKAHEAD_RECORDS] * 2
 
 
 def test_two_record_response_opens_no_window(counts):

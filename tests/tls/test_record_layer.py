@@ -14,7 +14,7 @@ from repro.tls.record import (
     record_header,
     strip_padding,
 )
-from repro.utils.errors import CryptoError, ProtocolViolation
+from repro.utils.errors import CryptoError, MessageTooLarge, ProtocolViolation
 
 
 def _pair():
@@ -105,6 +105,63 @@ def test_oversized_record_length_rejected():
     decoder.feed(bogus + b"\x00" * 10)
     with pytest.raises(ProtocolViolation):
         list(decoder.records())
+
+
+def test_ciphertext_length_limit_is_rfc8446_5_2():
+    """2^14 + 256 bytes of TLSCiphertext pass the framing; one more is
+    record_overflow before the body is even buffered."""
+    decoder = RecordDecoder()
+    body = b"\x00" * (MAX_PLAINTEXT + 256)
+    decoder.feed(record_header(ContentType.APPLICATION_DATA, len(body)) + body)
+    assert list(decoder.raw_records()) == [(ContentType.APPLICATION_DATA, body)]
+    decoder.feed(record_header(ContentType.APPLICATION_DATA, len(body) + 1))
+    with pytest.raises(MessageTooLarge):
+        list(decoder.raw_records())
+
+
+def _sealed_inner(state, inner_length):
+    """A record whose TLSInnerPlaintext is ``inner_length`` bytes long
+    (content, then the type byte), sealed at ``state``'s sequence."""
+    inner = b"\x42" * (inner_length - 1) + bytes([ContentType.APPLICATION_DATA])
+    header = record_header(ContentType.APPLICATION_DATA, len(inner) + 16)
+    sealed = state.seal(inner, header)
+    state.advance()
+    return header + sealed
+
+
+def test_inner_plaintext_limit_is_rfc8446_5_4():
+    """2^14 + 1 bytes of TLSInnerPlaintext open; one more is rejected
+    through both ``records()`` and trial decryption's ``decrypt_with``."""
+    keys = TrafficKeys.from_secret(b"\x78" * 32)
+    sender, decoder = CipherState(keys), RecordDecoder()
+    decoder.set_key(keys)
+    receiver = CipherState(keys)
+    limit = MAX_PLAINTEXT + 1
+    accepted, rejected = _sealed_inner(sender, limit), _sealed_inner(sender, limit + 1)
+    decoder.feed(accepted)
+    assert list(decoder.records()) == [(ContentType.APPLICATION_DATA, b"\x42" * (limit - 1))]
+    assert RecordDecoder.decrypt_with(receiver, accepted[5:])[1] == b"\x42" * (limit - 1)
+    decoder.feed(rejected)
+    with pytest.raises(MessageTooLarge):
+        list(decoder.records())
+    with pytest.raises(MessageTooLarge):
+        RecordDecoder.decrypt_with(receiver, rejected[5:])
+    assert receiver.sequence == 1
+
+
+def test_plaintext_record_limit_is_rfc8446_5_1():
+    """A record yielded undecrypted (outer type not application_data)
+    carries at most 2^14 bytes, with or without keys installed."""
+    for keyed in (False, True):
+        decoder = RecordDecoder()
+        if keyed:
+            decoder.set_key(TrafficKeys.from_secret(b"\x79" * 32))
+        body = b"\x16" * MAX_PLAINTEXT
+        decoder.feed(record_header(ContentType.HANDSHAKE, len(body)) + body)
+        assert list(decoder.records()) == [(ContentType.HANDSHAKE, body)]
+        decoder.feed(record_header(ContentType.HANDSHAKE, len(body) + 1) + body + b"\x16")
+        with pytest.raises(MessageTooLarge):
+            list(decoder.records())
 
 
 def test_strip_padding():
