@@ -10,9 +10,9 @@ import pytest
 from repro.crypto.aead import ChaCha20Poly1305
 from repro.crypto.chacha20 import chacha20_keystream_lanes
 from repro.crypto.chacha20_fast import chacha20_keystream_multi
-from repro.crypto.ed25519 import Ed25519PrivateKey, _key_powers, ed25519_verify
+from repro.crypto.ed25519 import Ed25519PrivateKey, _key_powers, base_mul, ed25519_verify
 from repro.crypto.keyschedule import KeySchedule, TrafficKeys
-from repro.crypto.x25519 import X25519PrivateKey
+from repro.crypto.x25519 import X25519PrivateKey, x25519_base
 from repro.tls.record import (
     LOOKAHEAD_RECORDS,
     CipherState,
@@ -33,6 +33,11 @@ WINDOW_CROSSOVERS = [
     for blocks in (2, 4, 8, 34, 67, 257)
 ]
 
+#: One record's blocks (block 0 included): a ~1.9 KiB record, either side
+#: of the single-record dispatch (59/60), an 8 KiB response, and the
+#: largest record RFC 8446 allows.
+SINGLE_RECORD_BLOCKS = [30, 59, 60, 130, 258]
+
 
 def test_aead_seal_16k_record(benchmark):
     aead = ChaCha20Poly1305(b"\x01" * 32)
@@ -47,11 +52,25 @@ def test_aead_open_16k_record(benchmark):
     assert out == RECORD
 
 
-def test_x25519_exchange(benchmark):
+def test_x25519_peer_share(benchmark):
+    """The Montgomery ladder on a peer's u: one per key exchange."""
     alice = X25519PrivateKey(b"\x11" * 32)
     bob = X25519PrivateKey(b"\x22" * 32)
     shared = benchmark(alice.exchange, bob.public_bytes)
     assert shared == bob.exchange(alice.public_bytes)
+
+
+def test_x25519_base(benchmark):
+    """A key share's public key: the fixed-base table and the map to u."""
+    public = benchmark(x25519_base, b"\x11" * 32)
+    assert public == X25519PrivateKey(b"\x11" * 32).public_bytes
+
+
+def test_base_mul(benchmark):
+    """``r * B`` of signing, ``s * B`` of verifying: the fixed-base table walk."""
+    scalar = (1 << 253) // 3  # 0b1010...: no zero digit, 37 additions
+    base_mul(scalar)  # the table is built once per process, not in a round
+    benchmark(base_mul, scalar)
 
 
 def test_ed25519_sign_verify(benchmark):
@@ -116,6 +135,21 @@ def test_keystream_lane_passes(benchmark, records, blocks):
                 for i in range(records)]
 
     assert len(benchmark(lane_passes)) == records
+
+
+# The same two cost lines at W = 1: the pass ``ChaCha20Poly1305`` picks
+# for one record no window covers (numpy from 60 blocks, lanes below).
+
+@pytest.mark.parametrize("blocks", SINGLE_RECORD_BLOCKS)
+def test_keystream_one_numpy_pass(benchmark, blocks):
+    out = benchmark(chacha20_keystream_multi, b"\x01" * 32, [b"\x02" * 12], 0, blocks)
+    assert len(out) == 64 * blocks
+
+
+@pytest.mark.parametrize("blocks", SINGLE_RECORD_BLOCKS)
+def test_keystream_one_lane_pass(benchmark, blocks):
+    out = benchmark(chacha20_keystream_lanes, b"\x01" * 32, 0, b"\x02" * 12, blocks)
+    assert len(out) == 64 * blocks
 
 
 def _failed_trial(receiver):

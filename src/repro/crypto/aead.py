@@ -6,11 +6,14 @@ This is the single cipher suite the TLS stack uses
 trial decryption across per-stream contexts (paper section 2.3).
 
 The Poly1305 one-time key and the payload keystream come out of a
-*single* lane-packed pass (blocks 0..n as Python big ints,
-``chacha20.chacha20_keystream_lanes``), and the tag of a long record is
-computed by the batched Poly1305.  The RFC 8439 functions in
-``chacha20`` and ``poly1305`` are the references the tests hold this
-construction to, together with OpenSSL's.
+*single* pass over blocks 0..n, whichever of the two costs less by the
+one cost model, ``lane_pass_us`` against ``numpy_pass_us``: the
+lane-packed pass (Python big ints,
+``chacha20.chacha20_keystream_lanes``), or from 60 blocks (a record
+over 3,712 bytes) the numpy one (``chacha20_fast.chacha20_keystream_multi``).
+The tag of a long record is computed by the batched Poly1305.  The RFC
+8439 functions in ``chacha20`` and ``poly1305`` are the references the
+tests hold this construction to, together with OpenSSL's.
 
 ``seal_with_keystream`` / ``open_with_keystream`` additionally let the
 record layer supply keystream it precomputed for several future records
@@ -27,7 +30,7 @@ from repro.crypto.poly1305_fast import MIN_BATCH_BYTES, poly1305_mac_fast
 from repro.utils.errors import CryptoError
 
 try:  # numpy is baked into the image, but the AEAD must survive without it
-    from repro.crypto.chacha20_fast import xor_keystream
+    from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
 
     HAVE_NUMPY = True
 except ImportError:  # pragma: no cover - exercised by the no-numpy subprocess test
@@ -37,6 +40,28 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy subprocess t
 TAG_LENGTH = 16
 KEY_LENGTH = 32
 NONCE_LENGTH = 12
+
+
+def lane_pass_us(blocks: int) -> float:
+    """Microseconds of one lane-packed pass over ``blocks`` keystream
+    blocks, on a 2-core Xeon VM, CPython 3.11, numpy 2.4
+    (``benchmarks/test_crypto_micro.py`` reports the rows it is fitted to)."""
+    return 25 + 3 * blocks
+
+
+def numpy_pass_us(records: int, blocks: int) -> float:
+    """Microseconds of one numpy pass over ``records`` nonces of ``blocks``
+    blocks each, on the same host as ``lane_pass_us``."""
+    return 185 + 0.3 * records * blocks
+
+
+def _keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
+    """Blocks ``counter .. counter+n_blocks-1`` of one nonce from the
+    cheaper pass: the numpy one from 60 blocks on, the lane-packed one
+    below (and always, without numpy)."""
+    if HAVE_NUMPY and numpy_pass_us(1, n_blocks) < lane_pass_us(n_blocks):
+        return chacha20_keystream_multi(key, [nonce], counter, n_blocks)
+    return chacha20_keystream_lanes(key, counter, nonce, n_blocks)
 
 
 def _pad16(data: bytes) -> bytes:
@@ -85,7 +110,7 @@ def open_with_keystream(
 
     The tag is checked from block 0 before any payload keystream is read
     or made; ``key`` and ``nonce`` make the payload blocks ``keystream``
-    lacks, in one lane-packed pass, so a record that fails costs one MAC.
+    lacks, in one pass, so a record that fails costs one MAC.
     """
     if len(data) < TAG_LENGTH:
         raise CryptoError("ciphertext shorter than the AEAD tag")
@@ -96,7 +121,7 @@ def open_with_keystream(
         raise CryptoError("AEAD tag verification failed")
     have, needed = len(keystream) // 64, 1 + (len(ciphertext) + 63) // 64
     if have < needed:
-        tail = chacha20_keystream_lanes(key, have, nonce, needed - have)
+        tail = _keystream(key, have, nonce, needed - have)
         keystream = bytes(keystream[: 64 * have]) + tail
     return xor_keystream(ciphertext, keystream[64 : 64 + len(ciphertext)])
 
@@ -119,9 +144,7 @@ class ChaCha20Poly1305:
             raise ValueError("nonce must be 12 bytes")
         # Blocks 0..n in one pass: OTK + payload stream.
         n_blocks = 1 + (len(plaintext) + 63) // 64
-        return seal_with_keystream(
-            chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), plaintext, aad
-        )
+        return seal_with_keystream(_keystream(self._key, 0, nonce, n_blocks), plaintext, aad)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and return the plaintext, or raise ``CryptoError``."""
@@ -130,6 +153,4 @@ class ChaCha20Poly1305:
         if len(data) < TAG_LENGTH:
             raise CryptoError("ciphertext shorter than the AEAD tag")
         n_blocks = 1 + (len(data) - TAG_LENGTH + 63) // 64
-        return open_with_keystream(
-            chacha20_keystream_lanes(self._key, 0, nonce, n_blocks), data, aad
-        )
+        return open_with_keystream(_keystream(self._key, 0, nonce, n_blocks), data, aad)

@@ -14,12 +14,15 @@ addition and both a table walk with no doubling at multiply time:
   keeps them (``16**i * A``) and later ones only add.  A bounded LRU of
   ``_KEY_TABLES`` keys; never slower than double-and-add, so no switch.
 - ``base_mul(scalar)`` is the table path for the base point ``B``:
-  ``_base_table()[i][j] = j * 16**i * B`` (64 x 16 points, built on
-  first use), so a multiply is one addition per scalar nibble and no
-  doubling.  It serves public-key derivation, the ``r * B`` of signing,
+  ``_base_table()[i][j - 1] = j * 128**i * B`` for ``j`` in 1..64 (37 x
+  64 affine points in Niels form ``(y + x, y - x, 2d*x*y)``, built on
+  first use), so a multiply is one seven-multiply addition per non-zero
+  signed radix-2**7 digit, at most 37, and no doubling; a negative
+  digit adds the entry with ``x`` negated.  It serves public-key
+  derivation, the ``r * B`` of signing,
   the ``s * B`` of verification and — through the birational map to the
   Montgomery curve — ``x25519_base``.  Its lookups are indexed by secret
-  nibbles; that is inside the threat model stated above and would not be
+  digits; that is inside the threat model stated above and would not be
   in a deployment.
 
 ``tests/crypto`` holds both to an affine double-and-add that shares no
@@ -78,32 +81,67 @@ def _point_add(p, q):
     return ((e * f) % _P, (g * h) % _P, (f * g) % _P, (e * h) % _P)
 
 
+def _niels_add(p, q):
+    # Section 5.1.4's addition with q affine and in Niels form
+    # (y + x, y - x, 2d*x*y): Z2 = 1 and q's products are precomputed.
+    x1, y1, z1, t1 = p
+    ypx, ymx, t2d = q
+    a = ((y1 - x1) * ymx) % _P
+    b = ((y1 + x1) * ypx) % _P
+    c = (t1 * t2d) % _P
+    d = 2 * z1
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return ((e * f) % _P, (g * h) % _P, (f * g) % _P, (e * h) % _P)
+
+
+#: Signed radix-2**7 digits of a scalar below 2**256, one table row each;
+#: a digit is in [-63, 64], so a row holds the multiples 1..64.
+_ROWS, _ROW = 37, 64
+
+
 @functools.cache
-def _base_table() -> Tuple[Tuple[Point, ...], ...]:
-    """``table[i][j] == j * 16**i * B``, built by the first ``base_mul``
-    of the process (~1000 additions, a few milliseconds)."""
+def _base_table() -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+    """``table[i][j - 1]`` is ``j * 128**i * B`` in affine Niels form, built
+    by the first ``base_mul`` of the process: 64 additions and one
+    batched inversion per row."""
     table = []
-    step = _BASE  # 16**i * B
-    for _ in range(64):
-        row = [_IDENTITY, step]
-        for _ in range(14):
+    step = _BASE  # 128**i * B
+    for _ in range(_ROWS):
+        row = [step]
+        for _ in range(_ROW - 1):
             row.append(_point_add(row[-1], step))
-        table.append(tuple(row))
-        step = _point_add(row[15], step)
+        prefix = [1]  # prefix[j]: the product of the first j Z's
+        for point in row:
+            prefix.append(prefix[-1] * point[2] % _P)
+        inverse = pow(prefix[-1], -1, _P)  # of all 64 Z's; peeled off from the end
+        niels = [None] * _ROW
+        for j in reversed(range(_ROW)):
+            x, y, z, _ = row[j]
+            zinv, inverse = inverse * prefix[j] % _P, inverse * z % _P
+            x, y = x * zinv % _P, y * zinv % _P
+            niels[j] = ((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P)
+        table.append(tuple(niels))
+        step = _point_add(row[-1], row[-1])
     return tuple(table)
 
 
 def base_mul(scalar: int) -> Point:
     """``scalar * B`` for ``0 <= scalar < 2**256``: one table lookup and
-    one addition per non-zero nibble."""
+    one addition per non-zero signed digit, no doubling."""
     if scalar >> 256:
         raise ValueError("fixed-base scalar must be below 2**256")
     result = _IDENTITY
     for row in _base_table():
-        nibble = scalar & 15
-        if nibble:
-            result = _point_add(result, row[nibble])
-        scalar >>= 4
+        digit = scalar & 127
+        scalar >>= 7
+        if digit > 64:  # borrow 128 from the next digit
+            digit -= 128
+            scalar += 1
+        if digit > 0:
+            result = _niels_add(result, row[digit - 1])
+        elif digit:  # -P is (y - x, y + x, -2d*x*y)
+            ypx, ymx, t2d = row[-digit - 1]
+            result = _niels_add(result, (ymx, ypx, -t2d))
     return result
 
 

@@ -3,10 +3,12 @@
 Montgomery-ladder scalar multiplication over Curve25519.  Validated
 against the RFC 7748 section 5.2 test vectors in ``tests/crypto``.
 
-The ladder serves any peer u-coordinate.  The base point is fixed, so
+The ladder serves any peer u-coordinate; it reduces only products and
+ends with one ``pow(z2, -1, p)``.  The base point is fixed, so
 ``x25519_base`` takes the Ed25519 fixed-base table instead (Curve25519
 and edwards25519 are one curve under a birational map, RFC 7748 section
-4.1) and is tested against the ladder.
+4.1) and is tested against the ladder.  ``tests/crypto`` holds both to
+OpenSSL as well.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ def _decode_u_coordinate(u_bytes: bytes) -> int:
 
 
 def _ladder(scalar: int, u: int) -> int:
-    """Constant-structure Montgomery ladder (RFC 7748 section 5)."""
+    """Constant-structure Montgomery ladder (RFC 7748 section 5).
+
+    Sums and differences stay unreduced (Python ints); only products
+    are reduced.  RFC 7748 ends with ``x2 * z2^(p-2)``, which is 0 at
+    ``z2 = 0`` (the low-order inputs); ``pow(z2, -1, p)`` is the same
+    inverse elsewhere and raises there, hence the branch.
+    """
     x1 = u
     x2, z2 = 1, 0
     x3, z3 = u, 1
@@ -49,24 +57,22 @@ def _ladder(scalar: int, u: int) -> int:
             z2, z3 = z3, z2
         swap = bit
 
-        a = (x2 + z2) % _P
+        a = x2 + z2
+        b = x2 - z2
         aa = (a * a) % _P
-        b = (x2 - z2) % _P
         bb = (b * b) % _P
-        e = (aa - bb) % _P
-        c = (x3 + z3) % _P
-        d = (x3 - z3) % _P
-        da = (d * a) % _P
-        cb = (c * b) % _P
-        x3 = pow(da + cb, 2, _P)
-        z3 = (x1 * pow(da - cb, 2, _P)) % _P
+        e = aa - bb
+        da = ((x3 - z3) * a) % _P
+        cb = ((x3 + z3) * b) % _P
+        s, t = da + cb, da - cb
+        x3 = (s * s) % _P
+        z3 = (x1 * ((t * t) % _P)) % _P
         x2 = (aa * bb) % _P
         z2 = (e * (aa + _A24 * e)) % _P
 
     if swap:
-        x2, x3 = x3, x2
-        z2, z3 = z3, z2
-    return (x2 * pow(z2, _P - 2, _P)) % _P
+        x2, z2 = x3, z3
+    return (x2 * pow(z2, -1, _P)) % _P if z2 else 0
 
 
 def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:

@@ -19,7 +19,7 @@ Sealing/opening through a window is bit-identical to sealing each
 record on its own, and any key change drops the window.  Opens verify
 the tag from the slot's block 0 first, so a failed trial decryption
 under a window costs one Poly1305.  Records no window covers go through
-``ChaCha20Poly1305`` one at a time.
+``ChaCha20Poly1305`` one at a time, each in one pass of its own.
 """
 
 from __future__ import annotations
@@ -60,14 +60,12 @@ def window_pays(records: int, blocks: int) -> bool:
     """Whether one numpy pass over ``records`` slots of ``blocks``
     keystream blocks costs less than the lane passes it saves when only
     half its slots are used (a window sized by the run bets on as many
-    records ahead as behind).  Microseconds on a 2-core Xeon VM, CPython
-    3.11, numpy 2.4 (``benchmarks/test_crypto_micro.py`` reports them):
-    a lane pass ~ ``25 + 3b``, a window pass ~ ``185 + 0.3 W b``.  A
-    one-slot window looks nothing ahead and never opens.
+    records ahead as behind).  The costs are the AEAD's own
+    ``lane_pass_us`` and ``numpy_pass_us``.  A one-slot window looks
+    nothing ahead and never opens.
     """
-    lane_us = 25 + 3 * blocks
-    window_us = 185 + 0.3 * records * blocks
-    return records >= 2 and records / 2 * lane_us > window_us
+    saved_us = records / 2 * _aead.lane_pass_us(blocks)
+    return records >= 2 and saved_us > _aead.numpy_pass_us(records, blocks)
 
 
 def record_header(content_type: int, length: int) -> bytes:
@@ -84,8 +82,8 @@ class CipherState:
     covers, ``W = min(LOOKAHEAD_RECORDS, sequence)`` slots of the key's
     last record's block count open when ``window_pays``, so no more
     keystream is generated ahead than the run consumed.  A record longer
-    than its slot is sealed by one lane pass; it is opened MAC-first from
-    the slot's block 0 and gets the rest from one lane pass.
+    than its slot is sealed by one pass of its own; it is opened MAC-first
+    from the slot's block 0 and gets the rest from one pass.
     """
 
     def __init__(self, keys: TrafficKeys) -> None:
@@ -151,7 +149,7 @@ class CipherState:
         The tag is checked before any plaintext is produced.  Under a
         window that check needs only the slot's block 0, so a failed
         trial decryption generates no keystream; without one it has
-        paid a whole lane-packed pass.  A receiver's window opens right
+        paid a whole keystream pass.  A receiver's window opens right
         after a tag verified, at the next sequence if no window covers
         it: a trial decryption is no evidence that this key has a
         record there.

@@ -316,22 +316,73 @@ def test_fixed_base_scalar_range_is_checked():
         _ed.base_mul(1 << 256)
 
 
+#: Where the signed radix-2**7 recoding of ``base_mul`` turns: digits at
+#: the sign edge (64 stays, 65 borrows), carries through every row, every
+#: value the top row (bits 252..255) takes with and without a carry into
+#: it, the ends of the range, the group order, and the smallest and
+#: largest clamped X25519 scalars.
+_RECODING_EDGES = sorted(
+    {0, 1, 63, 64, 65, 127, 128, 129, 2**256 - 1, _L - 1, _L, 2**254, 2**255 - 8}
+    | {64 * 128**row for row in range(36)}
+    | {65 * 128**row for row in range(36)}
+    | {top << 252 for top in range(16)}
+    | {(top << 252) | (2**252 - 1) for top in range(16)}
+    | {(top << 252) | (65 << 245) for top in range(16)}
+)
+
+
+@pytest.mark.parametrize("scalar", _RECODING_EDGES)
+def test_fixed_base_recoding_edges_match_double_and_add(scalar):
+    _assert_same_point(
+        _ed.base_mul(scalar), _double_and_add(scalar, (_BASE_X, _BASE_Y))
+    )
+
+
+def _count_additions(monkeypatch):
+    """The name of every point addition made while the test runs."""
+    additions = []
+    for name in ("_point_add", "_niels_add"):
+        def counting(p, q, add=getattr(_ed, name), name=name):
+            additions.append(name)
+            return add(p, q)
+
+        monkeypatch.setattr(_ed, name, counting)
+    return additions
+
+
 def test_base_table_is_built_once(monkeypatch):
     table = _ed._base_table()
-    additions = []
-    add = _ed._point_add
-
-    def counting(p, q):
-        additions.append(1)
-        return add(p, q)
-
-    monkeypatch.setattr(_ed, "_point_add", counting)
-    _ed.base_mul(0)
-    assert additions == []  # no rebuild, and no work for zero nibbles
-    _ed.base_mul(0x101)
-    assert len(additions) == 2  # one addition per non-zero nibble
+    additions = _count_additions(monkeypatch)
+    for scalar in (1, _L - 1, 2**256 - 1):
+        _ed.base_mul(scalar)
+    assert "_point_add" not in additions  # no rebuild
     assert _ed._base_table() is table
-    assert (len(table), {len(row) for row in table}) == (64, {16})
+
+
+def test_base_table_has_a_bounded_point_count():
+    """37 rows of 64 affine points, ~0.6 MiB (an unsigned radix-2**8
+    table measured 3-8 MiB more peak RSS on every workload)."""
+    table = _ed._base_table()
+    assert sum(len(row) for row in table) == 37 * 64
+    assert {len(entry) for row in table for entry in row} == {3}
+
+
+def test_base_mul_adds_at_most_once_per_row_and_never_for_a_zero_digit(monkeypatch):
+    rows = len(_ed._base_table())
+    additions = _count_additions(monkeypatch)
+
+    def cost(scalar):
+        del additions[:]
+        _ed.base_mul(scalar)
+        return len(additions)
+
+    assert cost(0) == 0
+    assert all(cost(64 * 128**row) == 1 for row in range(rows - 1))
+    assert cost(65) == 2  # -63, then the borrowed 1 in the next row
+    assert cost(2**256 - 1) == 2  # -1, zeros carried through, 16 in the top row
+    rng = random.Random(0xB45E)
+    assert max(cost(rng.getrandbits(256)) for _ in range(50)) <= rows
+    assert set(additions) == {"_niels_add"}
 
 
 # ----------------------------------------------------------------------

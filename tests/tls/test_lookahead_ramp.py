@@ -2,11 +2,13 @@
 
 ``CipherState`` opens a numpy keystream window, for records of every
 size, only on evidence of a stream and only where ``window_pays``: never
-more records ahead than the key has already consumed.  These tests
-count the calls that generate keystream (the window generator and the
-per-record lane pass, both wrapped from outside) and compare every byte
-against the RFC 8439 reference.  CI's perf-smoke job fails if any of
-them is skipped.
+more records ahead than the key has already consumed.  A record no
+window covers takes one pass of its own: the lane-packed one, or from 60
+blocks the single-record numpy one.  These tests count the calls that
+generate keystream (the window generator, the per-record lane pass and
+the per-record numpy pass, all wrapped from outside) and compare every
+byte against the RFC 8439 reference.  CI's perf-smoke job fails if any
+of them is skipped.
 """
 
 import pytest
@@ -34,10 +36,12 @@ class _Counts:
         self.windows = []  # (key, records, blocks per record)
         self.bases = []  # first sequence number of each window
         self.lane_blocks = 0
+        self.single = []  # blocks of each single-record numpy pass
 
     @property
     def blocks_generated(self):
-        return self.lane_blocks + sum(r * b for _, r, b in self.windows)
+        windows = sum(r * b for _, r, b in self.windows)
+        return self.lane_blocks + sum(self.single) + windows
 
 
 @pytest.fixture
@@ -46,6 +50,7 @@ def counts(monkeypatch):
         pytest.skip("numpy unavailable: no lookahead window")
     seen = _Counts()
     window, lanes = _record.chacha20_keystream_multi, _aead.chacha20_keystream_lanes
+    single = _aead.chacha20_keystream_multi
 
     def counting_window(key, nonces, counter, blocks_per_nonce):
         seen.windows.append((key, len(nonces), blocks_per_nonce))
@@ -56,8 +61,14 @@ def counts(monkeypatch):
         seen.lane_blocks += n_blocks
         return lanes(key, counter, nonce, n_blocks)
 
+    def counting_single(key, nonces, counter, blocks_per_nonce):
+        assert len(nonces) == 1
+        seen.single.append(blocks_per_nonce)
+        return single(key, nonces, counter, blocks_per_nonce)
+
     monkeypatch.setattr(_record, "chacha20_keystream_multi", counting_window)
     monkeypatch.setattr(_aead, "chacha20_keystream_lanes", counting_lanes)
+    monkeypatch.setattr(_aead, "chacha20_keystream_multi", counting_single)
     return seen
 
 
@@ -245,7 +256,25 @@ def test_bulk_stream_ramps_to_full_windows(counts):
         assert counts.blocks_generated <= 2 * consumed
     sizes = [records for _, records, _ in counts.windows]
     assert sizes == [2, 4, 8, 16, LOOKAHEAD_RECORDS]
-    assert counts.lane_blocks == 2 * 257  # the two records before any evidence
+    # The two records before any evidence: one numpy pass each, no lanes.
+    assert (counts.single, counts.lane_blocks) == ([257, 257], 0)
+
+
+@pytest.mark.parametrize(
+    "size, lane_blocks, single",
+    [(58 * 64 - 1, 2 * 59, []), (58 * 64, 0, [60, 60])],
+    ids=["59-blocks", "60-blocks"],
+)
+def test_a_record_no_window_covers_takes_the_cheaper_pass(counts, size, lane_blocks, single):
+    """Either side of the dispatch (``numpy_pass_us(1, b) < lane_pass_us(b)``
+    from b = 60): one record sealed and opened, each in one pass of the
+    kind the cost model picks, byte-identical to the RFC 8439 composition."""
+    keys = _keys(9)
+    sender, receiver = CipherState(keys), CipherState(keys)
+    sealed, aad, inner = _seal(sender, size)
+    assert sealed == reference_records(keys, [inner], [aad])[0]
+    assert _open(receiver, sealed, aad) == inner
+    assert (counts.lane_blocks, counts.single, counts.windows) == (lane_blocks, single, [])
 
 
 def test_rekey_restarts_the_ramp(counts):
