@@ -1,5 +1,8 @@
 """``repro.analysis`` — repo-aware static lints and runtime sanitizers.
 
+Seven per-module AST rules (``rules.py``: DET001/DET002, SEC001-SEC003,
+OBS001, REL001), a mypy budget ratchet and a determinism sanitizer.
+
 Usage::
 
     python -m repro.analysis                 # lint src/ (exit 1 on findings)

@@ -60,11 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--json", action="store_true", help="JSON report")
     parser.add_argument(
-        "--sarif",
-        action="store_true",
-        help="SARIF 2.1.0 report (for code-scanning upload)",
-    )
-    parser.add_argument(
         "--explain", metavar="RULE", help="print a rule's rationale and exit"
     )
     parser.add_argument(
@@ -106,12 +101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"no such path: {path}", file=sys.stderr)
         return 2
     report = run(paths, default_rules(), root=args.root)
-    if args.sarif:
-        from repro.analysis.sarif import to_sarif
-
-        print(to_sarif(report, default_rules()))
-    else:
-        print(report.to_json() if args.json else report.format_human())
+    print(report.to_json() if args.json else report.format_human())
     return 0 if report.ok else 1
 
 

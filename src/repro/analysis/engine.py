@@ -2,14 +2,14 @@
 
 Generic linters cannot check this repository's load-bearing invariants
 (bit-for-bit DES determinism, the fail-closed ``decode_guard`` parser
-contract, fastpath/scalar parity, the central telemetry key registry),
+contract, the central telemetry key registry, counted overload refusals),
 so this engine runs a small registry of repo-aware rules over parsed
 modules and reports typed findings.
 
-Suppression: append ``# repro: noqa-RULE`` (comma-separate several
-rules, or bare ``# repro: noqa`` for all) to the offending line.  Every
-suppression should carry a justification comment nearby — the rules are
-about invariants, not style.
+Suppression: append a comment that starts ``# repro: noqa-RULE``
+(comma-separate several rules, or bare ``# repro: noqa`` for all) to the
+offending line.  Every suppression should carry a justification comment
+nearby — the rules are about invariants, not style.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from io import StringIO
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+#: Matched at the start of a comment token only, so a comment that merely
+#: quotes the syntax (``#: see # repro: noqa-DET001``) waives nothing.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:-(?P<rules>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",
 )
@@ -103,7 +105,7 @@ def _collect_noqa(source: str) -> Dict[int, frozenset]:
         for token in tokens:
             if token.type != tokenize.COMMENT:
                 continue
-            match = _NOQA_RE.search(token.string)
+            match = _NOQA_RE.match(token.string)
             if not match:
                 continue
             rules = match.group("rules")

