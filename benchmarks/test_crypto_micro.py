@@ -12,6 +12,8 @@ from repro.crypto.chacha20 import chacha20_keystream_lanes
 from repro.crypto.chacha20_fast import chacha20_keystream_multi
 from repro.crypto.ed25519 import Ed25519PrivateKey, _key_powers, base_mul, ed25519_verify
 from repro.crypto.keyschedule import KeySchedule, TrafficKeys
+from repro.crypto.poly1305 import poly1305_mac
+from repro.crypto.poly1305_fast import poly1305_mac_fast
 from repro.crypto.x25519 import X25519PrivateKey, x25519_base
 from repro.tls.record import (
     LOOKAHEAD_RECORDS,
@@ -150,6 +152,25 @@ def test_keystream_one_numpy_pass(benchmark, blocks):
 def test_keystream_one_lane_pass(benchmark, blocks):
     out = benchmark(chacha20_keystream_lanes, b"\x01" * 32, 0, b"\x02" * 12, blocks)
     assert len(out) == 64 * blocks
+
+
+# ----------------------------------------------------------------------
+# The batched Poly1305's dispatch prices: the group evaluator against the
+# scalar RFC loop, either side of ``MIN_BATCH_BYTES`` and at a full record.
+# ----------------------------------------------------------------------
+
+POLY1305_BYTES = [512, 1024, 1536, 2048, 3072, 16384]
+
+
+@pytest.mark.parametrize("size", POLY1305_BYTES)
+def test_poly1305_batched(benchmark, size):
+    tag = benchmark(poly1305_mac_fast, b"\x07" * 32, b"\x5a" * size)
+    assert tag == poly1305_mac(b"\x07" * 32, b"\x5a" * size)
+
+
+@pytest.mark.parametrize("size", POLY1305_BYTES)
+def test_poly1305_scalar(benchmark, size):
+    assert len(benchmark(poly1305_mac, b"\x07" * 32, b"\x5a" * size)) == 16
 
 
 def _failed_trial(receiver):

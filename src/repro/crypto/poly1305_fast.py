@@ -13,21 +13,29 @@ so the group costs k small multiplies, one k-term sum and a *single*
 
 Two group evaluators, picked at import time:
 
-- **numpy** (preferred): blocks and powers are decomposed into five
-  26-bit limbs and the k-term polynomial sum becomes one integer
-  ``einsum`` per message — a (groups, k, 5) x (k, 5) contraction whose
-  (5, 5) limb-product grid per group is recombined exactly into a
-  Python int.  Products are <= 2^52 and are summed over at most k = 64
-  blocks, so every intermediate fits an int64 with five bits to spare:
-  the arithmetic is exact, never modular-by-overflow.
+- **numpy** (preferred): the message is read straight from the buffer
+  as little-endian 16-bit limbs, eight per block, and every group's
+  k-term sum becomes one row of a single float64 matrix product against
+  a Toeplitz matrix of the powers' 16-bit limbs, so BLAS does the
+  multiply-adds.  Column ``d`` of a row is the coefficient of
+  ``2^(16*d)`` in the group's sum; the coefficients are recombined
+  through bytes into one big integer per group, and the groups are
+  folded with Horner's rule.  The blocks' ``2^128`` bits add one
+  precomputed ``sum(powers) << 128`` per group.  **Exactness:** every
+  product of two limbs is an integer below 2^32 and a column sums at
+  most 8·k of them, so every partial sum is an integer below 8·k·2^32
+  (2^40 at k = 32, 2^41 at k = 64), which float64 holds exactly —
+  whatever order BLAS sums in and whether it uses FMA.  Pairing two
+  columns into one int64 word afterwards needs 8·k·2^48 < 2^63, so the
+  evaluator is exact for every k below 2^12.
 - **pure int** (fallback): message blocks are pulled out of the buffer
   four at a time (one 64-byte ``int.from_bytes`` per quad) and the
   k-term sum is a C-level ``sum(map(mul, limbs, powers))``.
 
 The group size trades precomputation (k-1 multiplies per message, since
 ``r`` is a fresh one-time key for every AEAD record) against the number
-of reductions; ``_GROUP_BLOCKS = 64`` sits near the optimum for the
-record sizes the TLS layer produces (up to 2^14 bytes).
+of groups folded in Python; ``_GROUP_BLOCKS = 32`` sits near the
+optimum for the record sizes the TLS layer produces (up to 2^14 bytes).
 
 The scalar ``poly1305_mac`` stays the reference and the fallback for
 messages under ``MIN_BATCH_BYTES``, where precomputing powers would cost
@@ -37,6 +45,7 @@ randomized inputs; they must agree bit-for-bit on every input.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import mul
 
 try:
@@ -51,20 +60,44 @@ _P = (1 << 130) - 5
 _R_CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
 _HI = 1 << 128          # the high bit appended to every full block
 _M128 = (1 << 128) - 1
-_M26 = (1 << 26) - 1
 
-#: Blocks folded per reduction.  The numpy evaluator's exactness proof
-#: needs 2^52 * _GROUP_BLOCKS < 2^63 — do not raise past 2048 without
-#: revisiting the limb bound.
-_GROUP_BLOCKS = 64
+#: Blocks folded per reduction.  The numpy evaluator is exact below 2^12
+#: (see the module docstring).
+_GROUP_BLOCKS = 32
 _GROUP_BYTES = 16 * _GROUP_BLOCKS
 
 #: Below this size the scalar loop wins: ``r`` is a fresh key per record,
-#: so every message pays the 63-multiply power table plus the numpy
-#: dispatch (~60 us) before its first group, and the scalar loop costs
-#: ~33 us/KiB.  Measured, they cross between two and three whole groups
-#: (EXPERIMENTS.md P1).
-MIN_BATCH_BYTES = 3 * _GROUP_BYTES
+#: so every message pays the 31-multiply power table and the numpy
+#: set-up (~25 us) before its first group, and the scalar loop costs
+#: ~35 us/KiB.  Measured, they cross between one and two whole groups
+#: (``benchmarks/test_crypto_micro.py``'s Poly1305 rows, EXPERIMENTS P12).
+MIN_BATCH_BYTES = 2 * _GROUP_BYTES
+
+
+def _toeplitz_index():
+    """Flat indices into the powers' 16-bit limbs (ten per power; the
+    tenth is always zero, as every power is below 2^130) that lay out
+    the (8·k, 20) Toeplitz matrix: row ``8*j + a`` (power j, message
+    limb a) holds, in the column of coefficient ``d``, limb ``d - a`` of
+    power j.
+
+    Columns come in the order the recombination reads them.  Column
+    ``i`` (i < 10) holds coefficient ``c[2w]`` and column ``10 + i`` its
+    neighbour ``c[2w+1]``, for word ``w`` = 0, 2, 4, 6, 8, 1, 3, 5, 7, 9,
+    so ``even + (odd << 16)`` gives the 32-bit-spaced words of a group's
+    sum, even words first.  Coefficients 16..19 are zero: they pad a
+    group to ten words (320 bits; its sum is below 2^290).
+    """
+    even = [2 * w for w in (0, 2, 4, 6, 8, 1, 3, 5, 7, 9)]
+    order = _np.array(even + [d + 1 for d in even])
+    limb = order[None, :] - _np.arange(8)[:, None]  # d - a, shape (8, 20)
+    limb = _np.where((limb >= 0) & (limb <= 8), limb, 9)
+    index = 10 * _np.arange(_GROUP_BLOCKS)[:, None, None] + limb
+    return index.reshape(8 * _GROUP_BLOCKS, 20)
+
+
+if HAVE_NUMPY:
+    _TOEPLITZ_INDEX = _toeplitz_index()
 
 
 def _powers_of_r(r: int) -> list:
@@ -77,54 +110,28 @@ def _powers_of_r(r: int) -> list:
 
 def _grouped_numpy(view, grouped_end: int, powers: list, r_k: int) -> int:
     """Fold ``view[:grouped_end]`` (a whole number of groups) into the
-    accumulator using one exact int64 einsum for all group sums."""
+    accumulator using one exact float64 matrix product for all group sums."""
     n_groups = grouped_end // _GROUP_BYTES
-    words = _np.frombuffer(view[:grouped_end], dtype="<u4").astype(_np.int64)
-    w = words.reshape(-1, 4)  # one row of four 32-bit words per block
-    w0, w1, w2, w3 = w[:, 0], w[:, 1], w[:, 2], w[:, 3]
-    limbs = _np.empty((w.shape[0], 5), dtype=_np.int64)
-    limbs[:, 0] = w0 & _M26
-    limbs[:, 1] = ((w0 >> 26) | (w1 << 6)) & _M26
-    limbs[:, 2] = ((w1 >> 20) | (w2 << 12)) & _M26
-    limbs[:, 3] = ((w2 >> 14) | (w3 << 18)) & _M26
-    limbs[:, 4] = (w3 >> 8) | (1 << 24)  # 2^128 high bit lives in limb 4
-    # Power limbs the same vectorized way: each power < 2^130 padded to
-    # five little-endian 32-bit words, split with the same shift pattern
-    # (the fifth word holds bits 128..129 of the top limb).
-    p_words = _np.frombuffer(
-        b"".join(power.to_bytes(20, "little") for power in powers), dtype="<u4"
-    ).astype(_np.int64).reshape(-1, 5)
-    p0, p1, p2, p3, p4 = (p_words[:, i] for i in range(5))
-    p_limbs = _np.empty((_GROUP_BLOCKS, 5), dtype=_np.int64)
-    p_limbs[:, 0] = p0 & _M26
-    p_limbs[:, 1] = ((p0 >> 26) | (p1 << 6)) & _M26
-    p_limbs[:, 2] = ((p1 >> 20) | (p2 << 12)) & _M26
-    p_limbs[:, 3] = ((p2 >> 14) | (p3 << 18)) & _M26
-    p_limbs[:, 4] = ((p3 >> 8) | (p4 << 24)) & _M26
-    # grid[g, a, b] = sum_k block_limb[g*k + k, a] * power_limb[k, b]
-    grid = _np.einsum("gka,kb->gab", limbs.reshape(n_groups, _GROUP_BLOCKS, 5), p_limbs)
-    # Collapse the (5, 5) limb-product grid along its anti-diagonals:
-    # entry (a, b) carries weight 2^(26*(a+b)), so the nine diagonal
-    # sums are the coefficients of 2^(26*d).  Each grid entry is below
-    # 2^52 * _GROUP_BLOCKS = 2^58 and a diagonal sums at most five of
-    # them — still exact in int64.  Cuts the per-group Python-int
-    # recombination from 25 terms to 9.
-    diag = _np.zeros((n_groups, 9), dtype=_np.int64)
-    for a in range(5):
-        diag[:, a : a + 5] += grid[:, a, :]
+    limbs = _np.frombuffer(view[:grouped_end], dtype="<u2").astype(_np.float64)
+    power_limbs = _np.frombuffer(
+        b"".join(map(int.to_bytes, powers, repeat(20), repeat("little"))), dtype="<u2"
+    ).astype(_np.float64)
+    toeplitz = power_limbs.take(_TOEPLITZ_INDEX)
+    sums = (limbs.reshape(n_groups, 8 * _GROUP_BLOCKS) @ toeplitz).astype(_np.int64)
+    words = sums[:, :10] + (sums[:, 10:] << 16)  # each < 2^57, 32 bits apart
+    # Group g's even words, read as one run of int64s, sit at bits
+    # 320·g + 64·i and its odd words 32 bits above them, so two
+    # conversions give sum_g total_g · 2^(320·g), which splits back into
+    # 40-byte fields because every total_g is below 2^320.
+    from_bytes = int.from_bytes
+    whole = from_bytes(words[:, :5].tobytes(), "little") + (
+        from_bytes(words[:, 5:].tobytes(), "little") << 32
+    )
+    raw = whole.to_bytes(40 * n_groups, "little")
+    high_bits = sum(powers) << 128
     accumulator = 0
-    for d in diag.tolist():
-        total = (
-            d[0]
-            + (d[1] << 26)
-            + (d[2] << 52)
-            + (d[3] << 78)
-            + (d[4] << 104)
-            + (d[5] << 130)
-            + (d[6] << 156)
-            + (d[7] << 182)
-            + (d[8] << 208)
-        )
+    for offset in range(0, 40 * n_groups, 40):
+        total = from_bytes(raw[offset : offset + 40], "little") + high_bits
         accumulator = (accumulator * r_k + total) % _P
     return accumulator
 
@@ -150,12 +157,13 @@ def _grouped_int(view, grouped_end: int, powers: list, r_k: int) -> int:
 
 def poly1305_mac_fast(key: bytes, message) -> bytes:
     """Compute the 16-byte Poly1305 tag; same contract as the scalar
-    ``poly1305_mac`` but ``message`` may be any bytes-like object."""
+    ``poly1305_mac`` but ``message`` may be any C-contiguous bytes-like
+    object, read as its raw bytes whatever its item size."""
     if len(key) != 32:
         raise ValueError("Poly1305 key must be 32 bytes")
     r = int.from_bytes(key[:16], "little") & _R_CLAMP
     s = int.from_bytes(key[16:], "little")
-    view = memoryview(message)
+    view = memoryview(message).cast("B")
     n = len(view)
     full = n - (n % 16)
 

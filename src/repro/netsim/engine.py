@@ -13,6 +13,17 @@ rules:
 ``pending_events`` is O(1): a live counter tracks scheduled-minus-
 (cancelled-or-executed) events instead of scanning the heap.  The engine
 never reads the host clock; ``bench/`` times ``run()`` from outside.
+
+``reschedule`` moves a pending event in place (a retransmission timer
+pushed back on every ACK) and gives it exactly the (time, seq) key that
+``cancel()`` + ``schedule()`` would, so the execution order is the same
+either way.  The heap may then hold more than one entry for an event:
+its *responsible* entry, whose key ``(_heap_time, _heap_seq)`` is never
+larger than the event's own, and stale ones.  Rescheduling pushes only
+when the new key is smaller than the responsible entry's; ``run()``
+re-pushes a popped responsible entry at the event's current key and
+drops any other entry whose key is not the event's.  A stale entry is
+never executed, counted or shown to the event hook.
 """
 
 from __future__ import annotations
@@ -26,7 +37,8 @@ from repro.utils.errors import ReentrancyError
 class Event:
     """A scheduled callback; keep the handle to be able to cancel it."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_owner")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_owner",
+                 "_heap_time", "_heap_seq")
 
     def __init__(self, time: float, seq: int, callback: Callable, args: tuple):
         self.time = time
@@ -35,6 +47,14 @@ class Event:
         self.args = args
         self.cancelled = False
         self._owner: Optional["Simulator"] = None
+        # Key of the heap entry responsible for this event (see module doc).
+        self._heap_time = time
+        self._heap_seq = seq
+
+    @property
+    def pending(self) -> bool:
+        """Scheduled and neither executed nor cancelled yet."""
+        return self._owner is not None
 
     def cancel(self) -> None:
         """Prevent the callback from running; safe to call more than once.
@@ -128,6 +148,30 @@ class Simulator:
             delay = 0.0
         return self.schedule(delay, callback, *args)
 
+    def reschedule(self, event: Event, delay: float) -> None:
+        """Move a pending ``event`` to run ``delay`` seconds from now.
+
+        Equivalent to ``event.cancel()`` followed by ``schedule()`` of the
+        same callback — it takes the next (shaken) sequence number — but
+        keeps the handle and pushes a heap entry only when the new key is
+        smaller than the one the event already holds in the heap.
+        """
+        if event._owner is not self:
+            raise ValueError("only a pending event of this simulator can be rescheduled")
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        seq = self._seq
+        if self._shake_key is not None:
+            seq = ((seq ^ self._shake_key) * 0x9E3779B1) & 0xFFFFFFFF
+        self._seq += 1
+        time = self.now + delay
+        event.time = time
+        event.seq = seq
+        if time < event._heap_time or (time == event._heap_time and seq < event._heap_seq):
+            event._heap_time = time
+            event._heap_seq = seq
+            heapq.heappush(self._queue, (time, seq, event))
+
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> None:
         """Process events in order until the queue drains or ``until`` passes.
 
@@ -146,11 +190,20 @@ class Simulator:
         event_hook = self._event_hook
         try:
             while queue:
-                event = queue[0][2]
-                if until is not None and event.time > until:
+                entry = queue[0]
+                if until is not None and entry[0] > until:
                     break
-                if event.cancelled:
-                    heappop(queue)
+                event = entry[2]
+                if event.seq != entry[1] or event._owner is None:
+                    # Cancelled, already executed, or rescheduled since
+                    # this entry was pushed: hand a responsible entry on
+                    # to the event's current key, drop any other.
+                    if event._owner is not None and entry[1] == event._heap_seq:
+                        event._heap_time = event.time
+                        event._heap_seq = event.seq
+                        heapq.heapreplace(queue, (event.time, event.seq, event))
+                    else:
+                        heappop(queue)
                     continue
                 # Check the cap BEFORE popping: the event that trips it
                 # must stay queued so a follow-up run() resumes without

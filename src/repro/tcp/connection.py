@@ -1133,8 +1133,12 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        if self._inflight:
+        if not self._inflight:
+            self._cancel_rto()
+        elif self._rto_event is not None and self._rto_event.pending:
+            # Pushed back in place: same (time, seq) as cancel + schedule.
+            self.sim.reschedule(self._rto_event, self.rto.rto)
+        else:
             self._rto_event = self.sim.schedule(self.rto.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:

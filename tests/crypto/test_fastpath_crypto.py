@@ -15,6 +15,7 @@ them may depend on optional machinery without a hard reason.
 
 import json
 import os
+from array import array
 import random
 import struct
 import subprocess
@@ -42,8 +43,8 @@ from repro.utils.errors import CryptoError
 _RNG = random.Random(0x7C9)
 
 #: Sizes straddling every boundary in the batched code: the empty and
-#: sub-block cases, the 16-byte block edge, the 1024-byte group edge
-#: (64 blocks x 16 bytes), the 3072-byte MIN_BATCH edge of the AEAD's
+#: sub-block cases, the 16-byte block edge, the 512-byte group edge
+#: (32 blocks x 16 bytes), the 1024-byte MIN_BATCH edge of the AEAD's
 #: MAC dispatch, and the TLS record ceiling.
 BOUNDARY_SIZES = (
     0, 1, 15, 16, 17, 31, 32, 511, 512, 513,
@@ -108,10 +109,11 @@ def test_poly1305_pure_int_group_path(monkeypatch):
 
 
 def test_poly1305_group_evaluators_agree():
-    """numpy and pure-int group folds are interchangeable."""
+    """The float64 Toeplitz product and the pure-int group fold are
+    interchangeable."""
     if not _poly_fast.HAVE_NUMPY:
         pytest.skip("numpy unavailable: only one group evaluator exists")
-    for size in (1024, 2048, 4096, 16384):
+    for size in (512, 1024, 2048, 4096, 16384):
         r = int.from_bytes(_random_bytes(16), "little") & _poly_fast._R_CLAMP
         powers = _poly_fast._powers_of_r(r)
         view = memoryview(_random_bytes(size))
@@ -120,10 +122,72 @@ def test_poly1305_group_evaluators_agree():
         ) == _poly_fast._grouped_int(view, size, powers, powers[0])
 
 
+#: The largest AEAD input of a TLS record: a 5-byte header padded to 16,
+#: a 2^14 + 256-byte TLSCiphertext less its 16-byte tag, and the length
+#: block.
+LARGEST_MAC_INPUT = 16 + (2**14 + 256 - 16) + 16
+
+
+def _exactness_edge_sizes():
+    """Every group boundary from ``MIN_BATCH_BYTES`` to the largest AEAD
+    input, one block and one byte either side, and partial tails."""
+    group = _poly_fast._GROUP_BYTES
+    sizes = set()
+    for edge in range(_poly_fast.MIN_BATCH_BYTES, LARGEST_MAC_INPUT + group, group):
+        sizes.update(edge + delta for delta in (-16, -1, 0, 1, 15, 16, 17, group - 1))
+    sizes.add(LARGEST_MAC_INPUT)
+    return sorted(s for s in sizes if _poly_fast.MIN_BATCH_BYTES <= s <= LARGEST_MAC_INPUT)
+
+
+def test_poly1305_exactness_edges_all_ones():
+    """All-0xFF messages under the largest clamped ``r`` and an all-0xFF
+    ``s``: the largest message limbs the float64 product ever sees, at
+    every group count the AEAD can hand it."""
+    if not _poly_fast.HAVE_NUMPY:
+        pytest.skip("numpy unavailable: no float64 evaluator")
+    key = _poly_fast._R_CLAMP.to_bytes(16, "little") + b"\xff" * 16
+    powers = _poly_fast._powers_of_r(_poly_fast._R_CLAMP)
+    for size in _exactness_edge_sizes():
+        message = b"\xff" * size
+        assert poly1305_mac_fast(key, message) == poly1305_mac(key, message), size
+        grouped = size - size % _poly_fast._GROUP_BYTES
+        view = memoryview(message)
+        assert _poly_fast._grouped_numpy(
+            view, grouped, powers, powers[0]
+        ) == _poly_fast._grouped_int(view, grouped, powers, powers[0]), size
+
+
+def test_poly1305_numpy_evaluator_exact_at_the_limb_bound():
+    """Every limb at its maximum — 0xFFFF message limbs against powers
+    of 2^130 - 1, beyond what any real ``r^j mod p`` reaches — still
+    matches the pure-int fold: no column sum loses a bit."""
+    if not _poly_fast.HAVE_NUMPY:
+        pytest.skip("numpy unavailable: no float64 evaluator")
+    powers = [(1 << 130) - 1] * _poly_fast._GROUP_BLOCKS
+    size = LARGEST_MAC_INPUT - LARGEST_MAC_INPUT % _poly_fast._GROUP_BYTES
+    view = memoryview(b"\xff" * size)
+    assert _poly_fast._grouped_numpy(
+        view, size, powers, powers[0]
+    ) == _poly_fast._grouped_int(view, size, powers, powers[0])
+
+
 def test_poly1305_accepts_memoryview():
     key = _random_bytes(32)
     message = _random_bytes(5000)
     assert poly1305_mac_fast(key, memoryview(message)) == poly1305_mac(key, message)
+
+
+def test_poly1305_reads_wide_item_buffers_as_bytes():
+    """A bytes-like object with items wider than a byte is MACed over
+    its raw bytes, not truncated to its item count."""
+    key = _random_bytes(32)
+    for size in (8, 200, 1600, 4992, 16384):
+        message = _random_bytes(size)
+        words = array("Q")
+        words.frombytes(message)
+        assert poly1305_mac_fast(key, words) == poly1305_mac(key, message), size
+        halves = memoryview(message).cast("I")
+        assert poly1305_mac_fast(key, halves) == poly1305_mac(key, message), size
 
 
 def test_constant_time_equal_is_compare_digest():
