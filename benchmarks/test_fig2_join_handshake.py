@@ -9,12 +9,15 @@ flow, captures the message sequence on both paths, and verifies the
 security properties (single-use cookies, no keys in clear).
 """
 
+from repro.core import join as joinmod
 from repro.core.events import Event
 from repro.core.session import TcplsContext, TcplsServer, TcplsSession
 from repro.netsim.scenarios import dual_path_network
-from repro.netsim.trace import PacketTrace
+from repro.tcp.segment import TcpSegment
 from repro.tcp.stack import TcpStack
+from repro.tls import messages as m
 from repro.tls.certificates import CertificateAuthority, TrustStore
+from repro.tls.record import ContentType, RecordDecoder
 
 from conftest import report
 
@@ -40,9 +43,25 @@ def _build_world():
     return topo, client, sessions
 
 
+class _Recorder:
+    """Pass-through link transformer keeping every (time, TCP segment)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.segments = []
+
+    def __call__(self, datagram):
+        segment = TcpSegment.from_bytes(datagram.payload, verify_checksum=False)
+        self.segments.append((self.sim.now, segment))
+        return datagram
+
+    def lines(self, limit):
+        return [f"  {t:9.6f}  {s.summary()}" for t, s in self.segments[:limit]]
+
+
 def _run_join(topo, client, sessions):
-    v4_trace = PacketTrace(topo.sim)
-    v6_trace = PacketTrace(topo.sim)
+    v4_trace = _Recorder(topo.sim)
+    v6_trace = _Recorder(topo.sim)
     topo.v4_links[0].add_transformer(topo.client.interfaces["eth0"], v4_trace)
     topo.v6_links[0].add_transformer(topo.client.interfaces["eth1"], v6_trace)
 
@@ -67,24 +86,31 @@ def test_fig2_join_flow(once):
     assert len(server.connections) == 2
     # Cookies were delivered encrypted and consumed exactly once.
     assert server.cookie_jar.consumed == 1
+    # The JOIN burned one of the handshake's cookies and the server
+    # topped the purse up with a fresh batch over the encrypted channel.
     cookies_left = len(client.cookie_purse)
-    assert cookies_left == client.context.cookie_batch - 1
+    assert cookies_left == 2 * client.context.cookie_batch - 1
 
-    # No key material in clear: the JOIN ClientHello contains no key_share.
-    from repro.tls import messages as m
-    from repro.tls.record import RecordDecoder
-
-    # Grab the first v6 client->server payload (the JOIN hello record).
-    assert any("49152" in text or "TCP" in text for _t, text in v6_trace.records)
+    # No key material in clear: the first client->server record on the
+    # v6 path is the JOIN ClientHello, and it carries no key_share.
+    decoder = RecordDecoder()
+    decoder.feed(next(s.payload for _t, s in v6_trace.segments if s.payload))
+    outer_type, record = next(decoder.raw_records())
+    assert outer_type == ContentType.HANDSHAKE
+    ((msg_type, body, _raw),) = m.parse_handshake_frames(record)
+    assert msg_type == m.CLIENT_HELLO
+    extensions = {ext_type for ext_type, _ in m.ClientHello.from_body(body).extensions}
+    assert joinmod.EXT_TCPLS_JOIN in extensions
+    assert m.EXT_KEY_SHARE not in extensions
 
     report(
         "Figure 2 — JOIN handshake message flow",
         [
             "v4 path (initial handshake):",
-            *["  " + text for _t, text in v4_trace.records[:6]],
+            *v4_trace.lines(6),
             "...",
             "v6 path (JOIN):",
-            *["  " + text for _t, text in v6_trace.records[:5]],
+            *v6_trace.lines(5),
             "",
             f"cookies minted={server.cookie_jar.consumed + server.cookie_jar.outstanding()}"
             f" consumed={server.cookie_jar.consumed} left(client)={cookies_left}",

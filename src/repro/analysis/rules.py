@@ -99,9 +99,9 @@ class Det001WallClock(Rule):
     title = "no host-clock or environment reads, no unseeded global randomness"
     rationale = """\
 The discrete-event simulator is the determinism root of the whole
-reproduction: PR 1's pcap/telemetry identity checks, PR 3's
-fastpath-vs-scalar cross-checks and PR 4's SHA-256 fuzz replay all
-assume a scenario replays bit-for-bit from its seeds.  A single
+reproduction: the pcap/telemetry identity checks, the frozen
+`sim_digest`s and the attacked-run pcap comparisons all assume a
+scenario replays bit-for-bit from its seeds.  A single
 `time.time()` (or `datetime.now()`, `os.urandom()`, `secrets.*`,
 `uuid.uuid1/4`, or a module-level `random.*` call drawing from the
 OS-seeded global RNG) silently couples a run to the host, and the
@@ -588,8 +588,8 @@ that: `except DecodeError:` for parser fallbacks, `except ReproError:`
 where any library-signalled failure should be contained.
 
 Handlers that re-raise (a bare `raise` in the body) are accepted.
-Intentional catch-alls — a fuzzing harness hunting for contract
-violations, a best-effort alert send during teardown — carry
+Intentional catch-alls — the analyzer isolating one rule's crash, a
+best-effort alert send during teardown — carry
 `# repro: noqa-SEC003` with a justification."""
 
     _BROAD = frozenset(("Exception", "BaseException"))

@@ -224,8 +224,8 @@ def builtin_smoke_scenario(probe: DeterminismProbe) -> None:
     One client, one server, one duplex IPv4 link; full handshake, a
     two-stream data exchange, clean close.  Everything is seeded, so a
     double run must produce identical event-order and pcap digests —
-    that is exactly the invariant PR 1's identity tests and PR 4's fuzz
-    replay rely on.
+    that is exactly the invariant PR 1's identity tests and the
+    attacked-run pcap comparison rely on.
     """
     from repro.core.session import TcplsContext, TcplsServer, TcplsSession
     from repro.netsim.scenarios import simple_duplex_network

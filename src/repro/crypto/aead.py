@@ -24,18 +24,11 @@ from __future__ import annotations
 
 import struct
 
-from repro.crypto.chacha20 import chacha20_keystream_lanes, xor_bytes
+from repro.crypto.chacha20 import chacha20_keystream_lanes
+from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
 from repro.crypto.poly1305 import constant_time_equal, poly1305_mac
 from repro.crypto.poly1305_fast import MIN_BATCH_BYTES, poly1305_mac_fast
 from repro.utils.errors import CryptoError
-
-try:  # numpy is baked into the image, but the AEAD must survive without it
-    from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy subprocess test
-    xor_keystream = xor_bytes
-    HAVE_NUMPY = False
 
 TAG_LENGTH = 16
 KEY_LENGTH = 32
@@ -58,8 +51,8 @@ def numpy_pass_us(records: int, blocks: int) -> float:
 def _keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
     """Blocks ``counter .. counter+n_blocks-1`` of one nonce from the
     cheaper pass: the numpy one from 60 blocks on, the lane-packed one
-    below (and always, without numpy)."""
-    if HAVE_NUMPY and numpy_pass_us(1, n_blocks) < lane_pass_us(n_blocks):
+    below."""
+    if numpy_pass_us(1, n_blocks) < lane_pass_us(n_blocks):
         return chacha20_keystream_multi(key, [nonce], counter, n_blocks)
     return chacha20_keystream_lanes(key, counter, nonce, n_blocks)
 

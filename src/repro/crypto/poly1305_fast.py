@@ -11,26 +11,21 @@ Horner's rule over a group of k blocks,
 so the group costs k small multiplies, one k-term sum and a *single*
 ``% p`` — instead of k of each.
 
-Two group evaluators, picked at import time:
-
-- **numpy** (preferred): the message is read straight from the buffer
-  as little-endian 16-bit limbs, eight per block, and every group's
-  k-term sum becomes one row of a single float64 matrix product against
-  a Toeplitz matrix of the powers' 16-bit limbs, so BLAS does the
-  multiply-adds.  Column ``d`` of a row is the coefficient of
-  ``2^(16*d)`` in the group's sum; the coefficients are recombined
-  through bytes into one big integer per group, and the groups are
-  folded with Horner's rule.  The blocks' ``2^128`` bits add one
-  precomputed ``sum(powers) << 128`` per group.  **Exactness:** every
-  product of two limbs is an integer below 2^32 and a column sums at
-  most 8·k of them, so every partial sum is an integer below 8·k·2^32
-  (2^40 at k = 32, 2^41 at k = 64), which float64 holds exactly —
-  whatever order BLAS sums in and whether it uses FMA.  Pairing two
-  columns into one int64 word afterwards needs 8·k·2^48 < 2^63, so the
-  evaluator is exact for every k below 2^12.
-- **pure int** (fallback): message blocks are pulled out of the buffer
-  four at a time (one 64-byte ``int.from_bytes`` per quad) and the
-  k-term sum is a C-level ``sum(map(mul, limbs, powers))``.
+The group sums come from numpy: the message is read straight from the
+buffer as little-endian 16-bit limbs, eight per block, and every
+group's k-term sum becomes one row of a single float64 matrix product
+against a Toeplitz matrix of the powers' 16-bit limbs, so BLAS does the
+multiply-adds.  Column ``d`` of a row is the coefficient of
+``2^(16*d)`` in the group's sum; the coefficients are recombined
+through bytes into one big integer per group, and the groups are folded
+with Horner's rule.  The blocks' ``2^128`` bits add one precomputed
+``sum(powers) << 128`` per group.  **Exactness:** every product of two
+limbs is an integer below 2^32 and a column sums at most 8·k of them,
+so every partial sum is an integer below 8·k·2^32 (2^40 at k = 32, 2^41
+at k = 64), which float64 holds exactly — whatever order BLAS sums in
+and whether it uses FMA.  Pairing two columns into one int64 word
+afterwards needs 8·k·2^48 < 2^63, so the evaluator is exact for every k
+below 2^12.
 
 The group size trades precomputation (k-1 multiplies per message, since
 ``r`` is a fresh one-time key for every AEAD record) against the number
@@ -39,29 +34,22 @@ optimum for the record sizes the TLS layer produces (up to 2^14 bytes).
 
 The scalar ``poly1305_mac`` stays the reference and the fallback for
 messages under ``MIN_BATCH_BYTES``, where precomputing powers would cost
-more than it saves.  ``tests/crypto`` cross-checks all implementations on
-randomized inputs; they must agree bit-for-bit on every input.
+more than it saves.  ``tests/crypto`` cross-checks the two on randomized
+and boundary inputs; they must agree bit-for-bit on every input.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from operator import mul
 
-try:
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
-    HAVE_NUMPY = False
+import numpy as _np
 
 _P = (1 << 130) - 5
 _R_CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
 _HI = 1 << 128          # the high bit appended to every full block
 _M128 = (1 << 128) - 1
 
-#: Blocks folded per reduction.  The numpy evaluator is exact below 2^12
+#: Blocks folded per reduction.  The float64 product is exact below 2^12
 #: (see the module docstring).
 _GROUP_BLOCKS = 32
 _GROUP_BYTES = 16 * _GROUP_BLOCKS
@@ -96,12 +84,11 @@ def _toeplitz_index():
     return index.reshape(8 * _GROUP_BLOCKS, 20)
 
 
-if HAVE_NUMPY:
-    _TOEPLITZ_INDEX = _toeplitz_index()
+_TOEPLITZ_INDEX = _toeplitz_index()
 
 
 def _powers_of_r(r: int) -> list:
-    """``[r^k, r^(k-1), ..., r^1] mod p`` for the group evaluators."""
+    """``[r^k, r^(k-1), ..., r^1] mod p`` for the group fold."""
     powers = [r] * _GROUP_BLOCKS
     for j in range(_GROUP_BLOCKS - 2, -1, -1):
         powers[j] = (powers[j + 1] * r) % _P
@@ -136,25 +123,6 @@ def _grouped_numpy(view, grouped_end: int, powers: list, r_k: int) -> int:
     return accumulator
 
 
-def _grouped_int(view, grouped_end: int, powers: list, r_k: int) -> int:
-    """Pure-int group fold: 64-byte reads, C-level k-term dot product."""
-    from_bytes = int.from_bytes
-    accumulator = 0
-    offset = 0
-    while offset < grouped_end:
-        limbs = []
-        append = limbs.append
-        for quad_offset in range(offset, offset + _GROUP_BYTES, 64):
-            quad = from_bytes(view[quad_offset : quad_offset + 64], "little")
-            append((quad & _M128) | _HI)
-            append(((quad >> 128) & _M128) | _HI)
-            append(((quad >> 256) & _M128) | _HI)
-            append((quad >> 384) | _HI)
-        accumulator = (accumulator * r_k + sum(map(mul, limbs, powers))) % _P
-        offset += _GROUP_BYTES
-    return accumulator
-
-
 def poly1305_mac_fast(key: bytes, message) -> bytes:
     """Compute the 16-byte Poly1305 tag; same contract as the scalar
     ``poly1305_mac`` but ``message`` may be any C-contiguous bytes-like
@@ -174,11 +142,7 @@ def poly1305_mac_fast(key: bytes, message) -> bytes:
     grouped_end = full - (full % _GROUP_BYTES)
     if grouped_end:
         powers = _powers_of_r(r)
-        r_k = powers[0]
-        if HAVE_NUMPY:
-            accumulator = _grouped_numpy(view, grouped_end, powers, r_k)
-        else:
-            accumulator = _grouped_int(view, grouped_end, powers, r_k)
+        accumulator = _grouped_numpy(view, grouped_end, powers, powers[0])
         offset = grouped_end
 
     # Leftover full blocks (fewer than one group): scalar Horner.

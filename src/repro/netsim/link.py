@@ -17,10 +17,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Sequence, Union
 
-try:  # pragma: no cover - exercised by environment, not branches
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.netsim.packet import Datagram
 from repro.obs import keys as obs_keys
@@ -264,7 +261,7 @@ class Link:
         if len(datagrams) == 1:
             self.transmit(from_interface, datagrams[0])
             return
-        if _np is None or self.loss_rate or self.reorder_rate:
+        if self.loss_rate or self.reorder_rate:
             for datagram in datagrams:
                 self.transmit(from_interface, datagram)
             return

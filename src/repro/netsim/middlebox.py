@@ -13,13 +13,18 @@ actually rewrites pay for a full parse → mutate → reserialize round
 trip; NAT and the payload corruptor skip even that by patching the raw
 bytes in place and refreshing the checksum.  A packet the peek cannot
 read (not TCP, truncated, lying data offset) passes through untouched.
+
+The keyless attackers at the end of the module (``SegmentInjector``,
+``PayloadTamperer``, ``RstBlaster``) are hostile rather than broken:
+they forge, tamper and reset, and the session must survive them.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.netsim.packet import Datagram, PROTO_TCP
 from repro.tcp.options import (
@@ -292,3 +297,175 @@ class PayloadCorruptor:
             self.corrupted += 1
             return datagram.copy(payload=bytes(tampered))
         return datagram
+
+
+# ---------------------------------------------------------------------------
+# Keyless attackers: on-path or off-path adversaries without the TLS keys.
+# They can make an established TCPLS session degrade (trip guards, fail a
+# connection over) but never desync its delivered byte stream, crash an
+# endpoint or break exactly-once delivery.  Each is count-bounded and
+# draws only from its own seeded RNG, so attacked runs replay bit-for-bit.
+# ---------------------------------------------------------------------------
+
+
+class SegmentInjector:
+    """Injects forged garbage segments into an established flow.
+
+    Copies the flow's addressing from a passing segment (what an
+    on-path observer sees in cleartext) and appends a forged segment
+    whose payload is attacker-controlled bytes — mutated record
+    headers, truncated records, plaintext junk.  Without the keys the
+    forgery can't authenticate, so the receiver must reject it at the
+    record/AEAD layer and survive.
+    """
+
+    def __init__(
+        self,
+        payloads: List[bytes],
+        start_after: int = 3,
+        every: int = 4,
+        seed: int = 0,
+    ) -> None:
+        self.payloads = list(payloads)
+        self.start_after = start_after
+        self.every = every
+        self.rng = random.Random(seed)
+        self.seen = 0
+        self.injected = 0
+
+    def __call__(self, datagram: Datagram):
+        segment = _parse_tcp(datagram)
+        if segment is None or not segment.payload:
+            return datagram
+        self.seen += 1
+        if self.injected >= len(self.payloads):
+            return datagram
+        if self.seen < self.start_after or self.seen % self.every:
+            return datagram
+        payload = self.payloads[self.injected]
+        self.injected += 1
+        # In-window sequence numbering: the forgery lands exactly where
+        # the next genuine bytes would, the worst case for the victim.
+        forged = TcpSegment(
+            src_port=segment.src_port,
+            dst_port=segment.dst_port,
+            seq=(segment.seq + len(segment.payload)) & 0xFFFFFFFF,
+            ack=segment.ack,
+            flags=Flags.ACK | Flags.PSH,
+            window=segment.window,
+            payload=payload,
+        )
+        return [datagram, _reserialize(datagram, forged)]
+
+
+class PayloadTamperer:
+    """Rewrites bytes inside passing TCP payloads (MITM without keys).
+
+    Unlike the middlebox ``PayloadCorruptor`` (one flipped byte, models
+    corruption), this overwrites whole runs with attacker bytes and can
+    target the record header region specifically — length lies on the
+    outer record framing, the strongest thing a keyless MITM can do.
+    Tampers exactly ``count`` segments then goes quiet, so the session's
+    retry budget can recover.
+    """
+
+    def __init__(self, count: int = 3, start_after: int = 4, seed: int = 0) -> None:
+        self.count = count
+        self.start_after = start_after
+        self.rng = random.Random(seed)
+        self.seen = 0
+        self.tampered = 0
+
+    def __call__(self, datagram: Datagram):
+        segment = _parse_tcp(datagram)
+        if segment is None or not segment.payload:
+            return datagram
+        self.seen += 1
+        if self.tampered >= self.count or self.seen < self.start_after:
+            return datagram
+        self.tampered += 1
+        payload = bytearray(segment.payload)
+        mode = self.rng.randrange(3)
+        if mode == 0 and len(payload) >= 5:
+            # Lie in the outer record length field (header bytes 3-4).
+            payload[3] = self.rng.randrange(256)
+            payload[4] = self.rng.randrange(256)
+        elif mode == 1:
+            start = self.rng.randrange(len(payload))
+            end = min(len(payload), start + self.rng.randint(1, 32))
+            for index in range(start, end):
+                payload[index] = self.rng.randrange(256)
+        else:
+            payload[self.rng.randrange(len(payload))] ^= 0xFF
+        segment.payload = bytes(payload)
+        return _reserialize(datagram, segment)
+
+
+class RstBlaster:
+    """Off-path blind-RST attack (the classic TCP reset injection).
+
+    Fires bursts of spoofed RST segments at the receiver using
+    addressing cloned from observed traffic.  ``blind=True`` models a
+    true off-path attacker guessing sequence numbers; ``blind=False``
+    is the strongest case — every RST carries the exact next in-window
+    sequence number, so the victim's TCP genuinely tears down and the
+    TCPLS session must detect the reset and fail over.
+    """
+
+    def __init__(
+        self,
+        count: int = 4,
+        start_after: int = 6,
+        blind: bool = False,
+        seed: int = 0,
+    ) -> None:
+        self.count = count
+        self.start_after = start_after
+        self.blind = blind
+        self.rng = random.Random(seed)
+        self.seen = 0
+        self.fired = 0
+
+    def __call__(self, datagram: Datagram):
+        segment = _parse_tcp(datagram)
+        if segment is None or not segment.payload:
+            return datagram
+        self.seen += 1
+        if self.fired >= self.count or self.seen < self.start_after:
+            return datagram
+        self.fired += 1
+        if self.blind:
+            seq = self.rng.randrange(1 << 32)
+        else:
+            seq = (segment.seq + len(segment.payload)) & 0xFFFFFFFF
+        rst = TcpSegment(
+            src_port=segment.src_port,
+            dst_port=segment.dst_port,
+            seq=seq,
+            ack=segment.ack,
+            flags=Flags.RST | Flags.ACK,
+            window=0,
+        )
+        return [datagram, _reserialize(datagram, rst)]
+
+
+def junk_payloads(seed: int = 0, count: int = 6) -> List[bytes]:
+    """Deterministic attacker payloads: record-shaped lies and raw noise."""
+    rng = random.Random(seed)
+    payloads: List[bytes] = []
+    for index in range(count):
+        kind = index % 3
+        if kind == 0:
+            # A plausible record header with a lying length, then junk.
+            length = rng.randrange(1, 512)
+            body = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+            payloads.append(bytes([23, 0x03, 0x03]) + length.to_bytes(2, "big") + body)
+        elif kind == 1:
+            # A plaintext handshake-type record after establishment.
+            body = bytes(rng.randrange(256) for _ in range(rng.randint(4, 32)))
+            payloads.append(
+                bytes([22, 0x03, 0x03]) + len(body).to_bytes(2, "big") + body
+            )
+        else:
+            payloads.append(bytes(rng.randrange(256) for _ in range(rng.randint(8, 96))))
+    return payloads

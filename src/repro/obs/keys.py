@@ -25,7 +25,6 @@ COMP_SESSION_SERVER = "session.server"
 #: The TCPLS listener (pre-session demux, JOIN routing).
 COMP_SERVER = "server"
 COMP_FAULTS = "faults"
-COMP_FUZZ = "fuzz"
 #: The scale-run session pool/dispatcher (repro.scale).
 COMP_POOL = "scale.pool"
 #: The reconnect-storm recovery driver (repro.scale.recovery).
@@ -132,12 +131,6 @@ OVERLOAD_STATE = "overload.state"
 #: Gauge: bytes tracked against the global memory budget.
 OVERLOAD_MEMORY_BYTES = "overload.memory_bytes"
 
-# -- fuzz metrics -------------------------------------------------------------
-
-FUZZ_INPUTS = "inputs"
-FUZZ_REJECTED = "rejected"
-FUZZ_CRASHERS = "crashers"
-
 # -- link metrics -------------------------------------------------------------
 
 LINK_DELIVERED = "delivered"
@@ -206,9 +199,6 @@ ALL_KEYS = frozenset(
         POOL_REDIALS,
         RECOVERY_RECONNECTS,
         RECOVERY_TTR,
-        FUZZ_INPUTS,
-        FUZZ_REJECTED,
-        FUZZ_CRASHERS,
         LINK_QUEUE_DEPTH,
     )
     + LINK_STATS

@@ -29,11 +29,9 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.crypto import aead as _aead
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
+from repro.crypto.chacha20_fast import chacha20_keystream_multi
 from repro.crypto.keyschedule import TrafficKeys
 from repro.utils.errors import CryptoError, InvalidValue, MessageTooLarge, ProtocolViolation
-
-if _aead.HAVE_NUMPY:
-    from repro.crypto.chacha20_fast import chacha20_keystream_multi
 
 
 class ContentType:
@@ -122,7 +120,7 @@ class CipherState:
         """Generate ``min(LOOKAHEAD_RECORDS, sequence)`` slots from
         sequence ``base`` if ``window_pays``."""
         records, blocks = min(LOOKAHEAD_RECORDS, self.sequence), self._last_blocks
-        if not (_aead.HAVE_NUMPY and window_pays(records, blocks)):
+        if not window_pays(records, blocks):
             return
         nonces = [self.keys.nonce_for(s) for s in range(base, base + records)]
         self._ks_cache = memoryview(

@@ -242,7 +242,7 @@ class TlsSession:
         self.key_updates_sent = 0
         self.key_updates_received = 0
 
-        # Fail-closed accounting (the fuzzing harness and the TCPLS
+        # Fail-closed accounting (the guard tests and the TCPLS
         # session's ``decode.rejected``/``guard.tripped`` counters read
         # these).  ``max_handshake_message`` bounds a single message's
         # declared length; ``max_handshake_buffer`` bounds the reassembly

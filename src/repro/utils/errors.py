@@ -7,7 +7,7 @@ raise only the typed :class:`DecodeError` family on hostile or damaged
 input.  ``DecodeError`` subclasses :class:`ProtocolViolation`, so every
 pre-existing ``except ProtocolViolation`` recovery site (connection
 teardown, segment drop, handshake abort) handles the new hierarchy
-unchanged — while fuzzing harnesses can assert the tighter contract.
+unchanged — while the parser campaign asserts the tighter contract.
 """
 
 from __future__ import annotations

@@ -141,8 +141,6 @@ def keystream_calls(monkeypatch):
     """Every keystream generation in order: ``("window", records)`` or
     ``("lanes", first counter)``.  A lane pass from counter 1 or more
     completes a window slot shorter than its record."""
-    if not _aead.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: no keystream window")
     calls = []
     window, lanes = _record.chacha20_keystream_multi, _aead.chacha20_keystream_lanes
 

@@ -5,21 +5,19 @@ lookahead exist only because they are bit-identical to the RFC 8439
 functions kept in ``repro.crypto`` (``chacha20_block``,
 ``chacha20_encrypt``, ``poly1305_key_gen``, ``poly1305_mac``).  These
 tests are the enforcement: random keys/messages (seeded — failures
-reproduce), boundary sizes around every group/block/window edge, and
-both the numpy and the pure-int group evaluators of the batched
-Poly1305.  ``test_aead_differential.py`` holds the same AEAD to OpenSSL.
+reproduce) and boundary sizes around every group/block/window edge.
+The batched Poly1305's float64 group product is also held to a
+pure-int fold kept here.  ``test_aead_differential.py`` holds the same
+AEAD to OpenSSL.
 
 The CI perf-smoke job fails if any test here is *skipped*, so none of
 them may depend on optional machinery without a hard reason.
 """
 
-import json
-import os
 from array import array
+from operator import mul
 import random
 import struct
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +32,7 @@ from repro.crypto.chacha20 import (
     chacha20_keystream_lanes,
     xor_bytes,
 )
+from repro.crypto.chacha20_fast import chacha20_keystream_multi
 from repro.crypto.keyschedule import TrafficKeys
 from repro.crypto.poly1305 import constant_time_equal, poly1305_key_gen, poly1305_mac
 from repro.crypto.poly1305_fast import poly1305_mac_fast
@@ -95,31 +94,29 @@ def test_poly1305_fast_matches_reference_randomized():
         assert poly1305_mac_fast(key, message) == poly1305_mac(key, message)
 
 
-def test_poly1305_pure_int_group_path(monkeypatch):
-    """The no-numpy fallback evaluator must agree bit-for-bit too."""
-    monkeypatch.setattr(_poly_fast, "HAVE_NUMPY", False)
-    for size in BOUNDARY_SIZES:
-        key = _random_bytes(32)
-        message = _random_bytes(size)
-        assert poly1305_mac_fast(key, message) == poly1305_mac(key, message), size
-    for _ in range(50):
-        key = _random_bytes(32)
-        message = _random_bytes(_RNG.randrange(0, 20000))
-        assert poly1305_mac_fast(key, message) == poly1305_mac(key, message)
+def _int_group_fold(message: bytes, powers: list) -> int:
+    """The group fold in plain integers: each group's blocks (high bit
+    set) dotted with ``powers``, folded by Horner's rule in ``r^k``."""
+    p, group = (1 << 130) - 5, len(powers)
+    accumulator = 0
+    for start in range(0, len(message), 16 * group):
+        blocks = [
+            int.from_bytes(message[o : o + 16], "little") | 1 << 128
+            for o in range(start, start + 16 * group, 16)
+        ]
+        accumulator = (accumulator * powers[0] + sum(map(mul, blocks, powers))) % p
+    return accumulator
 
 
 def test_poly1305_group_evaluators_agree():
-    """The float64 Toeplitz product and the pure-int group fold are
-    interchangeable."""
-    if not _poly_fast.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: only one group evaluator exists")
+    """The float64 Toeplitz product equals the pure-int group fold."""
     for size in (512, 1024, 2048, 4096, 16384):
         r = int.from_bytes(_random_bytes(16), "little") & _poly_fast._R_CLAMP
         powers = _poly_fast._powers_of_r(r)
-        view = memoryview(_random_bytes(size))
+        message = _random_bytes(size)
         assert _poly_fast._grouped_numpy(
-            view, size, powers, powers[0]
-        ) == _poly_fast._grouped_int(view, size, powers, powers[0])
+            memoryview(message), size, powers, powers[0]
+        ) == _int_group_fold(message, powers)
 
 
 #: The largest AEAD input of a TLS record: a 5-byte header padded to 16,
@@ -143,32 +140,22 @@ def test_poly1305_exactness_edges_all_ones():
     """All-0xFF messages under the largest clamped ``r`` and an all-0xFF
     ``s``: the largest message limbs the float64 product ever sees, at
     every group count the AEAD can hand it."""
-    if not _poly_fast.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: no float64 evaluator")
     key = _poly_fast._R_CLAMP.to_bytes(16, "little") + b"\xff" * 16
-    powers = _poly_fast._powers_of_r(_poly_fast._R_CLAMP)
     for size in _exactness_edge_sizes():
         message = b"\xff" * size
         assert poly1305_mac_fast(key, message) == poly1305_mac(key, message), size
-        grouped = size - size % _poly_fast._GROUP_BYTES
-        view = memoryview(message)
-        assert _poly_fast._grouped_numpy(
-            view, grouped, powers, powers[0]
-        ) == _poly_fast._grouped_int(view, grouped, powers, powers[0]), size
 
 
 def test_poly1305_numpy_evaluator_exact_at_the_limb_bound():
     """Every limb at its maximum — 0xFFFF message limbs against powers
     of 2^130 - 1, beyond what any real ``r^j mod p`` reaches — still
     matches the pure-int fold: no column sum loses a bit."""
-    if not _poly_fast.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: no float64 evaluator")
     powers = [(1 << 130) - 1] * _poly_fast._GROUP_BLOCKS
     size = LARGEST_MAC_INPUT - LARGEST_MAC_INPUT % _poly_fast._GROUP_BYTES
-    view = memoryview(b"\xff" * size)
+    message = b"\xff" * size
     assert _poly_fast._grouped_numpy(
-        view, size, powers, powers[0]
-    ) == _poly_fast._grouped_int(view, size, powers, powers[0])
+        memoryview(message), size, powers, powers[0]
+    ) == _int_group_fold(message, powers)
 
 
 def test_poly1305_accepts_memoryview():
@@ -209,10 +196,6 @@ def test_constant_time_equal_is_compare_digest():
 # ----------------------------------------------------------------------
 
 def test_chacha20_keystream_multi_matches_block():
-    if not _aead.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: no vectorized keystream")
-    from repro.crypto.chacha20_fast import chacha20_keystream_multi
-
     key = _random_bytes(32)
     nonces = [_random_bytes(12) for _ in range(5)]
     blocks_per_nonce = 4
@@ -342,10 +325,6 @@ def test_aead_seal_open_matches_scalar_property(key, nonce, plaintext, aad):
 
 
 def test_aead_keystream_slice_entry_points():
-    if not _aead.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: keystream entry points unused")
-    from repro.crypto.chacha20_fast import chacha20_keystream_multi
-
     key = _random_bytes(32)
     nonce = _random_bytes(12)
     aad = _random_bytes(13)
@@ -415,8 +394,6 @@ def test_short_record_inside_a_window_uses_the_window(monkeypatch):
     """A short record whose sequence lies inside an already generated
     lookahead window (tail of a bulk write, a control frame on the data
     context) is served from it: no second keystream pass of any kind."""
-    if not _aead.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: no lookahead window")
     from repro.tls import record as _record
 
     windows = []
@@ -498,52 +475,3 @@ def test_failed_trial_then_owner_opens_at_the_same_sequence():
         assert receiver.sequence == sequence
         assert receiver.open(mine, aad) == inner
         receiver.advance()
-
-
-_NO_NUMPY_SIZES = (0, 1, 63, 64, 65, 200, 1024, 5000, 16385)
-
-
-def test_fast_path_without_numpy():
-    """The AEAD must not need numpy: run it in an interpreter where
-    ``import numpy`` fails, against seals this process computed."""
-    rng = random.Random(5)
-    key = rng.randbytes(32)
-    expected = []
-    for size in _NO_NUMPY_SIZES:
-        nonce, aad, plaintext = rng.randbytes(12), rng.randbytes(13), rng.randbytes(size)
-        expected.append(rfc8439_seal(key, nonce, plaintext, aad).hex())
-    script = f"""
-import json
-import sys
-sys.modules["numpy"] = None
-import random
-from repro.crypto import aead
-from repro.crypto.keyschedule import TrafficKeys
-from repro.tls.record import CipherState
-assert not aead.HAVE_NUMPY
-expected = json.load(sys.stdin)
-rng = random.Random(5)
-cipher = aead.ChaCha20Poly1305(rng.randbytes(32))
-for size, want in zip({_NO_NUMPY_SIZES!r}, expected):
-    nonce, aad, plaintext = rng.randbytes(12), rng.randbytes(13), rng.randbytes(size)
-    fast = cipher.encrypt(nonce, plaintext, aad)
-    assert fast.hex() == want, size
-    assert cipher.decrypt(nonce, fast, aad) == plaintext
-keys = TrafficKeys.from_secret(b"k" * 32)
-sender, receiver = CipherState(keys), CipherState(keys)
-for size in (10, 3000, 10):
-    sealed = sender.seal(b"r" * size, b"hdr")
-    assert receiver.open(sealed, b"hdr") == b"r" * size
-    sender.advance()
-    receiver.advance()
-print("ok")
-"""
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, input=json.dumps(expected),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
-

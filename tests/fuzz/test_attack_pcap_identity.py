@@ -8,7 +8,7 @@ proves the attack really engaged (nonzero ``guard.tripped``).
 """
 
 from repro.faults import FaultPlan
-from repro.fuzz.attackers import PayloadTamperer
+from repro.netsim.middlebox import PayloadTamperer
 from repro.netsim.pcap import PcapWriter
 
 from tests.faults.conftest import establish_paths, fault_world, run_scenario

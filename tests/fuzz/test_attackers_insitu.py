@@ -12,7 +12,7 @@ so the whole thing replays deterministically.
 from repro.core.events import Event
 from repro.core.session import TcplsContext, TcplsServer, TcplsSession
 from repro.faults import FaultPlan
-from repro.fuzz.attackers import (
+from repro.netsim.middlebox import (
     PayloadTamperer,
     RstBlaster,
     SegmentInjector,

@@ -46,8 +46,6 @@ class _Counts:
 
 @pytest.fixture
 def counts(monkeypatch):
-    if not _aead.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: no lookahead window")
     seen = _Counts()
     window, lanes = _record.chacha20_keystream_multi, _aead.chacha20_keystream_lanes
     single = _aead.chacha20_keystream_multi
