@@ -87,7 +87,7 @@ def _run_one(plan, seed=5):
     sim.run(until=90.0)
     check_invariants(
         {stream: PAYLOAD}, recorder, server,
-        context=client.context, audit=audit, slack=2.0,
+        audit=audit, slack=2.0,
     ).assert_ok()
     done_at = max(
         (t for chunks in recorder.chunks.values() for t, _off, _n in chunks),

@@ -10,6 +10,7 @@ security properties (single-use cookies, no keys in clear).
 """
 
 from repro.core import join as joinmod
+from repro.core.cookies import COOKIE_BATCH
 from repro.core.events import Event
 from repro.core.session import TcplsContext, TcplsServer, TcplsSession
 from repro.netsim.scenarios import dual_path_network
@@ -89,7 +90,7 @@ def test_fig2_join_flow(once):
     # The JOIN burned one of the handshake's cookies and the server
     # topped the purse up with a fresh batch over the encrypted channel.
     cookies_left = len(client.cookie_purse)
-    assert cookies_left == 2 * client.context.cookie_batch - 1
+    assert cookies_left == 2 * COOKIE_BATCH - 1
 
     # No key material in clear: the first client->server record on the
     # v6 path is the JOIN ClientHello, and it carries no key_share.

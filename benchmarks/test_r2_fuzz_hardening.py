@@ -66,7 +66,7 @@ def _attacked_transfer(seed=5):
     sim.run(until=90.0)
     check_invariants(
         {stream: PAYLOAD}, recorder, server,
-        context=client.context, audit=audit, slack=4.0,
+        audit=audit, slack=4.0,
     ).assert_ok()
     session_counters = server.obs.telemetry.snapshot().get("session.server", {})
     listener_counters = listener.obs.telemetry.snapshot().get("server", {})

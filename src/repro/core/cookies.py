@@ -16,14 +16,17 @@ from typing import Dict, List, Optional
 
 COOKIE_LENGTH = 16  # 128 bits, per the paper
 CONNID_LENGTH = 16
+# Cookies a server hands out with the handshake, and again after every
+# JOIN to replenish the one it consumed (plus cover for attempts that
+# burned a cookie without completing).
+COOKIE_BATCH = 4
 
 
 class CookieJar:
     """Server-side cookie issuance and single-use validation."""
 
-    def __init__(self, rng: random.Random, batch_size: int = 4) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self.batch_size = batch_size
         self._valid: set = set()
         self.consumed = 0
         self.rejected = 0
@@ -31,7 +34,7 @@ class CookieJar:
     def mint(self, count: Optional[int] = None) -> List[bytes]:
         cookies = [
             bytes(self._rng.randrange(256) for _ in range(COOKIE_LENGTH))
-            for _ in range(count if count is not None else self.batch_size)
+            for _ in range(COOKIE_BATCH if count is None else count)
         ]
         self._valid.update(cookies)
         return cookies

@@ -40,10 +40,6 @@ class Event:
     SESSION_RECOVERED = "session_recovered"
     CONN_RETRY = "conn_retry"
 
-    # Flow control: a stream that raised WouldBlock has drained below
-    # half its send-buffer limit and accepts writes again.
-    STREAM_WRITABLE = "stream_writable"
-
     ALL = (
         CONN_ESTABLISHED, CONN_FAILED, CONN_CLOSED, HANDSHAKE_DONE, JOIN,
         STREAM_OPENED, STREAM_ATTACHED, STREAM_CLOSED, TCP_OPTION_RECEIVED,
@@ -51,7 +47,6 @@ class Event:
         SESSION_CLOSED,
         FAILOVER, MIGRATION_DONE, TICKET,
         SESSION_DEGRADED, SESSION_RECOVERED, CONN_RETRY,
-        STREAM_WRITABLE,
     )
 
 

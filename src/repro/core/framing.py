@@ -207,11 +207,6 @@ def encode_join_ack(conn_index: int) -> bytes:
     return writer.getvalue()
 
 
-@_armored
-def decode_join_ack(body: bytes) -> int:
-    return ByteReader(body).get_u32()
-
-
 def encode_new_cookies(cookies: List[bytes]) -> bytes:
     writer = ByteWriter()
     writer.put_u8(len(cookies))

@@ -33,10 +33,9 @@ of an attempt that already ended) leaves the state alone.
 The session reports ``conn_failed``, ``path_active``, ``joined`` and
 ``cancel``; this class reaches back through ``connect``,
 ``connections``, ``_active_conns``, ``_start_join``, ``_take_over``,
-``_fail_connection``, ``events``, ``cookie_purse``, ``context``
-(``reconnect_*``, ``join_timeout``, ``auto_failover``), ``rng``,
-``sim``, ``obs`` and the flags ``is_server`` / ``session_closed`` —
-nothing else.
+``_fail_connection``, ``events``, ``cookie_purse``,
+``context.auto_failover``, ``rng``, ``sim``, ``obs`` and the flags
+``is_server`` / ``session_closed`` — nothing else.
 """
 
 from __future__ import annotations
@@ -58,6 +57,19 @@ class ReconnectState(enum.Enum):
     DIALLING = "dialling"
     BACKOFF = "backoff"
 
+
+# The redial loop's bounds.  Attempt i waits
+# ``min(RECONNECT_BACKOFF_BASE * 2**(i-1), RECONNECT_BACKOFF_MAX)`` plus
+# up to RECONNECT_BACKOFF_JITTER of that again before redialling, for at
+# most RECONNECT_MAX_RETRIES attempts (each consuming one JOIN cookie);
+# JOIN_TIMEOUT fails an attempt whose JOIN hangs without its TCP
+# connection dying.  ``faults.invariants.max_recovery_time`` bounds a
+# recovery by the same five values.
+RECONNECT_MAX_RETRIES = 4
+RECONNECT_BACKOFF_BASE = 0.25
+RECONNECT_BACKOFF_MAX = 4.0
+RECONNECT_BACKOFF_JITTER = 0.1
+JOIN_TIMEOUT = 10.0
 
 # The degradation ladder: healthy < single_path < no_path.
 _RANK = {None: 0, "single_path": 1, "no_path": 2}
@@ -183,7 +195,7 @@ class Recovery:
         session = self._session
         if session.session_closed:
             return  # a graceful close leaves the episode where it stands
-        budget = session.context.reconnect_max_retries
+        budget = RECONNECT_MAX_RETRIES
         if self.attempt >= budget:
             self._abandon("retries_exhausted")
             return
@@ -204,10 +216,7 @@ class Recovery:
         conn = session.connections[conn_id]
         self._enter(ReconnectState.DIALLING, conn)
         session._start_join(conn)
-        if session.context.join_timeout:
-            self._timer = session.sim.schedule(
-                session.context.join_timeout, self._join_timed_out, conn
-            )
+        self._timer = session.sim.schedule(JOIN_TIMEOUT, self._join_timed_out, conn)
 
     def _join_timed_out(self, conn: TcplsConnection) -> None:
         if conn is not self.attempt_conn:
@@ -220,12 +229,12 @@ class Recovery:
 
     def _back_off(self, reason: str) -> None:
         self._enter(ReconnectState.BACKOFF)
-        session, context = self._session, self._session.context
+        session = self._session
         delay = min(
-            context.reconnect_backoff_base * (2 ** (self.attempt - 1)),
-            context.reconnect_backoff_max,
+            RECONNECT_BACKOFF_BASE * (2 ** (self.attempt - 1)),
+            RECONNECT_BACKOFF_MAX,
         )
-        delay += delay * context.reconnect_backoff_jitter * session.rng.random()
+        delay += delay * RECONNECT_BACKOFF_JITTER * session.rng.random()
         session.obs.tracer.point(
             self._component, "reconnect_backoff",
             attempt=self.attempt, delay=delay, reason=reason,

@@ -11,7 +11,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core import join as joinmod
 from repro.core.context import TcplsContext
-from repro.core.session import TcplsSession
+from repro.core.session import TICKET_LIFETIME, TcplsSession
 from repro.obs import Observability
 from repro.obs import keys as obs_keys
 from repro.tcp.connection import TcpConnection
@@ -24,6 +24,11 @@ from repro.utils.errors import DecodeError, ProtocolViolation
 # Entries in the bounded 0-RTT strike register a listener builds for
 # itself when its context does not bring a shared one.
 ZERO_RTT_ANTI_REPLAY = 4096
+
+# JOIN rate limit: at most JOIN_RATE_LIMIT JOIN attempts per peer
+# address in any sliding JOIN_RATE_WINDOW seconds.
+JOIN_RATE_LIMIT = 8
+JOIN_RATE_WINDOW = 1.0
 
 
 class TcplsServer:
@@ -67,7 +72,7 @@ class TcplsServer:
             context.anti_replay = AntiReplayRegister(
                 capacity=ZERO_RTT_ANTI_REPLAY,
                 clock=lambda: stack.sim.now,
-                window=float(context.ticket_lifetime),
+                window=float(TICKET_LIFETIME),
             )
         # Listener-level hardening counters: rejects that happen before
         # any session exists (garbage first flights, JOIN floods).
@@ -175,17 +180,16 @@ class TcplsServer:
         A keyless attacker can always open TCP connections and send
         JOIN-shaped ClientHellos; without a cap each attempt costs us a
         cookie comparison and (on success-shaped garbage) session
-        lookups.  Bound the attempts per ``join_rate_window`` seconds so
+        lookups.  Bound the attempts per ``JOIN_RATE_WINDOW`` seconds so
         cookie guessing is throttled while legitimate multipath joins
         (a handful per session lifetime) are untouched.
         """
         peer = str(getattr(tcp, "remote_addr", None) or "?")
         now = self.stack.sim.now
-        window = self.context.join_rate_window
         times = [
-            t for t in self._join_times.get(peer, []) if now - t < window
+            t for t in self._join_times.get(peer, []) if now - t < JOIN_RATE_WINDOW
         ]
-        if len(times) >= self.context.join_rate_limit:
+        if len(times) >= JOIN_RATE_LIMIT:
             self._join_times[peer] = times
             return False
         times.append(now)
@@ -257,10 +261,9 @@ class TcplsServer:
         if reaped:
             self.sessions = alive
         now = self.stack.sim.now
-        window = self.context.join_rate_window
         self._join_times = {
             peer: times
             for peer, times in self._join_times.items()
-            if times and now - times[-1] < window
+            if times and now - times[-1] < JOIN_RATE_WINDOW
         }
         return reaped

@@ -57,7 +57,6 @@ from repro.utils.errors import (
     GuardLimitExceeded,
     ProtocolViolation,
     UnknownType,
-    WouldBlock,
 )
 
 # Per-process session counter mixed into each session's RNG: one server
@@ -72,6 +71,31 @@ __all__ = ["TcplsConnection", "TcplsContext", "TcplsServer", "TcplsSession"]
 # tolerates before it is failed over (why: ``_on_raw_record``); this
 # small, it bounds how long a desynchronized connection stalls.
 AUTH_FAILURE_TOLERANCE = 3
+
+# Session tickets a server issues after a full handshake, and the
+# lifetime sealed into each (enforced on both ends; it also sizes the
+# listener's 0-RTT anti-replay window).
+SEND_TICKETS = 2
+TICKET_LIFETIME = 7200
+
+# TCPLS ACK pacing: acknowledge every ACK_EVERY sequenced frames, or
+# ACK_FLUSH_DELAY seconds after the first unacknowledged one.
+ACK_EVERY = 16
+ACK_FLUSH_DELAY = 0.025
+
+# Resource-exhaustion guards (fail closed; each trip increments the
+# session's ``guard.tripped`` counter).  MAX_STREAMS caps the stream
+# table a peer can grow by implicit creation; MAX_REASSEMBLY_BYTES caps
+# one stream's out-of-order buffer (a peer striping far ahead of a hole
+# is hoarding our memory); MAX_SESSION_MEMORY caps the session-wide
+# buffered bytes (every stream's send, reassembly and read queues plus
+# the replay buffer), so many streams each under their own cap cannot
+# sum to a hoard; MAX_PLAINTEXT_RECORDS caps the post-establishment
+# plaintext junk (injected non-APPDATA records) a connection tolerates.
+MAX_STREAMS = 64
+MAX_REASSEMBLY_BYTES = 4 << 20
+MAX_SESSION_MEMORY = 16 << 20
+MAX_PLAINTEXT_RECORDS = 32
 
 
 class TcplsSession:
@@ -110,7 +134,7 @@ class TcplsSession:
 
         # Identity / join state.
         self.connection_id = b""
-        self.cookie_jar = CookieJar(self.rng, batch_size=context.cookie_batch)
+        self.cookie_jar = CookieJar(self.rng)
         self.cookie_purse = CookiePurse()
         self.peer_v4_addresses: List[str] = []
         self.peer_v6_addresses: List[str] = []
@@ -194,14 +218,8 @@ class TcplsSession:
         )
         # Per-stream flow control (the overload tests and O1 benchmark
         # read these to prove backpressure engaged).
-        self._obs_flow_would_block = telemetry.counter(
-            component, obs_keys.FLOW_WOULD_BLOCK
-        )
         self._obs_flow_stalls = telemetry.counter(
             component, obs_keys.FLOW_STALLS
-        )
-        self._obs_flow_writable = telemetry.counter(
-            component, obs_keys.FLOW_WRITABLE
         )
         self._obs_flow_updates_sent = telemetry.counter(
             component, obs_keys.FLOW_WINDOW_UPDATES_SENT
@@ -485,8 +503,8 @@ class TcplsSession:
         tls_config = TlsConfig(
             identity=self.context.identity,
             ticket_key=self.context.ticket_key,
-            send_tickets=self.context.send_tickets,
-            ticket_lifetime=self.context.ticket_lifetime,
+            send_tickets=SEND_TICKETS,
+            ticket_lifetime=TICKET_LIFETIME,
             anti_replay=self.context.anti_replay,
             extra_encrypted_extensions=[(joinmod.EXT_TCPLS, params.to_bytes())],
             rng=random.Random(self.rng.randrange(1 << 30)),
@@ -605,8 +623,7 @@ class TcplsSession:
         # reconnect cycles exhaust the handshake batch and the next
         # failure becomes unrecoverable.  Sent as sequenced control data,
         # so a replenishment in flight when a path dies is replayed.
-        if self.context.cookie_batch > 0:
-            self.send_new_cookies(self.context.cookie_batch)
+        self.send_new_cookies()
         if leftover:
             self._on_tcp_data(conn, leftover)
         return True
@@ -669,26 +686,14 @@ class TcplsSession:
 
     def send(self, stream_id: int, data: bytes) -> int:
         stream = self.streams[stream_id]
-        limit = self.context.stream_send_buffer
-        if limit > 0 and len(stream.send_buffer) + len(data) > limit:
-            # Typed backpressure: the peer has not granted enough credit
-            # to drain the local queue.  Nothing is queued; the caller
-            # waits for Event.STREAM_WRITABLE and retries.
-            stream.writable_blocked = True
-            self._obs_flow_would_block.inc()
-            raise WouldBlock(stream_id, len(stream.send_buffer), limit)
-        if (
-            self.session_memory_bytes() + len(data)
-            > self.context.max_session_memory
-        ):
+        if self.session_memory_bytes() + len(data) > MAX_SESSION_MEMORY:
             # Fail closed toward the application: queueing past the
             # session budget would let one slow peer pin unbounded local
             # memory.  The caller sees backpressure as an exception
             # instead of the farm seeing an OOM.
             self._obs_guard_tripped.inc()
             raise GuardLimitExceeded(
-                f"session memory budget "
-                f"({self.context.max_session_memory}B) exhausted; "
+                f"session memory budget ({MAX_SESSION_MEMORY}B) exhausted; "
                 f"refusing {len(data)}B write to stream {stream_id}"
             )
         stream.queue(data)
@@ -803,25 +808,8 @@ class TcplsSession:
                     continue
                 offset, data, fin = taken
                 self._send_stream_chunk(stream, conn, offset, data, fin)
-                self._maybe_writable(stream)
                 progress = True
         self._maybe_session_close()
-
-    def _maybe_writable(self, stream: TcplsStream) -> None:
-        """Fire STREAM_WRITABLE once a blocked stream's backlog drains.
-
-        Hysteresis at half the send-buffer limit: the event means a
-        retried ``send()`` of reasonable size will succeed, not that a
-        single byte of headroom appeared.
-        """
-        if not stream.writable_blocked:
-            return
-        limit = self.context.stream_send_buffer
-        if limit > 0 and len(stream.send_buffer) > limit // 2:
-            return
-        stream.writable_blocked = False
-        self._obs_flow_writable.inc()
-        self.events.emit(Event.STREAM_WRITABLE, stream_id=stream.stream_id)
 
     def _send_stream_chunk(
         self,
@@ -981,7 +969,7 @@ class TcplsSession:
             # flights), but an endless stream of them is an injection
             # attack burning our cycles — fail the connection.
             conn.plaintext_junk += 1
-            if conn.plaintext_junk > self.context.max_plaintext_records:
+            if conn.plaintext_junk > MAX_PLAINTEXT_RECORDS:
                 raise GuardLimitExceeded(
                     f"conn {conn.conn_id}: {conn.plaintext_junk} plaintext "
                     f"records after establishment"
@@ -1025,7 +1013,7 @@ class TcplsSession:
         self._dispatch_frame(conn, frame)
         if frame.seq:
             self._unacked_since_flush += 1
-            if self._unacked_since_flush >= self.context.ack_every:
+            if self._unacked_since_flush >= ACK_EVERY:
                 self._flush_ack()
             else:
                 self._arm_ack_flush()
@@ -1076,26 +1064,19 @@ class TcplsSession:
                 f"stream {stream_id} data past flow-control limit "
                 f"{stream.granted_limit}"
             )
-        if (
-            stream.reassembly_bytes() + len(data)
-            > self.context.max_reassembly_bytes
-        ):
+        if stream.reassembly_bytes() + len(data) > MAX_REASSEMBLY_BYTES:
             # A peer striping far past an unfilled hole is making us
             # hoard memory; cap the out-of-order buffer.
             raise GuardLimitExceeded(
                 f"stream {stream_id} reassembly buffer over "
-                f"{self.context.max_reassembly_bytes}B"
+                f"{MAX_REASSEMBLY_BYTES}B"
             )
-        if (
-            self.session_memory_bytes() + len(data)
-            > self.context.max_session_memory
-        ):
+        if self.session_memory_bytes() + len(data) > MAX_SESSION_MEMORY:
             # Session-wide budget: many streams each under their own cap
             # can still sum to a hoard; fail the connection, not the
             # process.
             raise GuardLimitExceeded(
-                f"session buffered memory over "
-                f"{self.context.max_session_memory}B"
+                f"session buffered memory over {MAX_SESSION_MEMORY}B"
             )
         self.delivery_log.append((self.sim.now, conn.conn_id, len(data)))
         conn.bytes_delivered += len(data)
@@ -1111,11 +1092,11 @@ class TcplsSession:
     def _ensure_stream(self, stream_id: int, conn: TcplsConnection) -> TcplsStream:
         stream = self.streams.get(stream_id)
         if stream is None:
-            if len(self.streams) >= self.context.max_streams:
+            if len(self.streams) >= MAX_STREAMS:
                 # Implicit stream creation is peer-controlled: cap it so
                 # a hostile sender can't grow the table without bound.
                 raise GuardLimitExceeded(
-                    f"stream table full ({self.context.max_streams}); "
+                    f"stream table full ({MAX_STREAMS}); "
                     f"refusing stream {stream_id}"
                 )
             stream = self._add_stream(stream_id, conn)
@@ -1264,7 +1245,6 @@ class TcplsSession:
         stream.send_limit = max_offset
         stream.stalled = False
         self._pump()
-        self._maybe_writable(stream)
 
     def _on_stream_fin(self, stream: TcplsStream) -> None:
         if self.on_stream_fin:
@@ -1296,9 +1276,7 @@ class TcplsSession:
     def _arm_ack_flush(self) -> None:
         if self._ack_flush_event is not None:
             return
-        self._ack_flush_event = self.sim.schedule(
-            self.context.ack_flush_delay, self._flush_ack
-        )
+        self._ack_flush_event = self.sim.schedule(ACK_FLUSH_DELAY, self._flush_ack)
 
     def _flush_ack(self) -> None:
         if self._ack_flush_event is not None:
@@ -1360,8 +1338,9 @@ class TcplsSession:
         """Unsequenced PING: solicits an immediate TCPLS ACK."""
         self._send_control(TType.PING, b"", 0)
 
-    def send_new_cookies(self, count: int = 4) -> None:
-        """Server: replenish the client's JOIN cookies."""
+    def send_new_cookies(self, count: Optional[int] = None) -> None:
+        """Server: replenish the client's JOIN cookies (``COOKIE_BATCH``
+        of them by default)."""
         cookies = self.cookie_jar.mint(count)
         self._send_reliable(TType.NEW_COOKIES, framing.encode_new_cookies(cookies))
 

@@ -10,7 +10,8 @@ termination semantics of section 2.1.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import heapq
+from typing import Callable, Dict, List, Optional
 
 CONTROL_STREAM_ID = 0
 
@@ -41,6 +42,7 @@ class TcplsStream:
         "bytes_sent",
         "recv_next",
         "_segments",
+        "_offsets",
         "_buffered",
         "fin_offset",
         "remote_closed",
@@ -49,7 +51,6 @@ class TcplsStream:
         "on_fin",
         "send_limit",
         "stalled",
-        "writable_blocked",
         "granted_limit",
         "read_buffer",
     )
@@ -75,11 +76,14 @@ class TcplsStream:
         # WINDOW_UPDATE grants only ever raise it (cumulative max).
         self.send_limit = recv_window
         self.stalled = False  # pending data blocked on zero credit
-        self.writable_blocked = False  # send() raised WouldBlock
 
         # Receiver state.
         self.recv_next = 0  # next in-order offset expected
         self._segments: Dict[int, bytes] = {}
+        # Min-heap of exactly the keys of ``_segments``: the earliest
+        # buffered offset in O(log n), so reassembling n out-of-order
+        # segments costs O(n log n) instead of a min() scan per arrival.
+        self._offsets: List[int] = []
         self._buffered = 0  # bytes held in _segments awaiting reassembly
         self.fin_offset: Optional[int] = None
         self.remote_closed = False
@@ -152,15 +156,15 @@ class TcplsStream:
                     offset = self.recv_next
             if data and offset not in self._segments:
                 self._segments[offset] = data
+                heapq.heappush(self._offsets, offset)
                 self._buffered += len(data)
         self._drain()
 
     def _drain(self) -> None:
         delivered = bytearray()
-        while self._segments:
-            earliest = min(self._segments)
-            if earliest > self.recv_next:
-                break
+        offsets = self._offsets
+        while offsets and offsets[0] <= self.recv_next:
+            earliest = heapq.heappop(offsets)
             data = self._segments.pop(earliest)
             self._buffered -= len(data)
             skip = self.recv_next - earliest

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core import recovery
 from repro.core.events import Event
 
 
@@ -87,24 +88,24 @@ class TrackerAudit:
         return ok
 
 
-def max_recovery_time(context, attempts: Optional[int] = None,
-                      slack: float = 0.5) -> float:
-    """Worst-case seconds from DEGRADED to RECOVERED under ``context``.
+def max_recovery_time(attempts: Optional[int] = None, slack: float = 0.5) -> float:
+    """Worst-case seconds from DEGRADED to RECOVERED.
 
-    Upper bound: each attempt may burn a full ``join_timeout`` before
-    failing, and each retry waits the capped exponential backoff at
-    maximal jitter.  ``slack`` absorbs handshake RTTs and scheduler
-    quantisation.
+    Upper bound from ``core.recovery``'s constants: each attempt may burn
+    a full ``JOIN_TIMEOUT`` before failing, and each retry waits the
+    capped exponential backoff at maximal jitter.  ``slack`` absorbs
+    handshake RTTs and scheduler quantisation.
     """
-    attempts = context.reconnect_max_retries if attempts is None else attempts
+    if attempts is None:
+        attempts = recovery.RECONNECT_MAX_RETRIES
     total = 0.0
     for attempt in range(1, attempts + 1):
         delay = min(
-            context.reconnect_backoff_base * 2 ** (attempt - 1),
-            context.reconnect_backoff_max,
+            recovery.RECONNECT_BACKOFF_BASE * 2 ** (attempt - 1),
+            recovery.RECONNECT_BACKOFF_MAX,
         )
-        total += delay * (1.0 + context.reconnect_backoff_jitter)
-    return total + attempts * context.join_timeout + slack
+        total += delay * (1.0 + recovery.RECONNECT_BACKOFF_JITTER)
+    return total + attempts * recovery.JOIN_TIMEOUT + slack
 
 
 def recovery_spans(session) -> dict:
@@ -157,7 +158,6 @@ def check_invariants(
     sent: Dict[int, bytes],
     recorder: DeliveryRecorder,
     session,
-    context=None,
     audit: Optional[TrackerAudit] = None,
     allow_terminal: bool = False,
     slack: float = 0.5,
@@ -166,8 +166,7 @@ def check_invariants(
 
     ``sent`` maps stream id to the exact bytes the application wrote;
     ``session`` is the *receiving* session (its timeline and streams are
-    inspected); ``context`` enables the recovery-time bound;
-    ``allow_terminal`` accepts runs where the session intentionally
+    inspected); ``allow_terminal`` accepts runs where the session intentionally
     abandoned (cookie exhaustion tests) — data-loss checks are skipped
     for those.
     """
@@ -237,15 +236,14 @@ def check_invariants(
             f"{len(spans['open'])} degradation(s) never recovered: "
             f"{spans['open']}"
         )
-    if context is not None:
-        bound = max_recovery_time(context, slack=slack)
-        report.details["recovery_bound"] = bound
-        for start, end, downtime in spans["recovered"]:
-            if downtime > bound:
-                report.violations.append(
-                    f"recovery at t={end:.3f} took {downtime:.3f}s "
-                    f"(> bound {bound:.3f}s)"
-                )
+    bound = max_recovery_time(slack=slack)
+    report.details["recovery_bound"] = bound
+    for start, end, downtime in spans["recovered"]:
+        if downtime > bound:
+            report.violations.append(
+                f"recovery at t={end:.3f} took {downtime:.3f}s "
+                f"(> bound {bound:.3f}s)"
+            )
     return report
 
 

@@ -73,9 +73,7 @@ RESUMPTION_EARLY_REJECTED = "resumption.early_rejected"
 #: 0-RTT refused by the anti-replay strike register specifically.
 RESUMPTION_REPLAY_REJECTED = "resumption.replay_rejected"
 #: Per-stream flow control (credit windows, PR 9).
-FLOW_WOULD_BLOCK = "flow.would_block"
 FLOW_STALLS = "flow.stalls"
-FLOW_WRITABLE = "flow.writable"
 FLOW_WINDOW_UPDATES_SENT = "flow.window_updates_sent"
 FLOW_WINDOW_UPDATES_RECEIVED = "flow.window_updates_received"
 #: A peer wrote past the credit it was granted (fail-closed).
@@ -175,9 +173,7 @@ ALL_KEYS = frozenset(
         RESUMPTION_EARLY_ACCEPTED,
         RESUMPTION_EARLY_REJECTED,
         RESUMPTION_REPLAY_REJECTED,
-        FLOW_WOULD_BLOCK,
         FLOW_STALLS,
-        FLOW_WRITABLE,
         FLOW_WINDOW_UPDATES_SENT,
         FLOW_WINDOW_UPDATES_RECEIVED,
         FLOW_VIOLATIONS,

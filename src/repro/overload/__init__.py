@@ -16,8 +16,8 @@ exceeds capacity*.  Three layers:
 
 Per-stream credit flow control (the other half of overload robustness)
 lives in ``repro.core``: receive windows + WINDOW_UPDATE grants in
-``core/streams.py`` / ``core/session.py``, surfaced to applications as
-``WouldBlock`` / ``Event.STREAM_WRITABLE``.
+``core/streams.py`` / ``core/session.py``; a sender's local queue is
+bounded by the session memory budget (``GuardLimitExceeded``).
 """
 
 from repro.overload.admission import (

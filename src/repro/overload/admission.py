@@ -56,6 +56,10 @@ TOKEN_COST = {
     KIND_COUPON: 0.1,
 }
 
+#: Retry-coupon sealing key: coupons only need to verify at the farm
+#: that minted them.
+COUPON_KEY = b"repro-overload-coupon-key"
+
 
 @dataclass
 class AdmissionConfig:
@@ -69,13 +73,9 @@ class AdmissionConfig:
     handshake_burst: float = 20.0
     #: Global memory budget across every admitted session.
     global_memory_budget: int = 64 << 20
-    degraded_watermark: float = 0.7
-    shed_watermark: float = 0.9
-    recover_watermark: float = 0.5
     #: Seconds from admission to shed-eligibility deadline.
     session_deadline: float = 30.0
-    #: Retry-coupon sealing key and validity window.
-    coupon_key: bytes = b"repro-overload-coupon-key"
+    #: Retry-coupon validity window.
     coupon_lifetime: float = 5.0
     seed: int = 0
 
@@ -162,9 +162,6 @@ class AdmissionController:
         )
         self.shedder = LoadShedder(
             self.config.global_memory_budget,
-            degraded_watermark=self.config.degraded_watermark,
-            shed_watermark=self.config.shed_watermark,
-            recover_watermark=self.config.recover_watermark,
             session_deadline=self.config.session_deadline,
             observability=self.obs,
         )
@@ -215,8 +212,7 @@ class AdmissionController:
             if kind == KIND_FULL and hello is not None:
                 blob = m.get_extension(hello.extensions, EXT_TCPLS_COUPON)
                 if blob is not None and verify_coupon(
-                    self.config.coupon_key, blob, now,
-                    self.config.coupon_lifetime,
+                    COUPON_KEY, blob, now, self.config.coupon_lifetime
                 ):
                     kind = KIND_COUPON
                     self._obs_coupons_accepted.inc()
@@ -253,7 +249,7 @@ class AdmissionController:
         if kind != KIND_FULL:
             return b""
         self._obs_coupons_minted.inc()
-        return mint_coupon(self.config.coupon_key, self.sim.now, self.rng)
+        return mint_coupon(COUPON_KEY, self.sim.now, self.rng)
 
     # -- session tracking --------------------------------------------------
 

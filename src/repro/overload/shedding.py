@@ -1,14 +1,14 @@
 """Deadline-based load shedding under a global memory budget.
 
-Per-session memory budgets (``TcplsContext.max_session_memory``) bound
+Per-session memory budgets (``core.session.MAX_SESSION_MEMORY``) bound
 what one peer can pin, but a farm's failure mode is the *sum*: many
 sessions each legitimately under their own cap.  The shedder promotes
 those per-session budgets into one global budget and walks a three-state
 machine on the fill fraction:
 
-    NORMAL --(>= degraded_watermark)--> DEGRADED
-    DEGRADED --(>= shed_watermark)----> SHEDDING  (drops sessions)
-    any ----(<= recover_watermark)----> NORMAL    (a "recovered" edge)
+    NORMAL --(>= DEGRADED_WATERMARK)--> DEGRADED
+    DEGRADED --(>= SHED_WATERMARK)----> SHEDDING  (drops sessions)
+    any ----(<= RECOVER_WATERMARK)----> NORMAL    (a "recovered" edge)
 
 In SHEDDING, registered sessions are dropped oldest-deadline-first
 (each session gets ``now + session_deadline`` at admission, so the
@@ -36,6 +36,11 @@ STATE_SHEDDING = "shedding"
 
 _STATE_LEVEL = {STATE_NORMAL: 0, STATE_DEGRADED: 1, STATE_SHEDDING: 2}
 
+#: Budget fill fractions that drive the state machine above.
+DEGRADED_WATERMARK = 0.7
+SHED_WATERMARK = 0.9
+RECOVER_WATERMARK = 0.5
+
 
 class _Tracked:
     __slots__ = ("deadline", "order", "session")
@@ -53,16 +58,10 @@ class LoadShedder:
         self,
         budget_bytes: int,
         *,
-        degraded_watermark: float = 0.7,
-        shed_watermark: float = 0.9,
-        recover_watermark: float = 0.5,
         session_deadline: float = 30.0,
         observability: Optional[Observability] = None,
     ) -> None:
         self.budget_bytes = budget_bytes
-        self.degraded_watermark = degraded_watermark
-        self.shed_watermark = shed_watermark
-        self.recover_watermark = recover_watermark
         self.session_deadline = session_deadline
         #: Fault hook (``memory_pressure``): scales the effective budget.
         self.pressure_factor = 1.0
@@ -125,14 +124,14 @@ class LoadShedder:
         memory = self.memory_bytes()
         budget = self.effective_budget()
         fill = memory / budget
-        if fill >= self.shed_watermark:
+        if fill >= SHED_WATERMARK:
             self._transition(now, STATE_SHEDDING)
             memory = self._shed_to_recover(now, memory, budget)
             fill = memory / budget
-        elif fill >= self.degraded_watermark:
+        elif fill >= DEGRADED_WATERMARK:
             if self.state != STATE_SHEDDING:
                 self._transition(now, STATE_DEGRADED)
-        if fill <= self.recover_watermark and self.state != STATE_NORMAL:
+        if fill <= RECOVER_WATERMARK and self.state != STATE_NORMAL:
             self._transition(now, STATE_NORMAL)
         self._obs_memory.set(memory)
         self._obs_state.set(_STATE_LEVEL[self.state])
@@ -146,7 +145,7 @@ class LoadShedder:
 
     def _shed_to_recover(self, now: float, memory: int, budget: int) -> int:
         """Drop oldest-deadline-first until under the recover watermark."""
-        target = int(budget * self.recover_watermark)
+        target = int(budget * RECOVER_WATERMARK)
         while memory > target and self._tracked:
             victim = min(self._tracked, key=lambda t: (t.deadline, t.order))
             self._tracked.remove(victim)

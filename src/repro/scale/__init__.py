@@ -9,8 +9,8 @@ deterministic simulator:
   responder, dial rotation) and the run loop that the load worlds here
   and in :mod:`repro.overload` share;
 - :mod:`repro.scale.pool` — a scored connection pool / dispatcher that
-  reuses, retires, and warms TCPLS client sessions across multiple
-  listeners (health- and RTT-weighted scoring, wear limits);
+  reuses and retires TCPLS client sessions across multiple listeners
+  (health-, RTT- and load-weighted scoring);
 - :mod:`repro.scale.loadgen` — a seeded arrival/departure churn
   generator that ramps thousands of sessions up and down against a
   multi-listener server farm and records per-request TTFB;

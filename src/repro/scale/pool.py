@@ -10,12 +10,10 @@ owns the whole session lifecycle:
 - **reuse** — an arrival is served by the *best-scoring* ready session
   with spare stream capacity; the score is the session's best usable
   path score (:meth:`TcplsConnection.path_score`, lower is better)
-  inflated by a wear term as the session accumulates uses and a load
-  term as requests stack on it;
-- **retire** — sessions are closed when they fail, wear out
-  (``max_uses``), score above ``max_score``, or lose every usable
+  plus a load term as requests stack on it;
+- **retire** — sessions are closed when they fail or lose every usable
   connection; ``maintain()`` sweeps idle sessions against the same
-  criteria and tops the pool back up to ``warm_target``.
+  criteria.
 
 Everything is event-driven off the session's ``EventDispatcher``
 (``HANDSHAKE_DONE`` marks a dial ready, ``CONN_FAILED`` during dialling
@@ -36,8 +34,6 @@ from repro.obs.hub import Observability
 
 #: Score assigned to a session with no usable connection at all.
 SCORE_UNUSABLE = float("inf")
-#: How strongly wear (uses / max_uses) inflates a session's score.
-WEAR_WEIGHT = 0.25
 #: Score added per request already multiplexed on the session.
 LOAD_WEIGHT = 0.05
 #: How strongly a listener's failure ratio inflates its dial score.
@@ -58,12 +54,6 @@ class PoolConfig:
     max_sessions: int = 64
     #: Requests multiplexed on one session at a time (streams in flight).
     max_streams_per_session: int = 1
-    #: Total uses before a session is retired; 0 disables wear-out.
-    max_uses: int = 0
-    #: Retire an idle session whose score exceeds this; 0 disables.
-    max_score: float = 0.0
-    #: ``maintain()`` dials until this many sessions are ready/connecting.
-    warm_target: int = 0
 
     # Redial backoff after a failed dial.  0 base keeps the legacy
     # behaviour (immediate synchronous redial — fine for isolated
@@ -146,13 +136,12 @@ class PooledSession:
                     best = score
         return best
 
-    def score(self, config: PoolConfig) -> float:
-        """Selection score: path health + wear + load (lower is better)."""
+    def score(self) -> float:
+        """Selection score: path health + load (lower is better)."""
         base = self.path_score()
         if base == SCORE_UNUSABLE:
             return base
-        wear = self.uses / config.max_uses if config.max_uses else 0.0
-        return base * (1.0 + WEAR_WEIGHT * wear) + LOAD_WEIGHT * self.active
+        return base + LOAD_WEIGHT * self.active
 
     def usable(self) -> bool:
         return (
@@ -160,9 +149,6 @@ class PooledSession:
             and not self.session.session_closed
             and self.path_score() != SCORE_UNUSABLE
         )
-
-    def worn(self, config: PoolConfig) -> bool:
-        return bool(config.max_uses) and self.uses >= config.max_uses
 
 
 class SessionPool:
@@ -263,8 +249,7 @@ class SessionPool:
             entry.listener.failures += 1
             self.retire(entry)
         elif entry.state != PooledSession.RETIRED and (
-            entry.worn(self.config)
-            or entry.session.session_closed
+            entry.session.session_closed
             or entry.path_score() == SCORE_UNUSABLE
         ):
             self.retire(entry)
@@ -284,24 +269,16 @@ class SessionPool:
             entry.session.close()
 
     def maintain(self) -> None:
-        """Health sweep + warm top-up; call periodically under churn."""
-        config = self.config
+        """Health sweep; call periodically under churn."""
         for entry in list(self.entries):
             if entry.state != PooledSession.READY or entry.active:
                 continue
             if (
                 entry.session.session_closed
-                or entry.worn(config)
                 or entry.path_score() == SCORE_UNUSABLE
-                or (config.max_score and entry.score(config) > config.max_score)
             ):
                 self.retire(entry)
         self._serve_waiters()
-        if not self._draining:
-            while (
-                self.open_count() < min(config.warm_target, config.max_sessions)
-            ):
-                self._dial()
 
     def drain(self) -> int:
         """Retire every session; returns how many were closed."""
@@ -318,11 +295,11 @@ class SessionPool:
         best = None
         best_key = None
         for entry in self.entries:
-            if not entry.usable() or entry.worn(self.config):
+            if not entry.usable():
                 continue
             if entry.active >= self.config.max_streams_per_session:
                 continue
-            key = (entry.score(self.config), entry.entry_id)
+            key = (entry.score(), entry.entry_id)
             if best_key is None or key < best_key:
                 best, best_key = entry, key
         return best

@@ -65,24 +65,6 @@ class ReentrancyError(ReproError):
     on.  Handlers must ``schedule()`` continuations, never ``run()``."""
 
 
-class WouldBlock(ReproError):
-    """Backpressure: the stream's local send buffer is full.
-
-    Raised by ``TcplsSession.send()`` when ``stream_send_buffer`` is
-    configured and the unsent backlog would exceed it — the peer has not
-    granted enough flow-control credit to drain the queue.  The caller
-    should wait for the ``Event.STREAM_WRITABLE`` event and retry; the
-    data from the failed call was *not* queued."""
-
-    def __init__(self, stream_id: int, queued: int, limit: int):
-        super().__init__(
-            f"stream {stream_id} send buffer full ({queued}/{limit} bytes)"
-        )
-        self.stream_id = stream_id
-        self.queued = queued
-        self.limit = limit
-
-
 class GuardLimitExceeded(ProtocolViolation):
     """A resource-exhaustion guard tripped (buffer cap, stream cap,
     transcript limit, JOIN rate limit).  Subclasses ``ProtocolViolation``

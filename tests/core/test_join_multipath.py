@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cookies import COOKIE_BATCH
 from repro.core.events import Event
 from tests.core.conftest import World, collect_stream_data, make_contexts
 
@@ -49,7 +50,7 @@ def test_join_consumes_a_cookie(dual_world):
     assert world.server_session.cookie_jar.consumed == 1
     # The JOIN burned one cookie; the server then replenished a full
     # batch over the encrypted channel so failover never runs dry.
-    expected = cookies_before - 1 + world.client.context.cookie_batch
+    expected = cookies_before - 1 + COOKIE_BATCH
     assert len(world.client.cookie_purse) == expected
 
 

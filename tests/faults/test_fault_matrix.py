@@ -12,6 +12,7 @@ stream pinned to one path or spreads it.
 
 import pytest
 
+from repro.core import recovery
 from repro.faults import FaultPlan
 
 from tests.faults.conftest import establish_paths, fault_world, run_scenario
@@ -82,13 +83,13 @@ def test_concurrent_faults_on_both_paths():
     report.assert_ok()
 
 
-def test_total_blackout_recovers_after_restore():
+def test_total_blackout_recovers_after_restore(monkeypatch):
     """Both paths flap together for longer than the TCP user timeout:
     every connection dies, the session reports no_path, and once the
     links return the retry machinery must re-JOIN and finish the
     transfer."""
-    world = establish_paths(fault_world(paths=2, seed=13,
-                                        join_timeout=2.0))
+    monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
+    world = establish_paths(fault_world(paths=2, seed=13))
     plan = FaultPlan(name="blackout").flap(2.5, 8.0, path=0).flap(2.5, 8.0, path=1)
     report, _ = run_scenario(world, plan, PAYLOAD, until=120.0, slack=4.0)
     report.assert_ok()

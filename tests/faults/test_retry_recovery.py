@@ -8,6 +8,7 @@ cookie exhaustion died as a silent ``return``.
 
 import pytest
 
+from repro.core import cookies, recovery
 from repro.core.events import Event
 from repro.faults import (
     DeliveryRecorder,
@@ -22,18 +23,19 @@ from tests.faults.conftest import establish_paths, fault_world, run_scenario
 PAYLOAD = bytes(range(256)) * 12000  # ~3 MB
 
 
-def _single_path_world(**overrides):
-    return establish_paths(fault_world(paths=1, rate_bps=5e6, **overrides))
+def _single_path_world():
+    return establish_paths(fault_world(paths=1, rate_bps=5e6))
 
 
-def test_reconnect_retries_after_lost_attempt():
+def test_reconnect_retries_after_lost_attempt(monkeypatch):
     """The only path dies mid-transfer and stays dark long enough that
     the first reconnection attempt is lost too (its SYN/JOIN go into a
     dead link and time out).  The seed code stalls here forever; the
     retry loop must keep redialling until the link returns, then finish
     the transfer.
     """
-    world = _single_path_world(join_timeout=2.0)
+    monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
+    world = _single_path_world()
     retries = []
     world.client.on(Event.CONN_RETRY, lambda **kw: retries.append(kw))
     # Down at 2.5 for 9 s: the TCP user timeout (5 s) kills the active
@@ -87,12 +89,13 @@ def test_lost_reconnect_join_recovers_via_retry():
     )
 
 
-def test_join_handlers_do_not_leak_across_recoveries():
+def test_join_handlers_do_not_leak_across_recoveries(monkeypatch):
     """Every reconnection registers a one-shot JOIN handler; after two
     full outage/recovery cycles the handler count must be back at the
     baseline (the seed code accumulated one per failover, and stale
     handlers re-fired old replays)."""
-    world = _single_path_world(join_timeout=2.0)
+    monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
+    world = _single_path_world()
     recorder = DeliveryRecorder(world.server_session)
     baseline = world.client.events.handler_count(Event.JOIN)
 
@@ -123,11 +126,12 @@ def test_join_handlers_do_not_leak_across_recoveries():
     assert recorder.bytes_for(second) == PAYLOAD
 
 
-def test_retry_budget_exhaustion_is_terminal_and_surfaced():
+def test_retry_budget_exhaustion_is_terminal_and_surfaced(monkeypatch):
     """A permanent outage must end in a terminal SESSION_DEGRADED with
     reason retries_exhausted after exactly the budgeted attempts — not a
     silent stall."""
-    world = _single_path_world(join_timeout=1.5)
+    monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 1.5)
+    world = _single_path_world()
     retries, degraded = [], []
     world.client.on(Event.CONN_RETRY, lambda **kw: retries.append(kw))
     world.client.on(Event.SESSION_DEGRADED, lambda **kw: degraded.append(kw))
@@ -136,7 +140,7 @@ def test_retry_budget_exhaustion_is_terminal_and_surfaced():
                              allow_terminal=True)
     terminal = [kw for kw in degraded if kw.get("terminal")]
     assert terminal and terminal[-1]["reason"] == "retries_exhausted"
-    budget = world.client_ctx.reconnect_max_retries
+    budget = recovery.RECONNECT_MAX_RETRIES
     assert [kw["attempt"] for kw in retries] == list(range(1, budget + 1))
     assert world.client.describe()["degraded_level"] == "no_path"
     telemetry = world.client.obs.telemetry
@@ -144,10 +148,11 @@ def test_retry_budget_exhaustion_is_terminal_and_surfaced():
     assert telemetry.counter("session.client", "failover.retries").value == budget
 
 
-def test_retry_attempts_respect_backoff_floor():
+def test_retry_attempts_respect_backoff_floor(monkeypatch):
     """Consecutive CONN_RETRY timestamps must be separated by at least
     the deterministic part of the exponential backoff schedule."""
-    world = _single_path_world(join_timeout=1.5)
+    monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 1.5)
+    world = _single_path_world()
     stamped = []
     world.client.on(
         Event.CONN_RETRY,
@@ -155,12 +160,11 @@ def test_retry_attempts_respect_backoff_floor():
     )
     plan = FaultPlan(name="permanent").flap(2.5, 500.0, path=0)
     run_scenario(world, plan, PAYLOAD, until=60.0, allow_terminal=True)
-    ctx = world.client_ctx
     for (t_prev, n_prev), (t_next, n_next) in zip(stamped, stamped[1:]):
         assert n_next == n_prev + 1
         floor = min(
-            ctx.reconnect_backoff_base * 2 ** (n_prev - 1),
-            ctx.reconnect_backoff_max,
+            recovery.RECONNECT_BACKOFF_BASE * 2 ** (n_prev - 1),
+            recovery.RECONNECT_BACKOFF_MAX,
         )
         assert t_next - t_prev >= floor, (
             f"attempt {n_next} fired {t_next - t_prev:.3f}s after "
@@ -168,11 +172,13 @@ def test_retry_attempts_respect_backoff_floor():
         )
 
 
-def test_cookie_exhaustion_is_surfaced_not_silent():
+def test_cookie_exhaustion_is_surfaced_not_silent(monkeypatch):
     """With no JOIN cookies at all, the first reconnection attempt must
     surface a terminal cookies_exhausted degradation and bump the
     telemetry counter (the seed code silently returned)."""
-    world = _single_path_world(cookie_batch=0, join_timeout=2.0)
+    monkeypatch.setattr(cookies, "COOKIE_BATCH", 0)
+    monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
+    world = _single_path_world()
     degraded = []
     world.client.on(Event.SESSION_DEGRADED, lambda **kw: degraded.append(kw))
     plan = FaultPlan(name="outage").flap(2.5, 9.0, path=0)
@@ -187,20 +193,19 @@ def test_cookie_exhaustion_is_surfaced_not_silent():
     assert spans["terminal"], "terminal degradation missing from timeline"
 
 
-def test_max_recovery_time_formula():
-    ctx = type("Ctx", (), dict(
-        reconnect_max_retries=3,
-        reconnect_backoff_base=0.25,
-        reconnect_backoff_max=4.0,
-        reconnect_backoff_jitter=0.1,
-        join_timeout=2.0,
-    ))()
-    # Backoffs 0.25, 0.5, 1.0 with 10% jitter headroom, plus 3 join
-    # timeouts, plus slack.
-    expected = (0.25 + 0.5 + 1.0) * 1.1 + 3 * 2.0 + 0.5
-    assert max_recovery_time(ctx) == pytest.approx(expected)
-    assert max_recovery_time(ctx, attempts=1, slack=0.0) == pytest.approx(
-        0.25 * 1.1 + 2.0
+def test_max_recovery_time_formula(monkeypatch):
+    # The shipped schedule: backoffs 0.25, 0.5, 1.0, 2.0 with 10% jitter
+    # headroom, plus 4 JOIN timeouts of 10 s, plus slack.
+    expected = (0.25 + 0.5 + 1.0 + 2.0) * 1.1 + 4 * 10.0 + 0.5
+    assert max_recovery_time() == pytest.approx(expected)
+    assert max_recovery_time(attempts=1, slack=0.0) == pytest.approx(
+        0.25 * 1.1 + 10.0
+    )
+    # The bound follows the module constants a test patches.
+    monkeypatch.setattr(recovery, "RECONNECT_MAX_RETRIES", 3)
+    monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
+    assert max_recovery_time() == pytest.approx(
+        (0.25 + 0.5 + 1.0) * 1.1 + 3 * 2.0 + 0.5
     )
 
 

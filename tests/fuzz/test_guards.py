@@ -1,4 +1,8 @@
-"""Resource-exhaustion guards: caps trip, fail closed, and are counted."""
+"""Resource-exhaustion guards: caps trip, fail closed, and are counted.
+
+Every guard is driven at the threshold that ships, not at a toy value:
+the constants below are the ones a deployed session enforces.
+"""
 
 import types
 
@@ -6,6 +10,13 @@ import pytest
 
 from repro.core import framing
 from repro.core.framing import TType
+from repro.core.server import JOIN_RATE_LIMIT, JOIN_RATE_WINDOW
+from repro.core.session import (
+    MAX_PLAINTEXT_RECORDS,
+    MAX_REASSEMBLY_BYTES,
+    MAX_STREAMS,
+)
+from repro.core.streams import DEFAULT_STREAM_WINDOW
 from repro.tls.alerts import TlsAlertError
 from repro.tls.certificates import CertificateAuthority, TrustStore
 from repro.utils.errors import GuardLimitExceeded
@@ -16,9 +27,9 @@ from tests.tls.tls_pipe import make_pair
 from repro.netsim.scenarios import simple_duplex_network
 
 
-def _world(**overrides):
+def _world():
     net, client_host, server_host, link = simple_duplex_network(delay=0.01)
-    world = World(net, client_host, server_host, **overrides)
+    world = World(net, client_host, server_host)
     world.link = link
     return world
 
@@ -69,10 +80,11 @@ def test_handshake_buffer_guard_trips():
 
 
 def test_max_streams_guard_trips_and_is_counted():
-    world = _world(max_streams=3)
+    world = _world()
     establish(world)
     collect_stream_data(world.server_session)
-    streams = [world.client.stream_new() for _ in range(6)]
+    # One stream more than the table holds, all opened by the peer.
+    streams = [world.client.stream_new() for _ in range(MAX_STREAMS + 1)]
     world.client.streams_attach()
     for index, stream in enumerate(streams):
         world.client.send(stream, bytes([index]) * 64)
@@ -80,35 +92,42 @@ def test_max_streams_guard_trips_and_is_counted():
     server = world.server_session
     # The implicit-stream guard refused the table overflow and the
     # violation was counted (the connection it arrived on was torn down).
-    assert len(server.streams) <= 3
+    assert len(server.streams) == MAX_STREAMS
     assert server._obs_guard_tripped.value >= 1
 
 
 def test_reassembly_cap_guard():
-    world = _world(max_reassembly_bytes=1_000)
+    world = _world()
     establish(world)
     server = world.server_session
     conn = server.primary
-    # Far-ahead stream data (offset leaves a hole) buffers; the second
-    # chunk pushes the out-of-order buffer over the cap.
-    frame = lambda seq, offset: framing.Frame(
+    # A flood of 64 KiB segments behind a hole at offset 0, each half
+    # overlapping the last: every one buffers in full, yet the highest
+    # offset stays far inside the flow-control window.  The frame that
+    # would take the out-of-order buffer past the cap is refused.
+    size, step = 64 << 10, 32 << 10
+    frames = MAX_REASSEMBLY_BYTES // size
+    frame = lambda index: framing.Frame(
         ttype=TType.STREAM_DATA,
-        seq=seq,
-        body=framing.encode_stream_data(2, offset, b"\x55" * 600),
+        seq=index + 1,
+        body=framing.encode_stream_data(2, 1 + index * step, b"\x55" * size),
     )
-    server._on_stream_data_frame(conn, frame(1, 50_000))
-    with pytest.raises(GuardLimitExceeded):
-        server._on_stream_data_frame(conn, frame(2, 60_000))
+    assert 1 + frames * step + size < DEFAULT_STREAM_WINDOW
+    for index in range(frames):
+        server._on_stream_data_frame(conn, frame(index))
+    assert server.streams[2].reassembly_bytes() == MAX_REASSEMBLY_BYTES
+    with pytest.raises(GuardLimitExceeded, match="reassembly buffer"):
+        server._on_stream_data_frame(conn, frame(frames))
 
 
 def test_plaintext_junk_cap_guard():
-    world = _world(max_plaintext_records=4)
+    world = _world()
     establish(world)
     server = world.server_session
     conn = server.primary
     from repro.tls.record import ContentType
 
-    for _ in range(4):
+    for _ in range(MAX_PLAINTEXT_RECORDS):
         server._on_raw_record(conn, ContentType.HANDSHAKE, b"\xde\xad")
     with pytest.raises(GuardLimitExceeded):
         server._on_raw_record(conn, ContentType.HANDSHAKE, b"\xde\xad")
@@ -117,37 +136,34 @@ def test_plaintext_junk_cap_guard():
 def test_plaintext_junk_flood_fails_connection_not_process():
     """End to end: a flood of plaintext records through the TCP stream
     tears the connection down (counted), never crashes the simulator."""
-    world = _world(max_plaintext_records=4)
+    world = _world()
     establish(world)
     server = world.server_session
     conn = server.primary
-    junk = (b"\x16\x03\x03\x00\x04\xde\xad\xbe\xef") * 10
+    junk = (b"\x16\x03\x03\x00\x04\xde\xad\xbe\xef") * (MAX_PLAINTEXT_RECORDS + 1)
     server._on_tcp_data(conn, junk)
     assert server._obs_guard_tripped.value >= 1
     assert conn.state == "FAILED"
 
 
 def test_join_rate_limit_sliding_window():
-    world = _world(join_rate_limit=3, join_rate_window=1.0)
+    world = _world()
     peer = types.SimpleNamespace(remote_addr="10.9.9.9")
     server = world.server
-    assert all(server._join_allowed(peer) for _ in range(3))
+    assert all(server._join_allowed(peer) for _ in range(JOIN_RATE_LIMIT))
     assert not server._join_allowed(peer)
     # Another peer has its own budget.
     other = types.SimpleNamespace(remote_addr="10.9.9.8")
     assert server._join_allowed(other)
     # The window slides: after it passes, the peer may JOIN again.
-    world.sim.schedule(1.5, lambda: None)
-    world.run(until=2.0)
+    world.sim.schedule(1.5 * JOIN_RATE_WINDOW, lambda: None)
+    world.run(until=2 * JOIN_RATE_WINDOW)
     assert server._join_allowed(peer)
     assert server._obs_guard_tripped is not None
 
 
 def test_guard_knobs_have_safe_defaults():
-    from repro.core.session import TcplsContext
-
-    context = TcplsContext()
-    assert context.max_streams >= 16
-    assert context.max_reassembly_bytes >= 1 << 20
-    assert context.max_plaintext_records >= 8
-    assert context.join_rate_limit >= 4
+    assert MAX_STREAMS >= 16
+    assert MAX_REASSEMBLY_BYTES >= 1 << 20
+    assert MAX_PLAINTEXT_RECORDS >= 8
+    assert JOIN_RATE_LIMIT >= 4

@@ -123,7 +123,6 @@ def _controller(clock=None, **overrides):
         handshake_rate=10.0,
         handshake_burst=2.0,
         global_memory_budget=10_000,
-        coupon_key=KEY,
         coupon_lifetime=5.0,
         seed=1,
     )
@@ -260,12 +259,7 @@ def test_shedder_state_machine_walk_and_recovered_edge():
 
 
 def test_shedder_sheds_oldest_deadline_first():
-    shedder = LoadShedder(
-        10_000,
-        shed_watermark=0.5,
-        recover_watermark=0.35,
-        session_deadline=10.0,
-    )
+    shedder = LoadShedder(10_000, session_deadline=10.0)
     old = _StubSession(3_000)
     newer = _StubSession(3_000)
     newest = _StubSession(3_000)
@@ -273,7 +267,7 @@ def test_shedder_sheds_oldest_deadline_first():
     shedder.track(newer, now=1.0)
     shedder.track(newest, now=2.0)
     shedder.observe(3.0)
-    # 9000/10000 >= 0.5: shed until <= 3500 — the two oldest go.
+    # 9000/10000 >= 0.9: shed until <= 5000 — the two oldest go.
     assert old.crashed and newer.crashed
     assert not newest.crashed
     assert shedder.shed_count() == 2
@@ -281,9 +275,7 @@ def test_shedder_sheds_oldest_deadline_first():
 
 def test_shed_sessions_counter_matches_shed_count():
     obs = Observability(sim=None)
-    shedder = LoadShedder(
-        10_000, shed_watermark=0.5, recover_watermark=0.35, observability=obs
-    )
+    shedder = LoadShedder(10_000, observability=obs)
     for now in (0.0, 1.0, 2.0):
         shedder.track(_StubSession(3_000), now=now)
     shedder.observe(3.0)
@@ -303,11 +295,9 @@ def test_shedder_prunes_closed_sessions_without_counting_them():
 
 
 def test_shedder_ties_break_on_admission_order():
-    shedder = LoadShedder(
-        1_000, shed_watermark=0.5, recover_watermark=0.35, session_deadline=5.0
-    )
-    first = _StubSession(400)
-    second = _StubSession(300)
+    shedder = LoadShedder(1_000, session_deadline=5.0)
+    first = _StubSession(500)
+    second = _StubSession(400)
     shedder.track(first, now=0.0)
     shedder.track(second, now=0.0)  # identical deadline
     shedder.observe(0.5)

@@ -1,16 +1,13 @@
-"""End-to-end stream flow control: credit, WouldBlock, bounded memory.
+"""End-to-end stream flow control: credit, stalls, bounded memory.
 
-The tentpole claim of the overload PR is that backpressure propagates
-through every layer: a reader that stops reading stalls the peer's
-sender at roughly one receive window of in-flight data, with the excess
-parked at the *sender* (where the application can see and meter it via
-``WouldBlock``), never at the receiver.
+Backpressure propagates through every layer: a reader that stops
+reading stalls the peer's sender at roughly one receive window of
+in-flight data, with the excess parked at the *sender* (where the
+session memory budget meters it), never at the receiver.
 """
 
-from repro.core.events import Event
 from repro.core.session import TcplsConnection
 from repro.core.streams import DEFAULT_STREAM_WINDOW
-from repro.utils.errors import WouldBlock
 
 from tests.core.conftest import collect_stream_data, establish
 from tests.overload.conftest import make_world
@@ -80,54 +77,6 @@ def test_push_mode_completes_through_tiny_window():
     assert len(payload) > 4 * 4096
 
 
-def test_wouldblock_and_stream_writable_pump():
-    """send() past the configured send buffer raises typed WouldBlock
-    without queueing; STREAM_WRITABLE re-pumps once the backlog halves."""
-    world = make_world(stream_recv_window=WINDOW, stream_send_buffer=2 * WINDOW)
-    establish(world)
-    payload = _payload(96 * 1024, seed=5)
-    chunk = 4096
-
-    stream = world.client.stream_new()
-    world.client.streams_attach()
-    state = {"offset": 0, "blocked": 0}
-
-    def pump(**_kwargs):
-        while state["offset"] < len(payload):
-            piece = payload[state["offset"]:state["offset"] + chunk]
-            before = len(world.client.streams[stream].send_buffer)
-            try:
-                world.client.send(stream, piece)
-            except WouldBlock:
-                state["blocked"] += 1
-                # Nothing from the failed call was queued.
-                assert len(world.client.streams[stream].send_buffer) == before
-                assert world.client.streams[stream].writable_blocked
-                return
-            state["offset"] += len(piece)
-        world.client.stream_close(stream)
-
-    world.client.events.on(Event.STREAM_WRITABLE, pump)
-    pump()
-    # The peer is not reading yet, so the pump must have hit the wall.
-    assert state["blocked"] >= 1
-    assert state["offset"] < len(payload)
-
-    # A slow reader drains; every drain returns credit, every credit
-    # grant drains backlog, every half-empty backlog fires WRITABLE.
-    server = world.server_session
-    received = bytearray()
-    for _ in range(800):
-        received.extend(server.recv_data(stream, 4096))
-        if len(received) >= len(payload):
-            break
-        world.run(until=world.sim.now + 0.02)
-    assert bytes(received) == payload
-    writable_events = world.client.events.events_named(Event.STREAM_WRITABLE)
-    assert len(writable_events) >= 1
-    assert all(kw["stream_id"] == stream for kw in writable_events)
-
-
 def test_send_room_clamps_at_zero():
     """Regression: queued bytes can exceed the window after a cwnd
     collapse; send_room() must clamp instead of going negative and
@@ -182,19 +131,18 @@ def test_send_room_positive_case():
 
 
 def test_unconfigured_contexts_keep_legacy_unbounded_send():
-    """stream_send_buffer defaults to 0 (off): send() never raises
-    WouldBlock and the default window is the protocol constant."""
+    """An unconfigured context grants the protocol-default window."""
     world = make_world()
     establish(world)
     stream = world.client.stream_new()
     world.client.streams_attach()
-    world.client.send(stream, b"x" * (128 * 1024))  # no WouldBlock
+    world.client.send(stream, b"x" * (128 * 1024))
     assert world.client.streams[stream].send_limit == DEFAULT_STREAM_WINDOW
 
 
 def test_zero_credit_blocks_sender_not_stream_state():
     """At exactly zero credit the stream reports stalled but stays
-    writable at the API level until the send buffer cap is hit."""
+    writable at the API level: the bytes queue at the sender."""
     world = make_world(stream_recv_window=4096)
     establish(world)
     stream = world.client.stream_new()

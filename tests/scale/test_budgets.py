@@ -12,15 +12,16 @@ import pytest
 from repro.core import framing
 from repro.core.framing import TType
 from repro.core.reliability import ReplayBuffer
+from repro.core.session import MAX_REASSEMBLY_BYTES, MAX_SESSION_MEMORY
 from repro.netsim.scenarios import simple_duplex_network
 from repro.utils.errors import GuardLimitExceeded
 
 from tests.core.conftest import World, collect_stream_data, establish
 
 
-def _world(**overrides):
+def _world():
     net, client_host, server_host, link = simple_duplex_network(delay=0.01)
-    world = World(net, client_host, server_host, **overrides)
+    world = World(net, client_host, server_host)
     world.link = link
     return world
 
@@ -34,30 +35,33 @@ def _stream_frame(seq, stream_id, offset, size):
 
 
 def test_recv_budget_trips_across_streams_each_under_stream_cap():
-    # Per-stream cap 1500 B, session budget 2000 B.  Four streams each
-    # park 600 out-of-order bytes: every stream stays under its own cap,
-    # but the fourth pushes the session total to 2400 > 2000.
-    world = _world(max_reassembly_bytes=1_500, max_session_memory=2_000)
+    # Five streams each park ~3.9 MiB out of order (behind a hole, inside
+    # the flow-control window): every stream stays under its own 4 MiB
+    # cap, four of them fit the 16 MiB session budget, the fifth does not.
+    size = MAX_REASSEMBLY_BYTES - (100 << 10)
+    assert 4 * size <= MAX_SESSION_MEMORY < 5 * size
+    world = _world()
     establish(world)
     server = world.server_session
     conn = server.primary
-    for i, stream_id in enumerate((2, 4, 6)):
+    for i, stream_id in enumerate((2, 4, 6, 8)):
         server._on_stream_data_frame(
-            conn, _stream_frame(i + 1, stream_id, 50_000, 600)
+            conn, _stream_frame(i + 1, stream_id, 50_000, size)
         )
-    assert server.session_memory_bytes() == 1_800
+    assert server.session_memory_bytes() == 4 * size
     with pytest.raises(GuardLimitExceeded, match="session buffered memory"):
-        server._on_stream_data_frame(conn, _stream_frame(4, 8, 50_000, 600))
+        server._on_stream_data_frame(conn, _stream_frame(5, 10, 50_000, size))
 
 
 def test_send_budget_refuses_oversized_queue():
-    world = _world(max_session_memory=1_000)
+    world = _world()
     establish(world)
     stream = world.client.stream_new()
     world.client.streams_attach()
     with pytest.raises(GuardLimitExceeded, match="session memory budget"):
-        world.client.send(stream, b"\xaa" * 2_000)
+        world.client.send(stream, b"\xaa" * (MAX_SESSION_MEMORY + 1))
     assert world.client._obs_guard_tripped.value >= 1
+    assert not world.client.streams[stream].send_buffer  # nothing was queued
 
 
 def test_session_memory_drains_back_to_zero_after_clean_exchange():
@@ -90,10 +94,7 @@ def test_replay_buffer_tracks_pending_bytes_incrementally():
 
 
 def test_budget_defaults_are_sane():
-    from repro.core.session import TcplsContext
-
-    context = TcplsContext()
     # The session budget must dominate the per-stream cap, or a single
     # legal stream could trip the session guard.
-    assert context.max_session_memory >= context.max_reassembly_bytes
-    assert context.max_session_memory >= 1 << 20
+    assert MAX_SESSION_MEMORY >= MAX_REASSEMBLY_BYTES
+    assert MAX_SESSION_MEMORY >= 1 << 20

@@ -1,4 +1,4 @@
-"""The scored session pool: dial, reuse, retire, dispatch, warmth."""
+"""The scored session pool: dial, reuse, retire, dispatch."""
 
 import gc
 import inspect
@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from repro.core.events import Event, EventDispatcher
+from repro.core.server import JOIN_RATE_WINDOW
 from repro.overload.world import OverloadConfig, OverloadWorld
 from repro.scale.farm import Farm
 from repro.scale.loadgen import ScaleConfig, ScaleWorld, run_scale
@@ -118,19 +119,6 @@ def test_best_path_score_wins_with_entry_id_tiebreak():
     assert picked[0].entry_id == 1
 
 
-def test_wear_retires_at_max_uses():
-    h = Harness(max_uses=2)
-    served = h.acquire()
-    h.last_session().establish()
-    entry = served[0]
-    h.pool.release(entry)
-    assert h.acquire() == [entry]  # second (and final) use
-    h.pool.release(entry)
-    assert entry.state == PooledSession.RETIRED
-    assert entry.session.session_closed
-    assert h.pool.counts["retired"] == 1
-
-
 def test_release_failed_retires_and_counts():
     h = Harness()
     served = h.acquire()
@@ -176,16 +164,6 @@ def test_multiplexing_respects_max_streams_per_session():
     assert len(h.dialed) == 2
 
 
-def test_maintain_warm_target_tops_up():
-    h = Harness(warm_target=3, max_sessions=5)
-    h.pool.maintain()
-    assert len(h.dialed) == 3
-    for _, session in h.dialed:
-        session.establish()
-    h.pool.maintain()
-    assert len(h.dialed) == 3  # already warm
-
-
 def test_maintain_retires_sessions_with_no_usable_path():
     h = Harness()
     served = h.acquire()
@@ -197,22 +175,16 @@ def test_maintain_retires_sessions_with_no_usable_path():
     assert entry.state == PooledSession.RETIRED
 
 
-def test_maintain_retires_over_score_sessions():
-    h = Harness(max_score=0.5)
-    served = h.acquire()
-    h.last_session().establish()
-    entry = served[0]
-    entry.session.connections[0]._score = 2.0
-    h.pool.release(entry)
-    h.pool.maintain()
-    assert entry.state == PooledSession.RETIRED
-
-
 def test_drain_closes_everything_and_blocks_acquire():
-    h = Harness(max_sessions=3, warm_target=3)
-    h.pool.maintain()
+    h = Harness(max_sessions=3)
+    served = []
+    for _ in range(3):
+        h.pool.acquire(served.append)  # the earlier dials are still connecting
+    assert len(h.dialed) == 3
     for _, session in h.dialed:
         session.establish()
+    for entry in served:
+        h.pool.release(entry)
     closed = h.pool.drain()
     assert closed == 3
     assert all(session.session_closed for _, session in h.dialed)
@@ -294,7 +266,7 @@ def test_small_scale_run_reuses_and_drains_clean():
     # peer has stopped joining for a whole window (they were kept for
     # the listener's lifetime); a peer still joining keeps its entry.
     world, server = held[0], held[0].servers[0]
-    window = server.context.join_rate_window
+    window = JOIN_RATE_WINDOW
 
     def join(session):
         remote = session.primary.tcp.remote_addr
