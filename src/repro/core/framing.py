@@ -16,12 +16,12 @@ Frame layout (all inside the AEAD-protected plaintext):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import struct
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import functools
-
-from repro.utils.bytesio import ByteReader, ByteWriter
+from repro.utils.bytesio import NeedMoreData
 from repro.utils.errors import decode_guard
 
 
@@ -85,24 +85,66 @@ class Frame:
     seq: int
     body: bytes
 
-    def reader(self) -> ByteReader:
-        return ByteReader(self.body)
+
+# Every codec is one precompiled struct plus, for the frames that carry
+# TLS-style opaque vectors, the vectors behind it.  A decoder reads
+# fields in wire order and raises ``NeedMoreData`` at the first one the
+# body is too short for, as a ``ByteReader`` would; bytes past the last
+# field are ignored.
+_U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("!B", "!H", "!I", "!Q"))
+_STREAM_DATA = struct.Struct("!IQB")
+_TCP_OPTION = struct.Struct("!BI")
+_ACK = struct.Struct("!QI")
+_U32_PAIR = struct.Struct("!II")
+_U32_U64 = struct.Struct("!IQ")
+
+
+def _fixed(layout: struct.Struct, body: bytes, offset: int = 0) -> tuple:
+    if len(body) - offset < layout.size:
+        raise NeedMoreData(
+            f"wanted {layout.size} bytes, only {len(body) - offset} available"
+        )
+    return layout.unpack_from(body, offset)
+
+
+def _vec(prefix: struct.Struct, data: bytes) -> bytes:
+    """``data`` behind its length prefix (``ByteWriter.put_vec8``/``16``)."""
+    if len(data) >> (8 * prefix.size):
+        raise ValueError(f"vec{8 * prefix.size} payload too long")
+    return prefix.pack(len(data)) + data
+
+
+def _vec_at(prefix: struct.Struct, body: bytes, offset: int) -> Tuple[bytes, int]:
+    """The opaque vector at ``offset`` and the offset just past it."""
+    (length,) = _fixed(prefix, body, offset)
+    start = offset + prefix.size
+    if len(body) - start < length:
+        raise NeedMoreData(f"wanted {length} bytes, only {len(body) - start} available")
+    return body[start : start + length], start + length
+
+
+def _vectors(
+    prefix: struct.Struct, body: bytes, offset: int, encoding: Optional[str] = None
+) -> Tuple[list, int]:
+    """A u8 count, then that many vectors (decoded as text if asked)."""
+    (count,) = _fixed(_U8, body, offset)
+    offset += 1
+    items = []
+    for _ in range(count):
+        item, offset = _vec_at(prefix, body, offset)
+        items.append(item if encoding is None else item.decode(encoding))
+    return items, offset
 
 
 def encode_frame(ttype: int, seq: int, body: bytes) -> bytes:
     """Frame plaintext, minus the trailing TType byte (the record layer
     appends the inner type)."""
-    writer = ByteWriter()
-    writer.put_u64(seq)
-    writer.put_bytes(body)
-    return writer.getvalue()
+    return _U64.pack(seq) + body
 
 
 def decode_frame(ttype: int, plaintext: bytes) -> Frame:
     with decode_guard("decode_frame"):
-        reader = ByteReader(plaintext)
-        seq = reader.get_u64()
-        return Frame(ttype=ttype, seq=seq, body=reader.get_rest())
+        return Frame(ttype, _fixed(_U64, plaintext)[0], plaintext[8:])
 
 
 # ---------------------------------------------------------------------------
@@ -111,77 +153,51 @@ def decode_frame(ttype: int, plaintext: bytes) -> Frame:
 
 
 def encode_stream_data(stream_id: int, offset: int, data: bytes, fin: bool = False) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(stream_id)
-    writer.put_u64(offset)
-    writer.put_u8(1 if fin else 0)
-    writer.put_bytes(data)
-    return writer.getvalue()
+    return _STREAM_DATA.pack(stream_id, offset, 1 if fin else 0) + data
 
 
 @_armored
 def decode_stream_data(body: bytes) -> Tuple[int, int, bool, bytes]:
-    reader = ByteReader(body)
-    stream_id = reader.get_u32()
-    offset = reader.get_u64()
-    fin = bool(reader.get_u8())
-    return stream_id, offset, fin, reader.get_rest()
+    stream_id, offset, fin = _fixed(_STREAM_DATA, body)
+    return stream_id, offset, bool(fin), body[13:]
 
 
 def encode_tcp_option(kind: int, option_body: bytes, apply_to_conn: int = 0) -> bytes:
     """A TCP option shipped over the secure channel (Figure 1)."""
-    writer = ByteWriter()
-    writer.put_u8(kind)
-    writer.put_u32(apply_to_conn)
-    writer.put_vec16(option_body)
-    return writer.getvalue()
+    return _TCP_OPTION.pack(kind, apply_to_conn) + _vec(_U16, option_body)
 
 
 @_armored
 def decode_tcp_option(body: bytes) -> Tuple[int, int, bytes]:
-    reader = ByteReader(body)
-    kind = reader.get_u8()
-    conn = reader.get_u32()
-    return kind, conn, reader.get_vec16()
+    kind, conn = _fixed(_TCP_OPTION, body)
+    return kind, conn, _vec_at(_U16, body, 5)[0]
 
 
 def encode_ack(cumulative_seq: int, conn_id: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u64(cumulative_seq)
-    writer.put_u32(conn_id)
-    return writer.getvalue()
+    return _ACK.pack(cumulative_seq, conn_id)
 
 
 @_armored
 def decode_ack(body: bytes) -> Tuple[int, int]:
-    reader = ByteReader(body)
-    return reader.get_u64(), reader.get_u32()
+    return _fixed(_ACK, body)
 
 
 def encode_stream_open(stream_id: int, conn_id: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(stream_id)
-    writer.put_u32(conn_id)
-    return writer.getvalue()
+    return _U32_PAIR.pack(stream_id, conn_id)
 
 
 @_armored
 def decode_stream_open(body: bytes) -> Tuple[int, int]:
-    reader = ByteReader(body)
-    return reader.get_u32(), reader.get_u32()
+    return _fixed(_U32_PAIR, body)
 
 
 def encode_stream_close(stream_id: int, final_offset: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(stream_id)
-    writer.put_u64(final_offset)
-    return writer.getvalue()
+    return _U32_U64.pack(stream_id, final_offset)
 
 
 @_armored
 def decode_stream_close(body: bytes) -> Tuple[int, int]:
-    reader = ByteReader(body)
-    return reader.get_u32(), reader.get_u64()
+    return _fixed(_U32_U64, body)
 
 
 def encode_window_update(stream_id: int, max_offset: int) -> bytes:
@@ -189,108 +205,77 @@ def encode_window_update(stream_id: int, max_offset: int) -> bytes:
     to absolute offset ``max_offset``.  Grants are cumulative — a stale
     (smaller) limit never revokes credit, so replayed grants after a
     failover are harmless."""
-    writer = ByteWriter()
-    writer.put_u32(stream_id)
-    writer.put_u64(max_offset)
-    return writer.getvalue()
+    return _U32_U64.pack(stream_id, max_offset)
 
 
 @_armored
 def decode_window_update(body: bytes) -> Tuple[int, int]:
-    reader = ByteReader(body)
-    return reader.get_u32(), reader.get_u64()
+    return _fixed(_U32_U64, body)
 
 
 def encode_join_ack(conn_index: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(conn_index)
-    return writer.getvalue()
+    return _U32.pack(conn_index)
 
 
 def encode_new_cookies(cookies: List[bytes]) -> bytes:
-    writer = ByteWriter()
-    writer.put_u8(len(cookies))
-    for cookie in cookies:
-        writer.put_vec8(cookie)
-    return writer.getvalue()
+    return _U8.pack(len(cookies)) + b"".join(_vec(_U8, cookie) for cookie in cookies)
 
 
 @_armored
 def decode_new_cookies(body: bytes) -> List[bytes]:
-    reader = ByteReader(body)
-    return [reader.get_vec8() for _ in range(reader.get_u8())]
+    return _vectors(_U8, body, 0)[0]
 
 
 def encode_plugin(target: str, bytecode: bytes) -> bytes:
-    writer = ByteWriter()
-    writer.put_vec8(target.encode("ascii"))
-    writer.put_vec16(bytecode)
-    return writer.getvalue()
+    return _vec(_U8, target.encode("ascii")) + _vec(_U16, bytecode)
 
 
 @_armored
 def decode_plugin(body: bytes) -> Tuple[str, bytes]:
-    reader = ByteReader(body)
-    return reader.get_vec8().decode("ascii"), reader.get_vec16()
+    target, offset = _vec_at(_U8, body, 0)
+    name = target.decode("ascii")
+    return name, _vec_at(_U16, body, offset)[0]
 
 
 def encode_probe(conn_id: int, syn_bytes: bytes) -> bytes:
     """SYN-echo middlebox probe (section 4.5): the SYN as we sent it."""
-    writer = ByteWriter()
-    writer.put_u32(conn_id)
-    writer.put_vec16(syn_bytes)
-    return writer.getvalue()
+    return _U32.pack(conn_id) + _vec(_U16, syn_bytes)
 
 
 @_armored
 def decode_probe(body: bytes) -> Tuple[int, bytes]:
-    reader = ByteReader(body)
-    return reader.get_u32(), reader.get_vec16()
+    return _fixed(_U32, body)[0], _vec_at(_U16, body, 4)[0]
 
 
 def encode_probe_report(conn_id: int, differences: List[str]) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(conn_id)
-    writer.put_u8(len(differences))
-    for diff in differences:
-        writer.put_vec16(diff.encode("utf-8"))
-    return writer.getvalue()
+    return _U32.pack(conn_id) + _U8.pack(len(differences)) + b"".join(
+        _vec(_U16, diff.encode("utf-8")) for diff in differences
+    )
 
 
 @_armored
 def decode_probe_report(body: bytes) -> Tuple[int, List[str]]:
-    reader = ByteReader(body)
-    conn_id = reader.get_u32()
-    return conn_id, [
-        reader.get_vec16().decode("utf-8") for _ in range(reader.get_u8())
-    ]
+    (conn_id,) = _fixed(_U32, body)
+    return conn_id, _vectors(_U16, body, 4, "utf-8")[0]
 
 
 def encode_address_advert(v4_addresses: List[str], v6_addresses: List[str]) -> bytes:
-    writer = ByteWriter()
-    writer.put_u8(len(v4_addresses))
-    for address in v4_addresses:
-        writer.put_vec8(address.encode("ascii"))
-    writer.put_u8(len(v6_addresses))
-    for address in v6_addresses:
-        writer.put_vec8(address.encode("ascii"))
-    return writer.getvalue()
+    return b"".join(
+        _U8.pack(len(family)) + b"".join(_vec(_U8, a.encode("ascii")) for a in family)
+        for family in (v4_addresses, v6_addresses)
+    )
 
 
 @_armored
 def decode_address_advert(body: bytes) -> Tuple[List[str], List[str]]:
-    reader = ByteReader(body)
-    v4 = [reader.get_vec8().decode("ascii") for _ in range(reader.get_u8())]
-    v6 = [reader.get_vec8().decode("ascii") for _ in range(reader.get_u8())]
-    return v4, v6
+    v4, offset = _vectors(_U8, body, 0, "ascii")
+    return v4, _vectors(_U8, body, offset, "ascii")[0]
 
 
 def encode_session_close(last_stream_id: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(last_stream_id)
-    return writer.getvalue()
+    return _U32.pack(last_stream_id)
 
 
 @_armored
 def decode_session_close(body: bytes) -> int:
-    return ByteReader(body).get_u32()
+    return _fixed(_U32, body)[0]

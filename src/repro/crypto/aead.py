@@ -11,9 +11,9 @@ one cost model, ``lane_pass_us`` against ``numpy_pass_us``: the
 lane-packed pass (Python big ints,
 ``chacha20.chacha20_keystream_lanes``), or from 60 blocks (a record
 over 3,712 bytes) the numpy one (``chacha20_fast.chacha20_keystream_multi``).
-The tag of a long record is computed by the batched Poly1305.  The RFC
-8439 functions in ``chacha20`` and ``poly1305`` are the references the
-tests hold this construction to, together with OpenSSL's.
+Every tag is ``poly1305_fast.poly1305_mac_fast``'s.  The RFC 8439
+functions in ``chacha20`` and ``poly1305`` are the references the tests
+hold this construction to, together with OpenSSL's.
 
 ``seal_with_keystream`` / ``open_with_keystream`` additionally let the
 record layer supply keystream it precomputed for several future records
@@ -26,8 +26,8 @@ import struct
 
 from repro.crypto.chacha20 import chacha20_keystream_lanes
 from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
-from repro.crypto.poly1305 import constant_time_equal, poly1305_mac
-from repro.crypto.poly1305_fast import MIN_BATCH_BYTES, poly1305_mac_fast
+from repro.crypto.poly1305 import constant_time_equal
+from repro.crypto.poly1305_fast import poly1305_mac_fast
 from repro.utils.errors import CryptoError
 
 TAG_LENGTH = 16
@@ -75,13 +75,6 @@ def _auth_input(aad: bytes, ciphertext: bytes) -> bytes:
     )
 
 
-def _mac(otk: bytes, data: bytes) -> bytes:
-    """Tag via the batched Poly1305 when it is worth it, scalar otherwise."""
-    if len(data) >= MIN_BATCH_BYTES:
-        return poly1305_mac_fast(otk, data)
-    return poly1305_mac(otk, data)
-
-
 def seal_with_keystream(keystream, plaintext: bytes, aad: bytes = b"") -> bytes:
     """Encrypt + tag using externally supplied keystream bytes.
 
@@ -92,7 +85,7 @@ def seal_with_keystream(keystream, plaintext: bytes, aad: bytes = b"") -> bytes:
     """
     otk = bytes(keystream[:32])
     ciphertext = xor_keystream(plaintext, keystream[64 : 64 + len(plaintext)])
-    tag = _mac(otk, _auth_input(aad, ciphertext))
+    tag = poly1305_mac_fast(otk, _auth_input(aad, ciphertext))
     return ciphertext + tag
 
 
@@ -109,7 +102,7 @@ def open_with_keystream(
         raise CryptoError("ciphertext shorter than the AEAD tag")
     ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
     otk = bytes(keystream[:32])
-    expected = _mac(otk, _auth_input(aad, ciphertext))
+    expected = poly1305_mac_fast(otk, _auth_input(aad, ciphertext))
     if not constant_time_equal(tag, expected):
         raise CryptoError("AEAD tag verification failed")
     have, needed = len(keystream) // 64, 1 + (len(ciphertext) + 63) // 64

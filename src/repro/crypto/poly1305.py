@@ -1,8 +1,8 @@
 """Poly1305 one-time authenticator (RFC 8439 section 2.5).
 
-This scalar implementation is the reference; the batched fast path in
-``repro.crypto.poly1305_fast`` must agree with it bit-for-bit on every
-input (cross-checked by randomized tests).
+``poly1305_mac`` is the RFC's block-at-a-time loop, kept only as the
+reference the tests hold ``repro.crypto.poly1305_fast`` to, bit-for-bit;
+nothing calls it at run time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ _R_CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
 
 
 def poly1305_mac(key: bytes, message: bytes) -> bytes:
-    """Compute the 16-byte Poly1305 tag of ``message`` under a 32-byte key."""
+    """Compute the 16-byte Poly1305 tag of ``message`` under a 32-byte key.
+
+    The plain block-by-block reference the tests hold
+    ``poly1305_fast.poly1305_mac_fast`` to; nothing at run time calls it.
+    """
     if len(key) != 32:
         raise ValueError("Poly1305 key must be 32 bytes")
     r = int.from_bytes(key[:16], "little") & _R_CLAMP

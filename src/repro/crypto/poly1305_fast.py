@@ -32,10 +32,13 @@ The group size trades precomputation (k-1 multiplies per message, since
 of groups folded in Python; ``_GROUP_BLOCKS = 32`` sits near the
 optimum for the record sizes the TLS layer produces (up to 2^14 bytes).
 
-The scalar ``poly1305_mac`` stays the reference and the fallback for
-messages under ``MIN_BATCH_BYTES``, where precomputing powers would cost
-more than it saves.  ``tests/crypto`` cross-checks the two on randomized
-and boundary inputs; they must agree bit-for-bit on every input.
+Messages under ``MIN_BATCH_BYTES``, where the power table and the numpy
+set-up would cost more than they save, and the tail a long message
+leaves after its last whole group, take ``_fold``: Horner's rule two
+blocks per ``% p`` with ``r²``, off one ``int.from_bytes`` of the
+message.  The RFC 8439 loop, ``poly1305.poly1305_mac``, is the
+reference ``tests/crypto`` holds both to, bit-for-bit, on randomized
+and boundary inputs; nothing calls it at run time.
 """
 
 from __future__ import annotations
@@ -48,18 +51,20 @@ _P = (1 << 130) - 5
 _R_CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
 _HI = 1 << 128          # the high bit appended to every full block
 _M128 = (1 << 128) - 1
+_M256 = (1 << 256) - 1
 
 #: Blocks folded per reduction.  The float64 product is exact below 2^12
 #: (see the module docstring).
 _GROUP_BLOCKS = 32
 _GROUP_BYTES = 16 * _GROUP_BLOCKS
 
-#: Below this size the scalar loop wins: ``r`` is a fresh key per record,
-#: so every message pays the 31-multiply power table and the numpy
-#: set-up (~25 us) before its first group, and the scalar loop costs
-#: ~35 us/KiB.  Measured, they cross between one and two whole groups
-#: (``benchmarks/test_crypto_micro.py``'s Poly1305 rows, EXPERIMENTS P12).
-MIN_BATCH_BYTES = 2 * _GROUP_BYTES
+#: From this size the group evaluator wins: ``r`` is a fresh key per
+#: record, so every message pays the 31-multiply power table and the
+#: numpy set-up (~25 us) before its first group, and the fold costs
+#: ~23 us/KiB.  Measured, the fold wins to just below three groups and
+#: loses at three (``benchmarks/test_crypto_micro.py``'s Poly1305 rows,
+#: EXPERIMENTS P13).
+MIN_BATCH_BYTES = 3 * _GROUP_BYTES
 
 
 def _toeplitz_index():
@@ -123,8 +128,38 @@ def _grouped_numpy(view, grouped_end: int, powers: list, r_k: int) -> int:
     return accumulator
 
 
+def _fold(view, r: int, r2: int, accumulator: int = 0) -> int:
+    """Horner's rule over the 16-byte blocks of ``view`` (the last may be
+    partial), two full blocks per reduction:
+
+        a' = (a + b_1) * r^2  +  b_2 * r   (mod p)
+
+    The message is read as one integer; blocks come off its low end by
+    mask and shift, the two blocks' ``2^128`` bits add one constant, and
+    a partial block's 0x01 byte (RFC 8439 2.5.1) is set in that integer
+    just past the message's last byte.
+    """
+    n = len(view)
+    rest = int.from_bytes(view, "little")
+    if n & 15:
+        rest |= 1 << (8 * n)
+    high_bits = _HI * (r2 + r)
+    for _ in range(n >> 5):
+        pair = rest & _M256
+        rest >>= 256
+        accumulator = (
+            (accumulator + (pair & _M128)) * r2 + (pair >> 128) * r + high_bits
+        ) % _P
+    if n & 16:
+        accumulator = ((accumulator + (rest & _M128) + _HI) * r) % _P
+        rest >>= 128
+    if n & 15:
+        accumulator = ((accumulator + rest) * r) % _P
+    return accumulator
+
+
 def poly1305_mac_fast(key: bytes, message) -> bytes:
-    """Compute the 16-byte Poly1305 tag; same contract as the scalar
+    """Compute the 16-byte Poly1305 tag; same contract as the RFC loop
     ``poly1305_mac`` but ``message`` may be any C-contiguous bytes-like
     object, read as its raw bytes whatever its item size."""
     if len(key) != 32:
@@ -132,29 +167,13 @@ def poly1305_mac_fast(key: bytes, message) -> bytes:
     r = int.from_bytes(key[:16], "little") & _R_CLAMP
     s = int.from_bytes(key[16:], "little")
     view = memoryview(message).cast("B")
-    n = len(view)
-    full = n - (n % 16)
-
-    accumulator = 0
-    offset = 0
-    from_bytes = int.from_bytes
-
-    grouped_end = full - (full % _GROUP_BYTES)
-    if grouped_end:
+    if len(view) < MIN_BATCH_BYTES:
+        accumulator = _fold(view, r, r * r % _P)
+    else:
+        grouped_end = len(view) - len(view) % _GROUP_BYTES
         powers = _powers_of_r(r)
-        accumulator = _grouped_numpy(view, grouped_end, powers, powers[0])
-        offset = grouped_end
-
-    # Leftover full blocks (fewer than one group): scalar Horner.
-    while offset < full:
-        block = from_bytes(view[offset : offset + 16], "little") | _HI
-        accumulator = ((accumulator + block) * r) % _P
-        offset += 16
-
-    # Final partial block, high bit at its true end (RFC 8439 2.5.1).
-    if offset < n:
-        block = int.from_bytes(bytes(view[offset:]) + b"\x01", "little")
-        accumulator = ((accumulator + block) * r) % _P
-
-    accumulator = (accumulator + s) & _M128
-    return accumulator.to_bytes(16, "little")
+        accumulator = _fold(
+            view[grouped_end:], r, powers[-2],
+            _grouped_numpy(view, grouped_end, powers, powers[0]),
+        )
+    return ((accumulator + s) & _M128).to_bytes(16, "little")

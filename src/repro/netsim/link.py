@@ -374,4 +374,4 @@ class Link:
         if counters is not None:
             counters["delivered"].inc(1)
             counters["bytes_delivered"].inc(datagram.size)
-        destination.deliver(datagram)
+        destination.node.receive(datagram, destination)

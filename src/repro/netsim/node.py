@@ -6,10 +6,12 @@ local deliveries to registered protocol handlers (the TCP and UDP stacks
 register themselves).  Hosts can be dual-stack — the Figure 4 experiment
 uses a host with one IPv4-only and one IPv6-only interface.
 
-Two per-node caches sit on the per-packet path: ``owns_address`` reads a
-set of owned addresses and ``lookup_route`` a destination-keyed memo of
-the longest-prefix match.  Both are dropped whenever an interface
-address or the routing table changes, so they are pure memoization.
+Two per-node caches sit on the per-packet path: the set of owned
+addresses, rebuilt whenever an interface address changes, and a
+destination-keyed memo of the longest-prefix match, emptied whenever an
+address or the routing table changes, so they are pure memoization.  A router hop is
+``Link._deliver`` -> ``receive`` -> ``forward`` -> ``Datagram.hop`` ->
+``Link.transmit``: ``receive`` and ``forward`` read both memos inline.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class Interface:
             return
         self.link.transmit_batch(self, datagrams)
 
-    def deliver(self, datagram: Datagram) -> None:
-        if self.up:
-            self.node.receive(datagram, self)
-
     def set_down(self) -> None:
         self.up = False
 
@@ -102,8 +100,8 @@ class Node:
         self._routes: list = []
         self.packets_forwarded = 0
         self.packets_delivered = 0
-        # Lazy lookup caches; see invalidate_lookup_caches.
-        self._owned_cache: Optional[frozenset] = None
+        # Lookup caches; see invalidate_lookup_caches.
+        self._owned: frozenset = frozenset()
         self._route_cache: Dict[tuple, Optional[Interface]] = {}
 
     # -- configuration ---------------------------------------------------
@@ -121,15 +119,24 @@ class Node:
         )
         self._routes.append((network, interface))
         self._routes.sort(key=lambda entry: entry[0].prefixlen, reverse=True)
-        self.invalidate_lookup_caches()
+        self._route_cache.clear()
 
     def clear_routes(self) -> None:
         self._routes.clear()
-        self.invalidate_lookup_caches()
+        self._route_cache.clear()
 
     def invalidate_lookup_caches(self) -> None:
-        """Drop the address/route memos after any topology change."""
-        self._owned_cache = None
+        """Rebuild the address/route memos after an address change.
+
+        Owned addresses are keyed by (concrete class, integer value):
+        hashing an ``ipaddress`` object builds a hex string every time,
+        while a (type, int) tuple hashes in a few nanoseconds.  The class
+        in the key keeps v4 and v6 addresses with equal integer values
+        distinct.
+        """
+        self._owned = frozenset(
+            (owned.__class__, int(owned)) for owned in self.addresses()
+        )
         self._route_cache.clear()
 
     # -- address helpers -----------------------------------------------------
@@ -144,21 +151,13 @@ class Node:
                     yield address
 
     def owns_address(self, address: IPAddress) -> bool:
-        # Keyed by (concrete class, integer value): hashing an
-        # ``ipaddress`` object builds a hex string every time, while a
-        # (type, int) tuple hashes in a few nanoseconds.  The class in
-        # the key keeps v4 and v6 addresses with equal integer values
-        # distinct.
-        if self._owned_cache is None:
-            self._owned_cache = frozenset(
-                (owned.__class__, int(owned)) for owned in self.addresses()
-            )
-        return (address.__class__, address._ip) in self._owned_cache
+        return (address.__class__, address._ip) in self._owned
 
     # -- data path -------------------------------------------------------------
 
     def receive(self, datagram: Datagram, interface: Interface) -> None:
-        if self.owns_address(datagram.dst):
+        dst = datagram.dst
+        if (dst.__class__, dst._ip) in self._owned:
             self.packets_delivered += 1
             self.local_deliver(datagram, interface)
         elif self.forwarding:
@@ -167,11 +166,17 @@ class Node:
     def forward(self, datagram: Datagram) -> None:
         if datagram.hop_limit <= 1:
             return
-        out = self.lookup_route(datagram.dst)
+        dst = datagram.dst
+        try:
+            out = self._route_cache[(dst.__class__, dst._ip)]
+        except KeyError:
+            out = self.lookup_route(dst)
         if out is None:
             return
         self.packets_forwarded += 1
-        out.send(datagram.copy(hop_limit=datagram.hop_limit - 1))
+        clone = datagram.hop()  # a packet id even if ``out`` is down
+        if out.up and out.link is not None:
+            out.link.transmit(out, clone)
 
     def lookup_route(self, destination: IPAddress) -> Optional[Interface]:
         """Longest-prefix match (None when unroutable), memoized.

@@ -20,23 +20,26 @@ The application-facing surface is callback-based: ``send``/``close`` plus
 ``on_data``, ``on_established``, ``on_close``, ``on_reset``, ``on_error``.
 
 Header prediction.  ``on_segment`` is written for loss recovery; a
-loss-free transfer consists of two kinds of segment only, and
-``_predicted`` handles those in a straight line in front of it — same
-mutations, same timer calls, same callbacks in the same order (no
-switch; ``tests/tcp/test_header_prediction.py`` runs every scripted
-world with it forced off and demands identical wire bytes, events and
-state).  Predicted, in state ESTABLISHED, flags ``ACK`` or ``ACK|PSH``,
-Timestamps the sole option:
+loss-free transfer or request/response exchange consists of four kinds
+of segment only, and ``_predicted`` handles those in a straight line in
+front of it — same mutations, same timer calls, same callbacks in the
+same order (no switch; ``tests/tcp/test_header_prediction.py`` runs
+every scripted world with it forced off and demands identical wire
+bytes, events and state).  Predicted, in state ESTABLISHED, flags
+``ACK`` or ``ACK|PSH``, Timestamps the sole option:
 
 - a pure ACK with ``snd_una < ack <= snd_nxt`` while no fast-recovery or
   RTO episode is open and nothing re-sent is outstanding;
-- in-order data (``seq == rcv_nxt``) that acknowledges nothing new
-  (``ack == snd_una``), with an empty reassembly queue and no peer FIN
-  waiting behind a hole.
+- a pure ACK with ``ack == snd_una`` outside fast recovery that is not
+  the third duplicate in a row (a reply sent from inside ``on_data``
+  leaves before the ACK of its request, which then duplicates it);
+- in-order data (``seq == rcv_nxt``), with an empty reassembly queue
+  and no peer FIN waiting behind a hole, that acknowledges nothing new
+  (``ack == snd_una``) or advances ``snd_una`` as the first kind does.
 
-Everything else takes the general path: duplicate and out-of-range
-ACKs, SACK, recovery, data that also acknowledges, out-of-order data,
-SYN/FIN/RST, every other state, and TFO.
+Everything else takes the general path: old, out-of-range and third
+duplicate ACKs, SACK, recovery, out-of-order data, SYN/FIN/RST, every
+other state, and TFO.
 """
 
 from __future__ import annotations
@@ -163,7 +166,10 @@ class TcpConnection:
         self.irs = 0
         self.rcv_nxt = 0
         self.rcv_wnd_limit = receive_window
+        # Out-of-order data keyed by sequence number, in sequence order
+        # (so the earliest chunk is the first), and the bytes it holds.
         self._reassembly: Dict[int, bytes] = {}
+        self._reassembly_bytes = 0
         self._paused = False
         self._pending_delivery = bytearray()
         self._peer_fin_seq: Optional[int] = None
@@ -471,22 +477,28 @@ class TcpConnection:
             self._handle_data(segment)
 
     def _predicted(self, segment: TcpSegment, timestamps: Timestamps) -> bool:
-        """Header prediction: the two segments a loss-free transfer is
-        made of, handled in a straight line.  ``on_segment`` has
-        established: state ESTABLISHED (so no FIN of ours is out), flags
-        ACK or ACK|PSH, Timestamps the sole option.  Every further
-        precondition is tested before anything is mutated; False leaves
-        the segment, untouched, to the general path below — the
-        specification this must match event for event.
+        """Header prediction: the four segments a loss-free transfer and
+        a request/response exchange are made of, handled in a straight
+        line.  ``on_segment`` has established: state ESTABLISHED (so no
+        FIN of ours is out), flags ACK or ACK|PSH, Timestamps the sole
+        option.  Every further precondition is tested before anything is
+        mutated; False leaves the segment, untouched, to the general path
+        below — the specification this must match event for event.
         """
         ack = segment.ack
         payload = segment.payload
         advance = (ack - self.snd_una) & 0xFFFFFFFF
-        if not payload:
-            # (a) Pure ACK advancing snd_una within snd_nxt, outside any
+        if payload and (
+            segment.seq != self.rcv_nxt
+            or self._reassembly
+            or self._peer_fin_seq is not None
+        ):
+            return False
+        if advance:
+            # An ACK advancing snd_una within snd_nxt, outside any
             # recovery episode: _handle_ack + _handle_new_ack.
             if (
-                not 0 < advance <= (self.snd_nxt - self.snd_una) & 0xFFFFFFFF
+                not advance <= (self.snd_nxt - self.snd_una) & 0xFFFFFFFF
                 or self._recovery_point is not None
                 or self._rto_point is not None
                 or self._resent_below is not None
@@ -529,24 +541,26 @@ class TcpConnection:
             self._arm_rto()
             if acked_bytes and self.on_send_progress:
                 self.on_send_progress()
-            self._try_send()
-            return True
-        # (b) In-order data that acknowledges nothing new, nothing
-        # buffered out of order, no peer FIN waiting for it:
-        # _handle_ack's window update + _handle_data.
-        if (
-            advance
-            or segment.seq != self.rcv_nxt
-            or self._reassembly
-            or self._peer_fin_seq is not None
-        ):
-            return False
-        self.snd_wnd = segment.window << self.snd_ws_shift
+        elif payload:
+            # In-order data acknowledging nothing new: the window update.
+            self.snd_wnd = segment.window << self.snd_ws_shift
+        else:
+            # A duplicate ACK outside recovery, before the third: the
+            # window update and _handle_possible_dup_ack's count.
+            if self._recovery_point is not None or self._dup_acks >= 2:
+                return False
+            self.snd_wnd = segment.window << self.snd_ws_shift
+            if self._inflight:
+                self._dup_acks += 1
+                self.stats["dup_acks_received"] += 1
         self._try_send()
-        self.stats["bytes_received"] += len(payload)
-        self.rcv_nxt = (self.rcv_nxt + len(payload)) & 0xFFFFFFFF
-        self._deliver(bytes(payload))
-        self._ack_data(False)
+        if payload and self.state != CLOSED:
+            # In-order data, nothing buffered out of order, no peer FIN
+            # waiting for it: _handle_data.
+            self.stats["bytes_received"] += len(payload)
+            self.rcv_nxt = (self.rcv_nxt + len(payload)) & 0xFFFFFFFF
+            self._deliver(bytes(payload))
+            self._ack_data(False)
         return True
 
     # -- SYN_SENT ---------------------------------------------------------
@@ -830,8 +844,7 @@ class TcpConnection:
                 else:
                     payload = b""
             if payload and seqnum.seq_sub(seq, self.rcv_nxt) <= self.rcv_wnd_limit:
-                self._reassembly.setdefault(seq, payload)
-                self._drain_reassembly()
+                self._reassemble(seq, payload)
 
         self._process_peer_fin()
         self._ack_data(segment.is_fin)
@@ -857,17 +870,34 @@ class TcpConnection:
             self._delayed_ack_event = None
         self._send_ack()
 
-    def _drain_reassembly(self) -> None:
+    def _reassemble(self, seq: int, payload: bytes) -> None:
+        """Buffer ``payload`` at ``seq`` in sequence order — the first
+        arrival at a sequence number wins — and deliver what is now
+        contiguous."""
+        buffer = self._reassembly
+        if seq not in buffer:
+            self._reassembly_bytes += len(payload)
+            # Offset-binary distance from rcv_nxt: orders as seq_sub does.
+            base = self.rcv_nxt - 0x80000000
+            key = (seq - base) & 0xFFFFFFFF
+            if buffer and (next(reversed(buffer)) - base) & 0xFFFFFFFF > key:
+                items = list(buffer.items())
+                index = 0
+                while (items[index][0] - base) & 0xFFFFFFFF < key:
+                    index += 1
+                items.insert(index, (seq, payload))
+                buffer.clear()
+                buffer.update(items)
+            else:
+                buffer[seq] = payload
         delivered = bytearray()
-        while self._reassembly:
-            # Earliest chunk relative to rcv_nxt.
-            seq = min(
-                self._reassembly, key=lambda s: seqnum.seq_sub(s, self.rcv_nxt)
-            )
+        while buffer:
+            seq = next(iter(buffer))
             offset = seqnum.seq_sub(self.rcv_nxt, seq)
             if offset < 0:
                 break  # hole before the earliest buffered chunk
-            data = self._reassembly.pop(seq)
+            data = buffer.pop(seq)
+            self._reassembly_bytes -= len(data)
             if offset < len(data):
                 chunk = data[offset:]
                 delivered.extend(chunk)
@@ -1063,16 +1093,11 @@ class TcpConnection:
         self._transmit(ack)
 
     def _sack_blocks(self) -> List[Tuple[int, int]]:
-        """Coalesce the reassembly queue into SACK ranges."""
-        if not self._reassembly:
-            return []
-        spans = sorted(
-            ((seq, seqnum.seq_add(seq, len(data))) for seq, data in self._reassembly.items()),
-            key=lambda span: seqnum.seq_sub(span[0], self.rcv_nxt),
-        )
-        merged = [list(spans[0])]
-        for left, right in spans[1:]:
-            if seqnum.seq_le(left, merged[-1][1]):
+        """Coalesce the reassembly queue, in sequence order, into SACK ranges."""
+        merged: List[List[int]] = []
+        for left, data in self._reassembly.items():
+            right = seqnum.seq_add(left, len(data))
+            if merged and seqnum.seq_le(left, merged[-1][1]):
                 if seqnum.seq_gt(right, merged[-1][1]):
                     merged[-1][1] = right
             else:
@@ -1116,9 +1141,7 @@ class TcpConnection:
         return segment
 
     def _advertised_window(self) -> int:
-        used = len(self._pending_delivery) + sum(
-            len(d) for d in self._reassembly.values()
-        )
+        used = len(self._pending_delivery) + self._reassembly_bytes
         return max(self.rcv_wnd_limit - used, 0)
 
     def _transmit(self, segment: TcpSegment) -> None:

@@ -22,6 +22,7 @@ from cryptography.hazmat.primitives.ciphers.aead import (  # noqa: E402
 
 from repro.core.contexts import ContextManager  # noqa: E402
 from repro.crypto import aead as _aead  # noqa: E402
+from repro.crypto import poly1305_fast as _poly_fast  # noqa: E402
 from repro.crypto.aead import TAG_LENGTH, ChaCha20Poly1305  # noqa: E402
 from repro.crypto.keyschedule import TrafficKeys  # noqa: E402
 from repro.crypto.poly1305_fast import MIN_BATCH_BYTES  # noqa: E402
@@ -66,15 +67,15 @@ def _theirs_rejects(key, nonce, sealed, aad) -> bool:
 
 @pytest.fixture
 def batched_macs(monkeypatch):
-    """Count the tags computed by the batched Poly1305."""
+    """The MAC input lengths the Poly1305 group evaluator ran on."""
     calls = []
-    batched = _aead.poly1305_mac_fast
+    grouped = _poly_fast._grouped_numpy
 
-    def counting(key, data):
-        calls.append(len(data))
-        return batched(key, data)
+    def counting(view, *args):
+        calls.append(len(view))
+        return grouped(view, *args)
 
-    monkeypatch.setattr(_aead, "poly1305_mac_fast", counting)
+    monkeypatch.setattr(_poly_fast, "_grouped_numpy", counting)
     return calls
 
 

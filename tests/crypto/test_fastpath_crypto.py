@@ -43,11 +43,11 @@ _RNG = random.Random(0x7C9)
 
 #: Sizes straddling every boundary in the batched code: the empty and
 #: sub-block cases, the 16-byte block edge, the 512-byte group edge
-#: (32 blocks x 16 bytes), the 1024-byte MIN_BATCH edge of the AEAD's
-#: MAC dispatch, and the TLS record ceiling.
+#: (32 blocks x 16 bytes), the 1536-byte ``MIN_BATCH_BYTES`` edge of
+#: Poly1305's dispatch, and the TLS record ceiling.
 BOUNDARY_SIZES = (
-    0, 1, 15, 16, 17, 31, 32, 511, 512, 513,
-    1023, 1024, 1025, 2047, 2048, 3071, 3072, 3073, 4096, 16384, 16400,
+    0, 1, 15, 16, 17, 31, 32, 511, 512, 513, 1023, 1024, 1025,
+    1535, 1536, 1537, 2047, 2048, 3071, 3072, 3073, 4096, 16384, 16400,
 )
 
 
