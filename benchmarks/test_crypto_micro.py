@@ -119,14 +119,22 @@ def test_key_schedule_full_ladder(benchmark):
 
 # ----------------------------------------------------------------------
 # The keystream window rule's prices (reported, nothing asserted): one
-# numpy window pass against the W lane-packed passes it replaces, at the
-# points where the rule opens a window, so its constants can be re-checked.
+# numpy window pass and one multi-nonce lane pass against the W one-record
+# lane passes they replace, at the points where the rule opens a window,
+# so its constants can be re-checked.
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("records, blocks", WINDOW_CROSSOVERS)
 def test_keystream_window_pass(benchmark, records, blocks):
     nonces = [bytes([i]) * 12 for i in range(records)]
     out = benchmark(chacha20_keystream_multi, b"\x01" * 32, nonces, 0, blocks)
+    assert len(out) == 64 * records * blocks
+
+
+@pytest.mark.parametrize("records, blocks", WINDOW_CROSSOVERS)
+def test_keystream_lane_window_pass(benchmark, records, blocks):
+    nonces = b"".join(bytes([i]) * 12 for i in range(records))
+    out = benchmark(chacha20_keystream_lanes, b"\x01" * 32, 0, nonces, blocks)
     assert len(out) == 64 * records * blocks
 
 

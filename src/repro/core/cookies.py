@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from repro.utils.rng import random_bytes
+
 COOKIE_LENGTH = 16  # 128 bits, per the paper
 CONNID_LENGTH = 16
 # Cookies a server hands out with the handshake, and again after every
@@ -32,10 +34,8 @@ class CookieJar:
         self.rejected = 0
 
     def mint(self, count: Optional[int] = None) -> List[bytes]:
-        cookies = [
-            bytes(self._rng.randrange(256) for _ in range(COOKIE_LENGTH))
-            for _ in range(COOKIE_BATCH if count is None else count)
-        ]
+        count = COOKIE_BATCH if count is None else count
+        cookies = [random_bytes(self._rng, COOKIE_LENGTH) for _ in range(count)]
         self._valid.update(cookies)
         return cookies
 
@@ -71,4 +71,4 @@ class CookiePurse:
 
 
 def mint_connection_id(rng: random.Random) -> bytes:
-    return bytes(rng.randrange(256) for _ in range(CONNID_LENGTH))
+    return random_bytes(rng, CONNID_LENGTH)

@@ -5,19 +5,17 @@ This is the single cipher suite the TLS stack uses
 ``CryptoError`` — TCPLS counts those as forgery attempts when doing
 trial decryption across per-stream contexts (paper section 2.3).
 
-The Poly1305 one-time key and the payload keystream come out of a
-*single* pass over blocks 0..n, whichever of the two costs less by the
-one cost model, ``lane_pass_us`` against ``numpy_pass_us``: the
-lane-packed pass (Python big ints,
-``chacha20.chacha20_keystream_lanes``), or from 60 blocks (a record
-over 3,712 bytes) the numpy one (``chacha20_fast.chacha20_keystream_multi``).
-Every tag is ``poly1305_fast.poly1305_mac_fast``'s.  The RFC 8439
-functions in ``chacha20`` and ``poly1305`` are the references the tests
-hold this construction to, together with OpenSSL's.
-
-``seal_with_keystream`` / ``open_with_keystream`` additionally let the
-record layer supply keystream it precomputed for several future records
-at once (see the keystream window in ``repro.tls.record``).
+The Poly1305 one-time key and the payload keystream come out of one
+pass over blocks 0..n, the lane-packed one (Python big ints,
+``chacha20.chacha20_keystream_lanes``) or, where ``numpy_pays`` (from 60
+blocks for one record), the numpy one (``chacha20_fast``); every tag is
+``poly1305_fast.poly1305_mac_fast``'s.  ``seal_with_keystream`` /
+``open_with_keystream`` take keystream the record layer made for several
+records at once, by the window rule in ``repro.tls.record``: slots of a
+fresh-key or run window, or a failed trial's kept pass.  The tag is
+checked from the slot's block 0 before any payload keystream is read or
+made.  The RFC 8439 functions in ``chacha20`` and ``poly1305`` are the
+references the tests hold all this to, with OpenSSL.
 """
 
 from __future__ import annotations
@@ -48,11 +46,16 @@ def numpy_pass_us(records: int, blocks: int) -> float:
     return 185 + 0.3 * records * blocks
 
 
-def _keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
+def numpy_pays(nonces: int, blocks: int) -> bool:
+    """Whether a numpy pass over ``nonces`` x ``blocks`` blocks costs less
+    than a lane pass over them (for one nonce, from 60 blocks on)."""
+    return numpy_pass_us(nonces, blocks) < lane_pass_us(nonces * blocks)
+
+
+def keystream_pass(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
     """Blocks ``counter .. counter+n_blocks-1`` of one nonce from the
-    cheaper pass: the numpy one from 60 blocks on, the lane-packed one
-    below."""
-    if numpy_pass_us(1, n_blocks) < lane_pass_us(n_blocks):
+    cheaper pass."""
+    if numpy_pays(1, n_blocks):
         return chacha20_keystream_multi(key, [nonce], counter, n_blocks)
     return chacha20_keystream_lanes(key, counter, nonce, n_blocks)
 
@@ -107,7 +110,7 @@ def open_with_keystream(
         raise CryptoError("AEAD tag verification failed")
     have, needed = len(keystream) // 64, 1 + (len(ciphertext) + 63) // 64
     if have < needed:
-        tail = _keystream(key, have, nonce, needed - have)
+        tail = keystream_pass(key, have, nonce, needed - have)
         keystream = bytes(keystream[: 64 * have]) + tail
     return xor_keystream(ciphertext, keystream[64 : 64 + len(ciphertext)])
 
@@ -117,7 +120,6 @@ class ChaCha20Poly1305:
 
     key_length = KEY_LENGTH
     nonce_length = NONCE_LENGTH
-    tag_length = TAG_LENGTH
 
     def __init__(self, key: bytes) -> None:
         if len(key) != KEY_LENGTH:
@@ -130,7 +132,7 @@ class ChaCha20Poly1305:
             raise ValueError("nonce must be 12 bytes")
         # Blocks 0..n in one pass: OTK + payload stream.
         n_blocks = 1 + (len(plaintext) + 63) // 64
-        return seal_with_keystream(_keystream(self._key, 0, nonce, n_blocks), plaintext, aad)
+        return seal_with_keystream(keystream_pass(self._key, 0, nonce, n_blocks), plaintext, aad)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and return the plaintext, or raise ``CryptoError``."""
@@ -139,4 +141,4 @@ class ChaCha20Poly1305:
         if len(data) < TAG_LENGTH:
             raise CryptoError("ciphertext shorter than the AEAD tag")
         n_blocks = 1 + (len(data) - TAG_LENGTH + 63) // 64
-        return open_with_keystream(_keystream(self._key, 0, nonce, n_blocks), data, aad)
+        return open_with_keystream(keystream_pass(self._key, 0, nonce, n_blocks), data, aad)

@@ -2,8 +2,8 @@
 
 ``chacha20_block`` and ``chacha20_encrypt`` are the RFC's block function
 and counter-mode cipher, kept as the references for the tests.  Records
-are encrypted with ``chacha20_keystream_lanes``, which computes many
-blocks in one lane-packed pass.
+are encrypted with ``chacha20_keystream_lanes``, which computes the
+blocks of one or several nonces in one lane-packed pass.
 """
 
 from __future__ import annotations
@@ -87,13 +87,15 @@ _LANE_ONE = b"\x01" + b"\x00" * 7
 _LANE_MASK = b"\xff" * 4 + b"\x00" * 4
 
 
-def chacha20_keystream_lanes(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
-    """``n_blocks`` keystream blocks from ``counter`` in one lane-packed
-    pass (see the layout comment above); bit-identical to joining
+def chacha20_keystream_lanes(key: bytes, counter: int, nonces: bytes, n_blocks: int) -> bytes:
+    """Blocks ``counter .. counter+n_blocks-1`` of every 12-byte nonce in
+    ``nonces`` (concatenated; one nonce is the one-element case) in one
+    lane-packed pass (see the layout comment above), nonce-major like
+    ``chacha20_fast.chacha20_keystream_multi``; bit-identical to joining
     ``chacha20_block`` outputs, numpy-free."""
-    if n_blocks <= 0:
+    if n_blocks <= 0 or not nonces:
         return b""
-    n = n_blocks
+    n = n_blocks * (len(nonces) // 12)
     s1 = 64 * n
     s2 = 2 * s1
     s3 = 3 * s1
@@ -103,16 +105,22 @@ def chacha20_keystream_lanes(key: bytes, counter: int, nonce: bytes, n_blocks: i
     ones = int.from_bytes(_LANE_ONE * n, "little")
     mask = int.from_bytes(_LANE_MASK * (4 * n), "little")
     k0, k1, k2, k3, k4, k5, k6, k7 = struct.unpack("<8I", key)
-    n0, n1, n2 = struct.unpack("<3I", nonce)
+    # Lane i*n_blocks + j is block j of nonce i.  Its word 12, counter + j,
+    # wraps at 2^32 by construction: the lane sum has at most 33 bits and
+    # the mask drops the carry.  Words 13-15 are nonce i's: word-major, the
+    # nonce words sit n_blocks lanes apart from lane n on, so one product
+    # with ``spread`` copies each over its n_blocks lanes.
+    iota = struct.pack(f"<{n_blocks}Q", *range(n_blocks)) * (n // n_blocks)
+    counters = ((counter & _MASK32) * ones + int.from_bytes(iota, "little")) & mask
+    words = bytes(8 * n_blocks - 4).join(
+        [nonces[at : at + 4] for w in (0, 4, 8) for at in range(w, len(nonces), 12)]
+    )
+    spread = int.from_bytes(_LANE_ONE * n_blocks, "little")
     c0, c1, c2, c3 = _CONSTANTS
-    # Lane j of word 12 is counter + j, wrapping at 2^32 by construction:
-    # the lane sum has at most 33 bits and the mask drops the carry.
-    iota = int.from_bytes(struct.pack(f"<{n}Q", *range(n)), "little")
-    counters = ((counter & _MASK32) * ones + iota) & mask
     a = init_a = (c0 | c1 << s1 | c2 << s2 | c3 << s3) * ones
     b = init_b = (k0 | k1 << s1 | k2 << s2 | k3 << s3) * ones
     c = init_c = (k4 | k5 << s1 | k6 << s2 | k7 << s3) * ones
-    d = init_d = counters | (n0 << s1 | n1 << s2 | n2 << s3) * ones
+    d = init_d = counters | int.from_bytes(words, "little") * spread << s1
     for _ in range(10):
         # Column round: one quarter-round over whole rows.
         a = (a + b) & mask
@@ -165,29 +173,10 @@ def chacha20_keystream_lanes(key: bytes, counter: int, nonce: bytes, n_blocks: i
     return out.tobytes()
 
 
-def xor_bytes(data, stream) -> bytes:
-    """XOR ``data`` with ``stream`` (bytes-like, at least as long) as two
-    big ints: no per-byte loop, no numpy."""
-    length = len(data)
-    return (
-        int.from_bytes(data, "little") ^ int.from_bytes(stream[:length], "little")
-    ).to_bytes(length, "little")
-
-
 def chacha20_encrypt(key: bytes, counter: int, nonce: bytes, plaintext: bytes) -> bytes:
-    """Encrypt (or decrypt) ``plaintext`` in counter mode (RFC 8439 2.4).
-
-    The plain block-by-block reference the tests hold the lane-packed
-    and vectorized keystreams to; nothing at run time calls it.
-    """
-    if len(key) != 32:
-        raise ValueError("ChaCha20 key must be 32 bytes")
-    if len(nonce) != 12:
-        raise ValueError("ChaCha20 nonce must be 12 bytes")
-    output = bytearray(len(plaintext))
-    for block_index in range(0, len(plaintext), 64):
-        keystream = chacha20_block(key, counter + block_index // 64, nonce)
-        chunk = plaintext[block_index : block_index + 64]
-        for i, byte in enumerate(chunk):
-            output[block_index + i] = byte ^ keystream[i]
-    return bytes(output)
+    """Encrypt (or decrypt) ``plaintext`` in counter mode (RFC 8439 2.4):
+    the plain block-by-block reference the tests hold the lane-packed and
+    numpy keystreams to; nothing at run time calls it."""
+    n_blocks = (len(plaintext) + 63) // 64
+    stream = b"".join(chacha20_block(key, counter + i, nonce) for i in range(n_blocks))
+    return bytes(byte ^ key_byte for byte, key_byte in zip(plaintext, stream))

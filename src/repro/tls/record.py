@@ -12,14 +12,27 @@ can do trial decryption across per-stream cryptographic contexts
 (paper section 2.3).
 
 Keystream windows: the nonce schedule is deterministic (``iv XOR
-sequence``), so a ``CipherState`` can precompute the ChaCha20 keystream
-for its next several record sequence numbers in one vectorized call and
-hand a slot of it to the AEAD layer per record, whatever its size.
-Sealing/opening through a window is bit-identical to sealing each
-record on its own, and any key change drops the window.  Opens verify
-the tag from the slot's block 0 first, so a failed trial decryption
-under a window costs one Poly1305.  Records no window covers go through
-``ChaCha20Poly1305`` one at a time, each in one pass of its own.
+sequence``), so a ``CipherState`` makes the keystream of its next few
+records in one pass, lane-packed or numpy as ``aead.numpy_pays`` says,
+and hands the AEAD one slot of it per record.  A record no window covers
+gets its slot from the first of these rules that applies:
+
+- fresh-key window: a key's first record of at most ``FRESH_BLOCKS``
+  blocks opens ``FRESH_RECORDS`` slots of its block count;
+- run window: ``min(LOOKAHEAD_RECORDS, run)`` slots of the last record's
+  block count if ``window_pays``, the run being the records sealed, or
+  opened and verified, so far.  A receiver opens it at the next sequence
+  right after a tag verified, except at the end of a fresh-key window
+  (most keys that fill one carry no more records);
+- failed-trial slot: any other open makes its own pass as a one-slot
+  window, which stays if the tag fails, so re-trying a record there
+  (paper section 2.3) costs one Poly1305 and no pass.
+
+Every open checks the tag from its slot's block 0 before it reads the
+payload keystream or makes any, so a failed trial under a slot makes
+none.  A record longer than its slot is sealed in one pass of its own and
+opened with the rest made in one pass.  Output is bit-identical to
+sealing each record on its own; a key change drops the window.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from repro.crypto import aead as _aead
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
 from repro.crypto.chacha20_fast import chacha20_keystream_multi
 from repro.crypto.keyschedule import TrafficKeys
-from repro.utils.errors import CryptoError, InvalidValue, MessageTooLarge, ProtocolViolation
+from repro.utils.errors import InvalidValue, MessageTooLarge, ProtocolViolation
 
 
 class ContentType:
@@ -46,24 +59,21 @@ MAX_CIPHERTEXT = MAX_PLAINTEXT + 256  # section 5.2; each limit raises MessageTo
 RECORD_HEADER_LEN = 5
 LEGACY_RECORD_VERSION = 0x0303
 
-# Per-record overhead once encrypted: header + inner type byte + AEAD tag.
-ENCRYPTED_OVERHEAD = RECORD_HEADER_LEN + 1 + TAG_LENGTH
-
 #: Most record sequence numbers one keystream window covers: 32
 #: full-size records is ~0.5 MiB of keystream.
 LOOKAHEAD_RECORDS = 32
+#: A fresh-key window: JOIN, per-stream and resumed keys carry few records.
+FRESH_RECORDS = 4
+FRESH_BLOCKS = 4
 
 
 def window_pays(records: int, blocks: int) -> bool:
-    """Whether one numpy pass over ``records`` slots of ``blocks``
-    keystream blocks costs less than the lane passes it saves when only
-    half its slots are used (a window sized by the run bets on as many
-    records ahead as behind).  The costs are the AEAD's own
-    ``lane_pass_us`` and ``numpy_pass_us``.  A one-slot window looks
-    nothing ahead and never opens.
-    """
+    """Whether one pass over ``records`` slots of ``blocks`` blocks (lane
+    or numpy, the cheaper) costs less than the per-record lane passes it
+    saves when half its slots are used; never for one slot."""
     saved_us = records / 2 * _aead.lane_pass_us(blocks)
-    return records >= 2 and saved_us > _aead.numpy_pass_us(records, blocks)
+    cost_us = min(_aead.lane_pass_us(records * blocks), _aead.numpy_pass_us(records, blocks))
+    return records >= 2 and saved_us > cost_us
 
 
 def record_header(content_type: int, length: int) -> bytes:
@@ -71,18 +81,9 @@ def record_header(content_type: int, length: int) -> bytes:
 
 
 class CipherState:
-    """One direction's AEAD key material plus its record sequence number.
-
-    Holds the keystream window for sequences ``[base, base + W)``, one
-    slot per record, and the one rule for opening it.  The run is
-    ``sequence``: every record sealed or opened and advanced past (a
-    failed trial decryption never advances).  At a sequence no window
-    covers, ``W = min(LOOKAHEAD_RECORDS, sequence)`` slots of the key's
-    last record's block count open when ``window_pays``, so no more
-    keystream is generated ahead than the run consumed.  A record longer
-    than its slot is sealed by one pass of its own; it is opened MAC-first
-    from the slot's block 0 and gets the rest from one pass.
-    """
+    """One direction's AEAD key material, its record sequence number and
+    its keystream window (sequences ``[base, base + W)``, one slot per
+    record), opened by the rule in the module docstring."""
 
     def __init__(self, keys: TrafficKeys) -> None:
         self.keys = keys
@@ -108,61 +109,64 @@ class CipherState:
         self._ks_cache = None
 
     def _slot(self) -> Optional[memoryview]:
-        """The current sequence's slot of the live window (block 0
-        first), or ``None`` when no window covers it."""
+        """The current sequence's slot (block 0 first), or ``None``."""
         offset = self.sequence - self._ks_base
         if self._ks_cache is None or not 0 <= offset < self._ks_records:
             return None
         start = offset * self._ks_record_bytes
         return self._ks_cache[start : start + self._ks_record_bytes]
 
-    def _open_window(self, base: int) -> None:
-        """Generate ``min(LOOKAHEAD_RECORDS, sequence)`` slots from
-        sequence ``base`` if ``window_pays``."""
-        records, blocks = min(LOOKAHEAD_RECORDS, self.sequence), self._last_blocks
-        if not window_pays(records, blocks):
-            return
+    def _open_window(self, base: int, records: int, blocks: int) -> None:
+        """``records`` slots of ``blocks`` from ``base`` in the cheaper pass."""
         nonces = [self.keys.nonce_for(s) for s in range(base, base + records)]
-        self._ks_cache = memoryview(
-            chacha20_keystream_multi(self.keys.key, nonces, 0, blocks)
-        )
+        if records == 1:  # a record's own pass, as the AEAD makes it
+            keystream = _aead.keystream_pass(self.keys.key, 0, nonces[0], blocks)
+        elif _aead.numpy_pays(records, blocks):
+            keystream = chacha20_keystream_multi(self.keys.key, nonces, 0, blocks)
+        else:
+            keystream = _aead.chacha20_keystream_lanes(self.keys.key, 0, b"".join(nonces), blocks)
+        self._ks_cache = memoryview(keystream)
         self._ks_base = base
         self._ks_records = records
         self._ks_record_bytes = 64 * blocks
 
+    def _run_window(self, base: int) -> None:
+        records, blocks = min(LOOKAHEAD_RECORDS, self.sequence), self._last_blocks
+        if window_pays(records, blocks):
+            self._open_window(base, records, blocks)
+
     def seal(self, inner: bytes, aad: bytes) -> bytes:
         """Encrypt one record at the current sequence (does not advance)."""
+        blocks = 1 + (len(inner) + 63) // 64
         slot = self._slot()
         if slot is None:
-            self._open_window(self.sequence)
+            if self.sequence == 0 and blocks <= FRESH_BLOCKS:
+                self._open_window(0, FRESH_RECORDS, blocks)
+            else:
+                self._run_window(self.sequence)
             slot = self._slot()
-        self._last_blocks = 1 + (len(inner) + 63) // 64
-        if slot is None or len(slot) < 64 * self._last_blocks:
+        self._last_blocks = blocks
+        if slot is None or len(slot) < 64 * blocks:
             return self.aead.encrypt(self.next_nonce(), inner, aad)
         return _aead.seal_with_keystream(slot, inner, aad)
 
     def open(self, ciphertext: bytes, aad: bytes) -> bytes:
-        """Verify + decrypt one record at the current sequence.
-
-        The tag is checked before any plaintext is produced.  Under a
-        window that check needs only the slot's block 0, so a failed
-        trial decryption generates no keystream; without one it has
-        paid a whole keystream pass.  A receiver's window opens right
-        after a tag verified, at the next sequence if no window covers
-        it: a trial decryption is no evidence that this key has a
-        record there.
-        """
+        """Verify + decrypt one record at the current sequence, tag first."""
         slot = self._slot()
         if slot is None:
-            inner = self.aead.decrypt(self.next_nonce(), ciphertext, aad)
-        else:
-            inner = _aead.open_with_keystream(
-                slot, ciphertext, aad, key=self.keys.key, nonce=self.next_nonce()
-            )
+            blocks = 1 + (len(ciphertext) - TAG_LENGTH + 63) // 64
+            if self.sequence == 0 and blocks <= FRESH_BLOCKS:
+                self._open_window(0, FRESH_RECORDS, blocks)
+            else:  # kept as a failed-trial slot if the tag fails
+                self._open_window(self.sequence, 1, blocks)
+            slot = self._slot()
+        inner = _aead.open_with_keystream(
+            slot, ciphertext, aad, key=self.keys.key, nonce=self.next_nonce()
+        )
         self._last_blocks = 1 + (len(inner) + 63) // 64
-        following = self.sequence + 1
-        if self._ks_cache is None or following >= self._ks_base + self._ks_records:
-            self._open_window(following)
+        fresh = self._ks_base == 0 and self._ks_records > 1  # run windows never start at 0
+        if self.sequence + 1 >= self._ks_base + self._ks_records and not fresh:
+            self._run_window(self.sequence + 1)
         return inner
 
 
@@ -234,7 +238,6 @@ class RecordDecoder:
         self._cipher: Optional[CipherState] = None
         self._buffer = bytearray()
         self.records_decrypted = 0
-        self.decrypt_failures = 0
         # Optional observability hook: ciphertext length of each record
         # successfully decrypted by this decoder.
         self.on_record_decrypted: Optional[Callable[[int], None]] = None
@@ -294,11 +297,7 @@ class RecordDecoder:
         assert self._cipher is not None
         _check_inner_length(ciphertext)
         header = record_header(ContentType.APPLICATION_DATA, len(ciphertext))
-        try:
-            inner = self._cipher.open(ciphertext, header)
-        except CryptoError:
-            self.decrypt_failures += 1
-            raise
+        inner = self._cipher.open(ciphertext, header)
         self._cipher.advance()
         self.records_decrypted += 1
         if self.on_record_decrypted is not None:

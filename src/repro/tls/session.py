@@ -43,6 +43,7 @@ from repro.utils.errors import (
     MessageTooLarge,
     ProtocolViolation,
 )
+from repro.utils.rng import random_bytes
 
 _CERT_VERIFY_CONTEXT_SERVER = b" " * 64 + b"TLS 1.3, server CertificateVerify" + b"\x00"
 
@@ -271,7 +272,7 @@ class TlsSession:
             raise RuntimeError("start_handshake is client-only")
         if self.state != "START":
             raise RuntimeError(f"handshake already started ({self.state})")
-        self._ecdh = X25519PrivateKey(self._random_bytes(32))
+        self._ecdh = X25519PrivateKey(random_bytes(self.config.rng, 32))
         extensions: List[Tuple[int, bytes]] = [
             (m.EXT_SUPPORTED_VERSIONS, m.build_supported_versions_client()),
             (m.EXT_KEY_SHARE, m.build_key_share_client(self._ecdh.public_bytes)),
@@ -303,8 +304,8 @@ class TlsSession:
             )
 
         hello = m.ClientHello(
-            random=self._random_bytes(32),
-            session_id=self._random_bytes(32),
+            random=random_bytes(self.config.rng, 32),
+            session_id=random_bytes(self.config.rng, 32),
             extensions=extensions,
         )
         raw = hello.to_bytes()
@@ -680,7 +681,7 @@ class TlsSession:
                 accept_early = False
                 self.early_replay_rejected = True
 
-        self._ecdh = X25519PrivateKey(self._random_bytes(32))
+        self._ecdh = X25519PrivateKey(random_bytes(self.config.rng, 32))
         extensions: List[Tuple[int, bytes]] = [
             (m.EXT_SUPPORTED_VERSIONS, m.build_supported_versions_server()),
             (m.EXT_KEY_SHARE, m.build_key_share_server(self._ecdh.public_bytes)),
@@ -688,7 +689,7 @@ class TlsSession:
         if self.used_psk:
             extensions.append((m.EXT_PRE_SHARED_KEY, m.build_psk_selected(0)))
         server_hello = m.ServerHello(
-            random=self._random_bytes(32),
+            random=random_bytes(self.config.rng, 32),
             session_id=hello.session_id,
             extensions=extensions,
         )
@@ -774,13 +775,13 @@ class TlsSession:
     # -- tickets ----------------------------------------------------------------------
 
     def _send_new_session_ticket(self) -> None:
-        nonce = self._random_bytes(8)
+        nonce = random_bytes(self.config.rng, 8)
         psk = KeySchedule.resumption_psk(self.keys.resumption_master_secret, nonce)
         lifetime = self.config.ticket_lifetime
         ticket_blob = self._seal_ticket(psk, lifetime)
         msg = m.NewSessionTicketMsg(
             lifetime=lifetime,
-            age_add=int.from_bytes(self._random_bytes(4), "big"),
+            age_add=int.from_bytes(random_bytes(self.config.rng, 4), "big"),
             nonce=nonce,
             ticket=ticket_blob,
             max_early_data=self.config.max_early_data,
@@ -801,7 +802,7 @@ class TlsSession:
             + int(max(issued, 0.0) * 1000).to_bytes(8, "big")
             + int(lifetime).to_bytes(4, "big")
         )
-        nonce = self._random_bytes(12)
+        nonce = random_bytes(self.config.rng, 12)
         aead = ChaCha20Poly1305(self.config.ticket_key)
         return nonce + aead.encrypt(nonce, plaintext, b"repro-ticket")
 
@@ -917,9 +918,6 @@ class TlsSession:
             return self._ecdh.exchange(peer_public)
         except ValueError as exc:
             raise TlsAlertError(alerts.ILLEGAL_PARAMETER, str(exc)) from exc
-
-    def _random_bytes(self, count: int) -> bytes:
-        return bytes(self.config.rng.randrange(256) for _ in range(count))
 
 
 def _compute_binder(psk: bytes, truncated_client_hello: bytes) -> bytes:

@@ -26,13 +26,8 @@ from hypothesis import strategies as st
 from repro.crypto import aead as _aead
 from repro.crypto import poly1305_fast as _poly_fast
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
-from repro.crypto.chacha20 import (
-    chacha20_block,
-    chacha20_encrypt,
-    chacha20_keystream_lanes,
-    xor_bytes,
-)
-from repro.crypto.chacha20_fast import chacha20_keystream_multi
+from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt, chacha20_keystream_lanes
+from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
 from repro.crypto.keyschedule import TrafficKeys
 from repro.crypto.poly1305 import constant_time_equal, poly1305_key_gen, poly1305_mac
 from repro.crypto.poly1305_fast import poly1305_mac_fast
@@ -258,7 +253,7 @@ def test_rfc8439_vectors_through_the_lane_path():
         b"only one tip for the future, sunscreen would be it."
     )
     stream = chacha20_keystream_lanes(key, 1, bytes.fromhex("000000000000004a00000000"), 2)
-    assert xor_bytes(sunscreen, stream) == bytes.fromhex(
+    assert xor_keystream(sunscreen, stream) == bytes.fromhex(
         "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
         "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
         "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
@@ -445,8 +440,8 @@ def test_short_record_inside_a_window_uses_the_window(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Trial decryption of short records (stateless: no keystream survives a
-# failed open -- EXPERIMENTS.md P1 has the ablation that removed the memo)
+# Trial decryption of short records (a failed open no window covers
+# keeps its own pass as a one-slot window: tls/record.py, EXPERIMENTS P14)
 # ----------------------------------------------------------------------
 
 def _short_record(state, size):
