@@ -14,36 +14,21 @@ machine (``client_stampede`` + ``slow_reader`` + ``memory_pressure``
 from the fault vocabulary) and asserts shed/reject counts are nonzero
 and digest-identical across a double run.
 
-Reported (and exported to ``BENCH_overload.json``):
-
-- **goodput curve** — completions/sec at each offered multiplier;
-- **admission counts** — admitted (full/cheap), rejected (queue /
-  pacer / state), coupons minted/accepted, shed sessions;
-- **latency p50/p99** — arrival-to-last-response-byte, simulated;
-- **events/sec** — simulator events per wall second over the sweep.
-
-Set ``REPRO_OVERLOAD_QUICK=1`` (the CI farm-smoke job does) to
-shrink the run.
+Printed: the goodput curve (completions/sec at each offered
+multiplier), the admission counts at 4x, the faulted cell's shedding,
+and the arrival-to-last-response-byte latency p50/p99 at 1x, all on the
+simulated clock.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
 from repro.analysis import reset_process_globals
 from repro.faults.plan import FaultPlan
-from repro.obs import collect_metrics, write_metrics_json
 from repro.overload import OverloadConfig, run_overload
 
-from conftest import METRICS_DIR, report
-
-QUICK = os.environ.get("REPRO_OVERLOAD_QUICK", "") not in ("", "0")
-CAPACITY = 30.0 if QUICK else 60.0
-DURATION = 1.5 if QUICK else 3.0
+CAPACITY = 30.0
+DURATION = 1.5
 MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
-
-_OVERLOAD_JSON = os.path.join(METRICS_DIR, "BENCH_overload.json")
 
 
 def _percentile(values, fraction):
@@ -84,30 +69,17 @@ def _counts_digest(result) -> tuple:
     )
 
 
-def test_overload_goodput_curve(once):
-    state = {}
-
-    def run():
-        sweep = {}
-        started = time.perf_counter()
-        for multiplier in MULTIPLIERS:
-            reset_process_globals()
-            sweep[multiplier] = run_overload(_config(multiplier))
-        # Faulted cell, run twice: shed counts must be deterministic.
-        plan = _faulted_plan()
+def test_overload_goodput_curve():
+    sweep = {}
+    for multiplier in MULTIPLIERS:
         reset_process_globals()
-        faulted = run_overload(_config(2.0), fault_plan=plan)
-        reset_process_globals()
-        faulted_again = run_overload(_config(2.0), fault_plan=plan)
-        state["wall"] = time.perf_counter() - started
-        state["sweep"] = sweep
-        state["faulted"] = faulted
-        state["faulted_again"] = faulted_again
-        return sweep
-
-    sweep = once(run)
-    wall = state["wall"]
-    faulted = state["faulted"]
+        sweep[multiplier] = run_overload(_config(multiplier))
+    # Faulted cell, run twice: shed counts must be deterministic.
+    plan = _faulted_plan()
+    reset_process_globals()
+    faulted = run_overload(_config(2.0), fault_plan=plan)
+    reset_process_globals()
+    faulted_again = run_overload(_config(2.0), fault_plan=plan)
 
     # -- acceptance --------------------------------------------------------
     for multiplier, result in sweep.items():
@@ -136,13 +108,12 @@ def test_overload_goodput_curve(once):
     assert any(to == "shedding" for _, _, to in faulted.transitions)
     assert any(to == "normal" for _, _, to in faulted.transitions)
     # ...deterministically: double run, identical digests.
-    assert _counts_digest(faulted) == _counts_digest(state["faulted_again"])
+    assert _counts_digest(faulted) == _counts_digest(faulted_again)
 
     goodput = {m: sweep[m].goodput for m in MULTIPLIERS}
     latencies_1x = sweep[1.0].latencies
-    events_total = sum(sweep[m].events_processed for m in MULTIPLIERS)
     lines = [
-        f"mode:                {'quick' if QUICK else 'full'}",
+        "O1: overload robustness (admission + shedding)",
         f"capacity             {CAPACITY:.0f} handshakes/s over {DURATION:.1f}s",
         "goodput (req/s)      "
         + "  ".join(f"{m}x={goodput[m]:.1f}" for m in MULTIPLIERS),
@@ -159,33 +130,5 @@ def test_overload_goodput_curve(once):
         f" completed {faulted.completed}/{faulted.offered}",
         f"latency p50/p99 @1x  {_percentile(latencies_1x, 0.50) * 1000:.1f} ms"
         f" / {_percentile(latencies_1x, 0.99) * 1000:.1f} ms",
-        f"events/sec (wall)    {events_total / wall if wall else 0.0:,.0f}"
-        f" ({events_total:,} events in {wall:.2f}s)",
     ]
-    report("O1: overload robustness (admission + shedding)", lines)
-
-    payload = collect_metrics(
-        title="O1 overload robustness",
-        extra={
-            "quick_mode": QUICK,
-            "capacity_rate": CAPACITY,
-            "duration_s": DURATION,
-            "goodput_by_multiplier": {str(m): goodput[m] for m in MULTIPLIERS},
-            "flatness_4x_over_1x": goodput[4.0] / max(goodput[1.0], 1e-9),
-            "offered_by_multiplier": {
-                str(m): sweep[m].offered for m in MULTIPLIERS
-            },
-            "completed_by_multiplier": {
-                str(m): sweep[m].completed for m in MULTIPLIERS
-            },
-            "counts_4x": counts_4x,
-            "faulted_counts": faulted.counts,
-            "faulted_transitions": len(faulted.transitions),
-            "latency_p50_1x_s": _percentile(latencies_1x, 0.50),
-            "latency_p99_1x_s": _percentile(latencies_1x, 0.99),
-            "events_processed": events_total,
-            "wall_seconds": wall,
-        },
-    )
-    write_metrics_json(_OVERLOAD_JSON, payload)
-    print(f"[metrics] {_OVERLOAD_JSON}")
+    print(*lines, sep="\n")

@@ -17,11 +17,10 @@ Subpackages, bottom-up:
   ACKs/failover, JOIN/multipath, migration, bytecode plugins, 0-RTT
 - ``repro.quic``      — a mini-QUIC baseline for the comparisons
 - ``repro.baselines`` — plain-TCP and layered TLS/TCP applications
-- ``repro.compare``   — the machinery regenerating the paper's Table 1
 
 Start with ``repro.core`` (or ``examples/quickstart.py``); DESIGN.md maps
-every paper section to its module, EXPERIMENTS.md records paper-vs-
-measured results for every table and figure.
+every paper section to its module, ``tests/paper/`` regenerates every
+table and figure, and EXPERIMENTS.md records paper-vs-measured results.
 """
 
 __version__ = "1.0.0"

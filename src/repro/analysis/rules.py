@@ -637,7 +637,7 @@ class Obs001TelemetryKeys(Rule):
     id = "OBS001"
     title = "telemetry key strings must come from repro.obs.keys"
     rationale = """\
-Telemetry keys are an API: the BENCH_*.json exporters, the CI job
+Telemetry keys are an API: the benchmark harness, the CI job
 summaries and the fault-matrix invariant checks all read counters by
 name.  A literal key at the call site can silently fork the vocabulary
 ("decode.rejected" here, "decode_rejected" there) and the consumer

@@ -37,7 +37,7 @@ flags = _flags
 
 
 def all_enabled() -> Dict[str, bool]:
-    """Snapshot of every flag (for BENCH_*.json provenance)."""
+    """Snapshot of every flag (for a benchmark record's provenance)."""
     return dict(_flags)
 
 

@@ -12,15 +12,13 @@ machine-readable numbers.  This package provides them:
   per-connection snapshots, pull-based so sampling never perturbs the
   simulation;
 - :class:`Observability` — one hub bundling all three around one clock;
-- :func:`collect_metrics` / :func:`write_metrics_json` — the
-  ``BENCH_*.json`` export the benchmarks emit.
+  ``TcplsSession.metrics()`` reads a session's hub into one document.
 
 Invariant: instrumentation is observation only.  A simulation run with
 telemetry enabled and one with it disabled produce byte-identical
 results (same goodput, same ``events_processed``, same pcap bytes).
 """
 
-from repro.obs.export import collect_metrics, write_metrics_json
 from repro.obs.hub import Observability
 from repro.obs.tcpinfo import TcpInfo, TcpInfoLog, sample_tcp
 from repro.obs.telemetry import Counter, Gauge, Histogram, Telemetry
@@ -36,7 +34,5 @@ __all__ = [
     "TcpInfoLog",
     "Telemetry",
     "Tracer",
-    "collect_metrics",
     "sample_tcp",
-    "write_metrics_json",
 ]

@@ -3,8 +3,8 @@
 Every string that names a telemetry component, counter, gauge, or
 histogram lives here.  Instrumented code imports the constant instead of
 repeating the literal, so a key can never silently fork into two
-spellings ("decode.rejected" here, "decode_rejected" there) and the
-``BENCH_*.json`` consumers can rely on one canonical vocabulary.
+spellings ("decode.rejected" here, "decode_rejected" there) and every
+reader of a snapshot can rely on one canonical vocabulary.
 
 The OBS001 lint rule (``repro.analysis``) enforces this: a string
 literal passed directly to ``Telemetry.counter``/``gauge``/``histogram``

@@ -11,7 +11,7 @@ Design constraints (the reason this is not a thin dict wrapper):
   simulator, never consume randomness, and never allocate on the hot
   path (histograms bisect into preallocated log-scaled buckets);
 - **machine readable** — ``snapshot()`` returns plain nested dicts that
-  serialize to the ``BENCH_*.json`` metrics files.
+  serialize to JSON as they are.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.compare.features import PAPER_TABLE, expected_bool, render_table
 from repro.netsim.scenarios import simple_duplex_network
 from tests.core.conftest import World, collect_stream_data
 
@@ -27,19 +26,3 @@ def test_tcpls_runs_on_both_controllers(congestion):
     world.run(until=15.0)
     assert bytes(received[stream]) == payload
 
-
-def test_render_table_marks_mismatches():
-    measured = {
-        feature: {
-            protocol: expected_bool(cell)
-            for protocol, cell in row.items()
-        }
-        for feature, row in PAPER_TABLE.items()
-    }
-    # All matching -> only '=' marks.
-    table = render_table(measured)
-    assert "!" not in table
-    # Flip one cell -> a '!' appears.
-    measured["streams"]["tcpls"] = False
-    table = render_table(measured)
-    assert "!" in table

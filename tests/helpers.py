@@ -85,3 +85,9 @@ def start_sink_server(server_tcp, port: int = 443):
 
     server_tcp.listen(port, on_connection)
     return sinks
+
+
+def report(title: str, lines) -> None:
+    """Print one of the paper's result blocks (``pytest -s`` shows it)."""
+    bar = "=" * 72
+    print(f"\n{bar}\n{title}\n{bar}", *lines, bar, sep="\n")

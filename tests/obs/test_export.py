@@ -1,4 +1,4 @@
-"""Session-level observability and the metrics export pipeline.
+"""Session-level observability and the session's metrics document.
 
 The central invariant tested here is **zero perturbation**: running the
 exact same simulated TCPLS transfer with telemetry on and off must
@@ -6,13 +6,11 @@ produce bit-identical results — same delivered bytes, same number of
 simulator events, same finishing time, same packets on the wire (pcap).
 """
 
-import json
-
 from repro.core.events import Event
 from repro.core.session import TcplsContext, TcplsServer, TcplsSession
 from repro.netsim.pcap import PcapWriter
 from repro.netsim.scenarios import simple_duplex_network
-from repro.obs import Observability, collect_metrics, write_metrics_json
+from repro.obs import Observability
 from repro.tcp.stack import TcpStack
 from repro.tls.certificates import CertificateAuthority, TrustStore
 
@@ -142,33 +140,14 @@ def test_shared_observability_hub_merges_both_sides():
     assert len(shared.tracer.events_named("handshake")) == 2
 
 
-def test_collect_metrics_document_shape(tmp_path):
-    net, client, server = _run_transfer(telemetry=True)
-    metrics = collect_metrics(
-        title="unit",
-        sim=net.sim,
-        sessions=[client, server],
-        extra={"goodput_mbps": 12.5},
-    )
-    assert metrics["schema"] == 1
-    assert metrics["title"] == "unit"
-    assert metrics["sim_time"] == net.sim.now
-    assert metrics["events_processed"] == net.sim.events_processed
-    assert metrics["extra"] == {"goodput_mbps": 12.5}
-    roles = [session["role"] for session in metrics["sessions"]]
-    assert roles == ["client", "server"]
-    conn = metrics["sessions"][0]["connections"]["0"]
-    assert conn["tcp"]["state"] == "ESTABLISHED"
-    assert conn["tcp"]["delivered_bytes"] > 0
-
-    path = write_metrics_json(str(tmp_path / "out" / "m.json"), metrics)
-    with open(path) as handle:
-        assert json.load(handle)["schema"] == 1
-
-
 def test_session_metrics_method_matches_export():
-    _net, client, _server = _run_transfer(telemetry=True)
+    _net, client, server = _run_transfer(telemetry=True)
     doc = client.metrics()
     assert doc["role"] == "client"
+    assert server.metrics()["role"] == "server"
     assert doc["stats"] == dict(client.stats)
     assert "counters" in doc and "timeline" in doc and "tcp_samples" in doc
+    primary = doc["connections"]["0"]
+    assert primary["primary"]
+    assert primary["tcp"]["state"] == "ESTABLISHED"
+    assert primary["tcp"]["delivered_bytes"] > 0
