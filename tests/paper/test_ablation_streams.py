@@ -10,6 +10,8 @@ The test runs N streams over one and over two TCP connections,
 reports trial-decryption statistics, and verifies forgery accounting.
 """
 
+import pytest
+
 from repro.core.session import TcplsContext, TcplsServer, TcplsSession
 from repro.netsim.middlebox import PayloadCorruptor
 from repro.netsim.scenarios import dual_path_network
@@ -110,3 +112,17 @@ def test_a8_forgery_accounting():
         [f"forgery suspects counted: {result['forgeries']}"],
     )
     assert result["forgeries"] > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known liveness defect: the replay re-seals frames 46-48 under "
+    "(stream 11, conn) contexts; a corrupted packet makes 47 fail to open and "
+    "48 then fails on the desynchronized nonce; the next ACK record opens "
+    "under the control context and resets auth_failure_run at 2, below "
+    "AUTH_FAILURE_TOLERANCE (3), so the connection is never failed and nothing "
+    "replays again: stream 11 stops at 80,000 of 100,000 bytes",
+)
+def test_a8b_tampered_transfer_delivers_every_byte():
+    """The tampered A8b transfer should still deliver all six streams."""
+    assert _run(1, True)["ok"]
