@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.health import PathHealth
+from repro.core.health import path_score
+from repro.obs.tcpinfo import sample_tcp
 from repro.tcp.connection import TcpConnection
 from repro.tls.record import RecordDecoder
 
@@ -33,7 +34,6 @@ class TcplsConnection:
         "records_received",
         "auth_failure_run",
         "plaintext_junk",
-        "health",
     )
 
     CONNECTING = "CONNECTING"
@@ -55,7 +55,6 @@ class TcplsConnection:
         self.records_received = 0
         self.auth_failure_run = 0  # consecutive open_record failures
         self.plaintext_junk = 0  # post-establishment non-APPDATA records
-        self.health = PathHealth()
         tcp.on_data = self._on_data
         tcp.on_established = lambda: session._on_tcp_established(self)
         tcp.on_reset = lambda: session._on_tcp_failed(self, "reset")
@@ -82,10 +81,6 @@ class TcplsConnection:
         room = info_window - self.tcp.bytes_in_flight() - self.tcp.send_queue_length()
         return max(0, room)
 
-    def path_score(self) -> float:
-        """Health score (lower is better) for scheduler/failover choice."""
-        return self.health.score(self)
-
     def describe(self) -> dict:
         return {
             "conn_id": self.conn_id,
@@ -93,6 +88,8 @@ class TcplsConnection:
             "primary": self.is_primary,
             "local": f"{self.tcp.local_addr}:{self.tcp.local_port}",
             "remote": f"{self.tcp.remote_addr}:{self.tcp.remote_port}",
-            "tcp": self.tcp.info(),
-            "health": self.health.describe(self),
+            "bytes_delivered": self.bytes_delivered,
+            "records_received": self.records_received,
+            "path_score": path_score(self),
+            "tcp": sample_tcp(self.tcp).to_dict(),
         }

@@ -4,8 +4,8 @@ Only values some caller actually varies live here: TLS material, the
 per-deployment behaviour choices, and the observability hub.  Every
 tuning threshold (ACK pacing, reconnect backoff, resource guards, JOIN
 rate limit, ticket issuance) is a named constant in the module that
-reads it — ``core.session``, ``core.recovery``, ``core.server`` and
-``core.cookies``.
+reads it — ``core.session``, ``core.frames``, ``core.recovery``,
+``core.server`` and ``core.cookies``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ class TcplsContext:
 
     # TCPLS behaviour.
     congestion: str = "reno"
-    multipath_mode: str = "pinned"   # pinned | aggregate | round_robin | rtt
+    # A ``scheduler.make_scheduler`` name: pinned (alias hol_avoidance),
+    # cwnd_aware (aggregate, aggregation), round_robin (rr), lowest_rtt
+    # (rtt) or health (health_aware).
+    multipath_mode: str = "pinned"
     cwnd_match_records: bool = False
     auto_failover: bool = True
     # Applied to every underlying TCP connection so path outages surface

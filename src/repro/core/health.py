@@ -4,8 +4,8 @@ The paper's failover story (section 2.1) needs an answer to "which
 surviving connection should carry the replayed frames and the re-pinned
 streams?"  This module scores every path from cross-layer TCP signals —
 smoothed RTT and loss events (retransmissions, fast retransmits, RTO
-expiries) — so the scheduler, ``_repin_streams_away_from`` and the
-replay target all prefer the healthiest path.
+expiries) — so the ``health`` scheduler, the stream re-pin and the
+replay target after a failure all prefer the healthiest path.
 
 Scores are *lower-is-better* simulated seconds: an idealised path scores
 its smoothed RTT; loss inflates that multiplicatively.  Scoring reads
@@ -30,39 +30,19 @@ LOSS_WEIGHT = 8.0
 LOSS_EVENT_WEIGHT = 0.5
 
 
-class PathHealth:
-    """Health view of one ``TcplsConnection`` (stateless: everything is
-    read off the connection's TCP counters at scoring time)."""
-
-    __slots__ = ()
-
-    def score(self, conn) -> float:
-        """Lower is better."""
-        # Explicit unmeasured sentinel: a measured srtt of exactly 0.0
-        # (zero-delay simulated link) is a *good* path, not an unknown.
-        srtt = conn.tcp.rto.srtt
-        if srtt is None:
-            srtt = UNMEASURED_RTT
-        sent = conn.tcp.stats["segments_sent"]
-        events = self._loss_events(conn)
-        loss_ratio = events / sent if sent else 0.0
-        return srtt * (1.0 + LOSS_WEIGHT * loss_ratio + LOSS_EVENT_WEIGHT * events)
-
-    @staticmethod
-    def _loss_events(conn) -> int:
-        stats = conn.tcp.stats
-        return (
-            stats["retransmissions"]
-            + stats["fast_retransmits"]
-            + stats["timeouts"]
-        )
-
-    def describe(self, conn) -> dict:
-        return {
-            "score": self.score(conn),
-            "srtt": conn.tcp.rto.srtt,
-            "loss_events": self._loss_events(conn),
-        }
+def path_score(conn) -> float:
+    """Health score of one ``TcplsConnection``; lower is better."""
+    tcp = conn.tcp
+    # Explicit unmeasured sentinel: a measured srtt of exactly 0.0
+    # (zero-delay simulated link) is a *good* path, not an unknown.
+    srtt = tcp.rto.srtt
+    if srtt is None:
+        srtt = UNMEASURED_RTT
+    stats = tcp.stats
+    sent = stats["segments_sent"]
+    events = stats["retransmissions"] + stats["fast_retransmits"] + stats["timeouts"]
+    loss_ratio = events / sent if sent else 0.0
+    return srtt * (1.0 + LOSS_WEIGHT * loss_ratio + LOSS_EVENT_WEIGHT * events)
 
 
 def best_path(connections, exclude: Optional[object] = None):
@@ -80,4 +60,4 @@ def best_path(connections, exclude: Optional[object] = None):
     ]
     if not candidates:
         return None
-    return min(candidates, key=lambda conn: (conn.health.score(conn), conn.conn_id))
+    return min(candidates, key=lambda conn: (path_score(conn), conn.conn_id))

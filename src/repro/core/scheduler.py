@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.health import path_score
+
 
 def _sendable(conn) -> bool:
     """The uniform usable-set predicate every scheduler filters on.
@@ -128,12 +130,11 @@ class LowestRttScheduler(Scheduler):
 
 
 class HealthAwareScheduler(Scheduler):
-    """Aggregation mode steered by the per-path health monitor.
+    """Aggregation mode steered by path health.
 
-    Picks the usable connection with the best (lowest) ``PathHealth``
-    score — RTT inflated by observed loss — so a path that starts
-    retransmitting sheds load *before* it fails outright.  Connections
-    without a health record (unit-test stubs) fall back to RTT only.
+    Picks the usable connection with the best (lowest) ``path_score`` —
+    RTT inflated by observed loss — so a path that starts
+    retransmitting sheds load *before* it fails outright.
     """
 
     name = "health"
@@ -144,12 +145,7 @@ class HealthAwareScheduler(Scheduler):
         for conn in connections:
             if not _sendable(conn):
                 continue
-            health = getattr(conn, "health", None)
-            if health is not None:
-                score = health.score(conn)
-            else:
-                srtt = conn.tcp.rto.srtt
-                score = 1e9 if srtt is None else srtt
+            score = path_score(conn)
             if best_score is None or score < best_score:
                 best = conn
                 best_score = score

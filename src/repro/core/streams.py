@@ -136,9 +136,31 @@ class TcplsStream:
     def has_pending_data(self) -> bool:
         return bool(self.send_buffer) or (self.fin_pending and not self.fin_sent)
 
-    def send_credit(self) -> int:
-        """Bytes of flow-control credit remaining on this stream."""
-        return max(0, self.send_limit - self.send_offset)
+    # -- flow control --------------------------------------------------------
+    # The session only does the I/O around these rules: it sends the
+    # WINDOW_UPDATE ``grant`` names, re-pumps after ``on_grant``, counts
+    # the stall edge and fails the connection ``overruns_credit`` blames.
+
+    def credit_blocked(self) -> bool:
+        """Whether queued bytes wait on the peer's credit (a bare FIN
+        needs none).  Blocked, not dropped: the stream is marked
+        ``stalled`` until a grant raises ``send_limit``."""
+        if not self.send_buffer or self.send_offset < self.send_limit:
+            return False
+        self.stalled = True
+        return True
+
+    def on_grant(self, max_offset: int) -> bool:
+        """Take a WINDOW_UPDATE grant; True when it raised the credit.
+
+        Grants are cumulative: a stale or replayed one (not above
+        ``send_limit``) changes nothing, so credit never shrinks.
+        """
+        if max_offset <= self.send_limit:
+            return False
+        self.send_limit = max_offset
+        self.stalled = False
+        return True
 
     # -- receiver ------------------------------------------------------------------
 
@@ -193,14 +215,29 @@ class TcplsStream:
         """Delivered-but-unread bytes sitting in the app-read queue."""
         return len(self.read_buffer)
 
-    def consumed_offset(self) -> int:
-        """Absolute offset the application has consumed up to.
+    def grant(self, window: int) -> Optional[int]:
+        """The new credit limit to send the peer, or None while less
+        than a quarter of ``window`` has been freed.
 
-        With a delivery callback, delivery *is* consumption; in pull
-        mode, in-order bytes parked in ``read_buffer`` are delivered but
-        not yet consumed and earn the peer no new credit.
+        Grants are batched (a grant per delivered record would double
+        control traffic) and name an absolute limit: the offset the
+        application has consumed up to, plus the window.  With a
+        delivery callback, delivery *is* consumption; in pull mode,
+        in-order bytes parked in ``read_buffer`` are delivered but not
+        yet consumed and earn the peer no new credit.
         """
-        return self.recv_next - len(self.read_buffer)
+        new_limit = self.recv_next - len(self.read_buffer) + window
+        if new_limit - self.granted_limit < max(1, window // 4):
+            return None
+        self.granted_limit = new_limit
+        return new_limit
+
+    def overruns_credit(self, end: int) -> bool:
+        """Whether peer data ending at ``end`` runs past every grant we
+        issued.  Overshoot up to the protocol-default window is
+        tolerated, so asymmetric configurations converge rather than
+        abort."""
+        return end > self.granted_limit and end > DEFAULT_STREAM_WINDOW
 
     def read(self, max_bytes: Optional[int] = None) -> bytes:
         """Drain up to ``max_bytes`` from the app-read queue."""

@@ -47,12 +47,7 @@ def link_component(name: str) -> str:
 
 # -- session metrics ----------------------------------------------------------
 
-RECORDS_SENT = "records_sent"
-RECORDS_RECEIVED = "records_received"
 RECORD_BYTES = "record_bytes"
-ACKS_SENT = "acks_sent"
-ACKS_RECEIVED = "acks_received"
-FRAMES_REPLAYED = "frames_replayed"
 STREAM_BYTES_RECEIVED = "stream_bytes_received"
 FAILOVER_RETRIES = "failover.retries"
 FAILOVER_RECOVERED = "failover.recovered"
@@ -154,12 +149,7 @@ LINK_STATS = (
 #: Every statically-named metric key.
 ALL_KEYS = frozenset(
     (
-        RECORDS_SENT,
-        RECORDS_RECEIVED,
         RECORD_BYTES,
-        ACKS_SENT,
-        ACKS_RECEIVED,
-        FRAMES_REPLAYED,
         STREAM_BYTES_RECEIVED,
         FAILOVER_RETRIES,
         FAILOVER_RECOVERED,

@@ -9,7 +9,7 @@ owns the whole session lifecycle:
   inflated by its failure ratio);
 - **reuse** — an arrival is served by the *best-scoring* ready session
   with spare stream capacity; the score is the session's best usable
-  path score (:meth:`TcplsConnection.path_score`, lower is better)
+  path score (:func:`repro.core.health.path_score`, lower is better)
   plus a load term as requests stack on it;
 - **retire** — sessions are closed when they fail or lose every usable
   connection; ``maintain()`` sweeps idle sessions against the same
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.events import Event
+from repro.core.health import path_score
 from repro.obs import keys as obs_keys
 from repro.obs.hub import Observability
 
@@ -131,7 +132,7 @@ class PooledSession:
         best = SCORE_UNUSABLE
         for conn in self.session.connections.values():
             if conn.usable():
-                score = conn.path_score()
+                score = path_score(conn)
                 if score < best:
                     best = score
         return best

@@ -351,25 +351,6 @@ class TcpConnection:
             return 0.0
         return self.delivered_bytes * 8 / elapsed
 
-    def info(self) -> dict:
-        """Introspection used by TCPLS for cross-layer decisions."""
-        return {
-            "state": self.state,
-            "cwnd": self.cc.window(),
-            "ssthresh": self.cc.ssthresh,
-            "srtt": self.rto.srtt,
-            "rttvar": self.rto.rttvar,
-            "rto": self.rto.rto,
-            "mss": self.effective_mss(),
-            "flight": self.bytes_in_flight(),
-            "snd_wnd": self.snd_wnd,
-            "congestion": self.cc.name,
-            "sacked_segments": self.sacked_segments,
-            "delivered_bytes": self.delivered_bytes,
-            "delivery_rate_bps": self.delivery_rate(),
-            **self.stats,
-        }
-
     def effective_mss(self) -> int:
         return min(self.mss, self.peer_mss)
 

@@ -10,7 +10,7 @@ Four parts, all against the real session in ``fault_world`` (no mocks):
 - attempts that fail reach the tracer timeline (``ok=False``) instead
   of staying open forever, and ``crash()`` disarms a reconnect in
   flight;
-- ``PathHealth.score`` returns the floats the formula with the removed
+- ``path_score`` returns the floats the formula with the removed
   tick state (``loss_ewma`` 0.0, nothing "seen") returned.
 """
 
@@ -21,7 +21,7 @@ import pytest
 from repro.analysis import reset_process_globals
 from repro.core import recovery
 from repro.core.events import Event
-from repro.core.health import PathHealth
+from repro.core.health import path_score
 from repro.core.recovery import ReconnectState
 from repro.faults import FaultPlan
 
@@ -527,7 +527,7 @@ def test_handshake_cut_short_by_tcp_failure_is_on_the_timeline():
     assert client._hs_span is None
 
 
-# -- PathHealth.score, frozen -------------------------------------------------
+# -- path_score, frozen ------------------------------------------------------
 
 #: (srtt, segments_sent, retransmissions, fast_retransmits, timeouts, score);
 #: scores computed at 7e4d777, where the formula still carried the health
@@ -555,4 +555,4 @@ def test_path_health_score_is_bit_identical(srtt, sent, rtx, fast, timeouts, sco
         stats={"segments_sent": sent, "retransmissions": rtx,
                "fast_retransmits": fast, "timeouts": timeouts},
     ))
-    assert PathHealth().score(conn) == score  # ==, not approx
+    assert path_score(conn) == score  # ==, not approx

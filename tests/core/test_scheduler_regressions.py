@@ -11,7 +11,7 @@ Two bug classes, both of which only bite under many-session churn:
 
 import pytest
 
-from repro.core.health import PathHealth, UNMEASURED_RTT
+from repro.core.health import UNMEASURED_RTT, path_score
 from repro.core.scheduler import (
     CwndAwareScheduler,
     HealthAwareScheduler,
@@ -100,9 +100,8 @@ def test_health_fallback_prefers_measured_zero_rtt():
 def test_health_score_treats_zero_rtt_as_measured():
     fast = FakeConn(0, srtt=0.0)
     unknown = FakeConn(1, srtt=None)
-    health = PathHealth()
-    assert health.score(fast) == 0.0
-    assert health.score(unknown) == pytest.approx(UNMEASURED_RTT)
+    assert path_score(fast) == 0.0
+    assert path_score(unknown) == pytest.approx(UNMEASURED_RTT)
 
 
 # ----------------------------------------------------------------------

@@ -40,9 +40,9 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.core import framing
+from repro.core.frames import HANDLERS
 from repro.core import join as joinmod
 from repro.core.framing import TType
-from repro.core.session import TcplsSession
 from repro.quic import packet as quicpkt
 from repro.tcp.options import (
     FastOpenCookie,
@@ -307,7 +307,7 @@ def _target_tls_handshake(data: bytes) -> None:
                 joinmod.parse_tcpls_marker(ext_body)
 
 
-#: The body decoder each ``TcplsSession._FRAME_HANDLERS`` entry runs.
+#: The body decoder each ``repro.core.frames.HANDLERS`` entry runs.
 #: JOIN_ACK is absent: the joining client matches it by type alone.
 FRAME_BODY_DECODERS: Dict[int, Callable[[bytes], object]] = {
     TType.STREAM_DATA: framing.decode_stream_data,
@@ -501,9 +501,9 @@ def test_seed_corpus_covers_every_format():
 def test_frame_decoders_cover_every_frame_handler():
     """A new frame type cannot escape the campaign: every frame the
     session dispatches has its body decoder here (PING has no body)."""
-    assert set(FRAME_BODY_DECODERS) == set(TcplsSession._FRAME_HANDLERS) - {TType.PING}
+    assert set(FRAME_BODY_DECODERS) == set(HANDLERS) - {TType.PING}
     seeded = {seed[0] for seed in SEEDS["tcpls_frame"]}
-    assert set(TcplsSession._FRAME_HANDLERS) <= seeded
+    assert set(HANDLERS) <= seeded
 
 
 @pytest.mark.parametrize(

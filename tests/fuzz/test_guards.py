@@ -9,13 +9,10 @@ import types
 import pytest
 
 from repro.core import framing
+from repro.core.frames import MAX_REASSEMBLY_BYTES, MAX_STREAMS, on_stream_data
 from repro.core.framing import TType
 from repro.core.server import JOIN_RATE_LIMIT, JOIN_RATE_WINDOW
-from repro.core.session import (
-    MAX_PLAINTEXT_RECORDS,
-    MAX_REASSEMBLY_BYTES,
-    MAX_STREAMS,
-)
+from repro.core.session import MAX_PLAINTEXT_RECORDS
 from repro.core.streams import DEFAULT_STREAM_WINDOW
 from repro.tls.alerts import TlsAlertError
 from repro.tls.certificates import CertificateAuthority, TrustStore
@@ -114,10 +111,10 @@ def test_reassembly_cap_guard():
     )
     assert 1 + frames * step + size < DEFAULT_STREAM_WINDOW
     for index in range(frames):
-        server._on_stream_data_frame(conn, frame(index))
+        on_stream_data(server, conn, frame(index))
     assert server.streams[2].reassembly_bytes() == MAX_REASSEMBLY_BYTES
     with pytest.raises(GuardLimitExceeded, match="reassembly buffer"):
-        server._on_stream_data_frame(conn, frame(frames))
+        on_stream_data(server, conn, frame(frames))
 
 
 def test_plaintext_junk_cap_guard():

@@ -95,9 +95,9 @@ def test_disabled_telemetry_records_nothing():
 def test_session_records_counters_spans_and_snapshots():
     net, client, server = _run_transfer(telemetry=True)
     counters = client.obs.telemetry.snapshot()["session.client"]
-    assert counters["records_sent"] > 0
-    assert counters["acks_received"] > 0
-    assert counters["record_bytes"]["count"] == counters["records_sent"]
+    assert client.stats["records_sent"] > 0
+    assert client.stats["acks_received"] > 0
+    assert counters["record_bytes"]["count"] == client.stats["records_sent"]
     assert counters[f"event.{Event.HANDSHAKE_DONE}"] == 1
 
     (handshake,) = client.obs.tracer.events_named("handshake")
@@ -109,7 +109,7 @@ def test_session_records_counters_spans_and_snapshots():
     assert all(row["time"] <= net.sim.now for row in samples)
 
     # The server side records into its own hub under its own component.
-    assert server.obs.telemetry.snapshot()["session.server"]["records_received"] > 0
+    assert server.obs.telemetry.snapshot()["session.server"]["record_bytes"]["count"] > 0
 
 
 def test_shared_observability_hub_merges_both_sides():
@@ -147,7 +147,8 @@ def test_session_metrics_method_matches_export():
     assert server.metrics()["role"] == "server"
     assert doc["stats"] == dict(client.stats)
     assert "counters" in doc and "timeline" in doc and "tcp_samples" in doc
-    primary = doc["connections"]["0"]
+    assert doc["connections"] == [c.describe() for c in client.connections.values()]
+    primary = doc["connections"][0]
     assert primary["primary"]
     assert primary["tcp"]["state"] == "ESTABLISHED"
     assert primary["tcp"]["delivered_bytes"] > 0

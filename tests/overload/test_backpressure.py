@@ -150,7 +150,7 @@ def test_zero_credit_blocks_sender_not_stream_state():
     world.client.send(stream, _payload(32 * 1024, seed=11))
     world.run(until=3.0)
     client_stream = world.client.streams[stream]
-    assert client_stream.send_credit() == 0
+    assert client_stream.send_offset == client_stream.send_limit
     assert client_stream.stalled
     # Receiver holds exactly what the credit permitted, nothing more.
     server_stream = world.server_session.streams[stream]

@@ -9,10 +9,10 @@ process swells.
 
 import pytest
 
-from repro.core import framing
+from repro.core import frames, framing
+from repro.core.frames import MAX_REASSEMBLY_BYTES, MAX_SESSION_MEMORY
 from repro.core.framing import TType
 from repro.core.reliability import ReplayBuffer
-from repro.core.session import MAX_REASSEMBLY_BYTES, MAX_SESSION_MEMORY
 from repro.netsim.scenarios import simple_duplex_network
 from repro.utils.errors import GuardLimitExceeded
 
@@ -45,12 +45,12 @@ def test_recv_budget_trips_across_streams_each_under_stream_cap():
     server = world.server_session
     conn = server.primary
     for i, stream_id in enumerate((2, 4, 6, 8)):
-        server._on_stream_data_frame(
-            conn, _stream_frame(i + 1, stream_id, 50_000, size)
+        frames.on_stream_data(
+            server, conn, _stream_frame(i + 1, stream_id, 50_000, size)
         )
     assert server.session_memory_bytes() == 4 * size
     with pytest.raises(GuardLimitExceeded, match="session buffered memory"):
-        server._on_stream_data_frame(conn, _stream_frame(5, 10, 50_000, size))
+        frames.on_stream_data(server, conn, _stream_frame(5, 10, 50_000, size))
 
 
 def test_send_budget_refuses_oversized_queue():

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,15 +22,18 @@ class FakeSim:
 
 
 class FakeConn:
+    """A loss-free path, so its ``path_score`` is exactly ``score`` (its srtt)."""
+
     def __init__(self, score=0.01, is_usable=True):
-        self._score = score
         self._usable = is_usable
+        self.tcp = SimpleNamespace(
+            rto=SimpleNamespace(srtt=score),
+            stats={"segments_sent": 0, "retransmissions": 0,
+                   "fast_retransmits": 0, "timeouts": 0},
+        )
 
     def usable(self):
         return self._usable
-
-    def path_score(self):
-        return self._score
 
 
 class FakeSession:
