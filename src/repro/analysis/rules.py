@@ -642,10 +642,10 @@ summaries and the fault-matrix invariant checks all read counters by
 name.  A literal key at the call site can silently fork the vocabulary
 ("decode.rejected" here, "decode_rejected" there) and the consumer
 reads zero forever.  `repro.obs.keys` is the single registry; call
-sites pass its constants (or helpers like `session_event()`), so the
-rule simply rejects any string literal or f-string passed directly to
-`Telemetry.counter`/`gauge`/`histogram` outside the obs package
-itself."""
+sites pass its constants (or helpers like `session_component()`), so
+the rule simply rejects any string literal or f-string passed
+directly to `Telemetry.counter`/`gauge`/`histogram` outside the obs
+package itself."""
 
     _METHODS = frozenset(("counter", "gauge", "histogram"))
     _EXEMPT_SUFFIXES = ("obs/telemetry.py", "obs/keys.py")

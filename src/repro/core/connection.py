@@ -91,5 +91,5 @@ class TcplsConnection:
             "bytes_delivered": self.bytes_delivered,
             "records_received": self.records_received,
             "path_score": path_score(self),
-            "tcp": sample_tcp(self.tcp).to_dict(),
+            "tcp": sample_tcp(self.tcp),
         }

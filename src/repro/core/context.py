@@ -60,11 +60,10 @@ class TcplsContext:
     # initial credit without a handshake extension.
     stream_recv_window: int = DEFAULT_STREAM_WINDOW
 
-    # Observability (repro.obs).  ``telemetry`` keeps the per-session
-    # hub on by default (instrumentation is observation-only, so
-    # disabling it never changes a simulated result); ``observability``
-    # shares one hub — one timeline, one metrics registry — across all
-    # sessions built from this context (e.g. a server and everything it
-    # accepts).
-    telemetry: bool = True
+    # Observability (repro.obs).  Left None, each session builds its
+    # own enabled hub; a hub passed here is shared — one timeline, one
+    # metrics registry — by every session built from this context (e.g.
+    # a server and everything it accepts), and a disabled one
+    # (``Observability(sim, enabled=False)``) turns observation off
+    # without changing any simulated result.
     observability: Optional[Observability] = None

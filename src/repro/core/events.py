@@ -51,20 +51,21 @@ class Event:
 
 
 class EventDispatcher:
-    """Per-session registry of application callbacks."""
+    """Per-session registry of application callbacks, and the session's
+    one record of the events it emitted."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._handlers: Dict[str, List[Callable]] = {}
-        self.log: List[tuple] = []  # (event, kwargs) history for inspection
         # Observability tap: called as observer(event, kwargs) before the
         # application handlers for every emission.  Recording only — it
         # must never mutate session state or schedule simulator events.
         self.observer: Optional[Callable[[str, dict], None]] = None
-        # Optional clock (e.g. ``lambda: sim.now``).  When set, every
-        # emission is also appended to ``timeline`` as (time, event,
-        # kwargs) — the trace the fault-injection invariant checker
-        # replays to bound recovery times.
-        self.clock: Optional[Callable[[], float]] = None
+        # The session's clock (e.g. ``lambda: sim.now``; 0.0 without
+        # one).  Every emission is appended to ``timeline`` as (time,
+        # event, kwargs): the one history of a session's events, which
+        # the fault-injection invariant checker replays to bound
+        # recovery times and ``TcplsSession.metrics()`` exports.
+        self.clock = clock
         self.timeline: List[tuple] = []
 
     def on(self, event: str, handler: Callable) -> None:
@@ -90,9 +91,8 @@ class EventDispatcher:
         return len(self._handlers.get(event, []))
 
     def emit(self, event: str, **kwargs) -> None:
-        self.log.append((event, kwargs))
-        if self.clock is not None:
-            self.timeline.append((self.clock(), event, kwargs))
+        now = self.clock() if self.clock is not None else 0.0
+        self.timeline.append((now, event, kwargs))
         if self.observer is not None:
             self.observer(event, kwargs)
         # Snapshot: a handler may (de)register handlers while firing.
@@ -100,4 +100,4 @@ class EventDispatcher:
             handler(**kwargs)
 
     def events_named(self, event: str) -> List[dict]:
-        return [kw for name, kw in self.log if name == event]
+        return [kw for _t, name, kw in self.timeline if name == event]

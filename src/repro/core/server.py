@@ -76,9 +76,7 @@ class TcplsServer:
             )
         # Listener-level hardening counters: rejects that happen before
         # any session exists (garbage first flights, JOIN floods).
-        self.obs = context.observability or Observability(
-            stack.sim, enabled=context.telemetry
-        )
+        self.obs = context.observability or Observability(stack.sim)
         telemetry = self.obs.telemetry
         self._obs_decode_rejected = telemetry.counter(
             obs_keys.COMP_SERVER, obs_keys.DECODE_REJECTED

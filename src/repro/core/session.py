@@ -45,6 +45,8 @@ from repro.core.scheduler import make_scheduler
 from repro.core.streams import TcplsStream
 from repro.obs import Observability
 from repro.obs import keys as obs_keys
+from repro.obs.tcpinfo import sample_tcp
+from repro.obs.tracing import scrub_attrs
 from repro.tcp.connection import TcpConnection
 from repro.tcp.stack import TcpStack
 from repro.tls import messages as m
@@ -119,7 +121,7 @@ class TcplsSession:
         self.tracker = ReceiveTracker()
         self.sizer = RecordSizer(match_cwnd=context.cwnd_match_records)
         self.scheduler = make_scheduler(context.multipath_mode)
-        self.events = EventDispatcher()
+        self.events = EventDispatcher(clock=lambda: self.sim.now)
 
         # Identity / join state.
         self.connection_id = b""
@@ -150,9 +152,7 @@ class TcplsSession:
         # Observability: one hub per session unless the context shares
         # one.  Instruments are looked up once here so the hot paths
         # below are single attribute increments.
-        self.obs = context.observability or Observability(
-            self.sim, enabled=context.telemetry
-        )
+        self.obs = context.observability or Observability(self.sim)
         component = obs_keys.session_component(is_server)
         self._obs_component = component
         telemetry = self.obs.telemetry
@@ -208,8 +208,8 @@ class TcplsSession:
         self._obs_flow_violations = telemetry.counter(
             component, obs_keys.FLOW_VIOLATIONS
         )
-        self.events.observer = self._observe_session_event
-        self.events.clock = lambda: self.sim.now
+        if self.obs.tracer.enabled:
+            self.events.observer = self._sample_tcp_on
         self._hs_span = None
         self._join_spans: Dict[int, object] = {}
 
@@ -239,21 +239,27 @@ class TcplsSession:
         )
     )
 
-    def _observe_session_event(self, event: str, kwargs: dict) -> None:
-        """EventDispatcher tap: mirror every session event onto the
-        timeline (correlatable with pcap timestamps) and snapshot TCP
-        state on the transitions the paper's figures care about."""
-        self.obs.tracer.point(self._obs_component, event, **kwargs)
-        self.obs.telemetry.counter(
-            self._obs_component, obs_keys.session_event(event)
-        ).inc()
+    def _sample_tcp_on(self, event: str, kwargs: dict) -> None:
+        """EventDispatcher tap: on the transitions the paper's figures
+        care about, record each connection's TCP state as a ``tcp``
+        tracer point labelled with the transition."""
         if event in self._SNAPSHOT_EVENTS:
-            self.obs.tcp_log.sample(event, self.connections.values())
+            point = self.obs.tracer.point
+            for conn in self.connections.values():
+                point(obs_keys.COMP_TCP, event, conn_id=conn.conn_id,
+                      **sample_tcp(conn.tcp))
 
     def metrics(self) -> dict:
-        """``describe()`` plus everything the observability hub recorded:
-        counters, the event timeline and the TCP snapshots."""
-        return {**self.describe(), **self.obs.snapshot()}
+        """``describe()`` plus everything the observability hub recorded
+        (counters, spans, TCP snapshots) and the session's own events."""
+        return {
+            **self.describe(),
+            **self.obs.snapshot(),
+            "events": [
+                {"t": t, "event": event, **scrub_attrs(kwargs)}
+                for t, event, kwargs in self.events.timeline
+            ],
+        }
 
     # ------------------------------------------------------------------
     # Connection management (client)

@@ -40,7 +40,6 @@ from repro.netsim.middlebox import (
     _parse_tcp,
     _reserialize,
 )
-from repro.obs import keys as obs_keys
 from repro.tcp.segment import Flags, TcpSegment
 
 
@@ -141,7 +140,7 @@ class ChaosEngine:
     to every hop).  Faults with ``path=None`` hit all paths.
     """
 
-    def __init__(self, sim, paths: Sequence, obs=None, endpoints=None,
+    def __init__(self, sim, paths: Sequence, endpoints=None,
                  workloads=None) -> None:
         self.sim = sim
         self.paths: List[list] = [
@@ -172,22 +171,6 @@ class ChaosEngine:
         # Transformers currently installed by windowed faults, so
         # teardown() can remove stragglers when a run ends mid-window.
         self._installed: list = []
-        self._obs_counters = None
-        if obs is not None:
-            self.observe(obs)
-
-    def observe(self, obs) -> None:
-        telemetry = obs.telemetry
-        self._obs_counters = {
-            kind: telemetry.counter(obs_keys.COMP_FAULTS, kind)
-            for kind in (
-                KIND_FLAP, KIND_BLACKHOLE, KIND_LOSS_BURST, KIND_CORRUPT_BURST,
-                KIND_RST_STORM, KIND_STRIP_OPTIONS, KIND_NAT_REBIND,
-                KIND_SERVER_CRASH, KIND_SERVER_RESTART,
-                KIND_TICKET_KEY_ROTATION, KIND_CLIENT_STAMPEDE,
-                KIND_SLOW_READER, KIND_MEMORY_PRESSURE,
-            )
-        }
 
     # -- plan execution ----------------------------------------------------
 
@@ -224,8 +207,6 @@ class ChaosEngine:
             KIND_MEMORY_PRESSURE: self._start_memory_pressure,
         }[fault.kind]
         self._note(fault, "fire" if fault.kind in self._INSTANT_KINDS else "start")
-        if self._obs_counters is not None:
-            self._obs_counters[fault.kind].inc()
         handler(fault)
 
     def _note(self, fault: Fault, phase: str) -> None:

@@ -77,31 +77,22 @@ class Link:
         # Counters for experiments.
         self.stats = dict.fromkeys(obs_keys.LINK_STATS, 0)
         # Optional observability hookup (see observe()).
-        self._obs_counters = None
         self._obs_queue = None
         self._obs_tracer = None
         self._obs_component = ""
 
     def observe(self, obs) -> None:
-        """Mirror this link's counters and queue/drop events into an
-        ``Observability`` hub.  Pure observation: the data path is
-        unchanged whether or not a hub is attached."""
+        """Record this link's queue depths and its drop/outage events in
+        an ``Observability`` hub (its counts stay in ``stats``).  Pure
+        observation: the data path is unchanged whether or not a hub is
+        attached."""
         self._obs_component = obs_keys.link_component(self.name)
-        telemetry = obs.telemetry
-        self._obs_counters = {
-            key: telemetry.counter(self._obs_component, key) for key in self.stats
-        }
-        self._obs_queue = telemetry.histogram(
+        self._obs_queue = obs.telemetry.histogram(
             self._obs_component, obs_keys.LINK_QUEUE_DEPTH
         )
         self._obs_tracer = obs.tracer
 
-    def _obs_count(self, key: str, amount: int = 1) -> None:
-        if self._obs_counters is not None:
-            self._obs_counters[key].inc(amount)
-
     def _obs_drop(self, reason: str, datagram: Datagram) -> None:
-        self._obs_count(reason)
         if self._obs_tracer is not None:
             self._obs_tracer.point(
                 self._obs_component, reason, size=datagram.size
@@ -236,7 +227,6 @@ class Link:
             # behind packets transmitted after it.
             arrival_delay += self.reorder_extra_delay
             self.stats["reordered"] += 1
-            self._obs_count("reordered")
         self.sim.schedule(
             arrival_delay, self._deliver, index, datagram, direction.down_epoch
         )
@@ -370,8 +360,4 @@ class Link:
         stats = self.stats
         stats["delivered"] += 1
         stats["bytes_delivered"] += datagram.size
-        counters = self._obs_counters
-        if counters is not None:
-            counters["delivered"].inc(1)
-            counters["bytes_delivered"].inc(datagram.size)
         destination.node.receive(datagram, destination)

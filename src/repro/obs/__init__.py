@@ -8,19 +8,20 @@ machine-readable numbers.  This package provides them:
   cheap enough to stay on by default;
 - :class:`Tracer` — spans and points on the simulated-time axis,
   correlatable with the pcap writer's timestamps;
-- :func:`sample_tcp` / :class:`TcpInfoLog` — ``TCP_INFO``-style
-  per-connection snapshots, pull-based so sampling never perturbs the
-  simulation;
-- :class:`Observability` — one hub bundling all three around one clock;
-  ``TcplsSession.metrics()`` reads a session's hub into one document.
+- :func:`sample_tcp` — a ``TCP_INFO``-style snapshot of one connection
+  as a plain dict, pull-based so sampling never perturbs the
+  simulation; sessions record them as ``tcp`` tracer points;
+- :class:`Observability` — one hub bundling the registry and the tracer
+  around one clock; ``TcplsSession.metrics()`` reads a session's hub and
+  its event timeline into one document.
 
 Invariant: instrumentation is observation only.  A simulation run with
-telemetry enabled and one with it disabled produce byte-identical
+an enabled hub and one with a disabled hub produce byte-identical
 results (same goodput, same ``events_processed``, same pcap bytes).
 """
 
 from repro.obs.hub import Observability
-from repro.obs.tcpinfo import TcpInfo, TcpInfoLog, sample_tcp
+from repro.obs.tcpinfo import sample_tcp
 from repro.obs.telemetry import Counter, Gauge, Histogram, Telemetry
 from repro.obs.tracing import Span, Tracer
 
@@ -30,8 +31,6 @@ __all__ = [
     "Histogram",
     "Observability",
     "Span",
-    "TcpInfo",
-    "TcpInfoLog",
     "Telemetry",
     "Tracer",
     "sample_tcp",

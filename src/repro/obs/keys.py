@@ -11,9 +11,8 @@ literal passed directly to ``Telemetry.counter``/``gauge``/``histogram``
 anywhere in ``src/`` is a finding — call sites must reference a constant
 (or a helper) from this module.
 
-Dynamic key families (per-event counters, per-fault-kind counters,
-per-link components) are produced by the helper functions below, so
-their prefixes are registered too.
+The one dynamic family, per-link components, comes from
+:func:`link_component`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ COMP_SESSION_CLIENT = "session.client"
 COMP_SESSION_SERVER = "session.server"
 #: The TCPLS listener (pre-session demux, JOIN routing).
 COMP_SERVER = "server"
-COMP_FAULTS = "faults"
+#: Tracer points holding ``TCP_INFO`` snapshots (repro.obs.tcpinfo).
+COMP_TCP = "tcp"
 #: The scale-run session pool/dispatcher (repro.scale).
 COMP_POOL = "scale.pool"
 #: The reconnect-storm recovery driver (repro.scale.recovery).
@@ -73,14 +73,6 @@ FLOW_WINDOW_UPDATES_SENT = "flow.window_updates_sent"
 FLOW_WINDOW_UPDATES_RECEIVED = "flow.window_updates_received"
 #: A peer wrote past the credit it was granted (fail-closed).
 FLOW_VIOLATIONS = "flow.violations"
-#: Prefix for per-session-event counters (see :func:`session_event`).
-SESSION_EVENT_PREFIX = "event."
-
-
-def session_event(event: str) -> str:
-    """Per-event counter key: ``event.<name>``."""
-    return f"{SESSION_EVENT_PREFIX}{event}"
-
 
 # -- scale pool metrics -------------------------------------------------------
 
@@ -146,7 +138,7 @@ LINK_STATS = (
 
 # -- registry -----------------------------------------------------------------
 
-#: Every statically-named metric key.
+#: Every metric key.
 ALL_KEYS = frozenset(
     (
         RECORD_BYTES,
@@ -189,13 +181,3 @@ ALL_KEYS = frozenset(
     )
     + LINK_STATS
 )
-
-#: Prefixes under which dynamically-derived keys are legal.
-DYNAMIC_PREFIXES = (SESSION_EVENT_PREFIX,)
-
-
-def is_registered(name: str) -> bool:
-    """True when ``name`` is a registered key or dynamic-family member."""
-    if name in ALL_KEYS:
-        return True
-    return any(name.startswith(prefix) for prefix in DYNAMIC_PREFIXES)

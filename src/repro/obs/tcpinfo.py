@@ -7,118 +7,41 @@ estimator internals, loss-recovery counters, and delivered-byte rates.
 
 Snapshots are **pull-based** by design: sampling never schedules
 simulator events (a periodic sampling timer would change
-``events_processed`` and violate the zero-perturbation guarantee), so
-``TcplsSession`` samples on its own state transitions — handshake done,
-JOIN, failover, migration, connection failure — and exporters sample
-once more at collection time.
+``events_processed`` and violate the zero-perturbation guarantee).
+``TcplsSession`` samples every connection on its own state transitions
+— handshake done, JOIN, failover, migration, connection failure — as
+``tcp`` tracer points labelled with the transition, and
+``TcplsConnection.describe`` samples once more at collection time.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, List, Optional
 
-
-@dataclass
-class TcpInfo:
-    """One connection's transport state at one instant."""
-
-    time: float
-    state: str
-    cwnd: int
-    ssthresh: int
-    srtt: float
-    rttvar: float
-    rto: float
-    mss: int
-    snd_wnd: int
-    flight: int
-    send_queue: int
-    retransmissions: int
-    fast_retransmits: int
-    timeouts: int
-    sacked_segments: int
-    dup_acks_received: int
-    delivered_bytes: int
-    delivery_rate_bps: float
-    bytes_sent: int
-    bytes_received: int
-    segments_sent: int
-    segments_received: int
-    congestion: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def sample_tcp(tcp, now: Optional[float] = None) -> TcpInfo:
-    """Snapshot one ``repro.tcp.connection.TcpConnection``."""
-    time = tcp.sim.now if now is None else now
+def sample_tcp(tcp) -> dict:
+    """Snapshot one ``repro.tcp.connection.TcpConnection`` as a plain,
+    JSON-ready dict of scalars."""
     stats = tcp.stats
-    return TcpInfo(
-        time=time,
-        state=tcp.state,
-        cwnd=tcp.cc.window(),
-        ssthresh=tcp.cc.ssthresh,
-        srtt=tcp.rto.srtt if tcp.rto.srtt is not None else 0.0,
-        rttvar=tcp.rto.rttvar,
-        rto=tcp.rto.rto,
-        mss=tcp.effective_mss(),
-        snd_wnd=tcp.snd_wnd,
-        flight=tcp.bytes_in_flight(),
-        send_queue=tcp.send_queue_length(),
-        retransmissions=stats["retransmissions"],
-        fast_retransmits=stats["fast_retransmits"],
-        timeouts=stats["timeouts"],
-        sacked_segments=getattr(tcp, "sacked_segments", 0),
-        dup_acks_received=stats["dup_acks_received"],
-        delivered_bytes=getattr(tcp, "delivered_bytes", 0),
-        delivery_rate_bps=tcp.delivery_rate() if hasattr(tcp, "delivery_rate") else 0.0,
-        bytes_sent=stats["bytes_sent"],
-        bytes_received=stats["bytes_received"],
-        segments_sent=stats["segments_sent"],
-        segments_received=stats["segments_received"],
-        congestion=tcp.cc.name,
-    )
-
-
-class TcpInfoLog:
-    """Labelled snapshot history for a session's connections.
-
-    Each ``sample()`` records one row per connection: the label says why
-    the sample was taken (``handshake_done``, ``failover``, ``export``,
-    ...), and successive rows for the same ``conn_id`` let offline
-    analysis compute windowed delivery rates.
-    """
-
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        enabled: bool = True,
-        max_samples: int = 50_000,
-    ) -> None:
-        self.now = clock
-        self.enabled = enabled
-        self.max_samples = max_samples
-        self.dropped = 0
-        self._samples: List[dict] = []
-
-    def sample(self, label: str, connections: Iterable) -> None:
-        """Snapshot every TCPLS connection (objects with .conn_id/.tcp)."""
-        if not self.enabled:
-            return
-        now = self.now()
-        for conn in connections:
-            if len(self._samples) >= self.max_samples:
-                self.dropped += 1
-                continue
-            row = sample_tcp(conn.tcp, now=now).to_dict()
-            row["label"] = label
-            row["conn_id"] = conn.conn_id
-            self._samples.append(row)
-
-    def samples(self) -> List[dict]:
-        return list(self._samples)
-
-    def __len__(self) -> int:
-        return len(self._samples)
+    return {
+        "state": tcp.state,
+        "cwnd": tcp.cc.window(),
+        "ssthresh": tcp.cc.ssthresh,
+        "srtt": tcp.rto.srtt if tcp.rto.srtt is not None else 0.0,
+        "rttvar": tcp.rto.rttvar,
+        "rto": tcp.rto.rto,
+        "mss": tcp.effective_mss(),
+        "snd_wnd": tcp.snd_wnd,
+        "flight": tcp.bytes_in_flight(),
+        "send_queue": tcp.send_queue_length(),
+        "retransmissions": stats["retransmissions"],
+        "fast_retransmits": stats["fast_retransmits"],
+        "timeouts": stats["timeouts"],
+        "sacked_segments": tcp.sacked_segments,
+        "dup_acks_received": stats["dup_acks_received"],
+        "delivered_bytes": tcp.delivered_bytes,
+        "delivery_rate_bps": tcp.delivery_rate(),
+        "bytes_sent": stats["bytes_sent"],
+        "bytes_received": stats["bytes_received"],
+        "segments_sent": stats["segments_sent"],
+        "segments_received": stats["segments_received"],
+        "congestion": tcp.cc.name,
+    }

@@ -80,8 +80,9 @@ class Farm:
         self.trust.add_authority(ca)
 
         # One shared hub on the server side keeps the farm's telemetry
-        # in one registry; client sessions run with telemetry off — a
-        # thousand per-session hubs would dominate the run's memory.
+        # in one registry; every client session shares one disabled hub
+        # — a thousand per-session hubs would dominate the run's memory.
+        self._client_obs = Observability(self.sim, enabled=False)
         self.server_ctx = TcplsContext(
             identity=identity,
             seed=config.seed + 1000,
@@ -139,7 +140,7 @@ class Farm:
             trust_store=self.trust,
             server_name=SERVER_NAME,
             seed=self.config.seed + seed_offset,
-            telemetry=False,
+            observability=self._client_obs,
             **options,
         )
 
@@ -183,8 +184,7 @@ def run_world(world: Farm, fault_plan=None, until: Optional[float] = None,
         on_world(world)
     engine = None
     if fault_plan is not None:
-        engine = ChaosEngine(world.sim, world.links, obs=world.obs,
-                             **chaos_targets)
+        engine = ChaosEngine(world.sim, world.links, **chaos_targets)
         engine.apply(fault_plan)
     world.start()
     world.sim.run(until=until)

@@ -1,5 +1,7 @@
 """The secure control channel: TCP options, plugins, probes, cookies."""
 
+import json
+
 import pytest
 
 from repro.core.events import Event
@@ -130,6 +132,22 @@ def test_middlebox_probe_detects_proxy_mangling(duplex_world):
     assert reports
     findings = " ".join(reports[0]["differences"])
     assert "MSS clamped" in findings or "stripped" in findings
+
+
+def test_metrics_are_json_after_events_whose_kwargs_hold_objects(duplex_world):
+    """``metrics()`` carries the session's own events, each one's kwargs
+    scrubbed to JSON values: a received option arrives as an object."""
+    world = duplex_world
+    establish(world)
+    world.server_session.send_tcp_option(UserTimeout(timeout=30))
+    world.client.send_middlebox_probe()
+    world.run(until=2.0)
+    doc = world.client.metrics()
+    events = {entry["event"]: entry for entry in doc["events"]}
+    assert events[Event.TCP_OPTION_RECEIVED]["kind"] == KIND_USER_TIMEOUT
+    assert "option" not in events[Event.TCP_OPTION_RECEIVED]
+    assert events[Event.PROBE_REPORT]["differences"] == []
+    assert json.loads(json.dumps(doc))["events"] == doc["events"]
 
 
 def test_cookie_replenishment(duplex_world):

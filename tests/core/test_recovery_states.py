@@ -23,6 +23,7 @@ from repro.core import recovery
 from repro.core.events import Event
 from repro.core.health import path_score
 from repro.core.recovery import ReconnectState
+from repro.core.session import TcplsSession
 from repro.faults import FaultPlan
 
 from tests.faults.conftest import establish_paths, fault_world, run_scenario
@@ -369,10 +370,9 @@ def _failed_attempt_span(record):
 
 
 # Captured at 7e4d777 by running the three worlds above after
-# ``reset_process_globals()``: ``client.events.timeline``; the tracer
-# records that are not mirrored session events (spans, backoff points;
-# ``component`` is "session.client" throughout); and the event name of
-# every tracer record in recording order.
+# ``reset_process_globals()``: ``client.events.timeline``, and the
+# session's own tracer records (spans, backoff points; ``component`` is
+# "session.client" throughout).
 PARENT = {
     "lost_attempt": dict(
         timeline=[
@@ -398,12 +398,6 @@ PARENT = {
             {'conn_id': 2, 'dur': 1.0406511999999992, 'event': 'join', 't': 10.961403852047928, 't_end': 12.002055052047927},
             {'attempts': 2, 'dur': 3.304323852047885, 'event': 'reconnect', 'from_conn': 0, 'ok': True, 't': 8.697731200000042, 't_end': 12.002055052047927},
         ],
-        order=(
-            "conn_established handshake address_advertised handshake_done ticket "
-            "ticket stream_attached conn_failed session_degraded conn_retry "
-            "conn_failed reconnect_backoff conn_retry conn_established join "
-            "session_recovered join reconnect failover"
-        ),
     ),
     "lost_join": dict(
         timeline=[
@@ -430,12 +424,6 @@ PARENT = {
             {'conn_id': 2, 'dur': 3.0406512000000046, 'event': 'join', 't': 15.192825001993503, 't_end': 18.233476201993508},
             {'attempts': 2, 'dur': 9.535745001993465, 'event': 'reconnect', 'from_conn': 0, 'ok': True, 't': 8.697731200000042, 't_end': 18.233476201993508},
         ],
-        order=(
-            "conn_established handshake address_advertised handshake_done ticket "
-            "ticket stream_attached conn_failed session_degraded conn_retry "
-            "conn_established conn_failed reconnect_backoff conn_retry "
-            "conn_established join session_recovered join reconnect failover"
-        ),
     ),
     "single_path_redial": dict(
         timeline=[
@@ -462,12 +450,6 @@ PARENT = {
             {'conn_id': 2, 'dur': 0.04065119999999922, 'event': 'join', 't': 8.697731200000042, 't_end': 8.738382400000042},
             {'attempts': 1, 'dur': 0.04065119999999922, 'event': 'reconnect', 'from_conn': 0, 'ok': True, 't': 8.697731200000042, 't_end': 8.738382400000042},
         ],
-        order=(
-            "conn_established handshake address_advertised handshake_done ticket "
-            "ticket conn_established join join stream_attached conn_failed "
-            "session_degraded failover conn_retry conn_established join "
-            "session_recovered join reconnect failover"
-        ),
     ),
 }
 
@@ -477,17 +459,24 @@ def test_events_and_trace_are_the_parents(name, client_of):
     client, expected = client_of(name), PARENT[name]
     assert [tuple(entry) for entry in client.events.timeline] == expected["timeline"]
     records = [
-        {key: value for key, value in record.items() if key != "component"}
-        for record in client.obs.tracer._records
+        record for record in client.obs.tracer._records
         if not _failed_attempt_span(record)
     ]
-    assert " ".join(r["event"] for r in records) == " ".join(expected["order"].split())
-    extra = [r for r in records if "dur" in r or r["event"] == "reconnect_backoff"]
-    assert extra == expected["spans_and_points"]
-    mirrored = [r for r in records if r not in extra]
-    assert mirrored == [
-        {"t": t, "event": event, **kwargs} for t, event, kwargs in expected["timeline"]
+    extra = [
+        {key: value for key, value in record.items() if key != "component"}
+        for record in records
+        if record["component"] != "tcp"
     ]
+    assert extra == expected["spans_and_points"]
+    # Every other tracer record is a TCP snapshot, taken at a timeline
+    # transition of a snapshot kind and labelled with it.
+    samples = [record for record in records if record["component"] == "tcp"]
+    transitions = {
+        (t, event) for t, event, _kwargs in expected["timeline"]
+        if event in TcplsSession._SNAPSHOT_EVENTS
+    }
+    assert samples
+    assert all((record["t"], record["event"]) in transitions for record in samples)
 
 
 # -- failed attempts reach the timeline --------------------------------------

@@ -1,22 +1,26 @@
-"""Satellite 6: hardening telemetry must not perturb the simulation.
+"""Hardening telemetry must not perturb the simulation.
 
-The new rejection counters and guard instrumentation sit on hot decode
-paths; this replays an *attacked* two-path transfer with telemetry on
-and off and demands bit-identical wire behaviour — same event count,
-same finishing clock, byte-identical pcap — while the telemetry-on run
-proves the attack really engaged (nonzero ``guard.tripped``).
+The rejection counters and guard instrumentation sit on hot decode
+paths; this replays an *attacked* two-path transfer with an enabled and
+a disabled observability hub and demands bit-identical behaviour — same
+event count, same finishing clock, same session events, byte-identical
+pcap — while the observed run proves the attack really engaged (nonzero
+``guard.tripped``).
 """
 
 from repro.faults import FaultPlan
 from repro.netsim.middlebox import PayloadTamperer
 from repro.netsim.pcap import PcapWriter
+from repro.netsim.scenarios import multi_path_network
+from repro.obs import Observability
 
-from tests.faults.conftest import establish_paths, fault_world, run_scenario
+from tests.core.conftest import World
+from tests.faults.conftest import establish_paths, run_scenario
 
 PAYLOAD = bytes(range(256)) * 1024  # 256 KiB
 
 
-def _attacked_run(telemetry, pcap_path):
+def _attacked_run(observed, pcap_path):
     # Rewind the two process-global counters that leak across runs (IP
     # identification and the session-RNG counter) so two runs in one
     # process are true replicas and the pcaps compare raw.
@@ -26,7 +30,12 @@ def _attacked_run(telemetry, pcap_path):
     packet._next_packet_id = 0
     session_module._session_counter[0] = 0
 
-    world = fault_world(paths=2, seed=11, rate_bps=5e6, telemetry=telemetry)
+    # ``fault_world(paths=2, seed=11)``, with every session of the
+    # unobserved run sharing one disabled hub.
+    topo = multi_path_network(paths=2, rate_bps=5e6, seed=11)
+    hub = {} if observed else {"observability": Observability(topo.net.sim, enabled=False)}
+    world = World(topo.net, topo.client, topo.server, seed=11, **hub)
+    world.topo = topo
     writer = PcapWriter(pcap_path, world.sim)
     for index, link in enumerate(world.topo.links):
         link.add_transformer(
@@ -51,17 +60,21 @@ def _attacked_run(telemetry, pcap_path):
 def test_attacked_run_is_pcap_identical_with_telemetry_on_or_off(tmp_path):
     on_pcap = str(tmp_path / "on.pcap")
     off_pcap = str(tmp_path / "off.pcap")
-    world_on = _attacked_run(telemetry=True, pcap_path=on_pcap)
-    world_off = _attacked_run(telemetry=False, pcap_path=off_pcap)
+    world_on = _attacked_run(observed=True, pcap_path=on_pcap)
+    world_off = _attacked_run(observed=False, pcap_path=off_pcap)
 
     assert world_on.sim.events_processed == world_off.sim.events_processed
     assert world_on.sim.now == world_off.sim.now
     assert world_on.client.stats == world_off.client.stats
+    assert world_on.client.events.timeline == world_off.client.events.timeline
+    assert (world_on.server_session.events.timeline
+            == world_off.server_session.events.timeline)
 
     # The instrumented run shows the attack was detected and counted...
     assert world_on.server_session._obs_guard_tripped.value >= 1
-    # ...while the disabled run recorded nothing at all.
+    # ...while the disabled hub recorded nothing at all.
     assert world_off.server_session.obs.snapshot()["counters"] == {}
+    assert world_off.client.obs.snapshot()["timeline"] == []
 
     # The strongest check: every packet on the wire is byte-identical.
     with open(on_pcap, "rb") as a, open(off_pcap, "rb") as b:

@@ -1,9 +1,10 @@
 """Session-level observability and the session's metrics document.
 
 The central invariant tested here is **zero perturbation**: running the
-exact same simulated TCPLS transfer with telemetry on and off must
-produce bit-identical results — same delivered bytes, same number of
-simulator events, same finishing time, same packets on the wire (pcap).
+exact same simulated TCPLS transfer with an enabled and a disabled hub
+must produce bit-identical results — same delivered bytes, same number
+of simulator events, same finishing time, same packets on the wire
+(pcap), same session events.
 """
 
 from repro.core.events import Event
@@ -17,7 +18,7 @@ from repro.tls.certificates import CertificateAuthority, TrustStore
 FILE_SIZE = 300_000
 
 
-def _run_transfer(telemetry=True, pcap_path=None, loss_rate=0.0):
+def _run_transfer(observed=True, pcap_path=None, loss_rate=0.0):
     """One fixed TCPLS transfer; every seed pinned so runs are replicas."""
     # Two process-global counters leak across runs: the IP identification
     # counter (stamped into every pcap header) and the session counter
@@ -31,6 +32,8 @@ def _run_transfer(telemetry=True, pcap_path=None, loss_rate=0.0):
     net, client_host, server_host, link = simple_duplex_network(
         delay=0.01, loss_rate=loss_rate, seed=9
     )
+    # Unobserved: every session shares one disabled hub.
+    hub = {} if observed else {"observability": Observability(net.sim, enabled=False)}
     writer = None
     if pcap_path is not None:
         writer = PcapWriter(pcap_path, net.sim)
@@ -41,14 +44,13 @@ def _run_transfer(telemetry=True, pcap_path=None, loss_rate=0.0):
     trust.add_authority(ca)
     sessions = []
     TcplsServer(
-        TcplsContext(identity=identity, seed=2, telemetry=telemetry),
+        TcplsContext(identity=identity, seed=2, **hub),
         TcpStack(server_host, seed=3),
         on_session=sessions.append,
     )
     client = TcplsSession(
         TcplsContext(
-            trust_store=trust, server_name="server.example", seed=4,
-            telemetry=telemetry,
+            trust_store=trust, server_name="server.example", seed=4, **hub
         ),
         TcpStack(client_host, seed=5),
     )
@@ -70,43 +72,49 @@ def _run_transfer(telemetry=True, pcap_path=None, loss_rate=0.0):
 def test_telemetry_does_not_perturb_the_simulation(tmp_path):
     on_pcap = str(tmp_path / "on.pcap")
     off_pcap = str(tmp_path / "off.pcap")
-    net_on, client_on, _ = _run_transfer(
-        telemetry=True, pcap_path=on_pcap, loss_rate=0.02
+    net_on, client_on, server_on = _run_transfer(
+        observed=True, pcap_path=on_pcap, loss_rate=0.02
     )
-    net_off, client_off, _ = _run_transfer(
-        telemetry=False, pcap_path=off_pcap, loss_rate=0.02
+    net_off, client_off, server_off = _run_transfer(
+        observed=False, pcap_path=off_pcap, loss_rate=0.02
     )
     assert net_on.sim.events_processed == net_off.sim.events_processed
     assert net_on.sim.now == net_off.sim.now
     assert client_on.stats == client_off.stats
+    assert client_on.events.timeline == client_off.events.timeline
+    assert server_on.events.timeline == server_off.events.timeline
     # The strongest check: every packet on the wire is byte-identical.
     with open(on_pcap, "rb") as a, open(off_pcap, "rb") as b:
         assert a.read() == b.read()
 
 
 def test_disabled_telemetry_records_nothing():
-    _net, client, _server = _run_transfer(telemetry=False)
+    _net, client, server = _run_transfer(observed=False)
+    assert client.obs is server.obs
     snapshot = client.obs.snapshot()
     assert snapshot["counters"] == {}
     assert snapshot["timeline"] == []
-    assert snapshot["tcp_samples"] == []
+    # The session's own events are recorded either way.
+    assert client.events.events_named(Event.HANDSHAKE_DONE) == [{"conn_id": 0}]
 
 
 def test_session_records_counters_spans_and_snapshots():
-    net, client, server = _run_transfer(telemetry=True)
+    net, client, server = _run_transfer(observed=True)
     counters = client.obs.telemetry.snapshot()["session.client"]
     assert client.stats["records_sent"] > 0
     assert client.stats["acks_received"] > 0
     assert counters["record_bytes"]["count"] == client.stats["records_sent"]
-    assert counters[f"event.{Event.HANDSHAKE_DONE}"] == 1
+    assert not any(key.startswith("event.") for key in counters)
 
     (handshake,) = client.obs.tracer.events_named("handshake")
     assert handshake["t"] < handshake["t_end"] <= 1.0
     assert handshake["dur"] > 0
 
-    samples = client.obs.tcp_log.samples()
-    assert any(row["label"] == Event.HANDSHAKE_DONE for row in samples)
-    assert all(row["time"] <= net.sim.now for row in samples)
+    # TCP snapshots are ``tcp`` points labelled with the transition.
+    (sample,) = client.obs.tracer.events_named(Event.HANDSHAKE_DONE)
+    assert sample["component"] == "tcp" and sample["conn_id"] == 0
+    assert sample["state"] == "ESTABLISHED"
+    assert (sample["t"], Event.HANDSHAKE_DONE, {"conn_id": 0}) in client.events.timeline
 
     # The server side records into its own hub under its own component.
     assert server.obs.telemetry.snapshot()["session.server"]["record_bytes"]["count"] > 0
@@ -141,12 +149,15 @@ def test_shared_observability_hub_merges_both_sides():
 
 
 def test_session_metrics_method_matches_export():
-    _net, client, server = _run_transfer(telemetry=True)
+    _net, client, server = _run_transfer(observed=True)
     doc = client.metrics()
     assert doc["role"] == "client"
     assert server.metrics()["role"] == "server"
     assert doc["stats"] == dict(client.stats)
-    assert "counters" in doc and "timeline" in doc and "tcp_samples" in doc
+    assert "counters" in doc and "timeline" in doc
+    assert [entry["event"] for entry in doc["events"]] == [
+        event for _t, event, _kwargs in client.events.timeline
+    ]
     assert doc["connections"] == [c.describe() for c in client.connections.values()]
     primary = doc["connections"][0]
     assert primary["primary"]

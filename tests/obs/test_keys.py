@@ -20,20 +20,26 @@ def test_link_component_helper():
     assert keys.link_component("a--b") == "link.a--b"
 
 
-def test_session_event_helper_is_registered_family():
-    key = keys.session_event("handshake_complete")
-    assert key == "event.handshake_complete"
-    assert keys.is_registered(key)
-
-
 def test_every_static_key_is_registered():
-    for key in keys.ALL_KEYS:
-        assert keys.is_registered(key), key
+    # Every metric-key constant is in the registry (components are not
+    # metric keys).
+    static = {
+        value
+        for name, value in vars(keys).items()
+        if name.isupper()
+        and isinstance(value, str)
+        and not name.startswith("COMP_")
+        and not name.endswith("_PREFIX")
+    }
+    assert static and static <= keys.ALL_KEYS, sorted(static - keys.ALL_KEYS)
 
 
 def test_unknown_key_is_not_registered():
-    assert not keys.is_registered("totally.made_up")
-    assert not keys.is_registered("")
+    assert "totally.made_up" not in keys.ALL_KEYS
+    assert "" not in keys.ALL_KEYS
+    # Session events and fault actions have no counter family: they are
+    # recorded once, on the session's timeline and the chaos log.
+    assert not any(key.startswith(("event.", "faults.")) for key in keys.ALL_KEYS)
 
 
 def test_all_keys_has_no_duplicate_spellings():

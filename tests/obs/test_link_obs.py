@@ -1,4 +1,4 @@
-"""Per-link counters and drop/outage trace events."""
+"""Per-link queue-depth histograms and drop/outage trace events."""
 
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
@@ -28,17 +28,18 @@ def _datagram(payload=b"x" * 100):
     )
 
 
-def test_observed_link_mirrors_stats_into_counters():
+def test_observed_link_counts_in_stats_and_queue_depth_in_the_hub():
     sim, a, link = _world(name="v4", rate_bps=8e6, delay=0.001)
     obs = Observability(sim)
     link.observe(obs)
     for _ in range(3):
         a.send_ip(_datagram())
     sim.run_until_idle()
-    counters = obs.telemetry.snapshot()["link.v4"]
-    assert counters["delivered"] == link.stats["delivered"] == 3
-    assert counters["bytes_delivered"] == link.stats["bytes_delivered"]
-    assert counters["queue_depth"]["count"] == 3
+    assert link.stats["delivered"] == 3
+    # The hub holds only what the link does not count itself.
+    (component,) = obs.telemetry.snapshot().items()
+    assert component[0] == "link.v4" and list(component[1]) == ["queue_depth"]
+    assert component[1]["queue_depth"]["count"] == 3
 
 
 def test_queue_drops_become_trace_points():
