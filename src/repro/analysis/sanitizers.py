@@ -173,17 +173,18 @@ class DeterminismReport:
 def reset_process_globals() -> None:
     """Rewind process-wide counters so consecutive runs are comparable.
 
-    The packet-id and session counters are process-global monotonic
-    counters (harmless for determinism across processes, but a second
-    in-process run would see different ids and legitimately produce
-    different wire bytes).  The fuzz/attack-pcap identity tests rewind
-    the same two counters.
+    The packet-id, TCPLS session and QUIC endpoint counters are
+    process-global monotonic counters (harmless for determinism across
+    processes, but a second in-process run would see different ids and
+    seeds and legitimately produce different wire bytes).
     """
     from repro.core import session as session_module
     from repro.netsim import packet as packet_module
+    from repro.quic import connection as quic_module
 
     packet_module._next_packet_id = 0
     session_module._session_counter[0] = 0
+    quic_module._endpoint_counter[0] = 0
 
 
 def check_determinism(

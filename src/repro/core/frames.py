@@ -71,9 +71,7 @@ def on_stream_data(session: TcplsSession, conn: TcplsConnection, frame: Frame) -
         )
     session.delivery_log.append((session.sim.now, conn.conn_id, len(data)))
     conn.bytes_delivered += len(data)
-    session._obs_stream_bytes.inc(len(data))
     stream.on_segment(offset, data, fin)
-    session._obs_memory.set(session.session_memory_bytes())
 
 
 def on_stream_open(session: TcplsSession, conn: TcplsConnection, frame: Frame) -> None:

@@ -81,21 +81,6 @@ class Recovery:
     def __init__(self, session: "TcplsSession") -> None:
         self._session = session
         self._component = obs_keys.session_component(session.is_server)
-        # Fault & recovery counters (the fault-injection test matrix and
-        # the invariant checker read these).
-        telemetry = session.obs.telemetry
-        self._obs_retries = telemetry.counter(
-            self._component, obs_keys.FAILOVER_RETRIES
-        )
-        self._obs_recovered = telemetry.counter(
-            self._component, obs_keys.FAILOVER_RECOVERED
-        )
-        self._obs_abandoned = telemetry.counter(
-            self._component, obs_keys.FAILOVER_ABANDONED
-        )
-        self._obs_cookies_exhausted = telemetry.counter(
-            self._component, obs_keys.FAILOVER_COOKIES_EXHAUSTED
-        )
 
         self.state = ReconnectState.IDLE
         # The episode in flight (meaningful outside IDLE): the path being
@@ -153,7 +138,6 @@ class Recovery:
         if conn is not self.attempt_conn:
             return
         self._end_episode(ok=True)
-        self._obs_recovered.inc()
         self._session._take_over(self.failed, conn, attempts=self.attempt)
         self._redial_next()
 
@@ -202,11 +186,9 @@ class Recovery:
         if len(session.cookie_purse) == 0:
             # Checked after the budget so "out of budget" is never
             # misreported as "out of cookies".
-            self._obs_cookies_exhausted.inc()
             self._abandon("cookies_exhausted")
             return
         self.attempt += 1
-        self._obs_retries.inc()
         old = self.failed.tcp
         dest = str(old.remote_addr)
         session.events.emit(
@@ -269,7 +251,6 @@ class Recovery:
 
     def _abandon(self, reason: str) -> None:
         self._end_episode(ok=False, reason=reason)
-        self._obs_abandoned.inc()
         # With nothing left this is terminal — emitted even though a
         # DEGRADED event already fired for the level transition:
         # ``terminal`` is the signal callers react to (tear down, alert,

@@ -159,11 +159,7 @@ class TcplsSession:
         self._obs_record_bytes = telemetry.histogram(
             component, obs_keys.RECORD_BYTES
         )
-        self._obs_stream_bytes = telemetry.counter(
-            component, obs_keys.STREAM_BYTES_RECEIVED
-        )
-        # What happens when a connection dies: failover, redial, give up
-        # (its failover.* counters register at this point of the export).
+        # What happens when a connection dies: failover, redial, give up.
         self.recovery = Recovery(self)
         # Fail-closed wire hardening: rejected decodes and tripped
         # resource guards, per layer (the fuzz/attacker tests read
@@ -173,26 +169,6 @@ class TcplsSession:
         )
         self._obs_guard_tripped = telemetry.counter(
             component, obs_keys.GUARD_TRIPPED
-        )
-        self._obs_memory = telemetry.gauge(
-            component, obs_keys.SESSION_MEMORY_BYTES
-        )
-        # Resumption outcomes (the recovery benchmark reads these to
-        # compute the 0-RTT acceptance rate across a key rotation).
-        self._obs_psk_accepted = telemetry.counter(
-            component, obs_keys.RESUMPTION_PSK_ACCEPTED
-        )
-        self._obs_psk_declined = telemetry.counter(
-            component, obs_keys.RESUMPTION_PSK_DECLINED
-        )
-        self._obs_early_accepted = telemetry.counter(
-            component, obs_keys.RESUMPTION_EARLY_ACCEPTED
-        )
-        self._obs_early_rejected = telemetry.counter(
-            component, obs_keys.RESUMPTION_EARLY_REJECTED
-        )
-        self._obs_replay_rejected = telemetry.counter(
-            component, obs_keys.RESUMPTION_REPLAY_REJECTED
         )
         # Per-stream flow control (the overload tests and O1 benchmark
         # read these to prove backpressure engaged).
@@ -510,18 +486,6 @@ class TcplsSession:
         if self._hs_span is not None:
             self._hs_span.end()
             self._hs_span = None
-        # Resumption outcome counters, from the TLS layer's flags.
-        if self.tls.psk_offered:
-            if self.tls.used_psk:
-                self._obs_psk_accepted.inc()
-            else:
-                self._obs_psk_declined.inc()
-        if self.tls.early_data_accepted:
-            self._obs_early_accepted.inc()
-        elif self.tls.early_data_sent or self.tls.early_replay_rejected:
-            self._obs_early_rejected.inc()
-        if self.tls.early_replay_rejected:
-            self._obs_replay_rejected.inc()
         # Post-handshake TLS records (tickets, key updates) feed the
         # same record-size histogram as TCPLS frames.
         self.tls.encoder.on_record_encrypted = self._obs_record_bytes.observe
@@ -687,7 +651,6 @@ class TcplsSession:
                 f"refusing {len(data)}B write to stream {stream_id}"
             )
         stream.queue(data)
-        self._obs_memory.set(self.session_memory_bytes())
         self._pump()
         return len(data)
 
@@ -723,7 +686,6 @@ class TcplsSession:
             return b""
         data = stream.read(max_bytes)
         if data:
-            self._obs_memory.set(self.session_memory_bytes())
             self._maybe_grant_credit(stream)
         return data
 
@@ -1267,6 +1229,7 @@ class TcplsSession:
             "connections": [c.describe() for c in self.connections.values()],
             "streams": sorted(self.streams),
             "cookies_left": len(self.cookie_purse),
+            "memory_bytes": self.session_memory_bytes(),
             "degraded_level": self.recovery.degraded_level,
             "reconnecting": self.recovery.state is not ReconnectState.IDLE,
             "stats": dict(self.stats),

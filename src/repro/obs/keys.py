@@ -6,6 +6,13 @@ repeating the literal, so a key can never silently fork into two
 spellings ("decode.rejected" here, "decode_rejected" there) and every
 reader of a snapshot can rely on one canonical vocabulary.
 
+A key exists only for a fact no other store holds (DESIGN 4b).  Failover
+outcomes are session events on ``EventDispatcher.timeline``; resumption
+outcomes are ``TlsSession``'s flags; delivered stream bytes are
+``TcplsConnection.bytes_delivered``; buffered memory is
+``TcplsSession.session_memory_bytes()``; pool counts are
+``SessionPool.stats()``; recovery times are ``RecoveryResult.ttr``.
+
 The OBS001 lint rule (``repro.analysis``) enforces this: a string
 literal passed directly to ``Telemetry.counter``/``gauge``/``histogram``
 anywhere in ``src/`` is a finding — call sites must reference a constant
@@ -25,8 +32,6 @@ COMP_SESSION_SERVER = "session.server"
 COMP_SERVER = "server"
 #: Tracer points holding ``TCP_INFO`` snapshots (repro.obs.tcpinfo).
 COMP_TCP = "tcp"
-#: The scale-run session pool/dispatcher (repro.scale).
-COMP_POOL = "scale.pool"
 #: The reconnect-storm recovery driver (repro.scale.recovery).
 COMP_RECOVERY = "scale.recovery"
 #: Admission control / load shedding (repro.overload).
@@ -48,25 +53,10 @@ def link_component(name: str) -> str:
 # -- session metrics ----------------------------------------------------------
 
 RECORD_BYTES = "record_bytes"
-STREAM_BYTES_RECEIVED = "stream_bytes_received"
-FAILOVER_RETRIES = "failover.retries"
-FAILOVER_RECOVERED = "failover.recovered"
-FAILOVER_ABANDONED = "failover.abandoned"
-FAILOVER_COOKIES_EXHAUSTED = "failover.cookies_exhausted"
 #: Rejected wire decodes (fail-closed parser contract, PR 4).
 DECODE_REJECTED = "decode.rejected"
 #: Tripped resource-exhaustion guards (stream/reassembly/rate caps, PR 4).
 GUARD_TRIPPED = "guard.tripped"
-#: Gauge: bytes currently pinned by the session's send/reassembly/replay
-#: buffers (the stores the per-session memory budget governs).
-SESSION_MEMORY_BYTES = "memory.buffered_bytes"
-#: Resumption outcomes (the recovery benchmark's 0-RTT acceptance rate).
-RESUMPTION_PSK_ACCEPTED = "resumption.psk_accepted"
-RESUMPTION_PSK_DECLINED = "resumption.psk_declined"
-RESUMPTION_EARLY_ACCEPTED = "resumption.early_accepted"
-RESUMPTION_EARLY_REJECTED = "resumption.early_rejected"
-#: 0-RTT refused by the anti-replay strike register specifically.
-RESUMPTION_REPLAY_REJECTED = "resumption.replay_rejected"
 #: Per-stream flow control (credit windows, PR 9).
 FLOW_STALLS = "flow.stalls"
 FLOW_WINDOW_UPDATES_SENT = "flow.window_updates_sent"
@@ -74,22 +64,10 @@ FLOW_WINDOW_UPDATES_RECEIVED = "flow.window_updates_received"
 #: A peer wrote past the credit it was granted (fail-closed).
 FLOW_VIOLATIONS = "flow.violations"
 
-# -- scale pool metrics -------------------------------------------------------
-
-POOL_DIALS = "dials"
-POOL_REUSED = "reused"
-POOL_RETIRED = "retired"
-POOL_ACTIVE = "active"
-POOL_FAILED = "failed"
-#: Backoff-delayed redials after a failed dial (reconnect storms).
-POOL_REDIALS = "redials"
-
 # -- recovery metrics ---------------------------------------------------------
 
 #: Sessions re-established after a server crash.
 RECOVERY_RECONNECTS = "reconnects"
-#: Histogram: seconds from crash to a client's first recovered response.
-RECOVERY_TTR = "time_to_recover"
 
 # -- overload metrics ---------------------------------------------------------
 # Every shed/reject code path in ``repro.overload`` must increment one
@@ -142,19 +120,8 @@ LINK_STATS = (
 ALL_KEYS = frozenset(
     (
         RECORD_BYTES,
-        STREAM_BYTES_RECEIVED,
-        FAILOVER_RETRIES,
-        FAILOVER_RECOVERED,
-        FAILOVER_ABANDONED,
-        FAILOVER_COOKIES_EXHAUSTED,
         DECODE_REJECTED,
         GUARD_TRIPPED,
-        SESSION_MEMORY_BYTES,
-        RESUMPTION_PSK_ACCEPTED,
-        RESUMPTION_PSK_DECLINED,
-        RESUMPTION_EARLY_ACCEPTED,
-        RESUMPTION_EARLY_REJECTED,
-        RESUMPTION_REPLAY_REJECTED,
         FLOW_STALLS,
         FLOW_WINDOW_UPDATES_SENT,
         FLOW_WINDOW_UPDATES_RECEIVED,
@@ -169,14 +136,7 @@ ALL_KEYS = frozenset(
         OVERLOAD_COUPONS_ACCEPTED,
         OVERLOAD_STATE,
         OVERLOAD_MEMORY_BYTES,
-        POOL_DIALS,
-        POOL_REUSED,
-        POOL_RETIRED,
-        POOL_ACTIVE,
-        POOL_FAILED,
-        POOL_REDIALS,
         RECOVERY_RECONNECTS,
-        RECOVERY_TTR,
         LINK_QUEUE_DEPTH,
     )
     + LINK_STATS

@@ -26,7 +26,8 @@ _MAX_ACK_RANGES = 8
 
 # Per-process endpoint counter mixed into each endpoint's RNG so that two
 # connections built from one config still get distinct connection IDs
-# (deterministic given creation order, which the simulator fixes).
+# (deterministic given creation order, which the simulator fixes;
+# ``repro.analysis.reset_process_globals`` rewinds it between runs).
 _endpoint_counter = [0]
 
 
@@ -538,7 +539,7 @@ class QuicClient(_QuicEndpointBase):
         self.tls.start_handshake(early_data=b"")
         if early_data:
             # 0-RTT: early keys from the PSK-derived early secret.
-            if not self.tls._psk_ticket:
+            if not self.tls.psk_offered:
                 raise ProtocolViolation("0-RTT requires a resumption ticket")
             self._install_early_keys()
             stream_id = self.create_stream()

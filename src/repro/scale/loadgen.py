@@ -113,7 +113,6 @@ class ScaleWorld(Farm):
             self._dial,
             listeners=self.listen(config.listeners),
             config=config.pool,
-            observability=self.obs,
         )
 
         self.result = ScaleResult(sessions=config.sessions)

@@ -30,8 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.events import Event
 from repro.core.health import path_score
-from repro.obs import keys as obs_keys
-from repro.obs.hub import Observability
 
 #: Score assigned to a session with no usable connection at all.
 SCORE_UNUSABLE = float("inf")
@@ -172,7 +170,6 @@ class SessionPool:
         dial: Callable[[object], object],
         listeners: Sequence[object],
         config: Optional[PoolConfig] = None,
-        observability: Optional[Observability] = None,
         seed: int = 0,
     ) -> None:
         if not listeners:
@@ -189,20 +186,11 @@ class SessionPool:
         # under the determinism sanitizer.
         self._rng = random.Random(seed)
 
-        # Plain-int mirror of the telemetry counters, so ``stats()``
-        # works even when the caller runs with telemetry disabled (the
-        # registry hands back null instruments in that mode).
+        # The pool's lifetime counts; ``stats()`` reports them with the
+        # current open/ready/waiter sizes.
         self.counts = {
             "dials": 0, "reused": 0, "retired": 0, "failed": 0, "redials": 0,
         }
-        obs = observability or Observability(sim, enabled=False)
-        telemetry = obs.telemetry
-        self._obs_dials = telemetry.counter(obs_keys.COMP_POOL, obs_keys.POOL_DIALS)
-        self._obs_reused = telemetry.counter(obs_keys.COMP_POOL, obs_keys.POOL_REUSED)
-        self._obs_retired = telemetry.counter(obs_keys.COMP_POOL, obs_keys.POOL_RETIRED)
-        self._obs_failed = telemetry.counter(obs_keys.COMP_POOL, obs_keys.POOL_FAILED)
-        self._obs_redials = telemetry.counter(obs_keys.COMP_POOL, obs_keys.POOL_REDIALS)
-        self._obs_active = telemetry.gauge(obs_keys.COMP_POOL, obs_keys.POOL_ACTIVE)
 
     # -- introspection -----------------------------------------------------
 
@@ -246,7 +234,6 @@ class SessionPool:
         entry.active -= 1
         if failed:
             self.counts["failed"] += 1
-            self._obs_failed.inc()
             entry.listener.failures += 1
             self.retire(entry)
         elif entry.state != PooledSession.RETIRED and (
@@ -264,8 +251,6 @@ class SessionPool:
         if entry in self.entries:
             self.entries.remove(entry)
         self.counts["retired"] += 1
-        self._obs_retired.inc()
-        self._obs_active.set(self.open_count())
         if entry.active == 0 and not entry.session.session_closed:
             entry.session.close()
 
@@ -310,7 +295,6 @@ class SessionPool:
         entry.uses += 1
         if entry.uses > 1:
             self.counts["reused"] += 1
-            self._obs_reused.inc()
         callback(entry)
 
     def _dial(self, attempt: int = 1) -> None:
@@ -321,7 +305,6 @@ class SessionPool:
         listener = self.listeners[pick]
         listener.dials += 1
         self.counts["dials"] += 1
-        self._obs_dials.inc()
         session = self._dial_fn(listener.target)
         entry = PooledSession(
             self._next_entry_id, session, listener, self.sim.now,
@@ -329,7 +312,6 @@ class SessionPool:
         )
         self._next_entry_id += 1
         self.entries.append(entry)
-        self._obs_active.set(self.open_count())
 
         def on_handshake(**kwargs) -> None:
             self._on_ready(entry)
@@ -356,7 +338,6 @@ class SessionPool:
 
     def _on_dial_failed(self, entry: PooledSession) -> None:
         self.counts["failed"] += 1
-        self._obs_failed.inc()
         entry.listener.failures += 1
         self.retire(entry)
         # Keep demand covered: the waiter that triggered this dial still
@@ -378,7 +359,6 @@ class SessionPool:
             config.redial_backoff_max,
         ) * (1.0 + config.redial_backoff_jitter * self._rng.random())
         self.counts["redials"] += 1
-        self._obs_redials.inc()
         self.sim.schedule(delay, self._redial, attempt + 1)
 
     def _redial(self, attempt: int) -> None:

@@ -168,7 +168,6 @@ class RecoveryWorld(Farm):
                 max_sessions=max(PoolConfig.max_sessions, config.sessions),
                 **REDIAL_BACKOFF,
             ),
-            observability=self.obs,
             seed=config.seed + 7,
         )
 
@@ -183,12 +182,8 @@ class RecoveryWorld(Farm):
         self._finished = False
         self._pending = 0
 
-        telemetry = self.obs.telemetry
-        self._obs_reconnects = telemetry.counter(
+        self._obs_reconnects = self.obs.telemetry.counter(
             obs_keys.COMP_RECOVERY, obs_keys.RECOVERY_RECONNECTS
-        )
-        self._obs_ttr = telemetry.histogram(
-            obs_keys.COMP_RECOVERY, obs_keys.RECOVERY_TTR
         )
 
     # -- server side -------------------------------------------------------
@@ -286,10 +281,8 @@ class RecoveryWorld(Farm):
             client.seq = 1
             return
         # Post-crash request recovered.
-        ttr = self.sim.now - CRASH_AT
         client.recovered_at = self.sim.now
-        self.result.ttr.append(ttr)
-        self._obs_ttr.observe(ttr)
+        self.result.ttr.append(self.sim.now - CRASH_AT)
         self.pool.release(entry)
         client.entry = None
         self._client_done(client)

@@ -226,8 +226,8 @@ class TlsSession:
         self._psk_ticket: Optional[ClientTicket] = None
         self._sent_client_hello = b""
         self._early_data_limit = 0
-        # Resumption outcome accounting (read by the TCPLS session's
-        # telemetry and by tests).  ``psk_offered`` is set on both ends;
+        # Resumption outcomes, recorded here only (the recovery storm
+        # and tests read them).  ``psk_offered`` is set on both ends;
         # ``psk_declined`` on the client when it fell back to a full
         # handshake; ``psk_decline_reason`` on the server explains *why*
         # it declined ("unseal", "expired", ...); ``early_replay_rejected``

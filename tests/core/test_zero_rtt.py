@@ -40,6 +40,7 @@ def test_0rtt_early_data_arrives_in_one_way_delay():
     server_early = []
 
     def on_session(session):
+        world.server_sessions.append(session)
         session.on_early_data = lambda data: server_early.append(
             (world.sim.now, data)
         )
@@ -54,7 +55,13 @@ def test_0rtt_early_data_arrives_in_one_way_delay():
     assert arrival - start < 0.035  # one-way delay + transmission, not 3x
     world.run(until=start + 1.0)
     assert client2.handshake_complete
-    assert client2.tls.early_data_accepted
+    # ``TlsSession``'s flags are the one store of the resumption outcome.
+    for tls in (client2.tls, world.server_sessions[-1].tls):
+        assert tls.psk_offered and tls.used_psk
+        assert tls.early_data_accepted and not tls.early_replay_rejected
+    assert client2.tls.early_data_sent
+    counters = client2.obs.telemetry.snapshot()["session.client"]
+    assert not any(key.startswith("resumption.") for key in counters)
 
 
 def test_0rtt_handshake_versus_1rtt_round_trips():

@@ -51,6 +51,11 @@ def test_reconnect_retries_after_lost_attempt(monkeypatch):
     )
     spans = recovery_spans(world.client)
     assert spans["recovered"], "no DEGRADED->RECOVERED episode recorded"
+    # A recovered redial is the FAILOVER event that carries its
+    # ``attempts``: one episode, every retry counted on it.
+    (recovered,) = [kw for kw in world.client.events.events_named(Event.FAILOVER)
+                    if "attempts" in kw]
+    assert recovered["attempts"] == max(attempts) == len(retries)
 
 
 def test_lost_reconnect_join_recovers_via_retry():
@@ -143,9 +148,17 @@ def test_retry_budget_exhaustion_is_terminal_and_surfaced(monkeypatch):
     budget = recovery.RECONNECT_MAX_RETRIES
     assert [kw["attempt"] for kw in retries] == list(range(1, budget + 1))
     assert world.client.describe()["degraded_level"] == "no_path"
-    telemetry = world.client.obs.telemetry
-    assert telemetry.counter("session.client", "failover.abandoned").value == 1
-    assert telemetry.counter("session.client", "failover.retries").value == budget
+    # The timeline is the one store of the failover outcome: one
+    # abandonment, ``budget`` retries, no recovery.
+    timeline = world.client.events
+    assert len(timeline.events_named(Event.CONN_RETRY)) == budget
+    abandoned = [
+        kw for kw in timeline.events_named(Event.SESSION_DEGRADED)
+        if kw["reason"] in ("retries_exhausted", "cookies_exhausted")
+    ]
+    assert len(abandoned) == 1
+    assert not [kw for kw in timeline.events_named(Event.FAILOVER)
+                if "attempts" in kw]
 
 
 def test_retry_attempts_respect_backoff_floor(monkeypatch):
@@ -174,8 +187,8 @@ def test_retry_attempts_respect_backoff_floor(monkeypatch):
 
 def test_cookie_exhaustion_is_surfaced_not_silent(monkeypatch):
     """With no JOIN cookies at all, the first reconnection attempt must
-    surface a terminal cookies_exhausted degradation and bump the
-    telemetry counter (the seed code silently returned)."""
+    surface a terminal cookies_exhausted degradation on the timeline
+    (the seed code silently returned)."""
     monkeypatch.setattr(cookies, "COOKIE_BATCH", 0)
     monkeypatch.setattr(recovery, "JOIN_TIMEOUT", 2.0)
     world = _single_path_world()
@@ -186,9 +199,12 @@ def test_cookie_exhaustion_is_surfaced_not_silent(monkeypatch):
                              allow_terminal=True)
     terminal = [kw for kw in degraded if kw.get("terminal")]
     assert terminal and terminal[-1]["reason"] == "cookies_exhausted"
-    telemetry = world.client.obs.telemetry
-    counter = telemetry.counter("session.client", "failover.cookies_exhausted")
-    assert counter.value == 1
+    exhausted = [
+        kw for kw in world.client.events.events_named(Event.SESSION_DEGRADED)
+        if kw["reason"] == "cookies_exhausted"
+    ]
+    assert len(exhausted) == 1
+    assert not world.client.events.events_named(Event.CONN_RETRY)
     spans = recovery_spans(world.client)
     assert spans["terminal"], "terminal degradation missing from timeline"
 

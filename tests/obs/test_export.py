@@ -117,7 +117,13 @@ def test_session_records_counters_spans_and_snapshots():
     assert (sample["t"], Event.HANDSHAKE_DONE, {"conn_id": 0}) in client.events.timeline
 
     # The server side records into its own hub under its own component.
-    assert server.obs.telemetry.snapshot()["session.server"]["record_bytes"]["count"] > 0
+    server_counters = server.obs.telemetry.snapshot()["session.server"]
+    assert server_counters["record_bytes"]["count"] > 0
+    # Delivered bytes live on the connection and buffered memory is read
+    # on demand; the hub holds no copy of either.
+    assert sum(c.bytes_delivered for c in server.connections.values()) == FILE_SIZE
+    assert server.describe()["memory_bytes"] == server.session_memory_bytes()
+    assert not {"stream_bytes_received", "memory.buffered_bytes"} & set(server_counters)
 
 
 def test_shared_observability_hub_merges_both_sides():

@@ -42,6 +42,21 @@ def test_unknown_key_is_not_registered():
     assert not any(key.startswith(("event.", "faults.")) for key in keys.ALL_KEYS)
 
 
+def test_no_key_copies_a_fact_another_store_holds():
+    # Failover outcomes live on the session timeline, resumption on the
+    # TLS flags, delivered bytes on the connection, memory in
+    # ``session_memory_bytes()``, pool counts in ``SessionPool.stats()``
+    # and recovery times in ``RecoveryResult.ttr`` (DESIGN 4b).
+    copies = {"stream_bytes_received", "time_to_recover", "dials", "reused",
+              "retired", "active", "failed", "redials"}
+    assert not copies & keys.ALL_KEYS
+    assert not any(
+        key.startswith(("failover.", "resumption.", "memory."))
+        for key in keys.ALL_KEYS
+    )
+    assert not hasattr(keys, "COMP_POOL")
+
+
 def test_all_keys_has_no_duplicate_spellings():
     # frozenset dedups silently; rebuild the tuple form to detect
     # constants that accidentally share a spelling.

@@ -73,6 +73,7 @@ def test_session_memory_drains_back_to_zero_after_clean_exchange():
     world.client.send(stream, b"payload " * 4_000)
     # Mid-flight the replay buffer holds unacked frames...
     assert world.client.session_memory_bytes() > 0
+    assert world.client.describe()["memory_bytes"] == world.client.session_memory_bytes()
     world.run(until=5.0)
     # ...and once the peer's TCPLS ACKs cover them, the budget drains.
     assert bytes(received[stream]) == b"payload " * 4_000

@@ -146,6 +146,22 @@ def test_dial_failure_redials_for_waiter():
     assert len(served) == 1
 
 
+def test_stats_are_the_one_store_of_the_pool_counts():
+    # ``stats()`` reads the pool's own counts; no telemetry hub mirrors
+    # them, so the pool takes none.
+    assert "observability" not in inspect.signature(SessionPool).parameters
+    h = Harness()
+    served = h.acquire()
+    h.last_session().establish()
+    h.pool.release(served[0])
+    h.acquire()
+    h.pool.release(served[0], failed=True)
+    assert h.pool.stats() == {
+        "dials": 1, "reused": 1, "retired": 1, "failed": 1, "redials": 0,
+        "open": 0, "ready": 0, "waiters": 0,
+    }
+
+
 def test_waiters_queue_at_capacity_and_reuse_on_release():
     h = Harness(max_sessions=1)
     first = h.acquire()

@@ -30,6 +30,7 @@ def _assert_storm_contract(config, result):
     report = result.invariants
     assert report.ok, "\n".join(report.violations[:20])
     assert result.recovered == config.sessions
+    assert len(result.ttr) == result.recovered  # one time-to-recover each
     assert result.requests_failed == 0
     assert max(result.ttr) <= result.rto_bound
     # The storm actually stormed: every client redialled through the
