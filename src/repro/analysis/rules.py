@@ -16,8 +16,8 @@ SEC002    No ``assert`` for untrusted-input validation in parser code
 SEC003    No bare/broad ``except`` that can swallow
           ``ProtocolViolation``.
 OBS001    Telemetry key strings come from ``repro.obs.keys``.
-REL001    Every overload shed/reject path increments a registered
-          ``overload.*`` telemetry key.
+REL001    Every overload shed/reject path increments a count its
+          object keeps.
 ========  ==============================================================
 """
 
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, Module, Rule
 
@@ -681,7 +680,7 @@ package itself."""
 
 class Rel001OverloadTelemetry(Rule):
     id = "REL001"
-    title = "every overload shed/reject path increments a registered overload.* key"
+    title = "every overload shed/reject path increments a count its object keeps"
     rationale = """\
 The O1 benchmark's pass criterion is not just "goodput stays flat" but
 "the excess was *actively refused*, with nonzero, deterministic
@@ -694,12 +693,12 @@ offered load and every overload invariant downstream goes soft.
 
 The rule requires every shed/reject function in ``repro.overload``
 (names starting ``reject*``/``shed*``; plain getters like
-``shed_count`` are exempt) to increment a telemetry counter — a
-``.inc(`` call in its body, or delegation to a module-local function
-that has one.  ``finalize`` audits the other half of the contract:
-every ``OVERLOAD_*`` constant in ``repro.obs.keys`` must be registered
-in ``ALL_KEYS``, so the incremented keys actually exist in the
-exported vocabulary."""
+``shed_count`` are exempt) to increment a count that outlives the call
+— a ``+=`` on a subscript or attribute in its body
+(``self._counts["rejected_queue"] += 1``, ``self._shed_total += 1``),
+or delegation to a module-local function that has one.  Those are the
+counts ``AdmissionController.counts()`` returns, so a counted refusal
+is by construction one the results report."""
 
     _NAME_RE = re.compile(r"^_?(reject|shed)")
     _EXEMPT_RE = re.compile(r"count$")
@@ -707,37 +706,37 @@ exported vocabulary."""
     def check(self, module: Module) -> Iterator[Finding]:
         if "repro/overload/" not in module.relpath:
             return
-        inc_providers: Set[str] = set()
+        counters: Set[str] = set()
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.FunctionDef) and self._contains_inc(node):
-                inc_providers.add(node.name)
+            if isinstance(node, ast.FunctionDef) and self._counts(node):
+                counters.add(node.name)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
             name = node.name
             if not self._NAME_RE.match(name) or self._EXEMPT_RE.search(name):
                 continue
-            if name in inc_providers:
+            if name in counters:
                 continue
-            if self._calls_any(node, inc_providers):
+            if self._calls_any(node, counters):
                 continue
             yield Finding(
                 rule=self.id,
                 path=module.relpath,
                 line=node.lineno,
                 col=node.col_offset,
-                message=f"shed/reject path {name}() never increments an "
-                "overload.* telemetry counter; uncounted refusals cannot "
-                "be reconciled against offered load",
+                message=f"shed/reject path {name}() never increments a "
+                "count; uncounted refusals cannot be reconciled against "
+                "offered load",
             )
 
     @staticmethod
-    def _contains_inc(node: ast.FunctionDef) -> bool:
+    def _counts(node: ast.FunctionDef) -> bool:
         for sub in ast.walk(node):
             if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "inc"
+                isinstance(sub, ast.AugAssign)
+                and isinstance(sub.op, ast.Add)
+                and isinstance(sub.target, (ast.Subscript, ast.Attribute))
             ):
                 return True
         return False
@@ -756,28 +755,6 @@ exported vocabulary."""
             if callee in providers:
                 return True
         return False
-
-    def finalize(self, modules: Sequence[Module], root: Path) -> Iterator[Finding]:
-        # Registry completeness is only checkable from the repo root.
-        keys_src = root / "src" / "repro" / "obs" / "keys.py"
-        if not keys_src.exists():
-            return
-        from repro.obs import keys as obs_keys
-
-        registered = set(obs_keys.ALL_KEYS)
-        for name in sorted(vars(obs_keys)):
-            if not name.startswith("OVERLOAD_"):
-                continue
-            value = getattr(obs_keys, name)
-            if value not in registered:
-                yield Finding(
-                    rule=self.id,
-                    path="src/repro/obs/keys.py",
-                    line=1,
-                    col=0,
-                    message=f"overload key {name} ({value!r}) is not "
-                    "registered in ALL_KEYS",
-                )
 
 
 # ---------------------------------------------------------------------------

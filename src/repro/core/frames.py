@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from repro.core.session import TcplsSession
 
 # Resource-exhaustion guards (fail closed; each trip increments the
-# session's ``guard.tripped`` counter).  MAX_STREAMS caps the stream
+# session's ``stats["guard_tripped"]``).  MAX_STREAMS caps the stream
 # table a peer can grow by implicit creation; MAX_REASSEMBLY_BYTES caps
 # one stream's out-of-order buffer (a peer striping far ahead of a hole
 # is hoarding our memory); MAX_SESSION_MEMORY caps the session-wide
@@ -50,7 +50,7 @@ def on_stream_data(session: TcplsSession, conn: TcplsConnection, frame: Frame) -
     stream = ensure_stream(session, stream_id, conn)
     if data and stream.overruns_credit(offset + len(data)):
         # Flow-control violation: a compliant sender can never hit this.
-        session._obs_flow_violations.inc()
+        session.stats["flow_violations"] += 1
         raise GuardLimitExceeded(
             f"stream {stream_id} data past flow-control limit "
             f"{stream.granted_limit}"
@@ -192,7 +192,7 @@ def on_address_remove(session: TcplsSession, conn: TcplsConnection, frame: Frame
 def on_window_update(session: TcplsSession, conn: TcplsConnection, frame: Frame) -> None:
     stream_id, max_offset = framing.decode_window_update(frame.body)
     stream = session.streams.get(stream_id)
-    session._obs_flow_updates_received.inc()
+    session.stats["flow_window_updates_received"] += 1
     if stream is not None and stream.on_grant(max_offset):
         session._pump()
 

@@ -12,8 +12,6 @@ from typing import Callable, Dict, List, Optional
 from repro.core import join as joinmod
 from repro.core.context import TcplsContext
 from repro.core.session import TICKET_LIFETIME, TcplsSession
-from repro.obs import Observability
-from repro.obs import keys as obs_keys
 from repro.tcp.connection import TcpConnection
 from repro.tcp.stack import TcpStack
 from repro.tls import messages as m
@@ -74,16 +72,9 @@ class TcplsServer:
                 clock=lambda: stack.sim.now,
                 window=float(TICKET_LIFETIME),
             )
-        # Listener-level hardening counters: rejects that happen before
+        # Listener-level hardening counts: rejects that happen before
         # any session exists (garbage first flights, JOIN floods).
-        self.obs = context.observability or Observability(stack.sim)
-        telemetry = self.obs.telemetry
-        self._obs_decode_rejected = telemetry.counter(
-            obs_keys.COMP_SERVER, obs_keys.DECODE_REJECTED
-        )
-        self._obs_guard_tripped = telemetry.counter(
-            obs_keys.COMP_SERVER, obs_keys.GUARD_TRIPPED
-        )
+        self.stats = {"decode_rejected": 0, "guard_tripped": 0}
         # Per-peer-address JOIN arrival times (sim clock), for the
         # sliding-window rate limit that throttles cookie guessing.
         self._join_times: Dict[str, List[float]] = {}
@@ -125,7 +116,7 @@ class TcplsServer:
                 done["routed"] = True
                 if tcp in self._pending:
                     self._pending.remove(tcp)
-                self._obs_decode_rejected.inc()
+                self.stats["decode_rejected"] += 1
                 tcp.abort("not a TLS record stream")
 
         tcp.on_data = on_first_data
@@ -140,7 +131,7 @@ class TcplsServer:
                     hello = m.ClientHello.from_body(frames[0][1])
                     join_info = joinmod.extract_join(hello)
             except DecodeError:
-                self._obs_decode_rejected.inc()
+                self.stats["decode_rejected"] += 1
                 tcp.abort("malformed first record")
                 return
         if self.admission is not None:
@@ -152,13 +143,13 @@ class TcplsServer:
                 return
         if join_info is not None:
             if not self._join_allowed(tcp):
-                self._obs_guard_tripped.inc()
+                self.stats["guard_tripped"] += 1
                 tcp.abort("JOIN rate limit")
                 return
             connection_id, cookie = join_info
             session = self._find_session(connection_id)
             if session is None:
-                self._obs_decode_rejected.inc()
+                self.stats["decode_rejected"] += 1
                 tcp.abort("JOIN for unknown session")
                 return
             session.adopt_joined_connection(tcp, cookie, b"")

@@ -143,6 +143,16 @@ class TcplsSession:
             "frames_replayed": 0,
             "acks_sent": 0,
             "acks_received": 0,
+            # Fail-closed wire hardening: rejected decodes and tripped
+            # resource guards (the fuzz/attacker tests read these).
+            "decode_rejected": 0,
+            "guard_tripped": 0,
+            # Per-stream flow control: stalls on exhausted credit, grants
+            # each way, and peers writing past their grant.
+            "flow_stalls": 0,
+            "flow_window_updates_sent": 0,
+            "flow_window_updates_received": 0,
+            "flow_violations": 0,
         }
         self._unacked_since_flush = 0
         self._ack_flush_event = None
@@ -150,40 +160,15 @@ class TcplsSession:
         self.session_closed = False
 
         # Observability: one hub per session unless the context shares
-        # one.  Instruments are looked up once here so the hot paths
-        # below are single attribute increments.
+        # one.  The histogram is looked up once here so the hot path is
+        # a single ``observe``.
         self.obs = context.observability or Observability(self.sim)
-        component = obs_keys.session_component(is_server)
-        self._obs_component = component
-        telemetry = self.obs.telemetry
-        self._obs_record_bytes = telemetry.histogram(
-            component, obs_keys.RECORD_BYTES
+        self._obs_component = obs_keys.session_component(is_server)
+        self._obs_record_bytes = self.obs.telemetry.histogram(
+            self._obs_component, obs_keys.RECORD_BYTES
         )
         # What happens when a connection dies: failover, redial, give up.
         self.recovery = Recovery(self)
-        # Fail-closed wire hardening: rejected decodes and tripped
-        # resource guards, per layer (the fuzz/attacker tests read
-        # these).
-        self._obs_decode_rejected = telemetry.counter(
-            component, obs_keys.DECODE_REJECTED
-        )
-        self._obs_guard_tripped = telemetry.counter(
-            component, obs_keys.GUARD_TRIPPED
-        )
-        # Per-stream flow control (the overload tests and O1 benchmark
-        # read these to prove backpressure engaged).
-        self._obs_flow_stalls = telemetry.counter(
-            component, obs_keys.FLOW_STALLS
-        )
-        self._obs_flow_updates_sent = telemetry.counter(
-            component, obs_keys.FLOW_WINDOW_UPDATES_SENT
-        )
-        self._obs_flow_updates_received = telemetry.counter(
-            component, obs_keys.FLOW_WINDOW_UPDATES_RECEIVED
-        )
-        self._obs_flow_violations = telemetry.counter(
-            component, obs_keys.FLOW_VIOLATIONS
-        )
         if self.obs.tracer.enabled:
             self.events.observer = self._sample_tcp_on
         self._hs_span = None
@@ -226,8 +211,9 @@ class TcplsSession:
                       **sample_tcp(conn.tcp))
 
     def metrics(self) -> dict:
-        """``describe()`` plus everything the observability hub recorded
-        (counters, spans, TCP snapshots) and the session's own events."""
+        """``describe()`` (counts included, as ``stats``) plus everything
+        the observability hub recorded (histograms, spans, TCP snapshots)
+        and the session's own events."""
         return {
             **self.describe(),
             **self.obs.snapshot(),
@@ -353,14 +339,17 @@ class TcplsSession:
         session's observability.
 
         The driver fails closed on its own (alert + teardown); the two
-        hooks only make those events visible in ``decode.rejected`` /
-        ``guard.tripped`` alongside the TCPLS-layer ones.
+        hooks only count those events in ``stats["decode_rejected"]`` /
+        ``stats["guard_tripped"]`` alongside the TCPLS-layer ones.
         """
         self.tls = tls = TlsSession(
             config, is_server=self.is_server, transport_write=transport_write
         )
-        tls.on_decode_rejected = lambda _why: self._obs_decode_rejected.inc()
-        tls.on_guard_tripped = lambda _why: self._obs_guard_tripped.inc()
+        tls.on_decode_rejected = lambda _why: self._count("decode_rejected")
+        tls.on_guard_tripped = lambda _why: self._count("guard_tripped")
+
+    def _count(self, key: str) -> None:
+        self.stats[key] += 1
 
     def _client_tls_config(self) -> TlsConfig:
         # ClientHello extensions: the TCPLS marker, plus a retry coupon
@@ -645,7 +634,7 @@ class TcplsSession:
             # session budget would let one slow peer pin unbounded local
             # memory.  The caller sees backpressure as an exception
             # instead of the farm seeing an OOM.
-            self._obs_guard_tripped.inc()
+            self.stats["guard_tripped"] += 1
             raise GuardLimitExceeded(
                 f"session memory budget ({MAX_SESSION_MEMORY}B) exhausted; "
                 f"refusing {len(data)}B write to stream {stream_id}"
@@ -746,7 +735,7 @@ class TcplsSession:
                 was_stalled = stream.stalled
                 if stream.credit_blocked():
                     if not was_stalled:
-                        self._obs_flow_stalls.inc()
+                        self.stats["flow_stalls"] += 1
                     continue
                 conn = self.scheduler.pick(stream, conns)
                 if conn is None or conn.send_room() <= TOTAL_OVERHEAD:
@@ -889,13 +878,13 @@ class TcplsSession:
             # reassembly buffer, plaintext-junk cap, ...): tear the
             # connection down before the attacker-controlled state
             # grows any further.
-            self._obs_guard_tripped.inc()
+            self.stats["guard_tripped"] += 1
             self._fail_connection(conn, "guard_tripped", "resource guard tripped")
         except DecodeError:
             # Malformed bytes that a parser rejected (fail-closed wire
             # armor): count, kill this connection; the session survives
             # on the others.
-            self._obs_decode_rejected.inc()
+            self.stats["decode_rejected"] += 1
             self._fail_connection(conn, "malformed record stream")
         except ProtocolViolation:
             # Other protocol violations (e.g. AEAD desync detected at a
@@ -933,7 +922,7 @@ class TcplsSession:
             # instead of stalling silently.
             conn.auth_failure_run += 1
             if conn.auth_failure_run >= AUTH_FAILURE_TOLERANCE:
-                self._obs_guard_tripped.inc()
+                self.stats["guard_tripped"] += 1
                 self._fail_connection(
                     conn, "record_auth_failures", "record authentication failures"
                 )
@@ -1015,7 +1004,7 @@ class TcplsSession:
             return
         body = framing.encode_window_update(stream.stream_id, new_limit)
         self._send_reliable(TType.WINDOW_UPDATE, body, stream_id=stream.stream_id)
-        self._obs_flow_updates_sent.inc()
+        self.stats["flow_window_updates_sent"] += 1
 
     def _on_stream_fin(self, stream: TcplsStream) -> None:
         if self.on_stream_fin:

@@ -1,10 +1,17 @@
-"""The metrics registry: counters, gauges, and histograms by component.
+"""The distributions registry: histograms by component.
+
+Counts are not here: each lives as a plain int on the object that
+counts it (``TcplsSession.stats``, ``TcplsServer.stats``,
+``AdmissionController.counts()``, ``Link.stats``), so switching
+observation off can never blank or break a result.  What this registry
+holds is the distributions no owner keeps: record sizes per session and
+queue depth per link.
 
 Design constraints (the reason this is not a thin dict wrapper):
 
-- **cheap enough to stay on by default** — callers look an instrument up
-  once (``telemetry.counter("tls", "records_sent")``) and keep the
-  returned object; the hot path is then a single attribute increment.
+- **cheap enough to stay on by default** — callers look a histogram up
+  once (``telemetry.histogram("link.a--b", "queue_depth")``) and keep
+  the returned object; the hot path is then a single ``observe``.
   When the registry is disabled every lookup returns one shared no-op
   instrument, so instrumented code needs no ``if enabled`` branches;
 - **zero perturbation** — instruments only record; they never touch the
@@ -23,30 +30,6 @@ from typing import Dict, Optional, Tuple, Union
 # 2^30.  Good enough resolution for byte sizes, counts, and (scaled)
 # latencies without per-histogram configuration.
 _DEFAULT_BOUNDS = tuple(1 << i for i in range(31))
-
-
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (queue depth, cwnd, clock)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Union[int, float] = 0
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -89,15 +72,9 @@ class Histogram:
 
 
 class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram for disabled telemetry."""
+    """Shared do-nothing histogram for disabled telemetry."""
 
     __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
 
     def observe(self, value) -> None:
         pass
@@ -107,36 +84,15 @@ _NULL = _NullInstrument()
 
 
 class Telemetry:
-    """Registry of instruments keyed by ``(component, name)``.
+    """Registry of histograms keyed by ``(component, name)``.
 
-    Instruments are created on first use and shared on later lookups, so
-    two subsystems asking for ``counter("engine", "events")`` increment
-    the same value.
+    Histograms are created on first use and shared on later lookups, so
+    two sessions of one role sharing a hub observe into the same one.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._counters: Dict[Tuple[str, str], Counter] = {}
-        self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
-
-    def counter(self, component: str, name: str) -> Counter:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
-        key = (component, name)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, component: str, name: str) -> Gauge:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
-        key = (component, name)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
-        return instrument
 
     def histogram(self, component: str, name: str) -> Histogram:
         if not self.enabled:
@@ -148,12 +104,8 @@ class Telemetry:
         return instrument
 
     def snapshot(self) -> dict:
-        """Nested ``{component: {name: value}}`` of everything recorded."""
+        """Nested ``{component: {name: summary}}`` of everything recorded."""
         out: Dict[str, dict] = {}
-        for (component, name), counter in self._counters.items():
-            out.setdefault(component, {})[name] = counter.value
-        for (component, name), gauge in self._gauges.items():
-            out.setdefault(component, {})[name] = gauge.value
         for (component, name), histogram in self._histograms.items():
             out.setdefault(component, {})[name] = histogram.summary()
         return out

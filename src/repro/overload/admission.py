@@ -28,8 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs import Observability
-from repro.obs import keys as obs_keys
 from repro.overload.coupons import (
     EXT_TCPLS_COUPON,
     mint_coupon,
@@ -145,15 +143,9 @@ class AdmissionController:
     listener count.
     """
 
-    def __init__(
-        self,
-        sim,
-        config: Optional[AdmissionConfig] = None,
-        observability: Optional[Observability] = None,
-    ) -> None:
+    def __init__(self, sim, config: Optional[AdmissionConfig] = None) -> None:
         self.sim = sim
         self.config = config or AdmissionConfig()
-        self.obs = observability or Observability(sim, enabled=True)
         self.rng = random.Random(self.config.seed)
         self.bucket = TokenBucket(
             lambda: sim.now,
@@ -161,31 +153,21 @@ class AdmissionController:
             self.config.handshake_burst,
         )
         self.shedder = LoadShedder(
-            self.config.global_memory_budget,
-            session_deadline=self.config.session_deadline,
-            observability=self.obs,
+            self.config.global_memory_budget, session_deadline=self.config.session_deadline
         )
-        telemetry = self.obs.telemetry
-        self._obs_admitted = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_ADMITTED
-        )
-        self._obs_admitted_cheap = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_ADMITTED_CHEAP
-        )
-        self._obs_rejected_queue = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_REJECTED_QUEUE
-        )
-        self._obs_rejected_pacer = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_REJECTED_PACER
-        )
-        self._obs_rejected_state = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_REJECTED_STATE
-        )
-        self._obs_coupons_minted = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_COUPONS_MINTED
-        )
-        self._obs_coupons_accepted = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_COUPONS_ACCEPTED
+        # Every admission outcome, counted where it is decided; the
+        # shedder counts its own drops (``counts()`` joins the two).
+        self._counts = dict.fromkeys(
+            (
+                "admitted",
+                "admitted_cheap",
+                "rejected_queue",
+                "rejected_pacer",
+                "rejected_state",
+                "coupons_minted",
+                "coupons_accepted",
+            ),
+            0,
         )
 
     # -- gates -------------------------------------------------------------
@@ -215,7 +197,7 @@ class AdmissionController:
                     COUPON_KEY, blob, now, self.config.coupon_lifetime
                 ):
                     kind = KIND_COUPON
-                    self._obs_coupons_accepted.inc()
+                    self._counts["coupons_accepted"] += 1
         if state == STATE_SHEDDING:
             return self.reject_state(kind, state)
         if state == STATE_DEGRADED and kind == KIND_FULL:
@@ -223,32 +205,32 @@ class AdmissionController:
         if not self.bucket.take(TOKEN_COST[kind]):
             return self.reject_pacer(kind)
         if kind == KIND_FULL:
-            self._obs_admitted.inc()
+            self._counts["admitted"] += 1
         else:
-            self._obs_admitted_cheap.inc()
+            self._counts["admitted_cheap"] += 1
         return Decision(True, kind)
 
-    # -- rejection paths (REL001: each increments an overload.* key) -------
+    # -- rejection paths (REL001: each one counts itself) -------------------
 
     def reject_queue(self) -> bool:
         """Refuse at the accept queue (pre-sniff, cheapest reject)."""
-        self._obs_rejected_queue.inc()
+        self._counts["rejected_queue"] += 1
         return False
 
     def reject_pacer(self, kind: str) -> Decision:
         """Refuse for lack of handshake tokens; coupon the full class."""
-        self._obs_rejected_pacer.inc()
+        self._counts["rejected_pacer"] += 1
         return Decision(False, kind, reason="pacer", coupon=self._coupon(kind))
 
     def reject_state(self, kind: str, state: str) -> Decision:
         """Refuse by DEGRADED/SHEDDING policy; coupon the full class."""
-        self._obs_rejected_state.inc()
+        self._counts["rejected_state"] += 1
         return Decision(False, kind, reason=state, coupon=self._coupon(kind))
 
     def _coupon(self, kind: str) -> bytes:
         if kind != KIND_FULL:
             return b""
-        self._obs_coupons_minted.inc()
+        self._counts["coupons_minted"] += 1
         return mint_coupon(COUPON_KEY, self.sim.now, self.rng)
 
     # -- session tracking --------------------------------------------------
@@ -263,13 +245,4 @@ class AdmissionController:
 
     def counts(self) -> dict:
         """Plain-int snapshot for results/benchmarks."""
-        return {
-            "admitted": self._obs_admitted.value,
-            "admitted_cheap": self._obs_admitted_cheap.value,
-            "rejected_queue": self._obs_rejected_queue.value,
-            "rejected_pacer": self._obs_rejected_pacer.value,
-            "rejected_state": self._obs_rejected_state.value,
-            "shed_sessions": self.shedder.shed_count(),
-            "coupons_minted": self._obs_coupons_minted.value,
-            "coupons_accepted": self._obs_coupons_accepted.value,
-        }
+        return {**self._counts, "shed_sessions": self.shedder.shed_count()}

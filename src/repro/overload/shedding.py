@@ -25,16 +25,11 @@ machine through its transitions deterministically.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-from repro.obs import Observability
-from repro.obs import keys as obs_keys
+from typing import List, Tuple
 
 STATE_NORMAL = "normal"
 STATE_DEGRADED = "degraded"
 STATE_SHEDDING = "shedding"
-
-_STATE_LEVEL = {STATE_NORMAL: 0, STATE_DEGRADED: 1, STATE_SHEDDING: 2}
 
 #: Budget fill fractions that drive the state machine above.
 DEGRADED_WATERMARK = 0.7
@@ -54,13 +49,7 @@ class _Tracked:
 class LoadShedder:
     """Global memory budget + deadline shedding across sessions."""
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        *,
-        session_deadline: float = 30.0,
-        observability: Optional[Observability] = None,
-    ) -> None:
+    def __init__(self, budget_bytes: int, *, session_deadline: float = 30.0) -> None:
         self.budget_bytes = budget_bytes
         self.session_deadline = session_deadline
         #: Fault hook (``memory_pressure``): scales the effective budget.
@@ -70,25 +59,9 @@ class LoadShedder:
         self.transitions: List[Tuple[float, str, str]] = []
         self._tracked: List[_Tracked] = []
         self._order = 0
-        # Plain-int mirror of the shed counter: telemetry may be the
-        # disabled null backend, but results still need the count.
+        #: Sessions dropped by shedding (``AdmissionController.counts()``
+        #: reports it as ``shed_sessions``).
         self._shed_total = 0
-
-        obs = observability
-        telemetry = obs.telemetry if obs is not None else None
-        if telemetry is None:
-            from repro.obs.telemetry import Telemetry
-
-            telemetry = Telemetry(enabled=False)
-        self._obs_shed = telemetry.counter(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_SHED_SESSIONS
-        )
-        self._obs_state = telemetry.gauge(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_STATE
-        )
-        self._obs_memory = telemetry.gauge(
-            obs_keys.COMP_OVERLOAD, obs_keys.OVERLOAD_MEMORY_BYTES
-        )
 
     # -- tracking ----------------------------------------------------------
 
@@ -133,8 +106,6 @@ class LoadShedder:
                 self._transition(now, STATE_DEGRADED)
         if fill <= RECOVER_WATERMARK and self.state != STATE_NORMAL:
             self._transition(now, STATE_NORMAL)
-        self._obs_memory.set(memory)
-        self._obs_state.set(_STATE_LEVEL[self.state])
         return self.state
 
     def _transition(self, now: float, to_state: str) -> None:
@@ -159,7 +130,6 @@ class LoadShedder:
         if not session.session_closed:
             session.crash()
         self._shed_total += 1
-        self._obs_shed.inc()
 
     def shed_count(self) -> int:
         return self._shed_total

@@ -125,9 +125,7 @@ class OverloadWorld(Farm):
                  observability: Optional[Observability] = None) -> None:
         super().__init__(config, observability, config.client_hosts,
                          config.link_delay, stream_recv_window=STREAM_WINDOW)
-        self.controller = AdmissionController(
-            self.sim, config.build_admission(), observability=self.obs
-        )
+        self.controller = AdmissionController(self.sim, config.build_admission())
         self.listen(1, admission=self.controller, on_reject=self._on_reject)
 
         self.result = OverloadResult()

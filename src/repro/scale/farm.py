@@ -5,7 +5,7 @@ S1 churn (:mod:`repro.scale.loadgen`), R3 crash-restart
 (:mod:`repro.overload.world`) differ in *who arrives when and what
 happens to a request*; the testbed under them is built here, once: one
 server host on one TCP stack, a link to each client host, one PKI, one
-server context on the shared telemetry hub, a responder answering
+server context on the shared observability hub, a responder answering
 ``request_bytes`` with ``response_bytes``, and dials rotating across the
 client hosts.  Construction order is part of the contract: packet and
 session ids come from process-global counters, so digests depend on it.
@@ -79,9 +79,11 @@ class Farm:
         self.trust = TrustStore()
         self.trust.add_authority(ca)
 
-        # One shared hub on the server side keeps the farm's telemetry
-        # in one registry; every client session shares one disabled hub
-        # — a thousand per-session hubs would dominate the run's memory.
+        # One shared hub on the server side keeps the server sessions'
+        # record-size histograms and spans in one place; every client
+        # session shares one disabled hub — a thousand per-session hubs
+        # would dominate the run's memory.  No world result reads either
+        # hub: counts live on the sessions, the pool and the controller.
         self._client_obs = Observability(self.sim, enabled=False)
         self.server_ctx = TcplsContext(
             identity=identity,

@@ -41,7 +41,6 @@ from repro.faults.invariants import (
     max_storm_recovery_time,
 )
 from repro.faults.plan import FaultPlan
-from repro.obs import keys as obs_keys
 from repro.obs.hub import Observability
 from repro.scale.farm import (
     LINK_DELAY,
@@ -182,10 +181,6 @@ class RecoveryWorld(Farm):
         self._finished = False
         self._pending = 0
 
-        self._obs_reconnects = self.obs.telemetry.counter(
-            obs_keys.COMP_RECOVERY, obs_keys.RECOVERY_RECONNECTS
-        )
-
     # -- server side -------------------------------------------------------
 
     def _on_request(self, request: bytearray) -> None:
@@ -261,8 +256,6 @@ class RecoveryWorld(Farm):
 
     def _on_acquired(self, client: _Client, entry: PooledSession) -> None:
         client.entry = entry
-        if client.seq > 0:
-            self._obs_reconnects.inc()
         self._send_request(client)
 
     def _on_response(self, client: _Client) -> None:

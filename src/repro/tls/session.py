@@ -244,7 +244,7 @@ class TlsSession:
         self.key_updates_received = 0
 
         # Fail-closed accounting (the guard tests and the TCPLS
-        # session's ``decode.rejected``/``guard.tripped`` counters read
+        # session's ``decode_rejected``/``guard_tripped`` stats read
         # these).  ``max_handshake_message`` bounds a single message's
         # declared length; ``max_handshake_buffer`` bounds the reassembly
         # buffer so a peer cannot stall us mid-message forever while we

@@ -68,8 +68,8 @@ class ReentrancyError(ReproError):
 class GuardLimitExceeded(ProtocolViolation):
     """A resource-exhaustion guard tripped (buffer cap, stream cap,
     transcript limit, JOIN rate limit).  Subclasses ``ProtocolViolation``
-    so the same fail-closed teardown sites apply; observability layers
-    count it separately as ``guard.tripped``."""
+    so the same fail-closed teardown sites apply; the refusing session
+    or listener counts it separately as ``stats["guard_tripped"]``."""
 
 
 # Exceptions a sloppy parser might leak on attacker-shaped bytes.  A

@@ -2,13 +2,13 @@
 
 The path segment ``repro/overload/`` puts this module in the rule's
 scope; both methods match the ``reject*``/``shed*`` naming convention
-and neither touches telemetry, so each must produce a finding.
+and neither increments a count it keeps, so each must produce a finding.
 """
 
 
 class UncountedGate:
     def reject_overload(self, depth):
-        # BAD: a refusal with no overload.* counter — offered load can
+        # BAD: a refusal that counts nothing — offered load can
         # no longer be reconciled against admissions + rejections.
         return depth > 4
 

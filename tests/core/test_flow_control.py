@@ -21,7 +21,6 @@ from repro.core import framing
 from repro.core.framing import TType
 from repro.core.streams import DEFAULT_STREAM_WINDOW
 from repro.netsim.scenarios import simple_duplex_network
-from repro.obs import keys as obs_keys
 from repro.tls.record import ContentType
 from repro.utils.errors import GuardLimitExceeded
 
@@ -58,28 +57,23 @@ def _seal(sender, ttype, body, stream_id=None):
     return record
 
 
-def _counter(session, key):
-    component = session._obs_component
-    return session.obs.telemetry.counter(component, key).value
-
-
 def test_grant_waits_for_a_quarter_window_and_names_consumed_plus_window():
     world, stream_id = _stalled_world()
     server, client = world.server_session, world.client
     stream = server.streams[stream_id]
-    sent_before = _counter(server, obs_keys.FLOW_WINDOW_UPDATES_SENT)
+    sent_before = server.stats["flow_window_updates_sent"]
     assert stream.granted_limit == WINDOW
 
     assert len(server.recv_data(stream_id, QUARTER - 1)) == QUARTER - 1
     assert stream.granted_limit == WINDOW
-    assert _counter(server, obs_keys.FLOW_WINDOW_UPDATES_SENT) == sent_before
+    assert server.stats["flow_window_updates_sent"] == sent_before
     assert not any(
         ttype == TType.WINDOW_UPDATE for _, ttype, _, _ in server.replay.unacked_frames()
     )
 
     assert len(server.recv_data(stream_id, 1)) == 1
     assert stream.granted_limit == QUARTER + WINDOW
-    assert _counter(server, obs_keys.FLOW_WINDOW_UPDATES_SENT) == sent_before + 1
+    assert server.stats["flow_window_updates_sent"] == sent_before + 1
     grants = [
         framing.decode_window_update(body)
         for _, ttype, _, body in server.replay.unacked_frames()
@@ -99,7 +93,7 @@ def test_stale_or_replayed_grant_changes_nothing(monkeypatch):
     pumps = []
     pump = client._pump
     monkeypatch.setattr(client, "_pump", lambda: (pumps.append(1), pump())[-1])
-    received_before = _counter(client, obs_keys.FLOW_WINDOW_UPDATES_RECEIVED)
+    received_before = client.stats["flow_window_updates_received"]
 
     for max_offset in (WINDOW, WINDOW - 1, 1):
         body = framing.encode_window_update(stream_id, max_offset)
@@ -107,7 +101,7 @@ def test_stale_or_replayed_grant_changes_nothing(monkeypatch):
         assert stream.send_limit == WINDOW
         assert stream.stalled
         assert pumps == []
-    assert _counter(client, obs_keys.FLOW_WINDOW_UPDATES_RECEIVED) == received_before + 3
+    assert client.stats["flow_window_updates_received"] == received_before + 3
 
     # A grant that does raise the limit takes effect and re-pumps once.
     body = framing.encode_window_update(stream_id, WINDOW + 1)
@@ -131,16 +125,16 @@ def test_data_past_the_larger_of_grant_and_default_window_fails_the_connection()
     server._on_tcp_data(conn, data_record(DEFAULT_STREAM_WINDOW - 100, 100))
     assert conn.usable()
     assert server.streams[stream_id].reassembly_bytes() == 100
-    assert _counter(server, obs_keys.FLOW_VIOLATIONS) == 0
+    assert server.stats["flow_violations"] == 0
 
     # One byte past it is a violation.
     record = data_record(DEFAULT_STREAM_WINDOW - 100, 101)
     with pytest.raises(GuardLimitExceeded, match="flow-control limit"):
         server._on_raw_record(conn, ContentType.APPLICATION_DATA, record[5:])
-    assert _counter(server, obs_keys.FLOW_VIOLATIONS) == 1
+    assert server.stats["flow_violations"] == 1
 
-    guards_before = _counter(server, obs_keys.GUARD_TRIPPED)
+    guards_before = server.stats["guard_tripped"]
     server._on_tcp_data(conn, data_record(DEFAULT_STREAM_WINDOW, 1))
-    assert _counter(server, obs_keys.FLOW_VIOLATIONS) == 2
-    assert _counter(server, obs_keys.GUARD_TRIPPED) == guards_before + 1
+    assert server.stats["flow_violations"] == 2
+    assert server.stats["guard_tripped"] == guards_before + 1
     assert conn.state == conn.FAILED

@@ -66,9 +66,7 @@ def test_segment_injector_rejected_and_survived():
     report.assert_ok()
     assert injector.injected >= 1
     server = world.server_session
-    rejections = (
-        server._obs_decode_rejected.value + server._obs_guard_tripped.value
-    )
+    rejections = server.stats["decode_rejected"] + server.stats["guard_tripped"]
     assert rejections >= 1, "injected junk was never rejected"
     assert failures, "poisoned connection should have been torn down"
 
@@ -88,8 +86,7 @@ def test_payload_tamperer_forces_failover_exactly_once():
     assert tamperer.tampered >= 1
     server = world.server_session
     assert (
-        server._obs_guard_tripped.value + server._obs_decode_rejected.value
-        >= 1
+        server.stats["guard_tripped"] + server.stats["decode_rejected"] >= 1
     ), "tampering was never detected"
 
 
@@ -149,19 +146,15 @@ def test_attacked_run_exports_nonzero_hardening_counters():
     )
     report.assert_ok()
 
-    session_counts = world.server_session.obs.telemetry.snapshot()
-    server_counts = world.server.obs.telemetry.snapshot().get("server", {})
-    guard_trips = session_counts.get("session.server", {}).get(
-        "guard.tripped", 0
-    ) + server_counts.get("guard.tripped", 0)
-    rejected = session_counts.get("session.server", {}).get(
-        "decode.rejected", 0
-    ) + server_counts.get("decode.rejected", 0)
+    session_counts = world.server_session.stats
+    server_counts = world.server.stats
+    guard_trips = session_counts["guard_tripped"] + server_counts["guard_tripped"]
+    rejected = session_counts["decode_rejected"] + server_counts["decode_rejected"]
     assert guard_trips >= 1
     assert rejected >= 1
     # And the session's metrics() export carries them too.
     exported = world.server_session.metrics()
-    assert exported["counters"]["session.server"]["guard.tripped"] >= 1
+    assert exported["stats"]["guard_tripped"] == session_counts["guard_tripped"] >= 1
 
 
 class KeyShareRewriter:

@@ -4,6 +4,7 @@ Every guard is driven at the threshold that ships, not at a toy value:
 the constants below are the ones a deployed session enforces.
 """
 
+import random
 import types
 
 import pytest
@@ -11,11 +12,13 @@ import pytest
 from repro.core import framing
 from repro.core.frames import MAX_REASSEMBLY_BYTES, MAX_STREAMS, on_stream_data
 from repro.core.framing import TType
+from repro.core.join import build_join_client_hello
 from repro.core.server import JOIN_RATE_LIMIT, JOIN_RATE_WINDOW
 from repro.core.session import MAX_PLAINTEXT_RECORDS
 from repro.core.streams import DEFAULT_STREAM_WINDOW
 from repro.tls.alerts import TlsAlertError
 from repro.tls.certificates import CertificateAuthority, TrustStore
+from repro.tls.record import ContentType
 from repro.utils.errors import GuardLimitExceeded
 
 from tests.core.conftest import World, collect_stream_data, establish
@@ -90,7 +93,7 @@ def test_max_streams_guard_trips_and_is_counted():
     # The implicit-stream guard refused the table overflow and the
     # violation was counted (the connection it arrived on was torn down).
     assert len(server.streams) == MAX_STREAMS
-    assert server._obs_guard_tripped.value >= 1
+    assert server.stats["guard_tripped"] >= 1
 
 
 def test_reassembly_cap_guard():
@@ -122,8 +125,6 @@ def test_plaintext_junk_cap_guard():
     establish(world)
     server = world.server_session
     conn = server.primary
-    from repro.tls.record import ContentType
-
     for _ in range(MAX_PLAINTEXT_RECORDS):
         server._on_raw_record(conn, ContentType.HANDSHAKE, b"\xde\xad")
     with pytest.raises(GuardLimitExceeded):
@@ -139,7 +140,7 @@ def test_plaintext_junk_flood_fails_connection_not_process():
     conn = server.primary
     junk = (b"\x16\x03\x03\x00\x04\xde\xad\xbe\xef") * (MAX_PLAINTEXT_RECORDS + 1)
     server._on_tcp_data(conn, junk)
-    assert server._obs_guard_tripped.value >= 1
+    assert server.stats["guard_tripped"] >= 1
     assert conn.state == "FAILED"
 
 
@@ -156,7 +157,15 @@ def test_join_rate_limit_sliding_window():
     world.sim.schedule(1.5 * JOIN_RATE_WINDOW, lambda: None)
     world.run(until=2 * JOIN_RATE_WINDOW)
     assert server._join_allowed(peer)
-    assert server._obs_guard_tripped is not None
+    # Routed through the listener, the JOIN past the budget is refused
+    # and counted as a guard trip; the ones within it name no session.
+    hello = build_join_client_hello(b"\x01" * 8, b"\x02" * 16, random.Random(1))
+    aborts = []
+    flooder = types.SimpleNamespace(remote_addr="10.9.9.7", abort=aborts.append)
+    for _ in range(JOIN_RATE_LIMIT + 1):
+        server._route(flooder, ContentType.HANDSHAKE, hello, hello)
+    assert aborts[-1] == "JOIN rate limit"
+    assert server.stats == {"decode_rejected": JOIN_RATE_LIMIT, "guard_tripped": 1}
 
 
 def test_guard_knobs_have_safe_defaults():

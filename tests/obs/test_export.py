@@ -92,7 +92,7 @@ def test_disabled_telemetry_records_nothing():
     _net, client, server = _run_transfer(observed=False)
     assert client.obs is server.obs
     snapshot = client.obs.snapshot()
-    assert snapshot["counters"] == {}
+    assert snapshot["histograms"] == {}
     assert snapshot["timeline"] == []
     # The session's own events are recorded either way.
     assert client.events.events_named(Event.HANDSHAKE_DONE) == [{"conn_id": 0}]
@@ -160,7 +160,7 @@ def test_session_metrics_method_matches_export():
     assert doc["role"] == "client"
     assert server.metrics()["role"] == "server"
     assert doc["stats"] == dict(client.stats)
-    assert "counters" in doc and "timeline" in doc
+    assert "histograms" in doc and "timeline" in doc
     assert [entry["event"] for entry in doc["events"]] == [
         event for _t, event, _kwargs in client.events.timeline
     ]

@@ -1,40 +1,35 @@
-"""The metrics registry: counters, gauges, histograms, null objects."""
+"""The distributions registry: histograms, null objects."""
 
-from repro.obs.telemetry import Counter, Gauge, Histogram, Telemetry
-
-
-def test_counter_and_gauge_basics():
-    counter = Counter()
-    counter.inc()
-    counter.inc(9)
-    assert counter.value == 10
-    gauge = Gauge()
-    gauge.set(3.5)
-    gauge.set(2)
-    assert gauge.value == 2
+from repro.obs import telemetry as telemetry_module
+from repro.obs.telemetry import Histogram, Telemetry
 
 
 def test_instruments_are_shared_by_key():
     telemetry = Telemetry()
-    a = telemetry.counter("tls", "records")
-    b = telemetry.counter("tls", "records")
-    other = telemetry.counter("tls", "acks")
+    a = telemetry.histogram("link.v4", "queue_depth")
+    b = telemetry.histogram("link.v4", "queue_depth")
+    other = telemetry.histogram("link.v6", "queue_depth")
     assert a is b
     assert a is not other
-    a.inc(3)
-    assert telemetry.snapshot()["tls"]["records"] == 3
+    a.observe(3)
+    b.observe(5)
+    assert telemetry.snapshot()["link.v4"]["queue_depth"]["count"] == 2
 
 
 def test_disabled_registry_returns_shared_noop_instruments():
     telemetry = Telemetry(enabled=False)
-    counter = telemetry.counter("x", "y")
-    counter.inc(100)
-    telemetry.gauge("x", "g").set(5)
     telemetry.histogram("x", "h").observe(1)
     # Nothing recorded, nothing registered.
     assert telemetry.snapshot() == {}
     # All lookups share one null object: no per-callsite allocation.
-    assert telemetry.counter("a", "b") is telemetry.histogram("c", "d")
+    assert telemetry.histogram("a", "b") is telemetry.histogram("c", "d")
+
+
+def test_counts_are_not_instruments():
+    # Counts live on the object that counts them, so the registry has
+    # no counter or gauge kind a disabled hub could blank.
+    assert not {"counter", "gauge"} & set(vars(Telemetry))
+    assert not {"Counter", "Gauge"} & set(vars(telemetry_module))
 
 
 def test_histogram_summary():
@@ -56,13 +51,3 @@ def test_histogram_overflow_bucket():
     histogram.observe(2 ** 40)
     assert histogram.summary()["buckets"] == {"+inf": 1}
 
-
-def test_snapshot_mixes_instrument_kinds_per_component():
-    telemetry = Telemetry()
-    telemetry.counter("link", "delivered").inc(7)
-    telemetry.gauge("link", "queue").set(3)
-    telemetry.histogram("link", "sizes").observe(512)
-    snapshot = telemetry.snapshot()
-    assert snapshot["link"]["delivered"] == 7
-    assert snapshot["link"]["queue"] == 3
-    assert snapshot["link"]["sizes"]["count"] == 1

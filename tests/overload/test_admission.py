@@ -17,8 +17,6 @@ from repro.overload.admission import (
     TokenBucket,
     classify_hello,
 )
-from repro.obs import Observability
-from repro.obs import keys as obs_keys
 from repro.overload.coupons import COUPON_LEN, mint_coupon, verify_coupon
 from repro.overload.shedding import (
     STATE_DEGRADED,
@@ -274,14 +272,12 @@ def test_shedder_sheds_oldest_deadline_first():
 
 
 def test_shed_sessions_counter_matches_shed_count():
-    obs = Observability(sim=None)
-    shedder = LoadShedder(10_000, observability=obs)
-    for now in (0.0, 1.0, 2.0):
-        shedder.track(_StubSession(3_000), now=now)
-    shedder.observe(3.0)
-    counters = obs.telemetry.snapshot()[obs_keys.COMP_OVERLOAD]
-    assert shedder.shed_count() == 2
-    assert counters[obs_keys.OVERLOAD_SHED_SESSIONS] == shedder.shed_count()
+    controller, _clock = _controller()
+    for _ in range(3):
+        controller.track(_StubSession(3_000))
+    controller.maintain()
+    assert controller.shedder.shed_count() == 2
+    assert controller.counts()["shed_sessions"] == controller.shedder.shed_count()
 
 
 def test_shedder_prunes_closed_sessions_without_counting_them():

@@ -8,13 +8,17 @@ considered a forgery attempt."
 
 The test runs N streams over one and over two TCP connections,
 reports trial-decryption statistics, and verifies forgery accounting.
+The period sweep maps ROADMAP (18) over steady on-path corruption.
 """
 
 import pytest
 
+from repro.core.events import Event
 from repro.core.session import TcplsContext, TcplsServer, TcplsSession
+from repro.faults.invariants import recovery_spans
 from repro.netsim.middlebox import PayloadCorruptor
 from repro.netsim.scenarios import dual_path_network
+from repro.obs import Observability
 from repro.tcp.stack import TcpStack
 from repro.tls.certificates import CertificateAuthority, TrustStore
 
@@ -22,26 +26,35 @@ from tests.helpers import report
 
 N_STREAMS = 6
 PER_STREAM = 100_000
+#: A8b's corruption period: every 40th client-to-server packet.
+A8B_EVERY = 40
 
 
-def _run(n_conns: int, corrupt: bool = False):
+def _run(n_conns: int, corrupt_every: int = 0):
     topo = dual_path_network(rate_bps=30e6)
-    if corrupt:
+    if corrupt_every:
         topo.v4_links[0].add_transformer(
-            topo.client.interfaces["eth0"], PayloadCorruptor(every=40)
+            topo.client.interfaces["eth0"], PayloadCorruptor(every=corrupt_every)
         )
     ca = CertificateAuthority("Bench Root", seed=b"a8")
     identity = ca.issue_identity("server.example", seed=b"a8srv")
     trust = TrustStore()
     trust.add_authority(ca)
+    # Nothing below reads the hub, and a disabled one changes no result;
+    # it spares the livelocked periods a TCP_INFO sample of every dead
+    # connection at each failure.
+    hub = Observability(topo.sim, enabled=False)
     sessions = []
     TcplsServer(
-        TcplsContext(identity=identity, seed=2),
+        TcplsContext(identity=identity, seed=2, observability=hub),
         TcpStack(topo.server, seed=3),
         on_session=sessions.append,
     )
     client = TcplsSession(
-        TcplsContext(trust_store=trust, server_name="server.example", seed=4),
+        TcplsContext(
+            trust_store=trust, server_name="server.example", seed=4,
+            observability=hub,
+        ),
         TcpStack(topo.client, seed=5),
     )
     client.connect(topo.server_v4)
@@ -73,6 +86,11 @@ def _run(n_conns: int, corrupt: bool = False):
     server = sessions[0]
     return {
         "ok": ok,
+        "delivered": sum(len(received.get(stream, b"")) for stream in streams),
+        # faults/invariants.py's contract: deliver every byte, or give
+        # the session up with a terminal SESSION_DEGRADED.
+        "terminal": bool(recovery_spans(client)["terminal"]),
+        "conn_failures": len(client.events.events_named(Event.CONN_FAILED)),
         "records": server.stats["records_received"],
         "trials": server.contexts.trial_decryptions,
         "forgeries": server.contexts.forgery_suspects,
@@ -106,7 +124,7 @@ def test_a8_streams_over_one_and_two_connections():
 
 def test_a8_forgery_accounting():
     """Tampered records are counted as forgery attempts (section 2.3)."""
-    result = _run(1, True)
+    result = _run(1, corrupt_every=A8B_EVERY)
     report(
         "A8b — tampering shows up as forgery suspects",
         [f"forgery suspects counted: {result['forgeries']}"],
@@ -125,4 +143,48 @@ def test_a8_forgery_accounting():
 )
 def test_a8b_tampered_transfer_delivers_every_byte():
     """The tampered A8b transfer should still deliver all six streams."""
-    assert _run(1, True)["ok"]
+    assert _run(1, corrupt_every=A8B_EVERY)["ok"]
+
+
+#: Bytes of 600,000 each corruption period delivered by t = 60 s,
+#: measured at 083ede5 (None: every byte arrived).  None of the failing
+#: periods surfaced a terminal SESSION_DEGRADED.
+PERIOD_DELIVERED = {
+    25: 80_000,
+    30: 580_000,
+    35: 580_000,
+    40: 580_000,
+    45: 580_000,
+    50: 596_000,
+    60: None,
+    80: 580_000,
+    120: None,
+    200: None,
+}
+
+
+def _period(every, delivered):
+    if delivered is None:
+        return every
+    stall = "livelock" if every == 25 else "silent stall"
+    return pytest.param(every, marks=pytest.mark.xfail(
+        strict=True,
+        reason=f"ROADMAP (18), {stall}: {delivered:,} of 600,000 bytes by "
+        "t = 60 s and no terminal SESSION_DEGRADED",
+    ))
+
+
+@pytest.mark.parametrize(
+    "every", [_period(k, bytes_) for k, bytes_ in PERIOD_DELIVERED.items()]
+)
+def test_a8b_corruption_period_keeps_the_delivery_contract(every):
+    """Steady corruption of period k on the only path: the session
+    delivers every byte or surfaces a terminal SESSION_DEGRADED."""
+    result = _run(1, corrupt_every=every)
+    report(
+        f"A8b sweep — corrupt every {every}th packet",
+        [f"delivered {result['delivered']:,} of {N_STREAMS * PER_STREAM:,} bytes, "
+         f"{result['conn_failures']} connection failures, "
+         f"terminal={result['terminal']}"],
+    )
+    assert result["ok"] or result["terminal"], result

@@ -2,8 +2,9 @@
 
 An attacked two-path transfer (ciphertext tampering plus a
 garbage-spraying raw connection) must finish byte-exact and
-exactly-once while the hardening counters — ``decode.rejected`` and
-``guard.tripped`` — land nonzero in the telemetry.  The
+exactly-once while the hardening counts — ``decode_rejected`` and
+``guard_tripped`` in the session's and the listener's ``stats`` — land
+nonzero.  The
 unit-level parser campaign is ``tests/fuzz/test_campaign.py``.
 """
 
@@ -68,13 +69,11 @@ def _attacked_transfer(seed=5):
         {stream: PAYLOAD}, recorder, server,
         audit=audit, slack=4.0,
     ).assert_ok()
-    session_counters = server.obs.telemetry.snapshot().get("session.server", {})
-    listener_counters = listener.obs.telemetry.snapshot().get("server", {})
     row = {
-        "guard_tripped": session_counters.get("guard.tripped", 0)
-        + listener_counters.get("guard.tripped", 0),
-        "decode_rejected": session_counters.get("decode.rejected", 0)
-        + listener_counters.get("decode.rejected", 0),
+        "guard_tripped": server.stats["guard_tripped"]
+        + listener.stats["guard_tripped"],
+        "decode_rejected": server.stats["decode_rejected"]
+        + listener.stats["decode_rejected"],
         "replayed": client.stats["frames_replayed"],
         "duplicates_absorbed": server.tracker.duplicates,
     }
@@ -88,8 +87,8 @@ def test_r2_fuzz_and_attack_accounting():
         "R2 — wire hardening: keyless attacker",
         [
             "attacked transfer (1 MB, 2 paths, tamperer + garbage conn):",
-            f"  guard.tripped={attack['guard_tripped']} "
-            f"decode.rejected={attack['decode_rejected']} "
+            f"  guard_tripped={attack['guard_tripped']} "
+            f"decode_rejected={attack['decode_rejected']} "
             f"replayed={attack['replayed']} "
             f"dups absorbed={attack['duplicates_absorbed']}",
             "delivery: byte-exact, exactly-once (invariants.assert_ok).",

@@ -60,7 +60,7 @@ def test_send_budget_refuses_oversized_queue():
     world.client.streams_attach()
     with pytest.raises(GuardLimitExceeded, match="session memory budget"):
         world.client.send(stream, b"\xaa" * (MAX_SESSION_MEMORY + 1))
-    assert world.client._obs_guard_tripped.value >= 1
+    assert world.client.stats["guard_tripped"] >= 1
     assert not world.client.streams[stream].send_buffer  # nothing was queued
 
 
