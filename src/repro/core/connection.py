@@ -27,7 +27,6 @@ class TcplsConnection:
         "conn_id",
         "tcp",
         "state",
-        "is_primary",
         "token",
         "decoder",
         "bytes_delivered",
@@ -48,7 +47,6 @@ class TcplsConnection:
         self.conn_id = conn_id
         self.tcp = tcp
         self.state = self.CONNECTING
-        self.is_primary = False
         self.token = b""  # key-derivation token: CONNID or the JOIN cookie
         self.decoder = RecordDecoder()  # raw record splitting only
         self.bytes_delivered = 0
@@ -74,8 +72,7 @@ class TcplsConnection:
         """Free sending capacity: window minus flight minus queued bytes.
 
         Clamped at zero: queued bytes can exceed the window after a
-        congestion-window collapse, and a negative value skews the
-        round-robin scheduler's capacity comparisons.
+        congestion-window collapse.
         """
         info_window = min(self.tcp.cc.window(), self.tcp.snd_wnd)
         room = info_window - self.tcp.bytes_in_flight() - self.tcp.send_queue_length()
@@ -85,7 +82,7 @@ class TcplsConnection:
         return {
             "conn_id": self.conn_id,
             "state": self.state,
-            "primary": self.is_primary,
+            "primary": self is self.session.primary,
             "local": f"{self.tcp.local_addr}:{self.tcp.local_port}",
             "remote": f"{self.tcp.remote_addr}:{self.tcp.remote_port}",
             "bytes_delivered": self.bytes_delivered,

@@ -40,9 +40,10 @@ class TcplsContext:
 
     # TCPLS behaviour.
     congestion: str = "reno"
-    # A ``scheduler.make_scheduler`` name: pinned (alias hol_avoidance),
-    # cwnd_aware (aggregate, aggregation), round_robin (rr), lowest_rtt
-    # (rtt) or health (health_aware).
+    # The paper's two multipath modes (``scheduler.make_scheduler``):
+    # "pinned" keeps each stream on its own connection (HOL-blocking
+    # avoidance), "aggregate" stripes streams over the connection with
+    # the most free window (bandwidth aggregation).
     multipath_mode: str = "pinned"
     cwnd_match_records: bool = False
     auto_failover: bool = True

@@ -4,8 +4,10 @@ The paper's failover story (section 2.1) needs an answer to "which
 surviving connection should carry the replayed frames and the re-pinned
 streams?"  This module scores every path from cross-layer TCP signals —
 smoothed RTT and loss events (retransmissions, fast retransmits, RTO
-expiries) — so the ``health`` scheduler, the stream re-pin and the
-replay target after a failure all prefer the healthiest path.
+expiries) — so the failover target, the stream re-pin and the replay
+target after a failure all prefer the healthiest path.  The multipath
+schedulers do not read it: pinned mode follows the stream, aggregate
+mode the free window.
 
 Scores are *lower-is-better* simulated seconds: an idealised path scores
 its smoothed RTT; loss inflates that multiplicatively.  Scoring reads
@@ -13,8 +15,6 @@ only locally-available TCP state, so it costs nothing on the wire.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 # A path with no RTT sample yet (e.g. freshly joined) is scored with
 # this placeholder so established paths with real measurements win ties.
@@ -45,19 +45,12 @@ def path_score(conn) -> float:
     return srtt * (1.0 + LOSS_WEIGHT * loss_ratio + LOSS_EVENT_WEIGHT * events)
 
 
-def best_path(connections, exclude: Optional[object] = None):
-    """The healthiest usable connection, or None.
-
-    ``exclude`` removes one candidate (the connection being fled).
-    Deterministic tie-break: equal scores fall back to the lowest
-    ``conn_id`` (Python's ``min`` is stable over the iteration order,
-    which the session keeps id-sorted).
-    """
-    candidates = [
-        conn
-        for conn in connections
-        if conn is not exclude and conn.usable()
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda conn: (path_score(conn), conn.conn_id))
+def best_path(connections):
+    """The healthiest of ``connections`` (the caller's usable set), or
+    None.  Deterministic tie-break: equal scores fall back to the lowest
+    ``conn_id``."""
+    return min(
+        connections,
+        key=lambda conn: (path_score(conn), conn.conn_id),
+        default=None,
+    )

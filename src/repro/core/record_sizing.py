@@ -38,13 +38,9 @@ class RecordSizer:
         """Payload bytes for the next record on ``conn``."""
         if not self.match_cwnd:
             return self.max_payload
-        room = conn.send_room()
-        usable = room - TOTAL_OVERHEAD
-        if usable <= 0:
-            # The window is (nearly) closed; send a minimal record rather
-            # than stalling — it will queue in TCP like any other byte.
-            return min(self.max_payload, conn.tcp.effective_mss())
-        return max(min(self.max_payload, usable), 1)
+        # The scheduler only picks a connection with room for more than
+        # TOTAL_OVERHEAD, so this is at least one byte.
+        return min(self.max_payload, conn.send_room() - TOTAL_OVERHEAD)
 
     def account(self, payload_length: int, conn) -> None:
         """Record bookkeeping: was this record fragmented by the window?"""

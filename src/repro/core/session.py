@@ -38,7 +38,7 @@ from repro.core.events import Event, EventDispatcher
 from repro.core.frames import HANDLERS, MAX_SESSION_MEMORY
 from repro.core.framing import TType
 from repro.core.health import best_path
-from repro.core.record_sizing import RecordSizer, TOTAL_OVERHEAD
+from repro.core.record_sizing import RecordSizer
 from repro.core.recovery import ReconnectState, Recovery
 from repro.core.reliability import ReceiveTracker, ReplayBuffer
 from repro.core.scheduler import make_scheduler
@@ -370,7 +370,6 @@ class TcplsSession:
     def _begin_primary_handshake(self, conn: TcplsConnection, **span_attrs) -> None:
         """Mark ``conn`` primary, open the handshake span, and route the
         TLS driver's completion to it (``self.tls`` exists by now)."""
-        conn.is_primary = True
         self.primary = conn
         self._hs_span = self.obs.tracer.span(
             self._obs_component, "handshake", conn_id=conn.conn_id, **span_attrs
@@ -738,7 +737,7 @@ class TcplsSession:
                         self.stats["flow_stalls"] += 1
                     continue
                 conn = self.scheduler.pick(stream, conns)
-                if conn is None or conn.send_room() <= TOTAL_OVERHEAD:
+                if conn is None:
                     continue
                 chunk_size = self.sizer.chunk_size(conn)
                 taken = stream.take_chunk(chunk_size)
@@ -846,8 +845,8 @@ class TcplsSession:
         conns = self._active_conns()
         if not conns:
             return
-        primary_like = next((c for c in conns if c.is_primary), conns[0])
-        self._send_frame(primary_like, ttype, body, seq)
+        conn = self.primary if self.primary in conns else conns[0]
+        self._send_frame(conn, ttype, body, seq)
 
     def _send_reliable(
         self, ttype: int, body: bytes, *,
@@ -1179,11 +1178,9 @@ class TcplsSession:
         """``target`` takes over from ``failed``: streams re-pin, the
         primary role moves, unacked frames are replayed (paper 2.1)."""
         self._repin_streams_away_from(failed)
-        if failed.is_primary and failed is not target:
+        if failed is self.primary:
             # Default stream pinning and control traffic must never aim
             # at a dead connection.
-            failed.is_primary = False
-            target.is_primary = True
             self.primary = target
         self._replay_unacked(target)
         self.events.emit(

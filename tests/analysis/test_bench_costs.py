@@ -41,11 +41,11 @@ from repro.netsim.packet import Datagram
 #: segments sent, lane keystream passes, numpy keystream passes) for one
 #: quarter-scale drive at seed 1, first world, after the warm-up drive.
 COSTS = {
-    "bulk_2path": (467_358, 9_258, 9_179, 3_048, 9, 33),
-    "small_rpc": (98_107, 1_247, 1_249, 374, 46, 12),
-    "handshake_churn": (228_447, 808, 1_053, 686, 312, 0),
-    "overload_2x": (204_736, 837, 981, 756, 168, 48),
-    "bulk_adverse": (638_463, 9_677, 9_678, 3_185, 19, 37),
+    "bulk_2path": (466_375, 9_258, 9_179, 3_048, 9, 33),
+    "small_rpc": (97_239, 1_247, 1_249, 374, 46, 12),
+    "handshake_churn": (227_947, 808, 1_053, 686, 312, 0),
+    "overload_2x": (204_304, 837, 981, 756, 168, 48),
+    "bulk_adverse": (637_512, 9_677, 9_678, 3_185, 19, 37),
 }
 
 pytestmark = pytest.mark.skipif(

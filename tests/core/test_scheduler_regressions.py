@@ -4,21 +4,15 @@ Two bug classes, both of which only bite under many-session churn:
 
 - the falsy ``srtt or 1e9`` coercion that demoted a *measured* zero RTT
   (legal on a zero-delay simulated link) to worst-case "unmeasured";
-- the usable-set inconsistency where round-robin handed chunks to
-  zero-window connections the cwnd/RTT/health schedulers would refuse,
-  silently stalling the chunk in aggregation mode.
+- a usable-set inconsistency where one scheduler handed chunks to
+  zero-window connections the others would refuse, silently stalling
+  the chunk in aggregation mode.
 """
 
 import pytest
 
 from repro.core.health import UNMEASURED_RTT, path_score
-from repro.core.scheduler import (
-    CwndAwareScheduler,
-    HealthAwareScheduler,
-    LowestRttScheduler,
-    PinnedScheduler,
-    RoundRobinScheduler,
-)
+from repro.core.scheduler import CwndAwareScheduler, PinnedScheduler
 from repro.tcp.rto import RtoEstimator
 
 
@@ -35,9 +29,6 @@ class FakeTcp:
             "fast_retransmits": 0,
             "timeouts": 0,
         }
-
-    def effective_mss(self):
-        return 1400
 
 
 class FakeConn:
@@ -59,13 +50,7 @@ class FakeStream:
         self.conn_id = conn_id
 
 
-ALL_SCHEDULERS = [
-    PinnedScheduler,
-    RoundRobinScheduler,
-    CwndAwareScheduler,
-    LowestRttScheduler,
-    HealthAwareScheduler,
-]
+ALL_SCHEDULERS = [PinnedScheduler, CwndAwareScheduler]
 
 
 # ----------------------------------------------------------------------
@@ -78,23 +63,6 @@ def test_rto_estimator_starts_unmeasured():
     rto.on_measurement(0.0)  # zero-delay link: legal sample
     assert rto.srtt == 0.0
     assert rto.rto == rto.min_rto
-
-
-def test_lowest_rtt_prefers_measured_zero_rtt_over_slow_path():
-    # Old code: `srtt or 1e9` coerced the measured 0.0 to 1e9 and the
-    # genuinely instant path lost to a 50 ms one.
-    conns = [FakeConn(0, srtt=0.050), FakeConn(1, srtt=0.0)]
-    assert LowestRttScheduler().pick(FakeStream(0), conns).conn_id == 1
-
-
-def test_lowest_rtt_unmeasured_sorts_last():
-    conns = [FakeConn(0, srtt=None), FakeConn(1, srtt=0.080)]
-    assert LowestRttScheduler().pick(FakeStream(0), conns).conn_id == 1
-
-
-def test_health_fallback_prefers_measured_zero_rtt():
-    conns = [FakeConn(0, srtt=0.050), FakeConn(1, srtt=0.0)]
-    assert HealthAwareScheduler().pick(FakeStream(0), conns).conn_id == 1
 
 
 def test_health_score_treats_zero_rtt_as_measured():
@@ -111,8 +79,8 @@ def test_health_score_treats_zero_rtt_as_measured():
 @pytest.mark.parametrize("scheduler_cls", ALL_SCHEDULERS)
 def test_zero_window_connection_never_picked(scheduler_cls):
     # conn 0 is established but has no window; conn 1 has room.  Every
-    # scheduler must route around conn 0 (round-robin used to pick it
-    # and silently stall the chunk).
+    # scheduler must route around conn 0 (picking it would silently
+    # stall the chunk).
     conns = [FakeConn(0, room=0), FakeConn(1, room=5000)]
     scheduler = scheduler_cls()
     for _ in range(4):
@@ -125,15 +93,3 @@ def test_zero_window_connection_never_picked(scheduler_cls):
 def test_all_zero_window_returns_none(scheduler_cls):
     conns = [FakeConn(0, room=0), FakeConn(1, room=0)]
     assert scheduler_cls().pick(FakeStream(0), conns) is None
-
-
-def test_round_robin_rotation_survives_zero_window_detour():
-    # While conn 1 is zero-window the rotation serves 0 and 2; once the
-    # window reopens conn 1 rejoins the cycle in id order.
-    conns = [FakeConn(0), FakeConn(1, room=0), FakeConn(2)]
-    scheduler = RoundRobinScheduler()
-    picks = [scheduler.pick(FakeStream(0), conns).conn_id for _ in range(4)]
-    assert picks == [0, 2, 0, 2]
-    conns[1]._room = 5000
-    picks = [scheduler.pick(FakeStream(0), conns).conn_id for _ in range(3)]
-    assert picks == [0, 1, 2]

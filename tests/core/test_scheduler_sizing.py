@@ -1,35 +1,21 @@
 """Scheduler and record-sizing policy units."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.record_sizing import RecordSizer, TOTAL_OVERHEAD
 from repro.core.scheduler import (
     CwndAwareScheduler,
-    LowestRttScheduler,
     PinnedScheduler,
-    RoundRobinScheduler,
     make_scheduler,
 )
 
 
-class FakeTcp:
-    def __init__(self, srtt):
-        class Rto:
-            pass
-
-        self.rto = Rto()
-        self.rto.srtt = srtt
-
-    def effective_mss(self):
-        return 1400
-
-
 class FakeConn:
-    def __init__(self, conn_id, usable=True, room=10000, srtt=0.01):
+    def __init__(self, conn_id, usable=True, room=10000):
         self.conn_id = conn_id
         self._usable = usable
         self._room = room
-        self.tcp = FakeTcp(srtt)
 
     def usable(self):
         return self._usable
@@ -45,12 +31,10 @@ class FakeStream:
 
 def test_factory():
     assert isinstance(make_scheduler("pinned"), PinnedScheduler)
-    assert isinstance(make_scheduler("hol_avoidance"), PinnedScheduler)
-    assert isinstance(make_scheduler("rr"), RoundRobinScheduler)
     assert isinstance(make_scheduler("aggregate"), CwndAwareScheduler)
-    assert isinstance(make_scheduler("rtt"), LowestRttScheduler)
-    with pytest.raises(ValueError):
-        make_scheduler("magic")
+    for name in ("magic", "Pinned", "hol_avoidance", "cwnd_aware", "rr"):
+        with pytest.raises(ValueError):
+            make_scheduler(name)
 
 
 def test_pinned_only_uses_own_connection():
@@ -65,55 +49,6 @@ def test_pinned_skips_unusable():
     assert PinnedScheduler().pick(FakeStream(conn_id=0), conns) is None
 
 
-def test_round_robin_cycles():
-    conns = [FakeConn(0), FakeConn(1), FakeConn(2)]
-    scheduler = RoundRobinScheduler()
-    picks = [scheduler.pick(FakeStream(0), conns).conn_id for _ in range(6)]
-    assert picks == [0, 1, 2, 0, 1, 2]
-
-
-def test_round_robin_skips_dead_connections():
-    conns = [FakeConn(0), FakeConn(1, usable=False), FakeConn(2)]
-    scheduler = RoundRobinScheduler()
-    picks = {scheduler.pick(FakeStream(0), conns).conn_id for _ in range(4)}
-    assert picks == {0, 2}
-
-
-def test_round_robin_resumes_cycle_after_path_failure():
-    """Losing a path must not skew service toward a survivor.
-
-    The scheduler keys its rotation on conn_ids, so when conn 0 dies
-    mid-cycle the next pick is conn 0's cyclic successor and every
-    surviving path keeps getting served once per cycle.
-    """
-    conns = [FakeConn(0), FakeConn(1), FakeConn(2)]
-    scheduler = RoundRobinScheduler()
-    assert scheduler.pick(FakeStream(0), conns).conn_id == 0
-    assert scheduler.pick(FakeStream(0), conns).conn_id == 1
-    conns[0]._usable = False  # path failure mid-rotation
-    picks = [scheduler.pick(FakeStream(0), conns).conn_id for _ in range(4)]
-    assert picks == [2, 1, 2, 1]
-
-
-def test_round_robin_fair_when_connection_list_shrinks():
-    """Removing an entry from the list must not double-serve a survivor."""
-    conns = [FakeConn(0), FakeConn(1), FakeConn(2)]
-    scheduler = RoundRobinScheduler()
-    assert scheduler.pick(FakeStream(0), conns).conn_id == 0
-    del conns[0]  # conn 0 closed and was dropped from the list
-    picks = [scheduler.pick(FakeStream(0), conns).conn_id for _ in range(4)]
-    assert picks == [1, 2, 1, 2]
-
-
-def test_round_robin_serves_joining_connection_next_cycle():
-    conns = [FakeConn(0), FakeConn(2)]
-    scheduler = RoundRobinScheduler()
-    assert scheduler.pick(FakeStream(0), conns).conn_id == 0
-    conns.append(FakeConn(1))  # a JOIN lands mid-cycle
-    picks = [scheduler.pick(FakeStream(0), conns).conn_id for _ in range(5)]
-    assert picks == [1, 2, 0, 1, 2]
-
-
 def test_cwnd_aware_prefers_most_room():
     conns = [FakeConn(0, room=100), FakeConn(1, room=9000)]
     assert CwndAwareScheduler().pick(FakeStream(0), conns).conn_id == 1
@@ -122,16 +57,6 @@ def test_cwnd_aware_prefers_most_room():
 def test_cwnd_aware_returns_none_when_all_full():
     conns = [FakeConn(0, room=0), FakeConn(1, room=-5)]
     assert CwndAwareScheduler().pick(FakeStream(0), conns) is None
-
-
-def test_lowest_rtt_prefers_fast_path():
-    conns = [FakeConn(0, srtt=0.050), FakeConn(1, srtt=0.005)]
-    assert LowestRttScheduler().pick(FakeStream(0), conns).conn_id == 1
-
-
-def test_lowest_rtt_needs_room():
-    conns = [FakeConn(0, srtt=0.005, room=0), FakeConn(1, srtt=0.050)]
-    assert LowestRttScheduler().pick(FakeStream(0), conns).conn_id == 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +80,6 @@ def test_matched_sizer_caps_at_max():
     assert sizer.chunk_size(FakeConn(0, room=10**6)) == 16000
 
 
-def test_matched_sizer_minimal_record_when_window_closed():
-    sizer = RecordSizer(max_payload=16000, match_cwnd=True)
-    assert sizer.chunk_size(FakeConn(0, room=0)) == 1400  # one MSS
-
-
 def test_fragmentation_accounting():
     sizer = RecordSizer(max_payload=16000)
     sizer.account(16000, FakeConn(0, room=100))   # fragmented
@@ -171,3 +91,54 @@ def test_fragmentation_accounting():
 def test_invalid_max_payload():
     with pytest.raises(ValueError):
         RecordSizer(max_payload=0)
+
+
+# ---------------------------------------------------------------------------
+# One room rule, against the parent's (17365ee) decision frozen here
+# ---------------------------------------------------------------------------
+
+
+def _parent_pick(mode, stream, conns):
+    """The old pick, then the pump's "skip unless room > TOTAL_OVERHEAD"."""
+    if mode == "pinned":
+        conn = next((c for c in conns if c.conn_id == stream.conn_id
+                     and c.usable() and c.send_room() > 0), None)
+    else:
+        conn, best_room = None, 0
+        for c in conns:
+            if c.usable() and c.send_room() > best_room:
+                conn, best_room = c, c.send_room()
+    if conn is None or conn.send_room() <= 43:
+        return None
+    return conn
+
+
+def _parent_chunk_size(max_payload, room):
+    usable = room - 43
+    if usable <= 0:
+        return min(max_payload, 1400)
+    return max(min(max_payload, usable), 1)
+
+
+ROOMS = st.sampled_from([0, 1, 42, 43, 44, 1400, 20000])
+
+
+@given(
+    st.lists(st.tuples(st.booleans(), ROOMS), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 100, 16000]),
+)
+def test_room_rule_matches_the_parents_pick_then_skip(specs, stream_conn, max_payload):
+    assert TOTAL_OVERHEAD == 43
+    conns = [FakeConn(i, usable=u, room=r) for i, (u, r) in enumerate(specs)]
+    stream = FakeStream(stream_conn)
+    for mode in ("pinned", "aggregate"):
+        assert make_scheduler(mode).pick(stream, conns) is _parent_pick(
+            mode, stream, conns
+        )
+    sizer = RecordSizer(max_payload=max_payload, match_cwnd=True)
+    for conn in conns:
+        if conn.send_room() > 43:
+            assert sizer.chunk_size(conn) == _parent_chunk_size(
+                max_payload, conn.send_room()
+            )

@@ -8,7 +8,8 @@ considered a forgery attempt."
 
 The test runs N streams over one and over two TCP connections,
 reports trial-decryption statistics, and verifies forgery accounting.
-The period sweep maps ROADMAP (18) over steady on-path corruption.
+The period sweep maps ROADMAP (18) over steady on-path corruption, on
+the only path and on one or both of two paths.
 """
 
 import pytest
@@ -30,11 +31,15 @@ PER_STREAM = 100_000
 A8B_EVERY = 40
 
 
-def _run(n_conns: int, corrupt_every: int = 0):
+def _run(n_conns: int, corrupt_every: int = 0, corrupt_v6: bool = False):
     topo = dual_path_network(rate_bps=30e6)
     if corrupt_every:
         topo.v4_links[0].add_transformer(
             topo.client.interfaces["eth0"], PayloadCorruptor(every=corrupt_every)
+        )
+    if corrupt_v6:
+        topo.v6_links[0].add_transformer(
+            topo.client.interfaces["eth1"], PayloadCorruptor(every=corrupt_every)
         )
     ca = CertificateAuthority("Bench Root", seed=b"a8")
     identity = ca.issue_identity("server.example", seed=b"a8srv")
@@ -188,3 +193,21 @@ def test_a8b_corruption_period_keeps_the_delivery_contract(every):
          f"terminal={result['terminal']}"],
     )
     assert result["ok"] or result["terminal"], result
+
+
+@pytest.mark.parametrize("corrupt_v6", [False, True], ids=["v4", "v4+v6"])
+@pytest.mark.parametrize("every", list(PERIOD_DELIVERED))
+def test_a8b_two_path_corruption_period_keeps_the_delivery_contract(
+    every, corrupt_v6
+):
+    """The same periods with a second path: v4 alone corrupted, or both.
+    Every run delivers every byte, so (18)'s stall needs a session with
+    one path; these runs guard the two-path escape for its fix."""
+    result = _run(2, corrupt_every=every, corrupt_v6=corrupt_v6)
+    report(
+        f"A8b two-path sweep — corrupt every {every}th packet on "
+        f"{'both paths' if corrupt_v6 else 'v4'}",
+        [f"delivered {result['delivered']:,} of {N_STREAMS * PER_STREAM:,} bytes, "
+         f"{result['conn_failures']} connection failures"],
+    )
+    assert result["ok"], result
