@@ -34,8 +34,11 @@ The session reports ``conn_failed``, ``path_active``, ``joined`` and
 ``cancel``; this class reaches back through ``connect``,
 ``connections``, ``_active_conns``, ``_start_join``, ``_take_over``,
 ``_fail_connection``, ``events``, ``cookie_purse``,
-``context.auto_failover``, ``rng``, ``sim``, ``obs`` and the flags
-``is_server`` / ``session_closed`` — nothing else.
+``context.auto_failover``, ``rng``, ``sim`` and the flags
+``is_server`` / ``session_closed`` — nothing else.  An episode is on the
+session's event timeline alone: ``CONN_FAILED`` opens it, each
+``CONN_RETRY`` dials (backing off after a failed attempt's
+``CONN_FAILED``), and ``FAILOVER`` or ``SESSION_DEGRADED`` closes it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.connection import TcplsConnection
 from repro.core.events import Event
 from repro.core.health import best_path
-from repro.obs import keys as obs_keys
 
 if TYPE_CHECKING:
     from repro.core.session import TcplsSession
@@ -80,14 +82,12 @@ class Recovery:
 
     def __init__(self, session: "TcplsSession") -> None:
         self._session = session
-        self._component = obs_keys.session_component(session.is_server)
 
         self.state = ReconnectState.IDLE
         # The episode in flight (meaningful outside IDLE): the path being
-        # redialled, how many dials it has cost, and its trace span.
+        # redialled and how many dials it has cost.
         self.failed: Optional[TcplsConnection] = None
         self.attempt = 0
-        self._span = None
         # What the current state armed.
         self.attempt_conn: Optional[TcplsConnection] = None
         self._timer = None
@@ -110,7 +110,7 @@ class Recovery:
         if conn is self.attempt_conn:
             # A failing *reconnection attempt* feeds the retry loop, not
             # a fresh failover (the attempt was never ACTIVE).
-            self._back_off(reason)
+            self._back_off()
             return
         session = self._session
         if not was_active or not session.context.auto_failover:
@@ -137,14 +137,13 @@ class Recovery:
         """A client JOIN completed; ours if it is the attempt in flight."""
         if conn is not self.attempt_conn:
             return
-        self._end_episode(ok=True)
+        self._enter(ReconnectState.IDLE)
         self._session._take_over(self.failed, conn, attempts=self.attempt)
         self._redial_next()
 
     def cancel(self) -> None:
-        """The owning process died: disarm, and record the lost episode."""
-        if self.state is not ReconnectState.IDLE:
-            self._end_episode(ok=False, reason="crashed")
+        """The owning process died: disarm whatever the episode armed."""
+        self._enter(ReconnectState.IDLE)
 
     # -- the redial loop -----------------------------------------------------
 
@@ -161,18 +160,11 @@ class Recovery:
         self.attempt_conn = attempt_conn
         self.state = state
 
-    def _end_episode(self, **outcome) -> None:
-        self._enter(ReconnectState.IDLE)
-        self._span.end(attempts=self.attempt, **outcome)
-
     def _begin(self, failed: TcplsConnection) -> None:
         if self.state is not ReconnectState.IDLE:
             return  # one episode at a time; ``_redial_next`` follows up
         self.failed = failed
         self.attempt = 0
-        self._span = self._session.obs.tracer.span(
-            self._component, "reconnect", from_conn=failed.conn_id
-        )
         self._dial()
 
     def _dial(self) -> None:
@@ -209,7 +201,7 @@ class Recovery:
             conn, "join_timeout", "reconnect JOIN timed out"
         )
 
-    def _back_off(self, reason: str) -> None:
+    def _back_off(self) -> None:
         self._enter(ReconnectState.BACKOFF)
         session = self._session
         delay = min(
@@ -217,10 +209,6 @@ class Recovery:
             RECONNECT_BACKOFF_MAX,
         )
         delay += delay * RECONNECT_BACKOFF_JITTER * session.rng.random()
-        session.obs.tracer.point(
-            self._component, "reconnect_backoff",
-            attempt=self.attempt, delay=delay, reason=reason,
-        )
         self._timer = session.sim.schedule(delay, self._backoff_expired)
 
     def _backoff_expired(self) -> None:
@@ -250,7 +238,7 @@ class Recovery:
             self._begin(stale[-1])
 
     def _abandon(self, reason: str) -> None:
-        self._end_episode(ok=False, reason=reason)
+        self._enter(ReconnectState.IDLE)
         # With nothing left this is terminal — emitted even though a
         # DEGRADED event already fired for the level transition:
         # ``terminal`` is the signal callers react to (tear down, alert,

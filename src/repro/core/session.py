@@ -171,8 +171,6 @@ class TcplsSession:
         self.recovery = Recovery(self)
         if self.obs.tracer.enabled:
             self.events.observer = self._sample_tcp_on
-        self._hs_span = None
-        self._join_spans: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # Event registration
@@ -185,7 +183,7 @@ class TcplsSession:
     # Observability
     # ------------------------------------------------------------------
 
-    # Session state transitions worth a TCP_INFO snapshot of every
+    # Session state transitions worth a TCP_INFO snapshot of each live
     # connection (cheap: a handful per session lifetime, never per-record).
     _SNAPSHOT_EVENTS = frozenset(
         (
@@ -202,18 +200,22 @@ class TcplsSession:
 
     def _sample_tcp_on(self, event: str, kwargs: dict) -> None:
         """EventDispatcher tap: on the transitions the paper's figures
-        care about, record each connection's TCP state as a ``tcp``
-        tracer point labelled with the transition."""
+        care about, record the TCP state of each connection whose TCP is
+        not CLOSED, and of the one the event names (a failing connection
+        is sampled once, at its own CONN_FAILED), as a ``tcp`` tracer
+        point labelled with the transition."""
         if event in self._SNAPSHOT_EVENTS:
             point = self.obs.tracer.point
+            named = kwargs.get("conn_id")
             for conn in self.connections.values():
-                point(obs_keys.COMP_TCP, event, conn_id=conn.conn_id,
-                      **sample_tcp(conn.tcp))
+                if conn.tcp.state != "CLOSED" or conn.conn_id == named:
+                    point(obs_keys.COMP_TCP, event, conn_id=conn.conn_id,
+                          **sample_tcp(conn.tcp))
 
     def metrics(self) -> dict:
         """``describe()`` (counts included, as ``stats``) plus everything
-        the observability hub recorded (histograms, spans, TCP snapshots)
-        and the session's own events."""
+        the observability hub recorded (histograms, TCP snapshots) and
+        the session's own events, which hold its lifecycle."""
         return {
             **self.describe(),
             **self.obs.snapshot(),
@@ -367,13 +369,10 @@ class TcplsSession:
             clock=lambda: self.sim.now,
         )
 
-    def _begin_primary_handshake(self, conn: TcplsConnection, **span_attrs) -> None:
-        """Mark ``conn`` primary, open the handshake span, and route the
-        TLS driver's completion to it (``self.tls`` exists by now)."""
+    def _begin_primary_handshake(self, conn: TcplsConnection) -> None:
+        """Mark ``conn`` primary and route the TLS driver's completion
+        to it (``self.tls`` exists by now)."""
         self.primary = conn
-        self._hs_span = self.obs.tracer.span(
-            self._obs_component, "handshake", conn_id=conn.conn_id, **span_attrs
-        )
         self.tls.on_handshake_complete = lambda: self._on_tls_complete(conn)
 
     @staticmethod
@@ -394,7 +393,7 @@ class TcplsSession:
 
     def _start_tls_client(self, conn: TcplsConnection, early_data: bytes) -> None:
         self._new_tls(self._client_tls_config(), conn.tcp.send)
-        self._begin_primary_handshake(conn, early_data=bool(early_data))
+        self._begin_primary_handshake(conn)
 
         def start():
             conn.state = TcplsConnection.TLS_HANDSHAKE
@@ -428,7 +427,7 @@ class TcplsSession:
         )
         conn = self.connections[conn_id]
         conn.state = TcplsConnection.TLS_HANDSHAKE
-        self._begin_primary_handshake(conn, zero_rtt=True)
+        self._begin_primary_handshake(conn)
         hold[0] = conn.tcp.send  # later flights go straight to TCP
         return conn_id
 
@@ -471,9 +470,6 @@ class TcplsSession:
     def _on_tls_complete(self, conn: TcplsConnection) -> None:
         self.handshake_complete = True
         conn.state = TcplsConnection.ACTIVE
-        if self._hs_span is not None:
-            self._hs_span.end()
-            self._hs_span = None
         # Post-handshake TLS records (tickets, key updates) feed the
         # same record-size histogram as TCPLS frames.
         self.tls.encoder.on_record_encrypted = self._obs_record_bytes.observe
@@ -521,9 +517,6 @@ class TcplsSession:
             self._on_tcp_failed(conn, "no JOIN cookie available")
             return
         conn.token = cookie
-        self._join_spans[conn.conn_id] = self.obs.tracer.span(
-            self._obs_component, "join", conn_id=conn.conn_id
-        )
 
         def send_join():
             conn.state = TcplsConnection.JOIN_SENT
@@ -967,9 +960,6 @@ class TcplsSession:
         stream_id, ttype, plaintext = opened
         if ttype != TType.JOIN_ACK:
             return
-        span = self._join_spans.pop(conn.conn_id, None)
-        if span is not None:
-            span.end()
         self._activate_joined(conn)
         self.events.emit(Event.JOIN, conn_id=conn.conn_id)
         self.recovery.joined(conn)
@@ -1160,13 +1150,6 @@ class TcplsSession:
         conn.state = TcplsConnection.FAILED
         if self.contexts is not None:
             self.contexts.remove_connection(conn.conn_id)
-        # An establishment this failure cut short still belongs on the
-        # timeline: spans are only recorded when they end.
-        span = self._join_spans.pop(conn.conn_id, None)
-        if span is None and conn is self.primary:
-            span, self._hs_span = self._hs_span, None
-        if span is not None:
-            span.end(ok=False, reason=reason)
         self.events.emit(Event.CONN_FAILED, conn_id=conn.conn_id, reason=reason)
         if not self.handshake_complete or self.session_closed:
             return

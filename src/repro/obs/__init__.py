@@ -6,8 +6,10 @@ machine-readable numbers.  This package provides them:
 
 - :class:`Telemetry` — histograms keyed by component (record sizes,
   link queue depth), cheap enough to stay on by default;
-- :class:`Tracer` — spans and points on the simulated-time axis,
-  correlatable with the pcap writer's timestamps;
+- :class:`Tracer` — points on the simulated-time axis (``tcp``
+  snapshots, link drops and outages), correlatable with the pcap
+  writer's timestamps; a session's lifecycle (handshake, JOIN,
+  failover) is recorded once, on its event timeline, not here;
 - :func:`sample_tcp` — a ``TCP_INFO``-style snapshot of one connection
   as a plain dict, pull-based so sampling never perturbs the
   simulation; sessions record them as ``tcp`` tracer points;
@@ -28,12 +30,11 @@ results (same goodput, same ``events_processed``, same pcap bytes).
 from repro.obs.hub import Observability
 from repro.obs.tcpinfo import sample_tcp
 from repro.obs.telemetry import Histogram, Telemetry
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Tracer
 
 __all__ = [
     "Histogram",
     "Observability",
-    "Span",
     "Telemetry",
     "Tracer",
     "sample_tcp",

@@ -8,10 +8,11 @@ estimator internals, loss-recovery counters, and delivered-byte rates.
 Snapshots are **pull-based** by design: sampling never schedules
 simulator events (a periodic sampling timer would change
 ``events_processed`` and violate the zero-perturbation guarantee).
-``TcplsSession`` samples every connection on its own state transitions
-— handshake done, JOIN, failover, migration, connection failure — as
-``tcp`` tracer points labelled with the transition, and
-``TcplsConnection.describe`` samples once more at collection time.
+``TcplsSession`` samples each connection whose TCP is not CLOSED (and
+the one the event names) on its own state transitions — handshake
+done, JOIN, failover, migration, connection failure — as ``tcp`` tracer
+points labelled with the transition, and ``TcplsConnection.describe``
+samples once more at collection time.
 """
 
 from __future__ import annotations

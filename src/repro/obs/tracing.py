@@ -1,23 +1,22 @@
-"""Trace spans and points on the simulated-time axis.
+"""Trace points on the simulated-time axis.
 
 The tracer shares the discrete-event engine's clock, so every record is
 directly correlatable with the pcap files ``repro.netsim.pcap`` writes:
-a ``handshake`` span covering ``t=0.013..0.054`` brackets exactly the
-packets Wireshark shows between those timestamps.
+a ``tcp`` snapshot at ``t=0.054`` shows the connection's state as of
+the packets Wireshark shows up to that timestamp.
 
-Two record shapes:
+A record is a **point**: an instant event (a ``tcp`` snapshot, a link's
+drop or outage), stamped with the current simulated time.  Intervals
+(a handshake, a JOIN round trip, a reconnect episode) are not traced:
+their ends are instants of the session's own event timeline
+(``EventDispatcher.timeline``), which records them once.
 
-- a **point** is an instant event (``link_down``, a queue drop, any
-  session event);
-- a **span** covers an interval (a handshake, a JOIN round-trip); it is
-  recorded when ``end()`` is called and carries ``t``/``t_end``/``dur``.
-
-Both are plain dicts so the timeline serializes to JSON untouched.
+Points are plain dicts so the timeline serializes to JSON untouched.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 _SCALARS = (int, float, str, bool, type(None))
 
@@ -35,60 +34,6 @@ def scrub_attrs(attrs: dict) -> dict:
     return out
 
 
-class Span:
-    """An open interval; call ``end()`` (or use as a context manager)."""
-
-    __slots__ = ("_tracer", "component", "name", "start", "attrs", "ended")
-
-    def __init__(self, tracer: "Tracer", component: str, name: str, attrs: dict):
-        self._tracer = tracer
-        self.component = component
-        self.name = name
-        self.start = tracer.now()
-        self.attrs = attrs
-        self.ended = False
-
-    def end(self, **attrs) -> None:
-        if self.ended:
-            return
-        self.ended = True
-        merged = dict(self.attrs)
-        merged.update(scrub_attrs(attrs))
-        end_time = self._tracer.now()
-        self._tracer._record(
-            {
-                "t": self.start,
-                "t_end": end_time,
-                "dur": end_time - self.start,
-                "component": self.component,
-                "event": self.name,
-                **merged,
-            }
-        )
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.end()
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def end(self, **attrs) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Timeline recorder driven by an external clock (the simulator's)."""
 
@@ -104,17 +49,14 @@ class Tracer:
         self.dropped = 0
         self._records: List[dict] = []
 
-    def _record(self, record: dict) -> None:
-        if len(self._records) >= self.max_records:
-            self.dropped += 1
-            return
-        self._records.append(record)
-
     def point(self, component: str, name: str, **attrs) -> None:
         """Record an instant event at the current simulated time."""
         if not self.enabled:
             return
-        self._record(
+        if len(self._records) >= self.max_records:
+            self.dropped += 1
+            return
+        self._records.append(
             {
                 "t": self.now(),
                 "component": component,
@@ -123,15 +65,10 @@ class Tracer:
             }
         )
 
-    def span(self, component: str, name: str, **attrs):
-        """Open a span starting now; it appears in the timeline on end()."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return Span(self, component, name, scrub_attrs(attrs))
-
     def timeline(self) -> List[dict]:
-        """All records ordered by start time (stable for ties)."""
-        return sorted(self._records, key=lambda record: record["t"])
+        """All records in time order: each point is stamped with the
+        simulated time it is appended at, so append order is time order."""
+        return list(self._records)
 
     def events_named(self, name: str) -> List[dict]:
         return [record for record in self._records if record["event"] == name]

@@ -80,7 +80,7 @@ class Farm:
         self.trust.add_authority(ca)
 
         # One shared hub on the server side keeps the server sessions'
-        # record-size histograms and spans in one place; every client
+        # record-size histograms and TCP snapshots in one place; every client
         # session shares one disabled hub — a thousand per-session hubs
         # would dominate the run's memory.  No world result reads either
         # hub: counts live on the sessions, the pool and the controller.

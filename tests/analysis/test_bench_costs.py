@@ -43,9 +43,9 @@ from repro.netsim.packet import Datagram
 COSTS = {
     "bulk_2path": (466_375, 9_258, 9_179, 3_048, 9, 33),
     "small_rpc": (97_239, 1_247, 1_249, 374, 46, 12),
-    "handshake_churn": (227_947, 808, 1_053, 686, 312, 0),
-    "overload_2x": (204_304, 837, 981, 756, 168, 48),
-    "bulk_adverse": (637_512, 9_677, 9_678, 3_185, 19, 37),
+    "handshake_churn": (227_659, 808, 1_053, 686, 312, 0),
+    "overload_2x": (204_088, 837, 981, 756, 168, 48),
+    "bulk_adverse": (637_214, 9_677, 9_678, 3_185, 19, 37),
 }
 
 pytestmark = pytest.mark.skipif(

@@ -4,12 +4,13 @@ Four parts, all against the real session in ``fault_world`` (no mocks):
 
 - every (state, input) pair of the redial loop lands in the tabled
   state, or is listed as ignored with the guard that ignores it;
-- the session-event timeline and the tracer records of three recovery
-  worlds are the ones captured at the commit before the machine was
-  extracted (7e4d777), except for the failed-attempt spans below;
-- attempts that fail reach the tracer timeline (``ok=False``) instead
-  of staying open forever, and ``crash()`` disarms a reconnect in
-  flight;
+- the session-event timeline of three recovery worlds is the one
+  captured at the commit before the machine was extracted (7e4d777),
+  and the reconnect, JOIN and backoff records the tracer kept there
+  derive from that timeline alone; a dead connection's TCP is sampled
+  once, at its own failure;
+- attempts that fail reach the event timeline, and ``crash()`` disarms
+  a reconnect in flight;
 - ``path_score`` returns the floats the formula with the removed
   tick state (``loss_ewma`` 0.0, nothing "seen") returned.
 """
@@ -294,16 +295,20 @@ def test_abandoning_restates_the_level_and_is_terminal_only_without_a_path(
 # -- crash() with a reconnect in flight --------------------------------------
 
 
-def test_crash_in_backoff_disarms_the_reconnect_and_records_its_span(make_scene):
+def test_crash_in_backoff_disarms_the_reconnect_and_ends_its_timeline(make_scene):
     scene = make_scene(BACKOFF)
     client, timer = scene.client, scene.rec._timer
+    before = list(client.events.timeline)
     client.crash()
     assert timer.cancelled and scene.rec.state is IDLE
     scene.world.run(until=scene.world.sim.now + 30.0)
-    assert len(client.events.events_named(Event.CONN_RETRY)) == scene.retries
-    (span,) = client.obs.tracer.events_named("reconnect")
-    assert span["ok"] is False and span["reason"] == "crashed"
-    assert span["attempts"] == 1 and span["from_conn"] == 0
+    # No process is left to observe anything: the episode's record ends
+    # where the crash cut it, at the failed first attempt's CONN_FAILED.
+    assert client.events.timeline == before
+    assert len(client.events.events_named(Event.CONN_RETRY)) == scene.retries == 1
+    _t, event, kwargs = before[-1]
+    assert event == Event.CONN_FAILED
+    assert kwargs["conn_id"] == scene.former_attempt.conn_id
 
 
 # -- behaviour is where it was -----------------------------------------------
@@ -368,14 +373,11 @@ def client_of():
     clients.clear()
 
 
-def _failed_attempt_span(record):
-    return record["event"] in ("join", "handshake") and record.get("ok") is False
-
-
 # Captured at 7e4d777 by running the three worlds above after
 # ``reset_process_globals()``: ``client.events.timeline``, and the
-# session's own tracer records (spans, backoff points; ``component`` is
-# "session.client" throughout).
+# session's own tracer records of the time (spans, backoff points,
+# without the failed attempts' spans; ``component`` is "session.client"
+# throughout), which ``_derived_records`` now rebuilds from the timeline.
 PARENT = {
     "lost_attempt": dict(
         timeline=[
@@ -461,25 +463,100 @@ PARENT = {
 def test_events_and_trace_are_the_parents(name, client_of):
     client, expected = client_of(name), PARENT[name]
     assert [tuple(entry) for entry in client.events.timeline] == expected["timeline"]
-    records = [
-        record for record in client.obs.tracer._records
-        if not _failed_attempt_span(record)
-    ]
-    extra = [
-        {key: value for key, value in record.items() if key != "component"}
-        for record in records
-        if record["component"] != "tcp"
-    ]
-    assert extra == expected["spans_and_points"]
-    # Every other tracer record is a TCP snapshot, taken at a timeline
+    # The tracer holds TCP snapshots only, each taken at a timeline
     # transition of a snapshot kind and labelled with it.
-    samples = [record for record in records if record["component"] == "tcp"]
+    samples = client.obs.tracer.timeline()
     transitions = {
         (t, event) for t, event, _kwargs in expected["timeline"]
         if event in TcplsSession._SNAPSHOT_EVENTS
     }
-    assert samples
+    assert samples and all(record["component"] == "tcp" for record in samples)
     assert all((record["t"], record["event"]) in transitions for record in samples)
+
+
+def _derived_records(timeline):
+    """The parent's ``reconnect_backoff``, redial ``join`` and
+    ``reconnect`` records, rebuilt from the event timeline alone: a
+    backoff runs from the failed attempt's CONN_FAILED to the next
+    CONN_RETRY, a redial JOIN from its CONN_RETRY to its JOIN, and an
+    episode from the CONN_FAILED of the path it redials to the FAILOVER
+    that carries ``attempts``."""
+    records, failed_at, last_failure, retry_at = [], {}, None, None
+    for t, event, kwargs in timeline:
+        if event == Event.CONN_FAILED:
+            failed_at[kwargs["conn_id"]] = t
+            last_failure = (t, kwargs["reason"])
+        elif event == Event.CONN_RETRY:
+            if kwargs["attempt"] > 1:
+                start, reason = last_failure
+                records.append(dict(
+                    attempt=kwargs["attempt"] - 1, delay=t - start,
+                    event="reconnect_backoff", reason=reason, t=start,
+                ))
+            retry_at = t
+        elif event == Event.FAILOVER and "attempts" in kwargs:
+            start = failed_at[kwargs["from_conn"]]
+            records.append(dict(
+                conn_id=kwargs["to_conn"], dur=t - retry_at, event="join",
+                t=retry_at, t_end=t,
+            ))
+            records.append(dict(
+                attempts=kwargs["attempts"], dur=t - start, event="reconnect",
+                from_conn=kwargs["from_conn"], ok=True, t=start, t_end=t,
+            ))
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+def test_the_deleted_records_derive_from_the_timeline(name, client_of):
+    timeline = client_of(name).events.timeline
+    parent = PARENT[name]["spans_and_points"]
+    instant = {(event, kwargs.get("conn_id")): t for t, event, kwargs in timeline}
+    derived = _derived_records(timeline)
+    redialled = {record["conn_id"] for record in derived if record["event"] == "join"}
+    # Two starts have no other store and are given up: the instant the
+    # application called ``handshake()`` / ``handshake(conn_id)``.  The
+    # ends of those records are timeline instants.
+    (handshake,) = [record for record in parent if record["event"] == "handshake"]
+    assert handshake["t_end"] == instant[Event.HANDSHAKE_DONE, handshake["conn_id"]]
+    application_joins = [
+        record for record in parent
+        if record["event"] == "join" and record["conn_id"] not in redialled
+    ]
+    for record in application_joins:
+        assert record["t_end"] == instant[Event.JOIN, record["conn_id"]]
+    expected = [
+        record for record in parent
+        if record is not handshake and record not in application_joins
+    ]
+    assert [record["event"] for record in derived] == [
+        record["event"] for record in expected
+    ]
+    for got, want in zip(derived, expected):
+        assert set(got) == set(want)
+        for key, value in want.items():
+            if key == "delay":
+                assert got[key] == pytest.approx(value, abs=1e-9)
+            else:
+                assert got[key] == value, key
+
+
+def test_a_dead_connection_is_sampled_once_at_its_own_failure(client_of):
+    client = client_of("single_path_redial")
+    failed_at = client.events.events_named(Event.CONN_FAILED)
+    assert failed_at == [{"conn_id": 0, "reason": "user timeout"}]
+    samples = [
+        record for record in client.obs.tracer.timeline() if record["component"] == "tcp"
+    ]
+    (death,) = [
+        t for t, event, kwargs in client.events.timeline if event == Event.CONN_FAILED
+    ]
+    after_death = [
+        (record["t"], record["event"]) for record in samples
+        if record["conn_id"] == 0 and record["t"] >= death
+    ]
+    assert after_death == [(death, Event.CONN_FAILED)]
+    assert len(samples) == 13
 
 
 # -- failed attempts reach the timeline --------------------------------------
@@ -493,16 +570,15 @@ def test_failed_join_attempt_is_on_the_timeline(name, reason, client_of):
     client = client_of(name)
     attempts = [kw["attempt"] for kw in client.events.events_named(Event.CONN_RETRY)]
     assert attempts == [1, 2]
-    joins = {r["conn_id"]: r for r in client.obs.tracer.events_named("join") if "dur" in r}
-    assert sorted(joins) == [1, 2]
-    assert joins[1]["ok"] is False and joins[1]["reason"] == reason
-    failed_at = next(
+    retries = [t for t, event, _kw in client.events.timeline if event == Event.CONN_RETRY]
+    # The first attempt's JOIN (conn 1) ends in its CONN_FAILED, between
+    # the two dials; the second one (conn 2) ends in its JOIN.
+    (failed_at,) = [
         t for t, event, kw in client.events.timeline
-        if event == Event.CONN_FAILED and kw["conn_id"] == 1
-    )
-    assert joins[1]["t_end"] == failed_at
-    assert "ok" not in joins[2]
-    assert client._join_spans == {}
+        if event == Event.CONN_FAILED and kw == {"conn_id": 1, "reason": reason}
+    ]
+    assert retries[0] < failed_at < retries[1]
+    assert client.events.events_named(Event.JOIN) == [{"conn_id": 2}]
 
 
 def test_handshake_cut_short_by_tcp_failure_is_on_the_timeline():
@@ -514,9 +590,11 @@ def test_handshake_cut_short_by_tcp_failure_is_on_the_timeline():
     client.handshake()
     world.run(until=30.0)
     assert client.connections[0].state == "FAILED" and not client.handshake_complete
-    (span,) = client.obs.tracer.events_named("handshake")
-    assert span["ok"] is False and span["conn_id"] == 0 and span["reason"]
-    assert client._hs_span is None
+    events = [(event, kw) for _t, event, kw in client.events.timeline]
+    assert events[0] == (Event.CONN_ESTABLISHED, {"conn_id": 0})
+    (event, kw) = events[-1]
+    assert event == Event.CONN_FAILED and kw["conn_id"] == 0 and kw["reason"]
+    assert not client.events.events_named(Event.HANDSHAKE_DONE)
 
 
 # -- path_score, frozen ------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.core.join import build_join_client_hello
 from repro.core.server import JOIN_RATE_LIMIT, JOIN_RATE_WINDOW
 from repro.core.session import MAX_PLAINTEXT_RECORDS
 from repro.core.streams import DEFAULT_STREAM_WINDOW
+from repro.faults.invariants import recovery_spans
 from repro.tls.alerts import TlsAlertError
 from repro.tls.certificates import CertificateAuthority, TrustStore
 from repro.tls.record import ContentType
@@ -94,6 +95,51 @@ def test_max_streams_guard_trips_and_is_counted():
     # violation was counted (the connection it arrived on was torn down).
     assert len(server.streams) == MAX_STREAMS
     assert server.stats["guard_tripped"] >= 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP (22): ensure_stream counts closed streams against "
+    "MAX_STREAMS, so the 65th stream's STREAM_OPEN trips the guard and the "
+    "connection fails; its seq was already accepted, so the replay after the "
+    "JOIN is dropped as a duplicate, the request fails trial decryption "
+    "under a context the server never installed, and the client keeps 2 "
+    "frames unacked behind a SESSION_RECOVERED",
+)
+def test_closed_streams_do_not_count_against_the_stream_table():
+    """One request per stream (128 B -> 64 B), both ends closing each
+    stream: past MAX_STREAMS of them, every response still arrives, or
+    the session says it gave up (a terminal SESSION_DEGRADED)."""
+    world = _world()
+    establish(world)
+    client, server = world.client, world.server_session
+    requests, responses = {}, {}
+
+    def next_request():
+        stream = client.stream_new()
+        client.streams_attach()
+        client.send(stream, b"q" * 128)
+        client.stream_close(stream)
+
+    def on_request(stream_id, data):
+        request = requests.setdefault(stream_id, bytearray())
+        request.extend(data)
+        if len(request) == 128:
+            server.send(stream_id, b"r" * 64)
+            server.stream_close(stream_id)
+
+    def on_response(stream_id, data):
+        response = responses.setdefault(stream_id, bytearray())
+        response.extend(data)
+        if len(response) == 64 and len(responses) <= MAX_STREAMS:
+            next_request()
+
+    server.on_stream_data = on_request
+    client.on_stream_data = on_response
+    next_request()
+    world.run(until=30.0)
+    answered = sum(len(response) == 64 for response in responses.values())
+    assert answered == MAX_STREAMS + 1 or recovery_spans(client)["terminal"]
 
 
 def test_reassembly_cap_guard():

@@ -106,9 +106,14 @@ def test_session_records_counters_spans_and_snapshots():
     assert counters["record_bytes"]["count"] == client.stats["records_sent"]
     assert not any(key.startswith("event.") for key in counters)
 
-    (handshake,) = client.obs.tracer.events_named("handshake")
-    assert handshake["t"] < handshake["t_end"] <= 1.0
-    assert handshake["dur"] > 0
+    # The handshake is on the session's event timeline, bracketed by
+    # CONN_ESTABLISHED and HANDSHAKE_DONE; the tracer holds no copy of it.
+    (established, done) = [
+        t for t, event, _kwargs in client.events.timeline
+        if event in (Event.CONN_ESTABLISHED, Event.HANDSHAKE_DONE)
+    ]
+    assert 0 < established < done <= 1.0
+    assert {record["component"] for record in client.obs.tracer.timeline()} == {"tcp"}
 
     # TCP snapshots are ``tcp`` points labelled with the transition.
     (sample,) = client.obs.tracer.events_named(Event.HANDSHAKE_DONE)
@@ -133,9 +138,11 @@ def test_shared_observability_hub_merges_both_sides():
     identity = ca.issue_identity("server.example", seed=b"obs2srv")
     trust = TrustStore()
     trust.add_authority(ca)
+    sessions = []
     TcplsServer(
         TcplsContext(identity=identity, seed=2, observability=shared),
         TcpStack(server_host, seed=3),
+        on_session=sessions.append,
     )
     client = TcplsSession(
         TcplsContext(
@@ -150,8 +157,16 @@ def test_shared_observability_hub_merges_both_sides():
     assert client.obs is shared
     counters = shared.telemetry.snapshot()
     assert "session.client" in counters and "session.server" in counters
-    # Both sides' handshake spans land on one timeline.
-    assert len(shared.tracer.events_named("handshake")) == 2
+    # Both sides' handshakes land on one tracer timeline, as the TCP
+    # snapshot each side takes at its own HANDSHAKE_DONE.
+    done_at = sorted(
+        t for session in (client, *sessions)
+        for t, event, _kwargs in session.events.timeline
+        if event == Event.HANDSHAKE_DONE
+    )
+    samples = shared.tracer.events_named(Event.HANDSHAKE_DONE)
+    assert len(done_at) == 2
+    assert [record["t"] for record in samples] == done_at
 
 
 def test_session_metrics_method_matches_export():

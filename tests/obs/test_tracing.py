@@ -1,4 +1,4 @@
-"""Trace points and spans on the simulated-time axis."""
+"""Trace points on the simulated-time axis."""
 
 from repro.netsim.engine import Simulator
 from repro.obs.tracing import Tracer, scrub_attrs
@@ -20,49 +20,29 @@ def test_points_carry_the_simulated_time():
     assert record["reason"] == "queue"
 
 
-def test_span_records_interval_on_end():
-    sim = Simulator()
-    tracer = _tracer(sim)
-    spans = []
-    sim.schedule(0.5, lambda: spans.append(tracer.span("session", "handshake")))
-    sim.schedule(0.9, lambda: spans[0].end(conn_id=0))
-    sim.run_until_idle()
-    (record,) = tracer.timeline()
-    assert record["t"] == 0.5
-    assert record["t_end"] == 0.9
-    assert abs(record["dur"] - 0.4) < 1e-12
-    assert record["conn_id"] == 0
-
-
-def test_span_end_is_idempotent_and_context_manager_ends():
-    sim = Simulator()
-    tracer = _tracer(sim)
-    with tracer.span("s", "x") as span:
-        pass
-    span.end()  # second end is a no-op
-    assert len(tracer.timeline()) == 1
-
-
 def test_timeline_sorted_by_start_time():
-    # A span is recorded at end() but sorts by its *start* time, so a
-    # long span lands before points that fired while it was open.
+    # Points are stamped with the simulated time they are appended at,
+    # so the timeline is in time order without a sort, ties in the order
+    # they fired.
     sim = Simulator()
     tracer = _tracer(sim)
-    spans = []
-    sim.schedule(1.0, lambda: spans.append(tracer.span("a", "whole-run")))
+    sim.schedule(3.0, tracer.point, "a", "late")
+    sim.schedule(1.0, tracer.point, "a", "early")
     sim.schedule(2.0, tracer.point, "a", "mid")
-    sim.schedule(3.0, lambda: spans[0].end())
+    sim.schedule(2.0, tracer.point, "b", "mid-tie")
     sim.run_until_idle()
-    events = [record["event"] for record in tracer.timeline()]
-    assert events == ["whole-run", "mid"]
+    timeline = tracer.timeline()
+    assert [record["event"] for record in timeline] == ["early", "mid", "mid-tie", "late"]
+    assert [record["t"] for record in timeline] == [1.0, 2.0, 2.0, 3.0]
 
 
 def test_disabled_tracer_records_nothing():
     sim = Simulator()
     tracer = _tracer(sim, enabled=False)
     tracer.point("a", "x")
-    tracer.span("a", "y").end()
+    tracer.point("b", "y", conn_id=0)
     assert tracer.timeline() == []
+    assert tracer.dropped == 0
     assert len(tracer) == 0
 
 

@@ -46,8 +46,9 @@ def _run(n_conns: int, corrupt_every: int = 0, corrupt_v6: bool = False):
     trust = TrustStore()
     trust.add_authority(ca)
     # Nothing below reads the hub, and a disabled one changes no result;
-    # it spares the livelocked periods a TCP_INFO sample of every dead
-    # connection at each failure.
+    # it spares the livelocked period its TCP_INFO samples, one of each
+    # live connection and of the failing one at every failure (2,785 at
+    # k = 25).
     hub = Observability(topo.sim, enabled=False)
     sessions = []
     TcplsServer(
