@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.health import path_score
+from repro.core.scheduler import _sendable
 from repro.obs.tcpinfo import sample_tcp
 from repro.tcp.connection import TcpConnection
 from repro.tls.record import RecordDecoder
@@ -58,10 +59,17 @@ class TcplsConnection:
         tcp.on_reset = lambda: session._on_tcp_failed(self, "reset")
         tcp.on_error = lambda reason: session._on_tcp_failed(self, reason)
         tcp.on_close = lambda: session._on_tcp_peer_close(self)
-        tcp.on_send_progress = session._pump
+        tcp.on_send_progress = self._on_send_progress
 
     def _on_data(self, data: bytes) -> None:
         self.session._on_tcp_data(self, data)
+
+    def _on_send_progress(self) -> None:
+        """An ACK freed window here: pump only if that made room for a
+        record here (the pick's rule).  It changed no other connection's
+        room, and every other event that can enable a send pumps itself."""
+        if _sendable(self):
+            self.session._pump()
 
     def usable(self) -> bool:
         return self.state == self.ACTIVE and self.tcp.state in (
@@ -74,9 +82,12 @@ class TcplsConnection:
         Clamped at zero: queued bytes can exceed the window after a
         congestion-window collapse.
         """
-        info_window = min(self.tcp.cc.window(), self.tcp.snd_wnd)
-        room = info_window - self.tcp.bytes_in_flight() - self.tcp.send_queue_length()
-        return max(0, room)
+        tcp = self.tcp
+        window = tcp.cc.window()
+        if tcp.snd_wnd < window:
+            window = tcp.snd_wnd
+        room = window - tcp.bytes_in_flight() - tcp.send_queue_length()
+        return room if room > 0 else 0
 
     def describe(self) -> dict:
         return {

@@ -5,13 +5,21 @@ real serialized bytes: middleboxes parse and rewrite genuine TCP headers,
 which is what makes the paper's middlebox-interference experiments
 meaningful.  Addresses are ``ipaddress`` objects; a datagram is v4 or v6
 according to its source address family.
+
+The carried form: a sending TCP hands its datagram the ``TcpSegment``
+it serialized into ``payload`` (``segment``; not compared, not shown).
+It stands for the bytes by identity only: a receiver uses it while its
+cached wire form is this datagram's very ``(src, dst, payload)``.  A
+router's ``hop()`` keeps all three; a rewrite makes new ones, and
+``copy()`` drops the segment, so a rewritten or duplicated datagram is
+parsed from its bytes.
 """
 
 from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Any, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -40,6 +48,8 @@ class Datagram:
     payload: bytes
     hop_limit: int = 64
     packet_id: int = field(default_factory=_allocate_packet_id)
+    #: The carried form (above).
+    segment: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.src.version != self.dst.version:
@@ -58,6 +68,25 @@ class Datagram:
         # Total on-wire size in bytes (IP header + payload).
         self.size = self.header_length + len(self.payload)
 
+    @classmethod
+    def originate(cls, src, dst, protocol, payload, segment=None) -> "Datagram":
+        """``Datagram(src, dst, protocol, payload, segment=segment)`` for
+        the per-segment send path, built the way ``hop()`` builds: the
+        same dict ``__init__`` and ``__post_init__`` would fill."""
+        global _next_packet_id
+        version = src._version  # ``version`` is a property over this
+        if version != dst._version:
+            raise ValueError(f"address family mismatch: {src} -> {dst}")
+        _next_packet_id += 1
+        header = IPV4_HEADER_LEN if version == 4 else IPV6_HEADER_LEN
+        datagram = object.__new__(cls)
+        datagram.__dict__ = {
+            "src": src, "dst": dst, "protocol": protocol, "payload": payload,
+            "hop_limit": 64, "packet_id": _next_packet_id, "segment": segment,
+            "version": version, "header_length": header,
+            "size": header + len(payload)}
+        return datagram
+
     def copy(self, **overrides) -> "Datagram":
         """Clone with modifications; used by middleboxes that rewrite
         (a router hop takes ``hop``).
@@ -65,10 +94,11 @@ class Datagram:
         Skips the dataclass ``__init__`` and fills the instance dict
         directly, then runs ``__post_init__``, so the family check and
         the derived size fields are exactly what a fresh construction
-        would set.
+        would set.  The carried segment is dropped.
         """
         clone = object.__new__(Datagram)
         state = dict(self.__dict__)
+        state["segment"] = None
         state.update(overrides)
         if "packet_id" not in overrides:
             state["packet_id"] = _allocate_packet_id()
@@ -78,7 +108,8 @@ class Datagram:
 
     def hop(self) -> "Datagram":
         """The router hop's clone: one less ``hop_limit`` and the next
-        packet id, every other field (derived ones included) unchanged."""
+        packet id, every other field (derived ones and the carried
+        segment included) unchanged."""
         global _next_packet_id
         _next_packet_id += 1
         clone = object.__new__(Datagram)

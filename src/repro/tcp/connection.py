@@ -199,6 +199,7 @@ class TcpConnection:
 
         # Middlebox detection support (paper section 4.5).
         self.sent_syn_bytes: bytes = b""
+        self._syn: Optional[TcpSegment] = None  # the SYN sent_syn_bytes encodes
         self.received_syn_bytes: bytes = b""
 
         # Application callbacks.
@@ -277,9 +278,9 @@ class TcpConnection:
         )
         self._inflight[self.iss] = entry
         self._inflight_bytes += entry.length()
+        self._syn = syn
         self.sent_syn_bytes = syn.to_bytes(self.local_addr, self.remote_addr)
-        self._transmit_raw(self.sent_syn_bytes)
-        self.stats["segments_sent"] += 1
+        self._transmit(syn)
         self._arm_rto()
 
     def send(self, data: bytes) -> int:
@@ -973,6 +974,8 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _try_send(self) -> None:
+        if not self._send_queue and not self._fin_pending:
+            return  # nothing to send, in any state
         sendable = (ESTABLISHED, CLOSE_WAIT)
         if self.tfo_used and self.state == SYN_RCVD:
             # RFC 7413: a TFO server may send data before the handshake
@@ -985,23 +988,23 @@ class TcpConnection:
         burst = 0
         # netsim.vectorq: the burst's segments are fully decided by the
         # window checks below before anything reaches the wire, so the
-        # fast path serializes them all, ships one batch to the link
+        # fast path builds them all, ships one batch to the link
         # (which computes the queue service times for the whole burst in
         # numpy), and arms the RTO once.  Window/SWS decisions, packet
         # bytes, and delivery times are identical to the per-segment
         # path; only internal event sequence numbering differs, which the
         # cross-check test pins down via pcap-digest equality.
         batching = fastpath.flags["netsim.vectorq"]
-        raw_batch: List[bytes] = []
+        batch: List[TcpSegment] = []
+        window = min(self.cc.window(), self.snd_wnd)  # sending moves neither
         while self._send_queue:
             if burst >= _MAX_BURST_SEGMENTS:
                 break  # ACK clocking resumes the send (burst avoidance)
-            window = min(self.cc.window(), self.snd_wnd)
-            available = window - self.bytes_in_flight()
+            available = window - self._inflight_bytes
             if available <= 0:
                 self._arm_persist_if_needed()
                 break
-            chunk_len = min(mss, len(self._send_queue), max(available, 0))
+            chunk_len = min(mss, len(self._send_queue), available)
             if chunk_len <= 0:
                 break
             if chunk_len < mss and chunk_len < len(self._send_queue):
@@ -1012,22 +1015,23 @@ class TcpConnection:
             chunk = bytes(self._send_queue[:chunk_len])
             del self._send_queue[:chunk_len]
             if batching:
-                raw_batch.append(self._prepare_data_segment(chunk))
+                batch.append(self._prepare_data_segment(chunk))
             else:
-                self._send_data_segment(chunk)
+                self.stack.send_raw(self, self._prepare_data_segment(chunk))
+                self._arm_rto()
             burst += 1
-        if raw_batch:
-            if len(raw_batch) == 1:
-                self._transmit_raw(raw_batch[0])
+        if batch:
+            if len(batch) == 1:
+                self.stack.send_raw(self, batch[0])
             else:
-                self.stack.send_raw_batch(self, raw_batch)
+                self.stack.send_raw_batch(self, batch)
             self._arm_rto()
         self._maybe_send_fin()
 
-    def _prepare_data_segment(self, chunk: bytes) -> bytes:
-        """Sequence/in-flight bookkeeping and serialization for one data
-        segment, without transmitting — the burst path ships the returned
-        wire bytes in one batch."""
+    def _prepare_data_segment(self, chunk: bytes) -> TcpSegment:
+        """Sequence/in-flight bookkeeping for one data segment, without
+        transmitting — the burst path ships the returned segments in one
+        batch."""
         seq = self.snd_nxt
         segment = self._make_segment(
             flags=Flags.ACK | Flags.PSH, seq=seq, payload=chunk
@@ -1040,11 +1044,7 @@ class TcpConnection:
             self._first_unacked_time = self.sim.now
         self.stats["bytes_sent"] += len(chunk)
         self.stats["segments_sent"] += 1
-        return segment.to_bytes(self.local_addr, self.remote_addr)
-
-    def _send_data_segment(self, chunk: bytes) -> None:
-        self._transmit_raw(self._prepare_data_segment(chunk))
-        self._arm_rto()
+        return segment
 
     def _maybe_send_fin(self) -> None:
         if not self._fin_pending or self._fin_sent or self._send_queue:
@@ -1127,10 +1127,7 @@ class TcpConnection:
 
     def _transmit(self, segment: TcpSegment) -> None:
         self.stats["segments_sent"] += 1
-        self._transmit_raw(segment.to_bytes(self.local_addr, self.remote_addr))
-
-    def _transmit_raw(self, raw: bytes) -> None:
-        self.stack.send_raw(self, raw)
+        self.stack.send_raw(self, segment)
 
     # ------------------------------------------------------------------
     # Timers
@@ -1240,12 +1237,12 @@ class TcpConnection:
                             Timestamps(value=self._ts_now(), echo_reply=0),
                         ],
                     )
+                    self._syn = plain_syn
                     self.sent_syn_bytes = plain_syn.to_bytes(
                         self.local_addr, self.remote_addr
                     )
                 # Retransmit the SYN exactly as (last) built.
-                self._transmit_raw(self.sent_syn_bytes)
-                self.stats["segments_sent"] += 1
+                self._transmit(self._syn)
             else:
                 syn_ack = self._make_segment(
                     flags=Flags.SYN | Flags.ACK, seq=entry.seq,

@@ -14,11 +14,13 @@ Serialization is built for the per-packet hot path:
   :func:`internet_checksum_reference`, the readable specification the
   tests hold the folded form to on every input.
 - :meth:`TcpSegment.to_bytes` serializes into a single buffer with the
-  checksum patched in place, and caches the wire bytes on the segment.
-  Any header/payload attribute assignment invalidates the cache;
-  :meth:`TcpSegment.from_bytes` seeds it with the original raw bytes
-  (only when their checksum verifies), so parse → forward round-trips
-  are byte-identical *and* free.
+  checksum patched in place, and caches ``(src, dst, wire)`` on the
+  segment.  Any header/payload attribute assignment invalidates the
+  cache; :meth:`TcpSegment.from_bytes` seeds it with the original raw
+  bytes (only when their checksum verifies), so parse → forward round
+  trips are byte-identical *and* free.  So is send → receive: the
+  datagram carries the segment, which the receiving stack takes for a
+  parse while that cache holds the datagram's very bytes and addresses.
 - The one header shape an established connection emits outside SACK
   (Timestamps as the sole option) is a template: one ``struct`` pack on
   the way out, one unpack of the option block on the way in, the generic

@@ -184,30 +184,25 @@ class TcpStack:
     def forget(self, conn: TcpConnection) -> None:
         self._connections.pop(_demux_key(conn), None)
 
-    def send_raw(self, conn: TcpConnection, raw_segment: bytes) -> None:
-        datagram = Datagram(
-            src=conn.local_addr,
-            dst=conn.remote_addr,
-            protocol=PROTO_TCP,
-            payload=raw_segment,
-        )
-        self.host.send_ip(datagram)
+    def send_raw(self, conn: TcpConnection, segment: TcpSegment) -> None:
+        """Hand ``segment``'s bytes to IP, the segment itself carried
+        along (``repro.netsim.packet``'s carried form)."""
+        src, dst = conn.local_addr, conn.remote_addr
+        raw = segment.to_bytes(src, dst)
+        self.host.send_ip(Datagram.originate(src, dst, PROTO_TCP, raw, segment))
 
-    def send_raw_batch(self, conn: TcpConnection, raw_segments) -> None:
+    def send_raw_batch(self, conn: TcpConnection, segments) -> None:
         """Burst form of :meth:`send_raw` (the ``netsim.vectorq`` path).
 
         All segments belong to one connection, so they share a
         destination and the whole burst reaches the outgoing link as a
         single batched enqueue.
         """
-        src = conn.local_addr
-        dst = conn.remote_addr
-        self.host.send_ip_batch(
-            [
-                Datagram(src=src, dst=dst, protocol=PROTO_TCP, payload=raw)
-                for raw in raw_segments
-            ]
-        )
+        src, dst = conn.local_addr, conn.remote_addr
+        self.host.send_ip_batch([
+            Datagram.originate(src, dst, PROTO_TCP, segment.to_bytes(src, dst), segment)
+            for segment in segments
+        ])
 
     def connection_count(self) -> int:
         return len(self._connections)
@@ -233,29 +228,34 @@ class TcpStack:
     # -- input ------------------------------------------------------------------------
 
     def _on_datagram(self, datagram: Datagram, interface: Interface) -> None:
-        try:
-            segment = TcpSegment.from_bytes(
-                datagram.payload, datagram.src, datagram.dst, verify_checksum=True
-            )
-        except DecodeError:
-            # Structurally invalid segment (truncated header, lying
-            # option length, bad offset): fail closed and drop it.
-            self.segments_dropped_malformed += 1
-            return
-        except ProtocolViolation:
-            self.segments_dropped_checksum += 1
-            return
+        payload = datagram.payload
+        src = datagram.src
         dst = datagram.dst
+        # The sender's segment stands in for a parse only while the
+        # datagram holds the very objects it was serialized for (then
+        # ``from_bytes`` would verify and return its equal); else parse.
+        segment = datagram.segment
+        wire = None if segment is None else segment._wire
+        if wire is None or not (wire[2] is payload and wire[0] is src and wire[1] is dst):
+            try:
+                segment = TcpSegment.from_bytes(payload, src, dst, verify_checksum=True)
+            except DecodeError:
+                # Structurally invalid segment (truncated header, lying
+                # option length, bad offset): fail closed and drop it.
+                self.segments_dropped_malformed += 1
+                return
+            except ProtocolViolation:
+                self.segments_dropped_checksum += 1
+                return
         conn = self._connections.get(
-            (dst.__class__, dst._ip, segment.dst_port,
-             datagram.src._ip, segment.src_port)
+            (dst.__class__, dst._ip, segment.dst_port, src._ip, segment.src_port)
         )
         if conn is not None:
             conn.on_segment(segment)
             return
         listener = self._listeners.get(segment.dst_port)
         if listener is not None and segment.is_syn and not segment.is_ack:
-            listener.handle_syn(datagram, segment, datagram.payload)
+            listener.handle_syn(datagram, segment, payload)
             return
         self._send_reset_for(datagram, segment)
 

@@ -3,26 +3,40 @@
 Host time on a shared VM spreads by 10-40 % from run to run, so a
 change that saves 3 % cannot show in ``bench measure`` alone.  What the
 program *does* repeats exactly: how many Python calls one drive makes,
-how many events and timers the simulator runs, how many TCP segments go
-out and how many ChaCha20 keystream passes the AEAD makes.  Each of the
-five standing workloads is built (seed 1, first world, scale 0.25, as in
-``test_bench_digests.py``) and driven once as a warm-up, so first-use
-tables and memos exist whether this file runs alone or inside the whole
-suite; then the identical world is built again and driven under
-cProfile with the garbage collector off, and the counts are compared
-with ``COSTS``.
+and in which layer, how many events and timers the simulator runs, how
+many TCP segments go out and how many ChaCha20 keystream passes the
+AEAD makes.  Each of the five standing workloads is built (seed 1,
+first world, scale 0.25, as in ``test_bench_digests.py``) and driven
+once as a warm-up, so first-use tables and memos exist whether this
+file runs alone or inside the whole suite; then the identical world is
+built again and driven under cProfile with the garbage collector off,
+and the counts are compared with the workload's last row in
+``costs_history.jsonl``.
 
-``COSTS`` is the committed cost trajectory: a change that lowers a count
-updates the table and says so in CHANGES.md, one that raises a count
-says why.  Python 3.12 inlines comprehensions (PEP 709) and other
-versions differ in what makes a frame, so the calls are pinned for
-CPython 3.11 only (measured with numpy 2.4, whose Python-level helpers
-are counted too).  Reads ``bench/``, changes nothing there.
+``costs_history.jsonl`` is the committed cost trajectory, one row per
+(commit, workload) in commit order, append-only: a change that moves a
+count appends a row per workload (commit subject, calls per layer, the
+six counts, ``src/`` lines) and says why in CHANGES.md; no row is ever
+edited.  Rows before per-layer calls were taken hold ``null`` there.
+The ``src/`` line count is recorded, not checked.  Calls are grouped by
+``src/repro/<layer>``, numpy, builtins (every other C function) and
+other (the standard library, ``bench/``, generated dataclass methods);
+the test prints each layer's calls per op and per delivered byte (``-s``).
+
+Python 3.12 inlines comprehensions (PEP 709) and other versions differ
+in what makes a frame, so the calls are pinned for CPython 3.11 only
+(measured with numpy 2.4, whose Python-level helpers are counted too;
+re-measure on a numpy upgrade).  A ``tracemalloc`` peak per drive was
+measured and left out: it repeats exactly across processes and hash
+seeds, but moves by up to 600 bytes with what the process ran before.
+Reads ``bench/``, changes nothing there.
 """
 
 import cProfile
 import gc
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,18 +49,15 @@ from bench.harness import WARMUP_SCALE, sub_seed
 from bench.trace import NoTrace
 from bench.workloads import WORKLOADS
 from repro.analysis.sanitizers import reset_process_globals
-from repro.netsim.packet import Datagram
 
-#: workload -> (Python calls, events processed, timers scheduled, TCP
-#: segments sent, lane keystream passes, numpy keystream passes) for one
-#: quarter-scale drive at seed 1, first world, after the warm-up drive.
-COSTS = {
-    "bulk_2path": (466_375, 9_258, 9_179, 3_048, 9, 33),
-    "small_rpc": (97_239, 1_247, 1_249, 374, 46, 12),
-    "handshake_churn": (227_659, 808, 1_053, 686, 312, 0),
-    "overload_2x": (204_088, 837, 981, 756, 168, 48),
-    "bulk_adverse": (637_214, 9_677, 9_678, 3_185, 19, 37),
-}
+HISTORY = Path(__file__).with_name("costs_history.jsonl")
+#: The counts of one quarter-scale drive at seed 1, first world, after
+#: the warm-up: Python calls, events processed, timers scheduled, TCP
+#: segments sent, lane keystream passes, numpy keystream passes.
+COUNTS = ("calls", "events", "timers", "segments", "lane_passes", "numpy_passes")
+ROWS = [json.loads(line) for line in HISTORY.read_text().splitlines()]
+#: workload -> its last row: what a drive costs at this commit.
+PINNED = {row["workload"]: row for row in ROWS}
 
 pytestmark = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -65,23 +76,25 @@ def _calls(entries, path, name):
     return sum(entry.callcount for entry in entries if _is(entry.code, path, name))
 
 
-def _segments_sent(entries):
-    """TCP segments handed to IP: one per ``TcpStack.send_raw`` and one
-    per ``Datagram.__init__`` called by ``send_raw_batch``'s list
-    comprehension (the burst path)."""
-    burst = sum(
-        callee.callcount
-        for entry in entries if _is(entry.code, "tcp/stack.py", "<listcomp>")
-        for callee in entry.calls or () if callee.code is Datagram.__init__.__code__
-    )
-    return _calls(entries, "tcp/stack.py", "send_raw") + burst
+def _layer(code) -> str:
+    """Which layer a profiled function belongs to (builtins are profiled
+    as strings)."""
+    if isinstance(code, str):
+        return "numpy" if "numpy" in code else "builtins"
+    path = code.co_filename
+    if "/numpy/" in path:
+        return "numpy"
+    _, found, inside = path.partition("/src/repro/")
+    return inside.split("/")[0].removesuffix(".py") if found else "other"
 
 
 def test_every_standing_workload_has_costs():
-    assert set(COSTS) == set(WORKLOADS) and WARMUP_SCALE == 0.25
+    assert set(PINNED) == set(WORKLOADS) and WARMUP_SCALE == 0.25
+    for row in PINNED.values():
+        assert sum(row["layers"].values()) == row["calls"] and row["src_lines"]
 
 
-@pytest.mark.parametrize("name", sorted(COSTS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_quarter_scale_drive_costs_are_the_pinned_ones(name):
     workload = WORKLOADS[name]
     reset_process_globals()
@@ -101,11 +114,23 @@ def test_quarter_scale_drive_costs_are_the_pinned_ones(name):
         gc.enable()
     entries = profile.getstats()
     assert outcome.failures == []
-    assert (
-        sum(entry.callcount for entry in entries),
+    layers = Counter()
+    for entry in entries:
+        layers[_layer(entry.code)] += entry.callcount
+    costs = dict(zip(COUNTS, (
+        sum(layers.values()),
         world.sim.events_processed,
         _calls(entries, "netsim/engine.py", "schedule"),
-        _segments_sent(entries),
+        # One ``Datagram.originate`` per TCP segment handed to IP (an
+        # RST for an unknown connection is not counted).
+        _calls(entries, "netsim/packet.py", "originate"),
         _calls(entries, "crypto/chacha20.py", "chacha20_keystream_lanes"),
         _calls(entries, "crypto/chacha20_fast.py", "chacha20_keystream_multi"),
-    ) == COSTS[name]
+    )))
+    print(f"\n{name}: {outcome.completed} ops, {outcome.app_bytes:,} bytes delivered")
+    for layer, calls in layers.most_common():
+        print(f"  {layer:<10}{calls:>9,} calls{calls / outcome.completed:>12,.1f}/op"
+              f"{calls / outcome.app_bytes:>10.4f}/byte")
+    pinned = PINNED[name]
+    assert costs == {key: pinned[key] for key in COUNTS}
+    assert dict(layers) == pinned["layers"]

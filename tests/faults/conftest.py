@@ -4,7 +4,14 @@ Every scenario follows the same shape: build an N-path world, establish
 the session on all paths, start a transfer, let a :class:`ChaosEngine`
 execute a fixed-seed :class:`FaultPlan` against the links, run to
 quiescence, then push the run through :func:`check_invariants`.
+
+Every test here also runs under the two receive-path oracles of
+``tests/shortcut_oracles.py``: whatever the fault does to the wire, a
+segment the receiving stack uses equals the parse of its bytes, and a
+send progress that does not pump leaves nothing a pump would have done.
 """
+
+import pytest
 
 from repro.faults import (
     ChaosEngine,
@@ -15,6 +22,13 @@ from repro.faults import (
 from repro.netsim.scenarios import multi_path_network
 
 from tests.core.conftest import World
+from tests.shortcut_oracles import parse_oracle, pump_gate_oracle
+
+
+@pytest.fixture(autouse=True)
+def _shortcut_oracles():
+    with parse_oracle(), pump_gate_oracle():
+        yield
 
 
 def fault_world(paths=2, seed=7, rate_bps=5e6, **overrides):

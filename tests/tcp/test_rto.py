@@ -1,6 +1,12 @@
 """RFC 6298 estimator behaviour."""
 
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from helpers import tcp_pair
 
 from repro.tcp.rto import RtoEstimator
 
@@ -62,3 +68,30 @@ def test_sample_counter():
     for _ in range(3):
         rto.on_measurement(0.1)
     assert rto.samples == 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP (23): an ACK that advances snd_una feeds the estimator "
+    "twice, its RFC 7323 timestamp echo and its Karn sample "
+    "(TcpConnection._predicted; _handle_ack and _handle_new_ack), so each ACK "
+    "weighs double in RFC 6298's alpha/beta and RTTVAR decays too fast",
+)
+def test_one_advancing_ack_feeds_one_rtt_sample():
+    net, client_tcp, server_tcp, link = tcp_pair()
+    server_tcp.listen(443, lambda conn: None)
+    client = client_tcp.connect("10.0.0.2", 443)
+    net.sim.run(until=0.5)
+    advancing = []
+    on_segment = client.on_segment
+
+    def counted(segment):
+        before = client.snd_una
+        on_segment(segment)
+        if client.snd_una != before:
+            advancing.append(segment.ack)
+    client.on_segment = counted
+    samples = client.rto.samples
+    client.send(b"x" * 40_000)
+    net.sim.run(until=2.0)
+    assert advancing and client.rto.samples - samples == len(advancing)
