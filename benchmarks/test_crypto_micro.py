@@ -5,14 +5,20 @@ megabytes through these primitives, so their throughput bounds every
 experiment's wall-clock time.  Nothing here asserts a speed.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 from repro.crypto.aead import ChaCha20Poly1305
 from repro.crypto.chacha20 import chacha20_keystream_lanes
 from repro.crypto.chacha20_fast import chacha20_keystream_multi
 from repro.crypto.ed25519 import Ed25519PrivateKey, _key_powers, base_mul, ed25519_verify
 from repro.crypto.keyschedule import KeySchedule, TrafficKeys
-from repro.crypto.poly1305 import poly1305_mac
 from repro.crypto import poly1305_fast as _poly_fast
 from repro.crypto.x25519 import X25519PrivateKey, x25519_base
 from repro.tls.record import (
@@ -23,6 +29,7 @@ from repro.tls.record import (
     window_pays,
 )
 from repro.utils.errors import CryptoError
+from tests.references import poly1305_mac
 
 RECORD = b"\xab" * 16000  # one max-size TCPLS record payload
 

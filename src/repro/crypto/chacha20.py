@@ -1,9 +1,9 @@
 """ChaCha20 stream cipher (RFC 8439 section 2).
 
-``chacha20_block`` and ``chacha20_encrypt`` are the RFC's block function
-and counter-mode cipher, kept as the references for the tests.  Records
-are encrypted with ``chacha20_keystream_lanes``, which computes the
-blocks of one or several nonces in one lane-packed pass.
+Records are encrypted with ``chacha20_keystream_lanes``, which computes
+the blocks of one or several nonces in one lane-packed pass.  The RFC's
+block function and counter-mode cipher are the references the tests
+hold it to (``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -15,48 +15,6 @@ _MASK32 = 0xFFFFFFFF
 
 # "expand 32-byte k" as four little-endian words (RFC 8439 section 2.3).
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
-
-
-def _rotl32(value: int, count: int) -> int:
-    value &= _MASK32
-    return ((value << count) | (value >> (32 - count))) & _MASK32
-
-
-def _quarter_round(state: list, a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 7)
-
-
-def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """Produce one 64-byte keystream block (RFC 8439 section 2.3)."""
-    if len(key) != 32:
-        raise ValueError("ChaCha20 key must be 32 bytes")
-    if len(nonce) != 12:
-        raise ValueError("ChaCha20 nonce must be 12 bytes")
-    initial = list(_CONSTANTS)
-    initial.extend(struct.unpack("<8I", key))
-    initial.append(counter & _MASK32)
-    initial.extend(struct.unpack("<3I", nonce))
-
-    state = list(initial)
-    for _ in range(10):
-        _quarter_round(state, 0, 4, 8, 12)
-        _quarter_round(state, 1, 5, 9, 13)
-        _quarter_round(state, 2, 6, 10, 14)
-        _quarter_round(state, 3, 7, 11, 15)
-        _quarter_round(state, 0, 5, 10, 15)
-        _quarter_round(state, 1, 6, 11, 12)
-        _quarter_round(state, 2, 7, 8, 13)
-        _quarter_round(state, 3, 4, 9, 14)
-
-    out = [(s + i) & _MASK32 for s, i in zip(state, initial)]
-    return struct.pack("<16I", *out)
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +50,7 @@ def chacha20_keystream_lanes(key: bytes, counter: int, nonces: bytes, n_blocks: 
     ``nonces`` (concatenated; one nonce is the one-element case) in one
     lane-packed pass (see the layout comment above), nonce-major like
     ``chacha20_fast.chacha20_keystream_multi``; bit-identical to joining
-    ``chacha20_block`` outputs, numpy-free."""
+    RFC 8439 block-function outputs, numpy-free."""
     if n_blocks <= 0 or not nonces:
         return b""
     n = n_blocks * (len(nonces) // 12)
@@ -171,12 +129,3 @@ def chacha20_keystream_lanes(key: bytes, counter: int, nonces: bytes, n_blocks: 
         out[slot + 1 :: 8] = pairs[2 * n : 3 * n]
         slot += 2
     return out.tobytes()
-
-
-def chacha20_encrypt(key: bytes, counter: int, nonce: bytes, plaintext: bytes) -> bytes:
-    """Encrypt (or decrypt) ``plaintext`` in counter mode (RFC 8439 2.4):
-    the plain block-by-block reference the tests hold the lane-packed and
-    numpy keystreams to; nothing at run time calls it."""
-    n_blocks = (len(plaintext) + 63) // 64
-    stream = b"".join(chacha20_block(key, counter + i, nonce) for i in range(n_blocks))
-    return bytes(byte ^ key_byte for byte, key_byte in zip(plaintext, stream))

@@ -9,7 +9,7 @@ same after rotating rows b/c/d up by 1/2/3 words (undone after it).  A
 pass is ~460 numpy calls whatever ``N`` is, ~0.18 ms of dispatch, which
 ``tls/record.py`` spreads over the next records of one key (the nonce
 schedule ``iv XOR sequence`` is deterministic).  Output is bit-identical
-to ``repro.crypto.chacha20.chacha20_block`` (``tests/crypto/test_chacha20_fast.py``).
+to the RFC 8439 block function (``tests/crypto/test_chacha20_fast.py``).
 Rotations work in place: two shifts and an OR into one scratch array.
 """
 

@@ -36,7 +36,7 @@ Messages under ``MIN_BATCH_BYTES``, where the power table and the numpy
 set-up would cost more than they save, and the tail a long message
 leaves after its last whole group, take ``_fold``: Horner's rule two
 blocks per ``% p`` with ``r²``, off one ``int.from_bytes`` of the
-message.  The RFC 8439 loop, ``poly1305.poly1305_mac``, is the
+message.  The RFC 8439 loop (``tests/references.py``) is the
 reference ``tests/crypto`` holds both to, bit-for-bit, on randomized
 and boundary inputs; nothing calls it at run time.
 """

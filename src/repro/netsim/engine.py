@@ -14,6 +14,11 @@ rules:
 (cancelled-or-executed) events instead of scanning the heap.  The engine
 never reads the host clock; ``bench/`` times ``run()`` from outside.
 
+``post`` is ``schedule`` for a callback nobody cancels (a link
+delivery): the same (shaken) sequence number, heap key and counts, but
+no ``Event`` handle: its heap entry is ``(time, seq, callback, args)``,
+a scheduled one's ``(time, seq, event, None)``.
+
 ``reschedule`` moves a pending event in place (a retransmission timer
 pushed back on every ACK) and gives it exactly the (time, seq) key that
 ``cancel()`` + ``schedule()`` would, so the execution order is the same
@@ -81,9 +86,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Pending events as a heap of (time, seq, event) tuples, so
-        # ordering is C-level tuple comparison and never reaches the
-        # ``Event`` (seq is unique).
+        # Pending events as a heap of the tuples above; seq is unique, so
+        # the C-level tuple comparison never reaches the third item.
         self._queue: list = []
         self._seq = 0
         self._events_processed = 0
@@ -130,10 +134,21 @@ class Simulator:
             seq = ((seq ^ self._shake_key) * 0x9E3779B1) & 0xFFFFFFFF
         event = Event(self.now + delay, seq, callback, args)
         event._owner = self
-        heapq.heappush(self._queue, (event.time, seq, event))
+        heapq.heappush(self._queue, (event.time, seq, event, None))
         self._seq += 1
         self._live_events += 1
         return event
+
+    def post(self, delay: float, callback: Callable, *args) -> None:
+        """``schedule`` with no handle to cancel or move (module doc)."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        seq = self._seq
+        if self._shake_key is not None:
+            seq = ((seq ^ self._shake_key) * 0x9E3779B1) & 0xFFFFFFFF
+        heapq.heappush(self._queue, (self.now + delay, seq, callback, args))
+        self._seq += 1
+        self._live_events += 1
 
     def schedule_at(self, time: float, callback: Callable, *args) -> Event:
         """Run ``callback`` at an absolute simulated time.
@@ -170,7 +185,7 @@ class Simulator:
         if time < event._heap_time or (time == event._heap_time and seq < event._heap_seq):
             event._heap_time = time
             event._heap_seq = seq
-            heapq.heappush(self._queue, (time, seq, event))
+            heapq.heappush(self._queue, (time, seq, event, None))
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> None:
         """Process events in order until the queue drains or ``until`` passes.
@@ -193,18 +208,21 @@ class Simulator:
                 entry = queue[0]
                 if until is not None and entry[0] > until:
                     break
-                event = entry[2]
-                if event.seq != entry[1] or event._owner is None:
-                    # Cancelled, already executed, or rescheduled since
-                    # this entry was pushed: hand a responsible entry on
-                    # to the event's current key, drop any other.
-                    if event._owner is not None and entry[1] == event._heap_seq:
-                        event._heap_time = event.time
-                        event._heap_seq = event.seq
-                        heapq.heapreplace(queue, (event.time, event.seq, event))
-                    else:
-                        heappop(queue)
-                    continue
+                args = entry[3]
+                if args is None:
+                    event = entry[2]
+                    if event.seq != entry[1] or event._owner is None:
+                        # Cancelled, already executed, or rescheduled
+                        # since this entry was pushed: hand a responsible
+                        # entry on to the event's current key, drop any
+                        # other.
+                        if event._owner is not None and entry[1] == event._heap_seq:
+                            event._heap_time = event.time
+                            event._heap_seq = event.seq
+                            heapq.heapreplace(queue, (event.time, event.seq, event, None))
+                        else:
+                            heappop(queue)
+                        continue
                 # Check the cap BEFORE popping: the event that trips it
                 # must stay queued so a follow-up run() resumes without
                 # losing it.
@@ -213,12 +231,16 @@ class Simulator:
                         f"simulation exceeded {max_events} events; likely a loop"
                     )
                 heappop(queue)
-                event._owner = None
+                if args is None:
+                    event._owner = None
+                    callback, args = event.callback, event.args
+                else:
+                    callback = entry[2]
                 self._live_events -= 1
-                self.now = event.time
+                self.now = entry[0]
                 if event_hook is not None:
-                    event_hook(event.time, event.seq)
-                event.callback(*event.args)
+                    event_hook(entry[0], entry[1])
+                callback(*args)
                 processed += 1
                 self._events_processed += 1
         finally:

@@ -2,7 +2,8 @@
 
 Each direction of a link is modelled independently: a FIFO drop-tail
 queue feeding a transmitter that serializes packets at ``rate_bps``.
-``set_down()``/``set_up()`` model outages (packets in flight are lost);
+``set_down()``/``set_up()`` model outages (packets in flight are lost,
+by an epoch checked at delivery: a posted delivery is never cancelled);
 an optional Bernoulli loss process and a reordering process are driven by
 a seeded RNG for reproducibility.
 
@@ -227,7 +228,7 @@ class Link:
             # behind packets transmitted after it.
             arrival_delay += self.reorder_extra_delay
             self.stats["reordered"] += 1
-        self.sim.schedule(
+        self.sim.post(
             arrival_delay, self._deliver, index, datagram, direction.down_epoch
         )
 
@@ -339,10 +340,10 @@ class Link:
             for depth in range(base_depth + 1, base_depth + len(accepted) + 1):
                 observe(depth)
         epoch = direction.down_epoch
-        schedule = self.sim.schedule
+        post = self.sim.post
         deliver = self._deliver
         for datagram, arrival_delay in zip(accepted, arrival_delays):
-            schedule(arrival_delay, deliver, index, datagram, epoch)
+            post(arrival_delay, deliver, index, datagram, epoch)
 
     def _deliver(self, index: int, datagram: Datagram, epoch: int) -> None:
         direction = self._directions[index]

@@ -7,12 +7,17 @@ meaningful.  Addresses are ``ipaddress`` objects; a datagram is v4 or v6
 according to its source address family.
 
 The carried form: a sending TCP hands its datagram the ``TcpSegment``
-it serialized into ``payload`` (``segment``; not compared, not shown).
-It stands for the bytes by identity only: a receiver uses it while its
-cached wire form is this datagram's very ``(src, dst, payload)``.  A
-router's ``hop()`` keeps all three; a rewrite makes new ones, and
-``copy()`` drops the segment, so a rewritten or duplicated datagram is
-parsed from its bytes.
+it stands for (``segment``; not compared, not shown).  A segment of the
+template shape goes unbuilt: ``originate`` takes its wire length for
+``size`` and leaves ``payload`` unset; the first read of ``payload``
+(pcap, a middlebox, ``copy()``, ``summary()``, ``==``, ``repr``) builds
+it through ``TcpSegment.as_sent``, the bytes as sent even after a later
+change to the segment.  A receiver uses the segment instead of parsing
+while the datagram was never built and the segment is unchanged, or
+while the segment's cached wire form is this datagram's very ``(src,
+dst, payload)``.  A router's ``hop()`` keeps all of it; a rewrite makes
+new ones, and ``copy()`` builds the bytes and drops the segment, so a
+rewritten or duplicated datagram is parsed from its bytes.
 """
 
 from __future__ import annotations
@@ -69,10 +74,12 @@ class Datagram:
         self.size = self.header_length + len(self.payload)
 
     @classmethod
-    def originate(cls, src, dst, protocol, payload, segment=None) -> "Datagram":
+    def originate(cls, src, dst, protocol, payload, segment=None, length=0) -> "Datagram":
         """``Datagram(src, dst, protocol, payload, segment=segment)`` for
         the per-segment send path, built the way ``hop()`` builds: the
-        same dict ``__init__`` and ``__post_init__`` would fill."""
+        same dict ``__init__`` and ``__post_init__`` would fill.  With
+        ``payload`` None the segment is carried unbuilt (above) and
+        ``length`` is its wire length."""
         global _next_packet_id
         version = src._version  # ``version`` is a property over this
         if version != dst._version:
@@ -80,11 +87,13 @@ class Datagram:
         _next_packet_id += 1
         header = IPV4_HEADER_LEN if version == 4 else IPV6_HEADER_LEN
         datagram = object.__new__(cls)
-        datagram.__dict__ = {
-            "src": src, "dst": dst, "protocol": protocol, "payload": payload,
+        datagram.__dict__ = state = {
+            "src": src, "dst": dst, "protocol": protocol,
             "hop_limit": 64, "packet_id": _next_packet_id, "segment": segment,
             "version": version, "header_length": header,
-            "size": header + len(payload)}
+            "size": header + (length if payload is None else len(payload))}
+        if payload is not None:
+            state["payload"] = payload
         return datagram
 
     def copy(self, **overrides) -> "Datagram":
@@ -94,11 +103,10 @@ class Datagram:
         Skips the dataclass ``__init__`` and fills the instance dict
         directly, then runs ``__post_init__``, so the family check and
         the derived size fields are exactly what a fresh construction
-        would set.  The carried segment is dropped.
+        would set.  The bytes are built and the carried segment dropped.
         """
         clone = object.__new__(Datagram)
-        state = dict(self.__dict__)
-        state["segment"] = None
+        state = {**self.__dict__, "payload": self.payload, "segment": None}
         state.update(overrides)
         if "packet_id" not in overrides:
             state["packet_id"] = _allocate_packet_id()
@@ -108,8 +116,8 @@ class Datagram:
 
     def hop(self) -> "Datagram":
         """The router hop's clone: one less ``hop_limit`` and the next
-        packet id, every other field (derived ones and the carried
-        segment included) unchanged."""
+        packet id, every other field (derived ones, the carried segment
+        and an unbuilt payload included) unchanged."""
         global _next_packet_id
         _next_packet_id += 1
         clone = object.__new__(Datagram)
@@ -124,6 +132,23 @@ class Datagram:
             self.protocol, str(self.protocol)
         )
         return f"[{self.src} -> {self.dst} {proto} {len(self.payload)}B]"
+
+
+class _BuiltOnRead:
+    """``Datagram.payload`` while unbuilt: the first read stores the bytes
+    in the instance, where later reads find them.  A non-data descriptor,
+    unlike a ``__getattr__`` hook, keeps every other attribute read on
+    the interpreter's specialized fast path."""
+
+    def __get__(self, datagram, owner=None):
+        if datagram is None:
+            return self
+        payload = datagram.segment.as_sent(datagram.src, datagram.dst)
+        datagram.__dict__["payload"] = payload
+        return payload
+
+
+Datagram.payload = _BuiltOnRead()  # type: ignore[assignment]
 
 
 def parse_address(text: str) -> IPAddress:

@@ -10,9 +10,9 @@ Serialization is built for the per-packet hot path:
 - :func:`internet_checksum` folds the whole buffer through one big-int
   conversion instead of a Python loop over 16-bit words (``2^16 ≡ 1
   (mod 0xFFFF)``, so the byte string's big-endian value is congruent to
-  its ones-complement word sum).  The RFC 1071 word loop stays as
-  :func:`internet_checksum_reference`, the readable specification the
-  tests hold the folded form to on every input.
+  its ones-complement word sum).  The RFC 1071 word loop is the
+  readable specification the tests hold the folded form to on every
+  input (``tests/references.py``).
 - :meth:`TcpSegment.to_bytes` serializes into a single buffer with the
   checksum patched in place, and caches ``(src, dst, wire)`` on the
   segment.  Any header/payload attribute assignment invalidates the
@@ -20,7 +20,13 @@ Serialization is built for the per-packet hot path:
   bytes (only when their checksum verifies), so parse → forward round
   trips are byte-identical *and* free.  So is send → receive: the
   datagram carries the segment, which the receiving stack takes for a
-  parse while that cache holds the datagram's very bytes and addresses.
+  parse while the datagram's bytes were never built, or while that
+  cache holds the datagram's very bytes and addresses.
+- :meth:`TcpSegment.to_datagram` carries a template segment unbuilt:
+  its cache is ``(src, dst, None)`` until a reader of the datagram's
+  payload builds it (:meth:`TcpSegment.as_sent`), and the first change
+  to a wire field keeps the bytes the cache held or would have held as
+  ``_as_sent``, which the datagram reads from then on.
 - The one header shape an established connection emits outside SACK
   (Timestamps as the sole option) is a template: one ``struct`` pack on
   the way out, one unpack of the option block on the way in, the generic
@@ -37,7 +43,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.netsim.packet import IPAddress, PROTO_TCP
+from repro.netsim.packet import Datagram, IPAddress, PROTO_TCP
 from repro.tcp.options import TcpOption, Timestamps, decode_options, encode_options
 from repro.utils.errors import (
     InvalidValue,
@@ -66,22 +72,6 @@ class Flags:
             if flags & getattr(Flags, name):
                 parts.append(name)
         return "|".join(parts) or "none"
-
-
-def internet_checksum_reference(data: bytes) -> int:
-    """RFC 1071 ones-complement checksum in its word-loop form.
-
-    The executable specification for :func:`internet_checksum`; the
-    randomized tests assert the two agree on every input (including the
-    ``sum ≡ 0 (mod 0xFFFF)`` folding edge case).
-    """
-    data = bytes(data)
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
 
 
 def _fold(total: int) -> int:
@@ -251,6 +241,7 @@ _WIRE_FIELDS = frozenset(
 _TS_SEGMENT = struct.Struct("!HHIIBBHHHHIIH")
 _TS_OPTIONS = struct.Struct("!HIIH")
 _TS_DATA_OFFSET = 8 << 4
+_TS_HEADER_LENGTH = 32
 _TS_KIND_LENGTH = 0x080A
 
 
@@ -274,7 +265,13 @@ class TcpSegment:
         # hook — rewriters must assign whole attributes, as every
         # middlebox in ``repro.netsim.middlebox`` does.
         if name in _WIRE_FIELDS:
-            object.__setattr__(self, "_wire", None)
+            state = self.__dict__
+            wire = state.get("_wire")
+            if wire is not None and "_as_sent" not in state:
+                # A datagram may carry this segment unbuilt: keep the
+                # bytes it stands for.
+                state["_as_sent"] = wire[2] or self._serialize(wire[0], wire[1])
+            state["_wire"] = None
         object.__setattr__(self, name, value)
 
     def has(self, flag: int) -> bool:
@@ -308,13 +305,34 @@ class TcpSegment:
     # -- wire format -----------------------------------------------------
 
     def to_bytes(self, src: IPAddress, dst: IPAddress) -> bytes:
-        cached: Optional[Tuple[IPAddress, IPAddress, bytes]]
+        cached: Optional[Tuple[IPAddress, IPAddress, Optional[bytes]]]
         cached = getattr(self, "_wire", None)
-        if cached is not None and cached[0] == src and cached[1] == dst:
+        if cached is not None and cached[2] is not None and cached[0] == src and cached[1] == dst:
             return cached[2]
         wire = self._serialize(src, dst)
         object.__setattr__(self, "_wire", (src, dst, wire))
         return wire
+
+    def as_sent(self, src: IPAddress, dst: IPAddress) -> bytes:
+        """The bytes a datagram carrying this segment unbuilt stands for:
+        those it had before its first change (``_as_sent``), else
+        :meth:`to_bytes`."""
+        return self.__dict__.get("_as_sent") or self.to_bytes(src, dst)
+
+    def to_datagram(self, src: IPAddress, dst: IPAddress) -> Datagram:
+        """The datagram that sends this segment from ``src`` to ``dst``.
+
+        The template shape is carried unbuilt, its wire length read off
+        the header (``repro.netsim.packet``); every other shape is
+        serialized now.
+        """
+        options = self.options
+        if len(options) == 1 and options[0].__class__ is Timestamps:
+            self.__dict__["_wire"] = (src, dst, None)
+            return Datagram.originate(
+                src, dst, PROTO_TCP, None, self, _TS_HEADER_LENGTH + len(self.payload)
+            )
+        return Datagram.originate(src, dst, PROTO_TCP, self.to_bytes(src, dst), self)
 
     def _serialize(self, src: IPAddress, dst: IPAddress) -> bytes:
         """Single-buffer serialization with the checksum patched in place."""

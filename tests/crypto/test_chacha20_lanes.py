@@ -11,7 +11,8 @@ fails if any of these is skipped.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.chacha20 import chacha20_block, chacha20_keystream_lanes
+from repro.crypto.chacha20 import chacha20_keystream_lanes
+from tests.references import chacha20_block
 from repro.crypto.chacha20_fast import chacha20_keystream_multi
 
 counters = st.one_of(

@@ -2,7 +2,7 @@
 
 The lane-packed keystream, the batched Poly1305 and the record-layer
 lookahead exist only because they are bit-identical to the RFC 8439
-functions kept in ``repro.crypto`` (``chacha20_block``,
+functions kept in ``tests/references.py`` (``chacha20_block``,
 ``chacha20_encrypt``, ``poly1305_key_gen``, ``poly1305_mac``).  These
 tests are the enforcement: random keys/messages (seeded — failures
 reproduce) and boundary sizes around every group/block/window edge.
@@ -26,13 +26,14 @@ from hypothesis import strategies as st
 from repro.crypto import aead as _aead
 from repro.crypto import poly1305_fast as _poly_fast
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
-from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt, chacha20_keystream_lanes
+from repro.crypto.chacha20 import chacha20_keystream_lanes
 from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
 from repro.crypto.keyschedule import TrafficKeys
-from repro.crypto.poly1305 import constant_time_equal, poly1305_key_gen, poly1305_mac
+from repro.crypto.poly1305 import constant_time_equal
 from repro.crypto.poly1305_fast import poly1305_mac_fast
 from repro.tls.record import CipherState, ContentType, record_header
 from repro.utils.errors import CryptoError
+from tests.references import chacha20_block, chacha20_encrypt, poly1305_key_gen, poly1305_mac
 
 _RNG = random.Random(0x7C9)
 

@@ -3,8 +3,8 @@
 ``poly1305_fast._fold`` computes every tag under ``MIN_BATCH_BYTES``
 and the tail of every longer one: the message read as one integer, two
 16-byte blocks per reduction with ``r²``, a partial block's 0x01 byte
-set in that integer.  ``poly1305.poly1305_mac`` — one block, one
-``% p`` — is the reference; nothing at run time calls it.  The fold is
+set in that integer.  ``tests.references.poly1305_mac`` — one block,
+one ``% p`` — is the reference.  The fold is
 pure-int arithmetic, so it is exact or wrong, and every length from 0
 to 2 KiB (every block parity, every partial tail, the group edges at
 512, 1024, 1536 and 2048 bytes, and the dispatch edge) is checked, as
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import poly1305_fast as _poly_fast
-from repro.crypto.poly1305 import poly1305_mac
+from tests.references import poly1305_mac
 from repro.crypto.poly1305_fast import MIN_BATCH_BYTES, poly1305_mac_fast
 
 _KEY = bytes(range(7, 39))

@@ -5,10 +5,11 @@ the session on all paths, start a transfer, let a :class:`ChaosEngine`
 execute a fixed-seed :class:`FaultPlan` against the links, run to
 quiescence, then push the run through :func:`check_invariants`.
 
-Every test here also runs under the two receive-path oracles of
+Every test here also runs under the three per-packet oracles of
 ``tests/shortcut_oracles.py``: whatever the fault does to the wire, a
-segment the receiving stack uses equals the parse of its bytes, and a
-send progress that does not pump leaves nothing a pump would have done.
+segment the receiving stack uses equals the parse of its bytes, a send
+progress that does not pump leaves nothing a pump would have done, and
+a payload built on read is the bytes its segment had when sent.
 """
 
 import pytest
@@ -22,12 +23,12 @@ from repro.faults import (
 from repro.netsim.scenarios import multi_path_network
 
 from tests.core.conftest import World
-from tests.shortcut_oracles import parse_oracle, pump_gate_oracle
+from tests.shortcut_oracles import materialize_oracle, parse_oracle, pump_gate_oracle
 
 
 @pytest.fixture(autouse=True)
 def _shortcut_oracles():
-    with parse_oracle(), pump_gate_oracle():
+    with parse_oracle(), pump_gate_oracle(), materialize_oracle():
         yield
 
 

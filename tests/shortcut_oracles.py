@@ -1,4 +1,4 @@
-"""Oracles for the two receive-path shortcuts, written from their specs.
+"""Oracles for the three per-packet shortcuts, written from their specs.
 
 * **The carried segment.**  A receiving ``TcpStack`` may hand on the
   segment object the sender built instead of parsing the datagram's
@@ -14,7 +14,15 @@
   a stall already counted or a ``scheduler.pick`` dry run that returns
   ``None``, and a session-close check that would return.
 
-Both patch the classes, so install them before the world is built (a
+* **The unbuilt payload.**  A sent segment's datagram may leave its
+  bytes unbuilt until something reads them.
+  :func:`materialize_oracle` serializes every sent segment eagerly at
+  send time, through ``TcpSegment._serialize`` (the codec, not the
+  shortcut), and demands that every payload built later on read equals
+  those bytes and that the datagram's size was their size: a segment
+  changed after it was sent cannot leak into what the wire carried.
+
+All patch the classes, so install them before the world is built (a
 stack registers its bound receive method when it is made).  Each yields
 its counts, so a caller can check that the shortcut ran at all.
 """
@@ -25,6 +33,7 @@ import contextlib
 
 from repro.core.connection import TcplsConnection
 from repro.core.session import TcplsSession
+from repro.netsim.packet import Datagram
 from repro.tcp.connection import TcpConnection
 from repro.tcp.segment import TcpSegment
 from repro.tcp.stack import Listener, TcpStack
@@ -152,6 +161,48 @@ def pump_gate_oracle():
     undo = _patched([
         (TcplsSession, "_pump", watched_pump),
         (TcplsConnection, "_on_send_progress", watched_on_send_progress),
+    ])
+    try:
+        yield counts
+    finally:
+        undo()
+
+
+@contextlib.contextmanager
+def materialize_oracle():
+    """Every payload built on read is what the segment serialized to
+    when it was sent.
+
+    Yields ``{"unbuilt": n, "built": m}``: datagrams sent with their
+    bytes unbuilt, and reads that built one.
+    """
+    counts = {"unbuilt": 0, "built": 0}
+    sent = {}  # id(segment) -> (segment, its bytes when sent)
+    to_datagram = TcpSegment.to_datagram
+    build = Datagram.__dict__["payload"].__get__
+
+    def watched_to_datagram(self, src, dst):
+        wire = self._serialize(src, dst)
+        datagram = to_datagram(self, src, dst)
+        if "payload" in datagram.__dict__:
+            assert datagram.payload == wire
+        else:
+            counts["unbuilt"] += 1
+            sent[id(self)] = (self, wire)
+        assert datagram.size == datagram.header_length + len(wire)
+        return datagram
+
+    class WatchedBuild:
+        def __get__(self, datagram, owner=None):
+            payload = build(datagram, owner)
+            if datagram is not None:
+                counts["built"] += 1
+                assert payload == sent[id(datagram.segment)][1], datagram.segment.summary()
+            return payload
+
+    undo = _patched([
+        (TcpSegment, "to_datagram", watched_to_datagram),
+        (Datagram, "payload", WatchedBuild()),
     ])
     try:
         yield counts

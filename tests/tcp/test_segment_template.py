@@ -28,7 +28,7 @@ from repro.tcp.options import (
     decode_options,
     encode_options,
 )
-from repro.tcp.segment import Flags, TcpSegment, internet_checksum_reference
+from repro.tcp.segment import Flags, TcpSegment
 from repro.utils.errors import (
     DecodeError,
     GuardLimitExceeded,
@@ -38,6 +38,7 @@ from repro.utils.errors import (
     decode_guard,
 )
 from tests.helpers import tcp_pair
+from tests.references import internet_checksum_reference
 
 V4 = (parse_address("10.0.0.1"), parse_address("10.0.0.2"))
 V6 = (parse_address("fc00::1"), parse_address("fc00::2"))
