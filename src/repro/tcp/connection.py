@@ -1037,7 +1037,12 @@ class TcpConnection:
             flags=Flags.ACK | Flags.PSH, seq=seq, payload=chunk
         )
         self.snd_nxt = seqnum.seq_add(self.snd_nxt, len(chunk))
-        entry = _Inflight(seq=seq, data=chunk, send_time=self.sim.now)
+        # The dict ``_Inflight.__init__`` would fill, without its call.
+        entry = object.__new__(_Inflight)
+        entry.__dict__ = {
+            "seq": seq, "data": chunk, "syn": False, "fin": False,
+            "send_time": self.sim.now, "retransmitted": False, "sacked": False,
+            "lost": False}
         self._inflight[seq] = entry
         self._inflight_bytes += len(chunk)
         if self._first_unacked_time is None:
@@ -1092,8 +1097,11 @@ class TcpConnection:
         payload: bytes = b"",
         options: Optional[list] = None,
     ) -> TcpSegment:
-        options = list(options or [])
-        options.append(Timestamps(value=self._ts_now(), echo_reply=self._ts_recent))
+        # A frozen dataclass's ``__init__`` sets each field through
+        # ``object.__setattr__``: fill the same dict directly.
+        stamp = object.__new__(Timestamps)
+        stamp.__dict__.update(value=self._ts_now(), echo_reply=self._ts_recent)
+        options = [*options, stamp] if options else [stamp]
         if flags == Flags.SYN:
             window_field = min(self._advertised_window(), 0xFFFF)
         else:
